@@ -1,5 +1,5 @@
 """Conditional neural processes, plain and graph-convolutional, end to end:
-GP episode generation, radius-graph construction, a small autodiff kernel,
+GP episode generation, radius neighborhoods, a small autodiff kernel,
 model assembly, training, and evaluation for 1-D function regression."""
 
 from .autodiff import (
@@ -28,15 +28,7 @@ from .gp import (
     make_train_batch,
     sample_function_values,
 )
-from .graph import (
-    BipartiteGraph,
-    ConvLayerParams,
-    EdgeSet,
-    bipartite_conv,
-    build_radius_graph,
-    mean_pool,
-    radius_edge_set,
-)
+from .graph import ConvLayerParams, bipartite_conv, mean_pool, radius_mask
 from .models import (
     GaussianPrediction,
     ModelConfig,

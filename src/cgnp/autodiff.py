@@ -2,10 +2,14 @@
 
 Everything the models train with lives here: a small taped ``Tensor`` type,
 the layer primitives (affine, relu, batch norm, the bounded-softplus scale
-head), the gather/segment ops that back the graph convolution, and the
-Gaussian negative log-likelihood. Values are strictly 2-D float64 arrays;
-row vectors (biases, batch-norm scale/shift) have shape ``(1, d)``.
+head), the layout and per-episode pooling ops, ``neighbor_mix`` (the batched
+mask-times-features product behind the graph convolution), and the Gaussian
+negative log-likelihood. Values are strictly 2-D float64 arrays; row
+vectors (biases, batch-norm scale/shift) have shape ``(1, d)``.
 
+Gradient buffers of intermediate tensors are allocated on the first
+accumulation, so a forward pass that is never differentiated (evaluation)
+allocates none; parameters keep an eager zero buffer for the optimizer.
 Gradients are exact analytic rules per op. The test suite holds every op,
 and random compositions of them, to a central finite-difference oracle.
 """
@@ -29,9 +33,9 @@ __all__ = [
     "gaussian_nll",
     "concat_cols",
     "slice_cols",
-    "gather_rows",
-    "segment_sum",
-    "segment_mean",
+    "block_mean",
+    "repeat_rows",
+    "neighbor_mix",
     "row_scale",
 ]
 
@@ -42,6 +46,7 @@ class Tensor:
     Leaves are built directly from arrays; ops return tensors holding a
     closure that routes the output gradient back to the parents. ``value``
     is treated as immutable once created (ops never write into inputs).
+    ``grad`` is None until a gradient first reaches the node.
     """
 
     __slots__ = ("value", "grad", "_parents", "_vjp")
@@ -51,7 +56,7 @@ class Tensor:
         if arr.ndim != 2:
             raise ValueError(f"tensors are 2-D matrices, got shape {arr.shape}")
         self.value = arr
-        self.grad = np.zeros_like(arr)
+        self.grad = None
         self._parents = _parents
         self._vjp = _vjp
 
@@ -70,6 +75,7 @@ class Parameter(Tensor):
 
     def __init__(self, name: str, value):
         super().__init__(value)
+        self.grad = np.zeros_like(self.value)
         self.name = name
 
     def __repr__(self) -> str:
@@ -80,17 +86,25 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t.grad, allocating the buffer on the first gradient."""
+    if t.grad is None:
+        t.grad = np.array(g, dtype=np.float64)  # a copy: g may be shared
+    else:
+        t.grad += g
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(node) into ``.grad`` for every reachable node.
 
     ``loss`` must hold exactly one element. Leaves that did not contribute
-    keep whatever gradient they already had (zero right after creation or
-    after ``zero_grads``).
+    keep whatever gradient they already had (zero for a parameter right
+    after creation or after ``zero_grads``).
     """
     if loss.value.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
-    loss.grad = loss.grad + 1.0
+    _accumulate(loss, np.ones_like(loss.value))
     for node in reversed(order):
         if node._vjp is not None:
             node._vjp(node.grad)
@@ -127,8 +141,8 @@ def matmul(x, w) -> Tensor:
     out = Tensor(x.value @ w.value, (x, w))
 
     def vjp(g):
-        x.grad += g @ w.value.T
-        w.grad += x.value.T @ g
+        _accumulate(x, g @ w.value.T)
+        _accumulate(w, x.value.T @ g)
 
     out._vjp = vjp
     return out
@@ -141,8 +155,8 @@ def add(a, b) -> Tensor:
     out = Tensor(a.value + b.value, (a, b))
 
     def vjp(g):
-        a.grad += g
-        b.grad += g
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     out._vjp = vjp
     return out
@@ -156,8 +170,8 @@ def add_rowvec(x, b) -> Tensor:
     out = Tensor(x.value + b.value, (x, b))
 
     def vjp(g):
-        x.grad += g
-        b.grad += g.sum(axis=0, keepdims=True)
+        _accumulate(x, g)
+        _accumulate(b, g.sum(axis=0, keepdims=True))
 
     out._vjp = vjp
     return out
@@ -179,7 +193,7 @@ def relu(x) -> Tensor:
 
     def vjp(g):
         # subgradient at exactly 0 is 0 (deterministic tie-break)
-        x.grad += g * (x.value > 0.0)
+        _accumulate(x, g * (x.value > 0.0))
 
     out._vjp = vjp
     return out
@@ -196,7 +210,7 @@ def bounded_softplus(s) -> Tensor:
 
     def vjp(g):
         sig = 0.5 * (1.0 + np.tanh(0.5 * s.value))  # overflow-safe sigmoid
-        s.grad += g * (0.9 * sig)
+        _accumulate(s, g * (0.9 * sig))
 
     out._vjp = vjp
     return out
@@ -259,23 +273,23 @@ def batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
         state.running_var = m * state.running_var + (1.0 - m) * var
 
         def vjp(g):
-            beta.grad += g.sum(axis=0, keepdims=True)
-            gamma.grad += (g * xhat).sum(axis=0, keepdims=True)
+            _accumulate(beta, g.sum(axis=0, keepdims=True))
+            _accumulate(gamma, (g * xhat).sum(axis=0, keepdims=True))
             gx = g * gamma.value
-            x.grad += (inv_std / n) * (
+            _accumulate(x, (inv_std / n) * (
                 n * gx
                 - gx.sum(axis=0, keepdims=True)
                 - xhat * (gx * xhat).sum(axis=0, keepdims=True)
-            )
+            ))
 
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
         xhat = (x.value - state.running_mean) * inv_std
 
         def vjp(g):
-            beta.grad += g.sum(axis=0, keepdims=True)
-            gamma.grad += (g * xhat).sum(axis=0, keepdims=True)
-            x.grad += g * (gamma.value * inv_std)
+            _accumulate(beta, g.sum(axis=0, keepdims=True))
+            _accumulate(gamma, (g * xhat).sum(axis=0, keepdims=True))
+            _accumulate(x, g * (gamma.value * inv_std))
 
     return Tensor(gamma.value * xhat + beta.value, (x, gamma, beta), vjp)
 
@@ -303,16 +317,16 @@ def gaussian_nll(y, mu, sigma) -> Tensor:
 
     def vjp(g):
         scale = g[0, 0] / count
-        mu.grad += scale * (-resid / sv**2)
-        y.grad += scale * (resid / sv**2)
-        sigma.grad += scale * (1.0 / sv - resid**2 / sv**3)
+        _accumulate(mu, scale * (-resid / sv**2))
+        _accumulate(y, scale * (resid / sv**2))
+        _accumulate(sigma, scale * (1.0 / sv - resid**2 / sv**3))
 
     out._vjp = vjp
     return out
 
 
 # ---------------------------------------------------------------------------
-# gather / segment / layout ops (used by pooling and the graph convolution)
+# layout, pooling and neighborhood ops (rows are stacked episode by episode)
 # ---------------------------------------------------------------------------
 
 
@@ -324,8 +338,8 @@ def concat_cols(a, b) -> Tensor:
     out = Tensor(np.concatenate([a.value, b.value], axis=1), (a, b))
 
     def vjp(g):
-        a.grad += g[:, :da]
-        b.grad += g[:, da:]
+        _accumulate(a, g[:, :da])
+        _accumulate(b, g[:, da:])
 
     out._vjp = vjp
     return out
@@ -336,57 +350,64 @@ def slice_cols(x, start: int, stop: int) -> Tensor:
     out = Tensor(x.value[:, start:stop], (x,))
 
     def vjp(g):
-        x.grad[:, start:stop] += g
+        full = np.zeros_like(x.value)
+        full[:, start:stop] = g
+        _accumulate(x, full)
 
     out._vjp = vjp
     return out
 
 
-def gather_rows(x, index) -> Tensor:
-    """Rows x[index[k]] stacked; duplicate indices accumulate in backward."""
+def block_mean(x, blocks: int) -> Tensor:
+    """Column means of each of ``blocks`` equal runs of consecutive rows, as
+    a (blocks, d) matrix (pooling per episode over stacked episodes)."""
     x = _as_tensor(x)
-    index = np.asarray(index, dtype=np.intp)
-    out = Tensor(x.value[index], (x,))
+    n, d = x.value.shape
+    if blocks < 1 or n == 0 or n % blocks:
+        raise ValueError(f"{n} rows do not split into {blocks} equal non-empty blocks")
+    size = n // blocks
+    out = Tensor(x.value.reshape(blocks, size, d).sum(axis=1) / size, (x,))
 
     def vjp(g):
-        np.add.at(x.grad, index, g)
+        _accumulate(x, np.repeat(g / size, size, axis=0))
 
     out._vjp = vjp
     return out
 
 
-def segment_sum(x, segments, num_segments: int) -> Tensor:
-    """Row sums per segment id; empty segments produce zero rows."""
+def repeat_rows(x, times: int) -> Tensor:
+    """Each row repeated ``times`` times in place (one latent row per target
+    of its episode); backward sums each run of repeats."""
     x = _as_tensor(x)
-    segments = np.asarray(segments, dtype=np.intp)
-    if segments.shape != (x.value.shape[0],):
-        raise ValueError("segments must give one id per row")
-    sums = np.zeros((num_segments, x.value.shape[1]))
-    np.add.at(sums, segments, x.value)
-    out = Tensor(sums, (x,))
+    n, d = x.value.shape
+    if times < 1:
+        raise ValueError(f"repeat count must be positive, got {times}")
+    out = Tensor(np.repeat(x.value, times, axis=0), (x,))
 
     def vjp(g):
-        x.grad += g[segments]
+        _accumulate(x, g.reshape(n, times, d).sum(axis=1))
 
     out._vjp = vjp
     return out
 
 
-def segment_mean(x, segments, num_segments: int) -> Tensor:
-    """Row means per segment id; raises if any segment is empty."""
+def neighbor_mix(x, mask) -> Tensor:
+    """Per-episode mask products: x holds B blocks of N_in rows, mask has
+    shape (B, N_out, N_in), and output block b is mask[b] @ x_b, so row o of
+    block b sums the rows of x_b that mask[b, o] selects (weighted by the
+    mask entries). The mask is a constant; backward is mask[b]^T @ g_b."""
     x = _as_tensor(x)
-    segments = np.asarray(segments, dtype=np.intp)
-    if segments.shape != (x.value.shape[0],):
-        raise ValueError("segments must give one id per row")
-    counts = np.bincount(segments, minlength=num_segments)
-    if np.any(counts == 0):
-        raise ValueError("segment_mean over an empty segment")
-    sums = np.zeros((num_segments, x.value.shape[1]))
-    np.add.at(sums, segments, x.value)
-    out = Tensor(sums / counts[:, None], (x,))
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.ndim != 3:
+        raise ValueError(f"neighbor_mix needs a (B, N_out, N_in) mask, got shape {mask.shape}")
+    b, n_out, n_in = mask.shape
+    d = x.value.shape[1]
+    if x.value.shape[0] != b * n_in:
+        raise ValueError(f"neighbor_mix expects {b} x {n_in} input rows, got {x.value.shape[0]}")
+    out = Tensor((mask @ x.value.reshape(b, n_in, d)).reshape(b * n_out, d), (x,))
 
     def vjp(g):
-        x.grad += g[segments] / counts[segments, None]
+        _accumulate(x, (mask.transpose(0, 2, 1) @ g.reshape(b, n_out, d)).reshape(b * n_in, d))
 
     out._vjp = vjp
     return out
@@ -401,7 +422,7 @@ def row_scale(x, scale) -> Tensor:
     out = Tensor(x.value * scale[:, None], (x,))
 
     def vjp(g):
-        x.grad += g * scale[:, None]
+        _accumulate(x, g * scale[:, None])
 
     out._vjp = vjp
     return out

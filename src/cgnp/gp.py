@@ -59,7 +59,8 @@ class EqKernelSpec:
 
 @dataclass(frozen=True)
 class Episode:
-    """One function instance split into context and target sets."""
+    """One function instance split into context and target sets; every
+    value must be finite."""
 
     x_c: np.ndarray
     y_c: np.ndarray
@@ -73,6 +74,10 @@ class Episode:
             raise ValueError("context arrays must be equal-length 1-D with at least one point")
         if self.x_t.shape != self.y_t.shape or self.x_t.ndim != 1 or self.x_t.size < 1:
             raise ValueError("target arrays must be equal-length 1-D with at least one point")
+        values = np.concatenate([self.x_c, self.y_c, self.x_t, self.y_t])
+        if np.count_nonzero(np.isfinite(values)) != values.size:  # cheaper than .all() at this size
+            bad = next(n for n in ("x_c", "y_c", "x_t", "y_t") if not np.isfinite(getattr(self, n)).all())
+            raise ValueError(f"{bad} holds a non-finite value (NaN or inf)")
 
     @property
     def n_context(self) -> int:

@@ -1,5 +1,5 @@
-"""Radius-neighborhood bipartite graphs over 1-D coordinates, the
-mean-reduction graph convolution defined on them, and mean pooling.
+"""Radius neighborhoods over 1-D coordinates, the mean-reduction graph
+convolution defined on them, and mean pooling.
 
 An input node i is a neighbor of an output node o iff |x_i - x_o| <= radius
 (closed ball, so a node present on both sides is always its own neighbor,
@@ -7,6 +7,12 @@ including at radius 0). The convolution maps each neighbor's feature,
 concatenated with the relative position x_i - x_o, through a shared weight
 matrix, optionally adds a self term on the output node's own feature, and
 takes the arithmetic mean of the resulting set.
+
+Neighborhoods are dense 0/1 masks of shape (B, N_out, N_in), one block per
+episode, for B episodes that share (N_in, N_out). Because the message map
+is linear, the mean of the per-neighbor messages equals (summed neighbor
+features, summed relative positions) @ w_nbr divided by the count, so the
+convolution aggregates first (`neighbor_mix`) and transforms once.
 """
 
 from __future__ import annotations
@@ -20,138 +26,42 @@ from .autodiff import (
     Tensor,
     add,
     add_rowvec,
+    block_mean,
     concat_cols,
-    gather_rows,
     matmul,
+    neighbor_mix,
     row_scale,
-    segment_mean,
-    segment_sum,
 )
 
 __all__ = [
-    "BipartiteGraph",
-    "EdgeSet",
     "ConvLayerParams",
-    "build_radius_graph",
-    "radius_edge_set",
+    "radius_mask",
     "bipartite_conv",
     "mean_pool",
 ]
 
 
-@dataclass(frozen=True)
-class EdgeSet:
-    """Flat edge arrays, the form the convolution consumes.
+def _blocks(coords) -> np.ndarray:
+    """Coordinates as a (B, N) array; a 1-D array is one episode."""
+    return np.atleast_2d(np.asarray(coords, dtype=np.float64))
 
-    Edges are sorted by output node, then by input index. ``delta`` holds
-    the relative position coords_in[edge_in] - coords_out[edge_out] per edge.
-    Per-episode graphs are merged into one EdgeSet by offsetting indices,
-    which is how batched forward passes run a whole batch in one call.
+
+def radius_mask(coords_in, coords_out, radius: float) -> np.ndarray:
+    """Closed-ball neighborhoods as a float mask of shape (B, N_out, N_in):
+    entry [b, o, i] is 1.0 iff |coords_in[b, i] - coords_out[b, o]| <= radius.
+
+    Coordinates are (B, N) arrays, one row per episode, or 1-D for one
+    episode (B = 1).
     """
-
-    n_in: int
-    n_out: int
-    edge_in: np.ndarray
-    edge_out: np.ndarray
-    delta: np.ndarray
-    in_degree: np.ndarray
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Radius graph with one sorted neighbor list per output node."""
-
-    coords_in: np.ndarray
-    coords_out: np.ndarray
-    radius: float
-    neighbors: tuple[np.ndarray, ...]
-
-    def edge_set(self) -> EdgeSet:
-        counts = np.array([len(nbrs) for nbrs in self.neighbors], dtype=np.intp)
-        edge_in = (
-            np.concatenate(self.neighbors)
-            if self.neighbors
-            else np.empty(0, dtype=np.intp)
-        ).astype(np.intp)
-        edge_out = np.repeat(np.arange(len(self.neighbors), dtype=np.intp), counts)
-        delta = self.coords_in[edge_in] - self.coords_out[edge_out]
-        return EdgeSet(
-            n_in=self.coords_in.size,
-            n_out=self.coords_out.size,
-            edge_in=edge_in,
-            edge_out=edge_out,
-            delta=delta,
-            in_degree=counts,
-        )
-
-
-def build_radius_graph(coords_in, coords_out, radius: float) -> BipartiteGraph:
-    """Neighbor lists for the closed-ball predicate |x_i - x_o| <= radius."""
-    coords_in = np.asarray(coords_in, dtype=np.float64)
-    coords_out = np.asarray(coords_out, dtype=np.float64)
+    coords_in, coords_out = _blocks(coords_in), _blocks(coords_out)
     if radius < 0.0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    if not (np.all(np.isfinite(coords_in)) and np.all(np.isfinite(coords_out))):
+    if not (np.isfinite(coords_in).all() and np.isfinite(coords_out).all()):
         raise ValueError("coordinates must be finite")
-    within = np.abs(coords_in[None, :] - coords_out[:, None]) <= radius
-    neighbors = tuple(np.flatnonzero(row) for row in within)
-    return BipartiteGraph(coords_in, coords_out, float(radius), neighbors)
-
-
-def radius_edge_set(coords_in, coords_out, radius, group_in=None, group_out=None) -> EdgeSet:
-    """EdgeSet for the radius predicate, optionally restricted to node pairs
-    with equal group ids (used to keep episodes in a batch disconnected).
-
-    Candidates come from interval queries on sorted coordinates (groups are
-    folded in by spreading them onto disjoint stretches of the line); the
-    exact closed-ball predicate then filters the candidates, so results are
-    identical to the brute-force pairwise test.
-    """
-    coords_in = np.asarray(coords_in, dtype=np.float64)
-    coords_out = np.asarray(coords_out, dtype=np.float64)
-    if radius < 0.0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    grouped = group_in is not None or group_out is not None
-    if grouped:
-        group_in = np.asarray(group_in, dtype=np.float64)
-        group_out = np.asarray(group_out, dtype=np.float64)
-        span = 2.0 * (_extent(coords_in, coords_out) + radius) + 1.0
-        key_in = coords_in + span * group_in
-        key_out = coords_out + span * group_out
-    else:
-        key_in, key_out = coords_in, coords_out
-
-    # candidate ranges with a tolerance that swallows the offset rounding
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(key_out), initial=0.0)))
-    order = np.argsort(key_in, kind="stable")
-    sorted_in = key_in[order]
-    lo = np.searchsorted(sorted_in, key_out - radius - tol, side="left")
-    hi = np.searchsorted(sorted_in, key_out + radius + tol, side="right")
-    counts = hi - lo
-    edge_out = np.repeat(np.arange(coords_out.size, dtype=np.intp), counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    pos = np.arange(counts.sum(), dtype=np.intp) - np.repeat(starts - lo, counts)
-    edge_in = order[pos]
-
-    keep = np.abs(coords_in[edge_in] - coords_out[edge_out]) <= radius
-    if grouped:
-        keep &= group_in[edge_in] == group_out[edge_out]
-    edge_in, edge_out = edge_in[keep], edge_out[keep]
-    reorder = np.argsort(edge_out * coords_in.size + edge_in, kind="stable")
-    edge_in, edge_out = edge_in[reorder], edge_out[reorder]
-    return EdgeSet(
-        n_in=coords_in.size,
-        n_out=coords_out.size,
-        edge_in=edge_in,
-        edge_out=edge_out,
-        delta=coords_in[edge_in] - coords_out[edge_out],
-        in_degree=np.bincount(edge_out, minlength=coords_out.size),
-    )
-
-
-def _extent(a: np.ndarray, b: np.ndarray) -> float:
-    values = [np.max(np.abs(x), initial=0.0) for x in (a, b) if x.size]
-    return float(max(values, default=0.0))
+    if coords_in.shape[0] != coords_out.shape[0]:
+        raise ValueError(f"{coords_in.shape[0]} input episodes vs {coords_out.shape[0]} output episodes")
+    within = np.abs(coords_in[:, None, :] - coords_out[:, :, None]) <= radius
+    return within.astype(np.float64)
 
 
 @dataclass
@@ -169,7 +79,9 @@ class ConvLayerParams:
 
 
 def bipartite_conv(
-    graph: BipartiteGraph | EdgeSet,
+    mask: np.ndarray,
+    coords_in,
+    coords_out,
     feats_in: Tensor,
     self_feats: Tensor | None,
     params: ConvLayerParams,
@@ -177,31 +89,39 @@ def bipartite_conv(
     """Mean over {w_nbr @ concat(f_i, x_i - x_o) + bias} for i in the
     neighborhood of o, union {w_self @ self_feats[o] + bias} when the layer
     has a self term. Gradients flow to both weight matrices, the bias, and
-    the input features."""
-    edges = graph.edge_set() if isinstance(graph, BipartiteGraph) else graph
-    n_nbr, d_out = params.w_nbr.value.shape
-    if feats_in.value.shape[0] != edges.n_in:
-        raise ValueError(f"expected {edges.n_in} input node features, got {feats_in.value.shape[0]}")
+    the input features.
+
+    ``mask`` comes from `radius_mask` on the same coordinates; feature rows
+    are stacked episode by episode (B * N_in input rows, B * N_out output
+    rows).
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    b, n_out, n_in = mask.shape
+    coords_in = _blocks(coords_in).reshape(b, n_in)
+    coords_out = _blocks(coords_out).reshape(b, n_out)
+    n_nbr = params.w_nbr.value.shape[0]
     if n_nbr != feats_in.value.shape[1] + 1:
         raise ValueError(
             f"w_nbr expects width {n_nbr - 1} + relative position, features have {feats_in.value.shape[1]}"
         )
 
-    edge_feats = concat_cols(gather_rows(feats_in, edges.edge_in), Tensor(edges.delta[:, None]))
-    pooled = segment_sum(matmul(edge_feats, params.w_nbr), edges.edge_out, edges.n_out)
-    denom = edges.in_degree.astype(np.float64)
+    # summed relative positions, as masked sums of exact pairwise differences
+    rel = (mask * (coords_in[:, None, :] - coords_out[:, :, None])).sum(axis=2)
+    summed = concat_cols(neighbor_mix(feats_in, mask), Tensor(rel.reshape(-1, 1)))
+    pooled = matmul(summed, params.w_nbr)
+    denom = mask.sum(axis=2).ravel()
 
     if params.w_self is not None:
         if self_feats is None:
             raise ValueError("layer declares a self term but no self features were given")
-        if self_feats.value.shape != (edges.n_out, params.w_self.value.shape[0]):
+        if self_feats.value.shape != (b * n_out, params.w_self.value.shape[0]):
             raise ValueError(
                 f"self features {self_feats.value.shape} do not match "
-                f"({edges.n_out}, {params.w_self.value.shape[0]})"
+                f"({b * n_out}, {params.w_self.value.shape[0]})"
             )
         pooled = add(pooled, matmul(self_feats, params.w_self))
         denom = denom + 1.0
-    elif np.any(edges.in_degree == 0):
+    elif np.any(denom == 0.0):
         raise ValueError("isolated output node: empty neighborhood and no self term")
 
     return add_rowvec(row_scale(pooled, 1.0 / denom), params.bias)
@@ -209,8 +129,4 @@ def bipartite_conv(
 
 def mean_pool(feats: Tensor) -> Tensor:
     """Column means over all rows, as a (1, d) row vector."""
-    feats = feats if isinstance(feats, Tensor) else Tensor(feats)
-    n = feats.value.shape[0]
-    if n == 0:
-        raise ValueError("mean_pool of an empty feature matrix")
-    return segment_mean(feats, np.zeros(n, dtype=np.intp), 1)
+    return block_mean(feats, 1)

@@ -17,7 +17,9 @@ the CNP that computes the identical function.
 
 Forward passes over many episodes run stacked: all points share one matrix
 (so train-mode batch norm pools statistics across the whole batch) while
-per-episode segment ids keep graphs and pooling episode-local.
+per-episode blocks keep neighborhoods and pooling episode-local. A stacked
+forward takes episodes that share (N_c, N_t), as every training batch
+does, so neighborhoods are one dense (B, N_out, N_in) mask per layer.
 """
 
 from __future__ import annotations
@@ -32,15 +34,15 @@ from .autodiff import (
     Tensor,
     affine,
     batch_norm,
+    block_mean,
     bounded_softplus,
     concat_cols,
-    gather_rows,
     relu,
-    segment_mean,
+    repeat_rows,
     slice_cols,
 )
 from .gp import Episode
-from .graph import ConvLayerParams, bipartite_conv, mean_pool, radius_edge_set
+from .graph import ConvLayerParams, bipartite_conv, mean_pool, radius_mask
 from .seeds import DOMAIN_INIT, derive_rng
 
 __all__ = [
@@ -172,52 +174,56 @@ def _conv_params(store: ParameterStore, layer: str, with_self: bool) -> ConvLaye
     )
 
 
-def _encode_stacked(xs, ys, ep_ids, store, cfg, train):
-    h = Tensor(np.column_stack([xs, ys]))
+def _encode(x_c, y_c, store, cfg, train):
+    """Context features, one row per context point, episode by episode.
+
+    x_c and y_c are (B, N_c) arrays."""
+    h = Tensor(np.column_stack([x_c.ravel(), y_c.ravel()]))
     if cfg.kind == "cgnp":
-        edges = radius_edge_set(xs, xs, cfg.radius, group_in=ep_ids, group_out=ep_ids)
+        mask = radius_mask(x_c, x_c, cfg.radius)
     for k in range(1, ENCODER_DEPTH + 1):
         if cfg.kind == "cnp":
             z = affine(h, store[f"enc{k}.w"], store[f"enc{k}.b"])
         else:
-            z = bipartite_conv(edges, h, None, _conv_params(store, f"enc{k}", with_self=False))
+            z = bipartite_conv(mask, x_c, x_c, h, None, _conv_params(store, f"enc{k}", with_self=False))
         z = batch_norm(z, store.bn[f"enc{k}.bn"], train)
         h = relu(z) if k < ENCODER_DEPTH else z
     return h
 
 
-def _decode_stacked(x_t, ep_t, r, h_ctx, x_c, ep_c, store, cfg, train):
-    own = concat_cols(Tensor(np.asarray(x_t)[:, None]), gather_rows(r, ep_t))
+def _decode(x_t, r, h_ctx, x_c, store, cfg, train):
+    """Per-target (mu, sigma) tensors for x_t of shape (B, N_t), given the
+    (B, D) latent rows and the encoded context at x_c of shape (B, N_c)."""
+    own = concat_cols(Tensor(x_t.reshape(-1, 1)), repeat_rows(r, x_t.shape[1]))
     if cfg.kind == "cnp":
         z = affine(own, store["dec1.w"], store["dec1.b"])
     else:
-        edges = radius_edge_set(x_c, x_t, cfg.radius, group_in=ep_c, group_out=ep_t)
-        z = bipartite_conv(edges, h_ctx, own, _conv_params(store, "dec1", with_self=True))
+        mask = radius_mask(x_c, x_t, cfg.radius)
+        z = bipartite_conv(mask, x_c, x_t, h_ctx, own, _conv_params(store, "dec1", with_self=True))
     z = relu(batch_norm(z, store.bn["dec1.bn"], train))
     out = affine(z, store["dec2.w"], store["dec2.b"])
     return slice_cols(out, 0, 1), bounded_softplus(slice_cols(out, 1, 2))
 
 
-def _stack(episodes, attr):
-    values = np.concatenate([getattr(ep, attr) for ep in episodes])
-    ids = np.repeat(np.arange(len(episodes), dtype=np.intp), [getattr(ep, attr).size for ep in episodes])
-    return values, ids
-
-
 def forward_tensors(episodes, store: ParameterStore, cfg: ModelConfig, train: bool):
-    """Differentiable stacked forward over a sequence of episodes.
+    """Differentiable stacked forward over episodes that share (N_c, N_t).
 
     Returns (mu, sigma) tensors of shape (total targets, 1), rows in episode
-    order, plus the per-row episode ids.
+    order, plus the per-row episode ids. Raises ValueError when the episodes
+    differ in shape; group them by (N_c, N_t) first (see
+    `training.evaluate`).
     """
     episodes = list(episodes)
-    x_c, ep_c = _stack(episodes, "x_c")
-    y_c, _ = _stack(episodes, "y_c")
-    x_t, ep_t = _stack(episodes, "x_t")
-    h = _encode_stacked(x_c, y_c, ep_c, store, cfg, train)
-    r = segment_mean(h, ep_c, len(episodes))
-    mu, sigma = _decode_stacked(x_t, ep_t, r, h, x_c, ep_c, store, cfg, train)
-    return mu, sigma, ep_t
+    shapes = sorted({(ep.n_context, ep.n_target) for ep in episodes})
+    if len(shapes) != 1:
+        raise ValueError(f"episodes in one forward must share (N_c, N_t), got {shapes}")
+    x_c = np.stack([ep.x_c for ep in episodes])
+    y_c = np.stack([ep.y_c for ep in episodes])
+    x_t = np.stack([ep.x_t for ep in episodes])
+    h = _encode(x_c, y_c, store, cfg, train)
+    r = block_mean(h, len(episodes))
+    mu, sigma = _decode(x_t, r, h, x_c, store, cfg, train)
+    return mu, sigma, np.repeat(np.arange(len(episodes)), x_t.shape[1])
 
 
 def forward(episode: Episode, store: ParameterStore, cfg: ModelConfig, train: bool = False) -> GaussianPrediction:
@@ -233,9 +239,9 @@ def forward(episode: Episode, store: ParameterStore, cfg: ModelConfig, train: bo
 
 def encode_context(x_c, y_c, store: ParameterStore, cfg: ModelConfig, train: bool = False) -> Tensor:
     """Per-context-point features, one row per context point."""
-    x_c = np.asarray(x_c, dtype=np.float64)
-    y_c = np.asarray(y_c, dtype=np.float64)
-    return _encode_stacked(x_c, y_c, np.zeros(x_c.size, dtype=np.intp), store, cfg, train)
+    x_c = np.asarray(x_c, dtype=np.float64).reshape(1, -1)
+    y_c = np.asarray(y_c, dtype=np.float64).reshape(1, -1)
+    return _encode(x_c, y_c, store, cfg, train)
 
 
 def pool_latent(h: Tensor) -> Tensor:
@@ -245,21 +251,11 @@ def pool_latent(h: Tensor) -> Tensor:
 
 def decode_targets(x_t, r, h, x_c, store: ParameterStore, cfg: ModelConfig, train: bool = False) -> GaussianPrediction:
     """Per-target (mu, sigma) given the pooled latent and encoded context."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    x_c = np.asarray(x_c, dtype=np.float64)
+    x_t = np.asarray(x_t, dtype=np.float64).reshape(1, -1)
+    x_c = np.asarray(x_c, dtype=np.float64).reshape(1, -1)
     if not isinstance(r, Tensor):
         r = Tensor(np.asarray(r, dtype=np.float64).reshape(1, -1))
-    mu, sigma = _decode_stacked(
-        x_t,
-        np.zeros(x_t.size, dtype=np.intp),
-        r,
-        h,
-        x_c,
-        np.zeros(x_c.size, dtype=np.intp),
-        store,
-        cfg,
-        train,
-    )
+    mu, sigma = _decode(x_t, r, h, x_c, store, cfg, train)
     return GaussianPrediction(mu=mu.value.ravel().copy(), sigma=sigma.value.ravel().copy())
 
 

@@ -4,7 +4,7 @@ Training minimizes the batch NLL (mean over episodes of the mean per-target
 NLL) with Adam at a fixed learning rate, drawing a fresh 64-episode batch
 per step. Evaluation reports the NLL under two normalizations (per target
 point and per episode) plus the MSE of the predictive mean, all over target
-points only.
+points only; it runs episodes of equal (N_c, N_t) through stacked forwards.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .models import (
     GaussianPrediction,
     ModelConfig,
     ParameterStore,
-    forward,
     forward_tensors,
     init_params,
 )
@@ -42,6 +41,12 @@ __all__ = [
     "compare_models",
     "COMPARE_VARIANTS",
 ]
+
+
+# Target rows per stacked evaluation forward: large enough to amortise the
+# per-op overhead, small enough to keep the tape's arrays in cache and off
+# the peak resident set.
+EVAL_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,10 @@ def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
             if log is not None:
                 log(b, loss_value, metrics)
 
-    report.final_metrics = evaluate(store, cfg.model, heldout) if heldout else None
+    if report.heldout:  # the last batch was just evaluated
+        report.final_metrics = report.heldout[-1][1]
+    elif heldout:
+        report.final_metrics = evaluate(store, cfg.model, heldout)
     report.wall_seconds = time.perf_counter() - start
     return store, report
 
@@ -169,9 +177,26 @@ def prediction_metrics(predictions, episodes) -> Metrics:
 
 
 def evaluate(store: ParameterStore, cfg: ModelConfig, episodes) -> Metrics:
-    """Eval-mode metrics of a frozen store over an episode set."""
+    """Eval-mode metrics of a frozen store over an episode set.
+
+    Episodes are grouped by (N_c, N_t) and each group runs through stacked
+    forwards of at most EVAL_CHUNK_ROWS target rows (at least one episode);
+    eval-mode batch norm is row-wise, so predictions equal per-episode
+    forwards up to rounding. Metrics accumulate in the given episode order.
+    """
     episodes = list(episodes)
-    preds = [forward(ep, store, cfg, train=False) for ep in episodes]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, ep in enumerate(episodes):
+        groups.setdefault((ep.n_context, ep.n_target), []).append(i)
+    preds: list[GaussianPrediction | None] = [None] * len(episodes)
+    for (_, n_t), members in groups.items():
+        step = max(1, EVAL_CHUNK_ROWS // n_t)
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            mu, sigma, _ = forward_tensors([episodes[i] for i in chunk], store, cfg, train=False)
+            mu, sigma = mu.value.reshape(len(chunk), n_t), sigma.value.reshape(len(chunk), n_t)
+            for k, i in enumerate(chunk):
+                preds[i] = GaussianPrediction(mu=mu[k], sigma=sigma[k])
     return prediction_metrics(preds, episodes)
 
 

@@ -14,15 +14,15 @@ from cgnp.autodiff import (
     affine,
     backward,
     batch_norm,
+    block_mean,
     bounded_softplus,
     concat_cols,
-    gather_rows,
     gaussian_nll,
     matmul,
+    neighbor_mix,
     relu,
+    repeat_rows,
     row_scale,
-    segment_mean,
-    segment_sum,
     slice_cols,
 )
 from cgnp.optim import zero_grads
@@ -311,26 +311,55 @@ def test_fd_layout_and_segment_ops():
     rng = np.random.default_rng(8)
     a = Parameter("a", rng.standard_normal((6, 2)))
     b = Parameter("b", rng.standard_normal((6, 3)))
-    idx = np.array([0, 2, 2, 5, 1])  # duplicates exercise accumulation
-    seg = np.array([0, 0, 1, 2, 2, 2])
-    scales = rng.uniform(0.5, 2.0, 5)
+    scales = rng.uniform(0.5, 2.0, 18)
+    mask = (rng.uniform(size=(2, 4, 3)) < 0.6) * rng.uniform(0.5, 2.0, (2, 4, 3))
     fd_case(lambda: concat_cols(a, b), [a, b], seed=14)
     fd_case(lambda: slice_cols(b, 1, 3), [b], seed=15)
-    fd_case(lambda: gather_rows(a, idx), [a], seed=16)
-    fd_case(lambda: segment_sum(b, seg, 4), [b], seed=17)
-    fd_case(lambda: segment_mean(b, seg, 3), [b], seed=18)
-    fd_case(lambda: row_scale(gather_rows(b, idx), scales), [b], seed=19)
+    fd_case(lambda: repeat_rows(a, 3), [a], seed=16)
+    fd_case(lambda: neighbor_mix(b, mask), [b], seed=17)
+    fd_case(lambda: block_mean(b, 3), [b], seed=18)
+    fd_case(lambda: row_scale(repeat_rows(b, 3), scales), [b], seed=19)
 
 
 def test_segment_ops_values():
-    x = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    seg = np.array([1, 1, 0])
+    # per-episode pooling, broadcast and neighbor sums over stacked episodes
+    x = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    np.testing.assert_array_equal(block_mean(x, 2).value, [[2.0, 3.0], [6.0, 7.0]])
+    np.testing.assert_array_equal(block_mean(x, 1).value, [[4.0, 5.0]])
     np.testing.assert_array_equal(
-        segment_sum(x, seg, 3).value, [[5.0, 6.0], [4.0, 6.0], [0.0, 0.0]]
+        repeat_rows(Tensor([[1.0, 2.0], [3.0, 4.0]]), 2).value,
+        [[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]],
     )
-    np.testing.assert_array_equal(segment_mean(x, seg, 2).value, [[5.0, 6.0], [2.0, 3.0]])
-    with pytest.raises(ValueError, match="empty segment"):
-        segment_mean(x, seg, 3)
+    with pytest.raises(ValueError, match="equal non-empty blocks"):
+        block_mean(x, 3)
+    with pytest.raises(ValueError, match="equal non-empty blocks"):
+        block_mean(Tensor(np.zeros((0, 2))), 1)
+    with pytest.raises(ValueError, match="positive"):
+        repeat_rows(x, 0)
+    # neighbor_mix: two episodes of two input rows; output block b is mask[b] @ x_b
+    mask = np.array([[[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]])
+    np.testing.assert_array_equal(
+        neighbor_mix(x, mask).value,
+        [[4.0, 6.0], [3.0, 4.0], [0.0, 0.0], [5.0, 6.0], [0.0, 0.0], [12.0, 14.0]],
+    )
+    with pytest.raises(ValueError, match="input rows"):
+        neighbor_mix(x, np.ones((3, 1, 2)))
+    with pytest.raises(ValueError, match="mask"):
+        neighbor_mix(x, np.ones((4, 2)))
+
+
+def test_intermediate_gradients_are_allocated_on_first_use():
+    w = Parameter("w", [[1.0, -1.0]])
+    hidden = matmul(Tensor([[2.0], [3.0]]), w)
+    assert hidden.grad is None and np.array_equal(w.grad, [[0.0, 0.0]])
+    backward(matmul(Tensor([[1.0, 1.0]]), matmul(relu(hidden), Tensor([[1.0], [1.0]]))))
+    np.testing.assert_array_equal(hidden.grad, [[1.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(w.grad, [[5.0, 0.0]])
+    # a gradient handed to two parents must not alias between their buffers
+    wa, wb = Parameter("wa", [[1.0]]), Parameter("wb", [[1.0]])
+    a, b = matmul(Tensor([[1.0]]), wa), matmul(Tensor([[1.0]]), wb)
+    backward(add(add(a, b), a))
+    assert (wa.grad[0, 0], wb.grad[0, 0]) == (2.0, 1.0)
 
 
 @pytest.mark.parametrize("seed", range(5))

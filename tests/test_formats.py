@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,18 @@ def test_bad_episode_record_reports_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"x_c":[0.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}\n{"x_c":[0.0]}\n')
     with pytest.raises(ValueError, match="line 2"):
+        load_episodes(path)
+
+
+@pytest.mark.parametrize("field, token", [("x_c", "NaN"), ("y_t", "Infinity"), ("x_t", "-Infinity")])
+def test_non_finite_episode_value_reports_file_line_and_field(tmp_path, field, token):
+    good = '{"x_c":[0.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}'
+    bad = good.replace(f'"{field}":[', f'"{field}":[{token},')
+    bad = bad.replace('"x_c":[0.0]', '"x_c":[0.0,0.5]').replace('"y_c":[0.0]', '"y_c":[0.0,0.5]')
+    bad = bad.replace('"x_t":[1.0]', '"x_t":[1.0,1.5]').replace('"y_t":[1.0]', '"y_t":[1.0,1.5]')
+    path = tmp_path / "nonfinite.jsonl"
+    path.write_text(f"{good}\n{good}\n{bad}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad episode record on line 3: {field} holds a non-finite")):
         load_episodes(path)
 
 

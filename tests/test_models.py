@@ -178,19 +178,26 @@ def test_forward_is_invariant_to_context_permutation():
 
 def test_stacked_forward_matches_per_episode_in_eval_mode():
     rng = np.random.default_rng(7)
-    episodes = [random_episode(rng) for _ in range(5)]
-    for cfg in (CNP, CGNP):
-        store = init_params(cfg)
-        randomize_store(store, rng)
-        mu, sigma, ep_ids = forward_tensors(episodes, store, cfg, train=False)
-        offset = 0
-        for i, ep in enumerate(episodes):
-            single = forward(ep, store, cfg)
-            rows = slice(offset, offset + ep.n_target)
-            np.testing.assert_allclose(mu.value[rows, 0], single.mu, rtol=1e-12)
-            np.testing.assert_allclose(sigma.value[rows, 0], single.sigma, rtol=1e-12)
-            assert np.all(ep_ids[rows] == i)
-            offset += ep.n_target
+    for n_c, n_t in ((3, 2), (7, 9), (10, 390)):
+        episodes = [random_episode(rng, n_c=n_c, n_t=n_t) for _ in range(5)]
+        for cfg in (CNP, CGNP):
+            store = init_params(cfg)
+            randomize_store(store, rng)
+            mu, sigma, ep_ids = forward_tensors(episodes, store, cfg, train=False)
+            assert mu.value.shape == sigma.value.shape == (5 * n_t, 1)
+            for i, ep in enumerate(episodes):
+                single = forward(ep, store, cfg)
+                rows = slice(i * n_t, (i + 1) * n_t)
+                np.testing.assert_allclose(mu.value[rows, 0], single.mu, rtol=1e-12)
+                np.testing.assert_allclose(sigma.value[rows, 0], single.sigma, rtol=1e-12)
+                assert np.all(ep_ids[rows] == i)
+
+
+def test_stacked_forward_rejects_mixed_shapes():
+    rng = np.random.default_rng(12)
+    episodes = [random_episode(rng, n_c=3, n_t=4), random_episode(rng, n_c=3, n_t=5)]
+    with pytest.raises(ValueError, match=r"share \(N_c, N_t\).*\(3, 4\), \(3, 5\)"):
+        forward_tensors(episodes, init_params(CGNP), CGNP, train=False)
 
 
 def test_radius_zero_equals_cnp_on_100_random_episodes():

@@ -6,7 +6,7 @@ import pytest
 import cgnp.training as training
 from cgnp.autodiff import backward
 from cgnp.gp import Episode, EpisodeBatch, EqKernelSpec, ProtocolConfig, make_train_batch
-from cgnp.models import GaussianPrediction, ModelConfig, init_params
+from cgnp.models import GaussianPrediction, ModelConfig, forward, init_params
 from cgnp.training import (
     Metrics,
     TrainConfig,
@@ -107,9 +107,10 @@ def test_training_logs_and_heldout(capsys):
     assert [b for b, _ in report.heldout] == [0, 5, 10, 11]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN propagation is the point
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to NaN is the point
 def test_nan_loss_aborts_with_diagnostics(monkeypatch):
-    poisoned = Episode([0.0, 1.0], [0.0, np.nan], [0.5, 1.5], [0.0, np.nan])
+    # finite values (episodes reject NaN) large enough that the loss overflows
+    poisoned = Episode([0.0, 1.0], [0.0, 1e200], [0.5, 1.5], [0.0, 1e200])
 
     def bad_batch(cfg, spec, index):
         return EpisodeBatch((poisoned, poisoned))
@@ -117,6 +118,26 @@ def test_nan_loss_aborts_with_diagnostics(monkeypatch):
     monkeypatch.setattr(training, "make_train_batch", bad_batch)
     with pytest.raises(TrainingDivergedError, match="batch 0"):
         train(tiny_config(batches=5))
+
+
+def test_final_metrics_reuse_the_last_heldout_evaluation(monkeypatch):
+    calls = []
+    real_evaluate = training.evaluate
+
+    def counting_evaluate(*args, **kwargs):
+        calls.append(1)
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate", counting_evaluate)
+    _, report = train(tiny_config(batches=12, eval_every=5, heldout_episodes=3))
+    assert [b for b, _ in report.heldout] == [0, 5, 10, 11]
+    assert len(calls) == 4
+    assert report.final_metrics == report.heldout[-1][1]
+
+    calls.clear()
+    _, report = train(tiny_config(batches=12, eval_every=0, heldout_episodes=3))
+    assert len(calls) == 1 and report.heldout == []
+    assert isinstance(report.final_metrics, Metrics)
 
 
 def test_train_config_validation():
@@ -165,6 +186,30 @@ def test_metrics_invariant_to_episode_order():
     np.testing.assert_allclose(a.nll_per_point, b.nll_per_point, rtol=1e-9)
     np.testing.assert_allclose(a.mse, b.mse, rtol=1e-9)
     assert a.episode_count == b.episode_count == 20
+
+
+def test_evaluate_on_a_ragged_set_matches_per_episode_forwards(monkeypatch):
+    # episodes of several (N_c, N_t) shapes, interleaved, with chunks small
+    # enough that one shape group spans several stacked forwards
+    monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 20)
+    rng = np.random.default_rng(11)
+    episodes = []
+    for k in range(23):
+        n_c, n_t = 3 + k % 3, (2, 9, 25)[k % 4 % 3]
+        xs = rng.uniform(-2, 2, n_c + n_t)
+        ys = rng.standard_normal(n_c + n_t)
+        episodes.append(Episode(xs[:n_c], ys[:n_c], xs[n_c:], ys[n_c:]))
+    for kind in ("cnp", "cgnp"):
+        cfg = ModelConfig(kind=kind, init_seed=4)
+        store = init_params(cfg)
+        for state in store.bn.values():
+            state.running_mean = rng.standard_normal(state.running_mean.shape) * 0.1
+            state.running_var = rng.uniform(0.5, 2.0, state.running_var.shape)
+        got = evaluate(store, cfg, episodes)
+        want = prediction_metrics([forward(ep, store, cfg) for ep in episodes], episodes)
+        assert got.episode_count == want.episode_count == 23
+        for name in ("nll_per_point", "nll_per_episode", "mse"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, err_msg=name)
 
 
 def test_nll_normalizations_are_consistent():
