@@ -37,10 +37,9 @@ for lag in (10, 25, 60):
 # episodes are how the models consume these functions
 proto = ProtocolConfig()
 batch = make_train_batch(proto, kern, batch_index=0)
-ep = batch.episodes[0]
-print(f"\ntraining batch 0: {len(batch.episodes)} episodes, "
+print(f"\ntraining batch 0: {len(batch)} episodes, "
       f"N_c={batch.n_context}, N_t={batch.n_target}")
-print(f"  first episode context x: {np.sort(ep.x_c).round(3)}")
+print(f"  first episode context x: {np.sort(batch.x_c[0]).round(3)}")
 
 test = make_test_episode(proto, kern, episode_index=0)
 print(f"test episode 0: {test.n_context} context + {test.n_target} targets "

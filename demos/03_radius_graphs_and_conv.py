@@ -10,7 +10,8 @@ to a plain affine map.
 
 import numpy as np
 
-from cgnp import Parameter, Tensor, bipartite_conv, mean_pool, radius_mask
+from cgnp import Parameter, Tensor, bipartite_conv, radius_mask
+from cgnp.autodiff import block_mean
 from cgnp.graph import ConvLayerParams
 
 coords_in = np.array([-1.6, -0.9, -0.2, 0.0, 0.5, 1.4])
@@ -35,6 +36,7 @@ params = ConvLayerParams(
 out = bipartite_conv(radius_mask(x_in, x_out, 0.7), x_in, x_out, Tensor([[1.0], [3.0]]), None, params)
 print(f"\nconv example: mean of (1 - 0.2) and (3 + 0.3) = {out.value[0, 0]}")
 
-# mean pooling turns per-node features into a fixed-size code
+# mean pooling (one block of rows per episode) turns per-node features into
+# a fixed-size code
 feats = Tensor(np.arange(12.0).reshape(4, 3))
-print(f"mean pool of 4 nodes with 3 features: {mean_pool(feats).value.ravel()}")
+print(f"mean pool of 4 nodes with 3 features: {block_mean(feats, 1).value.ravel()}")

@@ -28,18 +28,15 @@ from .gp import (
     make_train_batch,
     sample_function_values,
 )
-from .graph import ConvLayerParams, bipartite_conv, mean_pool, radius_mask
+from .graph import ConvLayerParams, bipartite_conv, radius_mask
 from .models import (
     GaussianPrediction,
     ModelConfig,
     ParameterStore,
     cnp_weights_from_cgnp,
-    decode_targets,
-    encode_context,
     forward,
     forward_tensors,
     init_params,
-    pool_latent,
 )
 from .optim import AdamState, adam_step, zero_grads
 from .training import (

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -129,9 +129,18 @@ def save_checkpoint(path, store: ParameterStore, cfg: ModelConfig, extra: dict |
 
 
 def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
+    """Read a checkpoint, rejecting any entry the model cannot use as is:
+    unknown model keys, unknown or missing parameters and batch-norm layers,
+    wrong shapes, non-finite values and negative running variances."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    cfg = ModelConfig(**doc["model"])
+    unknown = sorted(set(doc["model"]) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ValueError(f"{path}: unknown model keys {unknown}")
+    try:
+        cfg = ModelConfig(**doc["model"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad model config: {exc}") from exc
     store = init_params(cfg)
     seen = set()
     for entry in doc["params"]:
@@ -147,21 +156,37 @@ def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
         data = np.asarray(entry["data"], dtype=np.float64)
         if data.size != shape[0] * shape[1]:
             raise ValueError(f"{path}: {name!r} has {data.size} values for shape {shape}")
+        if not np.isfinite(data).all():
+            raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
         param.value[...] = data.reshape(shape)
         seen.add(name)
     missing = set(store.params) - seen
     if missing:
         raise ValueError(f"{path}: checkpoint is missing parameters {sorted(missing)}")
+    unknown = sorted(set(doc["bn"]) - set(store.bn))
+    if unknown:
+        raise ValueError(f"{path}: unknown batch-norm layers {unknown} for kind={cfg.kind}")
+    missing = sorted(set(store.bn) - set(doc["bn"]))
+    if missing:
+        raise ValueError(f"{path}: checkpoint is missing batch-norm layers {missing}")
     for name, entry in doc["bn"].items():
         state: BatchNormState = store.bn[name]
         mean = np.asarray(entry["running_mean"], dtype=np.float64).reshape(1, -1)
         var = np.asarray(entry["running_var"], dtype=np.float64).reshape(1, -1)
+        momentum, eps = float(entry["momentum"]), float(entry["eps"])
         if mean.shape[1] != state.width or var.shape[1] != state.width:
             raise ValueError(f"{path}: batch-norm width mismatch for {name!r}")
+        for key, value in (("running_mean", mean), ("running_var", var), ("momentum", momentum), ("eps", eps)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{path}: batch-norm {name!r} {key} holds a non-finite value")
+        if (var < 0.0).any():
+            raise ValueError(f"{path}: batch-norm {name!r} running_var holds a negative value")
+        if eps <= 0.0:
+            raise ValueError(f"{path}: batch-norm {name!r} eps must be positive, got {eps}")
         state.running_mean = mean
         state.running_var = var
-        state.momentum = float(entry["momentum"])
-        state.eps = float(entry["eps"])
+        state.momentum = momentum
+        state.eps = eps
     return store, cfg, doc.get("extra", {})
 
 

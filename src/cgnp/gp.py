@@ -57,6 +57,17 @@ class EqKernelSpec:
             raise ValueError(f"jitter must be non-negative, got {self.jitter}")
 
 
+_FIELDS = ("x_c", "y_c", "x_t", "y_t")
+
+
+def _check_finite(record) -> None:
+    """Raise naming the first of the four fields that holds NaN or inf."""
+    values = np.concatenate([getattr(record, n).ravel() for n in _FIELDS])
+    if np.count_nonzero(np.isfinite(values)) != values.size:  # cheaper than .all() at this size
+        bad = next(n for n in _FIELDS if not np.isfinite(getattr(record, n)).all())
+        raise ValueError(f"{bad} holds a non-finite value (NaN or inf)")
+
+
 @dataclass(frozen=True)
 class Episode:
     """One function instance split into context and target sets; every
@@ -68,16 +79,13 @@ class Episode:
     y_t: np.ndarray
 
     def __post_init__(self):
-        for name in ("x_c", "y_c", "x_t", "y_t"):
+        for name in _FIELDS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.x_c.shape != self.y_c.shape or self.x_c.ndim != 1 or self.x_c.size < 1:
             raise ValueError("context arrays must be equal-length 1-D with at least one point")
         if self.x_t.shape != self.y_t.shape or self.x_t.ndim != 1 or self.x_t.size < 1:
             raise ValueError("target arrays must be equal-length 1-D with at least one point")
-        values = np.concatenate([self.x_c, self.y_c, self.x_t, self.y_t])
-        if np.count_nonzero(np.isfinite(values)) != values.size:  # cheaper than .all() at this size
-            bad = next(n for n in ("x_c", "y_c", "x_t", "y_t") if not np.isfinite(getattr(self, n)).all())
-            raise ValueError(f"{bad} holds a non-finite value (NaN or inf)")
+        _check_finite(self)
 
     @property
     def n_context(self) -> int:
@@ -90,26 +98,54 @@ class Episode:
 
 @dataclass(frozen=True)
 class EpisodeBatch:
-    """Episodes trained together; all share one (N_c, N_t) pair."""
+    """B episodes that share one (N_c, N_t) pair, as four stacked arrays:
+    x_c and y_c of shape (B, N_c), x_t and y_t of shape (B, N_t), one row
+    per episode. Every value must be finite."""
 
-    episodes: tuple[Episode, ...]
+    x_c: np.ndarray
+    y_c: np.ndarray
+    x_t: np.ndarray
+    y_t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "episodes", tuple(self.episodes))
-        if not self.episodes:
+        for name in _FIELDS:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        ok = (
+            self.x_c.ndim == self.x_t.ndim == 2
+            and self.x_c.shape == self.y_c.shape
+            and self.x_t.shape == self.y_t.shape
+            and self.x_c.shape[0] == self.x_t.shape[0]
+            and self.x_c.size > 0
+            and self.x_t.size > 0
+        )
+        if not ok:
+            shapes = ", ".join(f"{n} {getattr(self, n).shape}" for n in _FIELDS)
+            raise ValueError(
+                f"a batch needs non-empty x_c, y_c of shape (B, N_c) and x_t, y_t of shape (B, N_t); got {shapes}"
+            )
+        _check_finite(self)
+
+    @classmethod
+    def of(cls, episodes) -> EpisodeBatch:
+        """Stack episodes that share (N_c, N_t), in the given order."""
+        episodes = list(episodes)
+        if not episodes:
             raise ValueError("batch must contain at least one episode")
-        n_c = {ep.n_context for ep in self.episodes}
-        n_t = {ep.n_target for ep in self.episodes}
-        if len(n_c) != 1 or len(n_t) != 1:
-            raise ValueError("episodes in a batch must share (N_c, N_t)")
+        shapes = sorted({(ep.n_context, ep.n_target) for ep in episodes})
+        if len(shapes) != 1:
+            raise ValueError(f"episodes in one batch must share (N_c, N_t), got {shapes}")
+        return cls(*(np.stack([getattr(ep, n) for ep in episodes]) for n in _FIELDS))
+
+    def __len__(self) -> int:
+        return self.x_c.shape[0]
 
     @property
     def n_context(self) -> int:
-        return self.episodes[0].n_context
+        return self.x_c.shape[1]
 
     @property
     def n_target(self) -> int:
-        return self.episodes[0].n_target
+        return self.x_t.shape[1]
 
 
 @dataclass(frozen=True)
@@ -207,10 +243,7 @@ def make_train_batch(cfg: ProtocolConfig, spec: EqKernelSpec, batch_index: int) 
     except np.linalg.LinAlgError:
         # some episode needed the jitter retry; factor them one at a time
         ys = np.stack([_factor(x, spec) @ z for x, z in zip(xs, zs)])
-    episodes = [
-        Episode(x[:n_c], y[:n_c], x[n_c:], y[n_c:]) for x, y in zip(xs, ys)
-    ]
-    return EpisodeBatch(tuple(episodes))
+    return EpisodeBatch(xs[:, :n_c], ys[:, :n_c], xs[:, n_c:], ys[:, n_c:])
 
 
 @lru_cache(maxsize=8)

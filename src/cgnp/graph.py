@@ -1,5 +1,5 @@
-"""Radius neighborhoods over 1-D coordinates, the mean-reduction graph
-convolution defined on them, and mean pooling.
+"""Radius neighborhoods over 1-D coordinates and the mean-reduction graph
+convolution defined on them.
 
 An input node i is a neighbor of an output node o iff |x_i - x_o| <= radius
 (closed ball, so a node present on both sides is always its own neighbor,
@@ -26,7 +26,6 @@ from .autodiff import (
     Tensor,
     add,
     add_rowvec,
-    block_mean,
     concat_cols,
     matmul,
     neighbor_mix,
@@ -37,7 +36,6 @@ __all__ = [
     "ConvLayerParams",
     "radius_mask",
     "bipartite_conv",
-    "mean_pool",
 ]
 
 
@@ -125,8 +123,3 @@ def bipartite_conv(
         raise ValueError("isolated output node: empty neighborhood and no self term")
 
     return add_rowvec(row_scale(pooled, 1.0 / denom), params.bias)
-
-
-def mean_pool(feats: Tensor) -> Tensor:
-    """Column means over all rows, as a (1, d) row vector."""
-    return block_mean(feats, 1)

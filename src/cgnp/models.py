@@ -15,11 +15,12 @@ context. At radius 0 with distinct coordinates the convolutions collapse to
 pointwise affine maps, and `cnp_weights_from_cgnp` maps a CGNP store onto
 the CNP that computes the identical function.
 
-Forward passes over many episodes run stacked: all points share one matrix
-(so train-mode batch norm pools statistics across the whole batch) while
-per-episode blocks keep neighborhoods and pooling episode-local. A stacked
-forward takes episodes that share (N_c, N_t), as every training batch
-does, so neighborhoods are one dense (B, N_out, N_in) mask per layer.
+Every forward runs over one `EpisodeBatch`: B episodes that share
+(N_c, N_t), as stacked (B, N_c) and (B, N_t) arrays. All points share one
+matrix (so train-mode batch norm pools statistics across the whole batch)
+while per-episode blocks keep neighborhoods and pooling episode-local, and
+neighborhoods are one dense (B, N_out, N_in) mask per layer. `forward`
+is the batch of one.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .autodiff import (
     repeat_rows,
     slice_cols,
 )
-from .gp import Episode
-from .graph import ConvLayerParams, bipartite_conv, mean_pool, radius_mask
+from .gp import Episode, EpisodeBatch
+from .graph import ConvLayerParams, bipartite_conv, radius_mask
 from .seeds import DOMAIN_INIT, derive_rng
 
 __all__ = [
@@ -50,9 +51,6 @@ __all__ = [
     "ParameterStore",
     "GaussianPrediction",
     "init_params",
-    "encode_context",
-    "pool_latent",
-    "decode_targets",
     "forward",
     "forward_tensors",
     "cnp_weights_from_cgnp",
@@ -205,57 +203,23 @@ def _decode(x_t, r, h_ctx, x_c, store, cfg, train):
     return slice_cols(out, 0, 1), bounded_softplus(slice_cols(out, 1, 2))
 
 
-def forward_tensors(episodes, store: ParameterStore, cfg: ModelConfig, train: bool):
-    """Differentiable stacked forward over episodes that share (N_c, N_t).
+def forward_tensors(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig, train: bool):
+    """Differentiable forward over one batch of episodes.
 
-    Returns (mu, sigma) tensors of shape (total targets, 1), rows in episode
-    order, plus the per-row episode ids. Raises ValueError when the episodes
-    differ in shape; group them by (N_c, N_t) first (see
-    `training.evaluate`).
+    Returns (mu, sigma) tensors of shape (B * N_t, 1), rows in episode
+    order: rows k * N_t .. (k + 1) * N_t - 1 belong to episode k. Episodes
+    of different shapes go in separate batches (see `training.evaluate`).
     """
-    episodes = list(episodes)
-    shapes = sorted({(ep.n_context, ep.n_target) for ep in episodes})
-    if len(shapes) != 1:
-        raise ValueError(f"episodes in one forward must share (N_c, N_t), got {shapes}")
-    x_c = np.stack([ep.x_c for ep in episodes])
-    y_c = np.stack([ep.y_c for ep in episodes])
-    x_t = np.stack([ep.x_t for ep in episodes])
-    h = _encode(x_c, y_c, store, cfg, train)
-    r = block_mean(h, len(episodes))
-    mu, sigma = _decode(x_t, r, h, x_c, store, cfg, train)
-    return mu, sigma, np.repeat(np.arange(len(episodes)), x_t.shape[1])
+    if not isinstance(batch, EpisodeBatch):
+        raise TypeError(f"forward_tensors takes an EpisodeBatch, got {type(batch).__name__}")
+    h = _encode(batch.x_c, batch.y_c, store, cfg, train)
+    r = block_mean(h, len(batch))
+    return _decode(batch.x_t, r, h, batch.x_c, store, cfg, train)
 
 
 def forward(episode: Episode, store: ParameterStore, cfg: ModelConfig, train: bool = False) -> GaussianPrediction:
     """Encode context, pool the latent, decode every target of one episode."""
-    mu, sigma, _ = forward_tensors([episode], store, cfg, train)
-    return GaussianPrediction(mu=mu.value.ravel().copy(), sigma=sigma.value.ravel().copy())
-
-
-# ---------------------------------------------------------------------------
-# single-episode stage surfaces
-# ---------------------------------------------------------------------------
-
-
-def encode_context(x_c, y_c, store: ParameterStore, cfg: ModelConfig, train: bool = False) -> Tensor:
-    """Per-context-point features, one row per context point."""
-    x_c = np.asarray(x_c, dtype=np.float64).reshape(1, -1)
-    y_c = np.asarray(y_c, dtype=np.float64).reshape(1, -1)
-    return _encode(x_c, y_c, store, cfg, train)
-
-
-def pool_latent(h: Tensor) -> Tensor:
-    """Mean-pooled latent representation as a (1, D) row."""
-    return mean_pool(h)
-
-
-def decode_targets(x_t, r, h, x_c, store: ParameterStore, cfg: ModelConfig, train: bool = False) -> GaussianPrediction:
-    """Per-target (mu, sigma) given the pooled latent and encoded context."""
-    x_t = np.asarray(x_t, dtype=np.float64).reshape(1, -1)
-    x_c = np.asarray(x_c, dtype=np.float64).reshape(1, -1)
-    if not isinstance(r, Tensor):
-        r = Tensor(np.asarray(r, dtype=np.float64).reshape(1, -1))
-    mu, sigma = _decode(x_t, r, h, x_c, store, cfg, train)
+    mu, sigma = forward_tensors(EpisodeBatch.of([episode]), store, cfg, train)
     return GaussianPrediction(mu=mu.value.ravel().copy(), sigma=sigma.value.ravel().copy())
 
 

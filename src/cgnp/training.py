@@ -2,9 +2,11 @@
 
 Training minimizes the batch NLL (mean over episodes of the mean per-target
 NLL) with Adam at a fixed learning rate, drawing a fresh 64-episode batch
-per step. Evaluation reports the NLL under two normalizations (per target
-point and per episode) plus the MSE of the predictive mean, all over target
-points only; it runs episodes of equal (N_c, N_t) through stacked forwards.
+per step; the batch arrives as stacked arrays and goes to the model as is.
+Evaluation reports the NLL under two normalizations (per target point and
+per episode) plus the MSE of the predictive mean, all over target points
+only; it stacks episodes of equal (N_c, N_t) into `EpisodeBatch`es and runs
+one forward per batch.
 """
 
 from __future__ import annotations
@@ -100,9 +102,8 @@ def batch_loss(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig) -> 
     Episodes in a batch share N_t, so the flat mean over all stacked target
     points equals the mean over episodes of each episode's per-target mean.
     """
-    mu, sigma, _ = forward_tensors(batch.episodes, store, cfg, train=True)
-    y = np.concatenate([ep.y_t for ep in batch.episodes])[:, None]
-    return gaussian_nll(y, mu, sigma)
+    mu, sigma = forward_tensors(batch, store, cfg, train=True)
+    return gaussian_nll(batch.y_t.reshape(-1, 1), mu, sigma)
 
 
 def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
@@ -193,7 +194,8 @@ def evaluate(store: ParameterStore, cfg: ModelConfig, episodes) -> Metrics:
         step = max(1, EVAL_CHUNK_ROWS // n_t)
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
-            mu, sigma, _ = forward_tensors([episodes[i] for i in chunk], store, cfg, train=False)
+            batch = EpisodeBatch.of(episodes[i] for i in chunk)
+            mu, sigma = forward_tensors(batch, store, cfg, train=False)
             mu, sigma = mu.value.reshape(len(chunk), n_t), sigma.value.reshape(len(chunk), n_t)
             for k, i in enumerate(chunk):
                 preds[i] = GaussianPrediction(mu=mu[k], sigma=sigma[k])

@@ -155,7 +155,7 @@ def test_criterion_5_gradient_suite():
         store = init_params(cfg)
         params = store.parameters()
         for ep in episodes:
-            batch = EpisodeBatch((ep,))
+            batch = EpisodeBatch.of([ep])
             zero_grads(params)
             backward(batch_loss(batch, store, cfg))
             analytic = {p.name: p.grad.copy() for p in params}

@@ -1,10 +1,13 @@
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cgnp
 from cgnp.cli import main, parse_run_config
 from cgnp.formats import file_sha256, load_episodes
 
@@ -213,10 +216,13 @@ def test_plot_index_out_of_range(trained_dir, tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the package under test, installed or not
+    src = str(Path(cgnp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "cgnp", "generate", "--out", "/tmp/cgnp_cli_smoke.jsonl",
          "data.test_episodes=2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "wrote 2 episodes" in proc.stdout

@@ -118,6 +118,57 @@ def test_checkpoint_missing_parameter_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def _poison_weight(doc):
+    entry = next(e for e in doc["params"] if e["name"] == "enc1.w")
+    entry["data"][3] = float("nan")
+
+
+def _negative_variance(doc):
+    doc["bn"]["dec1.bn"]["running_var"][0] = -1.0
+
+
+def _drop_bn_layer(doc):
+    del doc["bn"]["enc1.bn"]
+
+
+def _unknown_bn_layer(doc):
+    doc["bn"]["enc9.bn"] = doc["bn"]["enc1.bn"]
+
+
+def _unknown_model_key(doc):
+    doc["model"]["bogus"] = 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_poison_weight, "parameter 'enc1.w' holds a non-finite value"),
+        (_negative_variance, "batch-norm 'dec1.bn' running_var holds a negative value"),
+        (_drop_bn_layer, "checkpoint is missing batch-norm layers ['enc1.bn']"),
+        (_unknown_bn_layer, "unknown batch-norm layers ['enc9.bn']"),
+        (_unknown_model_key, "unknown model keys ['bogus']"),
+    ],
+    ids=["nan_weight", "negative_running_var", "missing_bn_layer", "unknown_bn_layer", "unknown_model_key"],
+)
+def test_bad_checkpoint_is_rejected_naming_file_and_entry(tmp_path, capsys, edit, message):
+    from cgnp.cli import main
+
+    cfg = ModelConfig(kind="cnp", init_seed=0)
+    path = tmp_path / "c.json"
+    save_checkpoint(path, init_params(cfg), cfg)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_checkpoint(path)
+
+    data, out = tmp_path / "data.jsonl", tmp_path / "metrics.csv"
+    save_episodes(data, [make_test_episode(ProtocolConfig(test_episodes=2), EqKernelSpec(), i) for i in range(2)])
+    assert main(["eval", "--checkpoint", str(path), "--data", str(data), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_atomic_write_leaves_no_partial_file(tmp_path):
     target = tmp_path / "out.txt"
     atomic_write_text(target, "hello\n")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cgnp.gp as gp
 from cgnp.gp import (
     Episode,
     EpisodeBatch,
@@ -19,7 +20,7 @@ from cgnp.gp import (
     make_train_batch,
     sample_function_values,
 )
-from cgnp.seeds import derive_rng
+from cgnp.seeds import DOMAIN_TRAIN, derive_rng
 
 SPEC = EqKernelSpec()  # length scale 0.4, unit variance, jitter 1e-6
 PROTO = ProtocolConfig()
@@ -138,25 +139,74 @@ def test_sampling_mean_and_covariance_match_kernel():
 # ---------------------------------------------------------------------------
 
 
+def per_episode_train_batch(cfg, spec, batch_index):
+    """Reference: the training batch as one Episode per row of the joint
+    draw, as make_train_batch built it before batches became arrays."""
+    rng = derive_rng(cfg.master_seed, DOMAIN_TRAIN, batch_index)
+    n_c = int(rng.integers(cfg.n_context[0], cfg.n_context[1] + 1))
+    n_t = int(rng.integers(cfg.n_target[0], cfg.n_target[1] + 1))
+    lo, hi = cfg.interval
+    xs = rng.uniform(lo, hi, (cfg.batch_size, n_c + n_t))
+    zs = rng.standard_normal((cfg.batch_size, n_c + n_t))
+    try:
+        k = eq_kernel(xs[:, :, None], xs[:, None, :], spec) + spec.jitter * np.eye(n_c + n_t)
+        ys = np.einsum("bij,bj->bi", np.linalg.cholesky(k), zs)
+    except np.linalg.LinAlgError:
+        ys = np.stack([gp._factor(x, spec) @ z for x, z in zip(xs, zs)])
+    return [Episode(x[:n_c], y[:n_c], x[n_c:], y[n_c:]) for x, y in zip(xs, ys)]
+
+
+def assert_batch_equals_episodes(batch, episodes):
+    assert len(batch) == len(episodes)
+    for k, ep in enumerate(episodes):
+        for name in ("x_c", "y_c", "x_t", "y_t"):
+            assert np.array_equal(getattr(batch, name)[k], getattr(ep, name)), (k, name)
+
+
 def test_train_batch_shared_counts_and_interval():
     for index in (0, 1, 17):
         batch = make_train_batch(PROTO, SPEC, index)
-        assert len(batch.episodes) == 64
+        assert len(batch) == 64
         n_c, n_t = batch.n_context, batch.n_target
         assert 3 <= n_c <= 10 and 2 <= n_t <= 10
-        for ep in batch.episodes:
-            assert ep.n_context == n_c and ep.n_target == n_t
-            for xs in (ep.x_c, ep.x_t):
-                assert np.all(xs >= -2.0) and np.all(xs <= 2.0)
+        assert batch.x_c.shape == batch.y_c.shape == (64, n_c)
+        assert batch.x_t.shape == batch.y_t.shape == (64, n_t)
+        for xs in (batch.x_c, batch.x_t):
+            assert np.all(xs >= -2.0) and np.all(xs <= 2.0)
+
+
+def test_train_batch_matches_per_episode_construction():
+    for index in (0, 1, 17, 123, 19_999):
+        batch = make_train_batch(PROTO, SPEC, index)
+        assert_batch_equals_episodes(batch, per_episode_train_batch(PROTO, SPEC, index))
+
+
+def test_train_batch_jitter_retry_gives_the_same_arrays(monkeypatch):
+    proto = ProtocolConfig(batch_size=8)
+    batched = [make_train_batch(proto, SPEC, index) for index in (0, 3)]
+    real = np.linalg.cholesky
+
+    def batched_factor_fails(a):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("forced failure of the batched factor")
+        return real(a)
+
+    monkeypatch.setattr(gp.np.linalg, "cholesky", batched_factor_fails)
+    for index, plain in zip((0, 3), batched):
+        retried = make_train_batch(proto, SPEC, index)
+        assert_batch_equals_episodes(retried, per_episode_train_batch(proto, SPEC, index))
+        for name in ("x_c", "x_t"):
+            assert np.array_equal(getattr(retried, name), getattr(plain, name))
+        for name in ("y_c", "y_t"):
+            np.testing.assert_allclose(getattr(retried, name), getattr(plain, name), rtol=1e-12, atol=1e-12)
 
 
 def test_train_batch_deterministic_and_order_independent():
     a = make_train_batch(PROTO, SPEC, 5)
     _ = make_train_batch(PROTO, SPEC, 2)
     b = make_train_batch(PROTO, SPEC, 5)
-    for ea, eb in zip(a.episodes, b.episodes):
-        assert np.array_equal(ea.x_c, eb.x_c) and np.array_equal(ea.y_c, eb.y_c)
-        assert np.array_equal(ea.x_t, eb.x_t) and np.array_equal(ea.y_t, eb.y_t)
+    for name in ("x_c", "y_c", "x_t", "y_t"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_train_batch_counts_vary_across_batches():
@@ -211,4 +261,38 @@ def test_episode_batch_requires_shared_counts():
     a = Episode([0.0, 1.0], [0.0, 0.0], [0.5], [0.0])
     b = Episode([0.0], [0.0], [0.5], [0.0])
     with pytest.raises(ValueError, match="share"):
-        EpisodeBatch((a, b))
+        EpisodeBatch.of((a, b))
+    with pytest.raises(ValueError, match="at least one episode"):
+        EpisodeBatch.of([])
+
+
+def test_episode_batch_of_stacks_in_order():
+    a = Episode([0.0, 1.0], [2.0, 3.0], [0.5], [4.0])
+    b = Episode([-1.0, -0.5], [5.0, 6.0], [1.5], [7.0])
+    batch = EpisodeBatch.of([a, b])
+    assert len(batch) == 2 and batch.n_context == 2 and batch.n_target == 1
+    np.testing.assert_array_equal(batch.x_c, [[0.0, 1.0], [-1.0, -0.5]])
+    np.testing.assert_array_equal(batch.y_t, [[4.0], [7.0]])
+
+
+@pytest.mark.parametrize("field", ["x_c", "y_c", "x_t", "y_t"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_episode_batch_rejects_non_finite_values_naming_the_field(field, bad):
+    arrays = {n: np.zeros((3, 4 if n.endswith("_c") else 2)) for n in ("x_c", "y_c", "x_t", "y_t")}
+    arrays[field][2, 1] = bad
+    with pytest.raises(ValueError, match=f"{field} holds a non-finite value"):
+        EpisodeBatch(**arrays)
+
+
+def test_episode_batch_rejects_mismatched_shapes():
+    c, t = np.zeros((3, 4)), np.zeros((3, 2))
+    for args in (
+        (c, np.zeros((3, 5)), t, t),  # y_c differs from x_c
+        (c, c, t, np.zeros((3, 3))),  # y_t differs from x_t
+        (c, c, np.zeros((2, 2)), np.zeros((2, 2))),  # episode counts differ
+        (c[0], c[0], t[0], t[0]),  # one episode must still be 2-D
+        (np.zeros((3, 0)), np.zeros((3, 0)), t, t),  # no context point
+        (c, c, np.zeros((3, 0)), np.zeros((3, 0))),  # no target point
+    ):
+        with pytest.raises(ValueError, match=r"\(B, N_c\).*\(B, N_t\); got x_c"):
+            EpisodeBatch(*args)

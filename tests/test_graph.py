@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgnp.autodiff import Parameter, Tensor, add, backward, matmul
-from cgnp.graph import ConvLayerParams, bipartite_conv, mean_pool, radius_mask
+from cgnp.autodiff import Parameter, Tensor, add, backward, block_mean, matmul
+from cgnp.graph import ConvLayerParams, bipartite_conv, radius_mask
 from cgnp.optim import zero_grads
 
 from graph_oracle import brute_force_neighbors, edge_list_conv
@@ -279,18 +279,18 @@ def test_dense_conv_matches_edge_list_oracle(radius, with_self):
 
 
 # ---------------------------------------------------------------------------
-# pooling
+# pooling: the mean pool of one episode is block_mean over one block
 # ---------------------------------------------------------------------------
 
 
 def test_mean_pool_identical_rows():
     row = np.array([[1.5, -2.0, 0.25]])
-    out = mean_pool(Tensor(np.repeat(row, 5, axis=0)))
+    out = block_mean(Tensor(np.repeat(row, 5, axis=0)), 1)
     np.testing.assert_allclose(out.value, row)
 
 
 def test_mean_pool_two_rows():
-    out = mean_pool(Tensor([[1.0], [3.0]]))
+    out = block_mean(Tensor([[1.0], [3.0]]), 1)
     np.testing.assert_allclose(out.value, [[2.0]])
 
 
@@ -298,16 +298,16 @@ def test_mean_pool_matches_bruteforce_average():
     rng = np.random.default_rng(5)
     feats = rng.standard_normal((7, 8))
     expected = [sum(feats[i, j] for i in range(7)) / 7.0 for j in range(8)]
-    out = mean_pool(Tensor(feats))
+    out = block_mean(Tensor(feats), 1)
     np.testing.assert_allclose(out.value[0], expected, atol=1e-12)
 
 
 def test_mean_pool_empty_raises():
     with pytest.raises(ValueError, match="empty"):
-        mean_pool(Tensor(np.zeros((0, 3))))
+        block_mean(Tensor(np.zeros((0, 3))), 1)
 
 
 def test_mean_pool_gradient_spreads_evenly():
     feats = Parameter("feats", np.arange(6.0).reshape(3, 2))
-    backward(matmul(mean_pool(feats), Tensor([[1.0], [1.0]])))
+    backward(matmul(block_mean(feats, 1), Tensor([[1.0], [1.0]])))
     np.testing.assert_allclose(feats.grad, np.full((3, 2), 1.0 / 3.0))

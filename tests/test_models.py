@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
 
-from cgnp.autodiff import Tensor, backward
+from cgnp.autodiff import Tensor, backward, block_mean
 from cgnp.gp import Episode, EpisodeBatch, EqKernelSpec, ProtocolConfig, make_train_batch
 from cgnp.models import (
     GaussianPrediction,
     ModelConfig,
     cnp_weights_from_cgnp,
-    decode_targets,
-    encode_context,
     forward,
     forward_tensors,
     init_params,
-    pool_latent,
 )
 from cgnp.optim import zero_grads
 from cgnp.training import batch_loss
@@ -89,58 +86,69 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# stage surfaces
+# encoder, pooling and decoder head
 # ---------------------------------------------------------------------------
 
 
-def test_encoder_is_permutation_equivariant():
+def test_stacked_forward_is_invariant_to_context_permutation():
+    # each episode's context shuffled on its own, in train mode (batch norm
+    # pools statistics over every context row) and in eval mode
     rng = np.random.default_rng(1)
-    ep = random_episode(rng, n_c=7)
+    batch = EpisodeBatch.of([random_episode(rng, n_c=7, n_t=5) for _ in range(4)])
+    perms = np.stack([rng.permutation(7) for _ in range(4)])
+    rows = np.arange(4)[:, None]
+    shuffled = EpisodeBatch(batch.x_c[rows, perms], batch.y_c[rows, perms], batch.x_t, batch.y_t)
     for cfg in (CNP, CGNP):
         store = init_params(cfg)
         randomize_store(store, rng)
-        h = encode_context(ep.x_c, ep.y_c, store, cfg).value
-        perm = rng.permutation(7)
-        h_perm = encode_context(ep.x_c[perm], ep.y_c[perm], store, cfg).value
-        np.testing.assert_allclose(h_perm, h[perm], rtol=1e-9, atol=1e-12)
+        for train in (True, False):
+            mu, sigma = forward_tensors(batch, store, cfg, train)
+            mu_p, sigma_p = forward_tensors(shuffled, store, cfg, train)
+            np.testing.assert_allclose(mu_p.value, mu.value, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(sigma_p.value, sigma.value, rtol=1e-9, atol=1e-12)
 
 
 def test_single_context_encoders_coincide_for_any_radius():
+    # one context point is its own only neighbor at any radius, so the CGNP
+    # encoder equals the CNP's; targets beyond the radius leave the decoder
+    # with its self term alone, so the whole forward must agree
     rng = np.random.default_rng(2)
     for radius in (0.0, 0.7, 5.0):
         cgnp = ModelConfig(kind="cgnp", latent_dim=8, radius=radius, init_seed=4)
         store = init_params(cgnp)
         randomize_store(store, rng)
         cnp_store, cnp_cfg = cnp_weights_from_cgnp(store, cgnp)
-        h_g = encode_context([0.3], [-1.1], store, cgnp).value
-        h_c = encode_context([0.3], [-1.1], cnp_store, cnp_cfg).value
-        np.testing.assert_allclose(h_g, h_c, rtol=1e-9, atol=1e-12)
+        far = [0.3 - radius - 0.5, 0.3 + radius + 0.25]
+        ep = Episode([0.3], [-1.1], far, [0.0, 0.0])
+        a, b = forward(ep, store, cgnp), forward(ep, cnp_store, cnp_cfg)
+        np.testing.assert_allclose(a.mu, b.mu, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(a.sigma, b.sigma, rtol=1e-9, atol=1e-12)
 
 
-def test_pool_latent_shape_and_invariance():
+def test_pooled_latent_shape_and_invariance():
     rng = np.random.default_rng(3)
-    store = init_params(CNP)
-    for n_c in range(3, 11):
-        ep = random_episode(rng, n_c=n_c)
-        r = pool_latent(encode_context(ep.x_c, ep.y_c, store, CNP))
-        assert r.value.shape == (1, 8)
-    h = Tensor(rng.standard_normal((6, 8)))
-    r = pool_latent(h).value
-    r_perm = pool_latent(Tensor(h.value[rng.permutation(6)])).value
+    for blocks in (1, 3):
+        for n_c in range(3, 11):
+            r = block_mean(Tensor(rng.standard_normal((blocks * n_c, 8))), blocks)
+            assert r.value.shape == (blocks, 8)
+    h = rng.standard_normal((3, 6, 8))
+    r = block_mean(Tensor(h.reshape(18, 8)), 3).value
+    shuffled = np.stack([block[rng.permutation(6)] for block in h])
+    r_perm = block_mean(Tensor(shuffled.reshape(18, 8)), 3).value
     np.testing.assert_allclose(r_perm, r, rtol=1e-9)
+    np.testing.assert_allclose(r, h.mean(axis=1), rtol=1e-12)
 
 
-def test_decode_targets_sigma_floor_and_far_target():
+def test_sigma_floor_at_a_far_target():
     rng = np.random.default_rng(4)
     store = init_params(CGNP)
     randomize_store(store, rng)
     # contexts far to the left; the target at 2.0 has an empty radius ball
     x_c = rng.uniform(-2, -1, 5)
     y_c = rng.standard_normal(5)
-    h = encode_context(x_c, y_c, store, CGNP)
-    r = pool_latent(h)
-    pred = decode_targets([2.0, -1.5], r, h, x_c, store, CGNP)
+    pred = forward(Episode(x_c, y_c, [2.0, -1.5], [0.0, 0.0]), store, CGNP)
     assert isinstance(pred, GaussianPrediction)
+    assert pred.mu.shape == pred.sigma.shape == (2,)
     assert np.all(np.isfinite(pred.mu)) and np.all(np.isfinite(pred.sigma))
     assert np.all(pred.sigma >= 0.1)
 
@@ -183,21 +191,22 @@ def test_stacked_forward_matches_per_episode_in_eval_mode():
         for cfg in (CNP, CGNP):
             store = init_params(cfg)
             randomize_store(store, rng)
-            mu, sigma, ep_ids = forward_tensors(episodes, store, cfg, train=False)
+            mu, sigma = forward_tensors(EpisodeBatch.of(episodes), store, cfg, train=False)
             assert mu.value.shape == sigma.value.shape == (5 * n_t, 1)
             for i, ep in enumerate(episodes):
                 single = forward(ep, store, cfg)
                 rows = slice(i * n_t, (i + 1) * n_t)
                 np.testing.assert_allclose(mu.value[rows, 0], single.mu, rtol=1e-12)
                 np.testing.assert_allclose(sigma.value[rows, 0], single.sigma, rtol=1e-12)
-                assert np.all(ep_ids[rows] == i)
 
 
 def test_stacked_forward_rejects_mixed_shapes():
     rng = np.random.default_rng(12)
     episodes = [random_episode(rng, n_c=3, n_t=4), random_episode(rng, n_c=3, n_t=5)]
     with pytest.raises(ValueError, match=r"share \(N_c, N_t\).*\(3, 4\), \(3, 5\)"):
-        forward_tensors(episodes, init_params(CGNP), CGNP, train=False)
+        forward_tensors(EpisodeBatch.of(episodes), init_params(CGNP), CGNP, train=False)
+    with pytest.raises(TypeError, match="EpisodeBatch"):
+        forward_tensors(episodes[:1], init_params(CGNP), CGNP, train=False)
 
 
 def test_radius_zero_equals_cnp_on_100_random_episodes():
@@ -229,7 +238,7 @@ def test_radius_zero_equivalence_holds_in_train_mode():
 def test_every_parameter_reaches_the_loss():
     rng = np.random.default_rng(10)
     ep = random_episode(rng, n_c=6, n_t=5)
-    batch = EpisodeBatch((ep, random_episode(rng, n_c=6, n_t=5)))
+    batch = EpisodeBatch.of((ep, random_episode(rng, n_c=6, n_t=5)))
     for cfg in (CNP, CGNP):
         store = init_params(cfg)
         loss = batch_loss(batch, store, cfg)
@@ -247,7 +256,7 @@ def test_end_to_end_gradients_match_finite_differences(kind):
     cfg = ModelConfig(kind=kind, latent_dim=8, radius=0.7, init_seed=0)
     store = init_params(cfg)
     ep = random_episode(rng, n_c=5, n_t=4)
-    batch = EpisodeBatch((ep,))
+    batch = EpisodeBatch.of([ep])
 
     def build_loss():
         return batch_loss(batch, store, cfg)

@@ -58,7 +58,7 @@ def test_duplicating_episodes_leaves_loss_unchanged():
     cfg = ModelConfig(kind="cnp")
     store = init_params(cfg)
     base = float(batch_loss(batch, store, cfg).value[0, 0])
-    doubled = EpisodeBatch(batch.episodes + batch.episodes)
+    doubled = EpisodeBatch(*(np.concatenate([a, a]) for a in (batch.x_c, batch.y_c, batch.x_t, batch.y_t)))
     dup = float(batch_loss(doubled, store, cfg).value[0, 0])
     assert abs(dup - base) <= 1e-12
 
@@ -113,7 +113,7 @@ def test_nan_loss_aborts_with_diagnostics(monkeypatch):
     poisoned = Episode([0.0, 1.0], [0.0, 1e200], [0.5, 1.5], [0.0, 1e200])
 
     def bad_batch(cfg, spec, index):
-        return EpisodeBatch((poisoned, poisoned))
+        return EpisodeBatch.of((poisoned, poisoned))
 
     monkeypatch.setattr(training, "make_train_batch", bad_batch)
     with pytest.raises(TrainingDivergedError, match="batch 0"):
