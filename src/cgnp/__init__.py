@@ -48,7 +48,6 @@ from .training import (
     compare_models,
     evaluate,
     loss_drop,
-    prediction_metrics,
     train,
 )
 

@@ -31,6 +31,7 @@ __all__ = [
     "bounded_softplus",
     "batch_norm",
     "gaussian_nll",
+    "nll_terms",
     "concat_cols",
     "slice_cols",
     "block_mean",
@@ -299,10 +300,16 @@ def batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_nll(y, mu, sigma) -> Tensor:
-    """Mean over entries of 0.5*ln(2*pi*sigma^2) + (y - mu)^2 / (2*sigma^2).
+def nll_terms(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Per-point Gaussian NLL 0.5*ln(2*pi*sigma^2) + (y - mu)^2 / (2*sigma^2),
+    value-level (no tape)."""
+    return 0.5 * np.log(2.0 * np.pi * sigma**2) + (y - mu) ** 2 / (2.0 * sigma**2)
 
-    Returns a (1, 1) scalar tensor. Raises on any non-positive sigma.
+
+def gaussian_nll(y, mu, sigma) -> Tensor:
+    """Mean over entries of `nll_terms`, as a (1, 1) scalar tensor.
+
+    Raises on any non-positive sigma.
     """
     y, mu, sigma = _as_tensor(y), _as_tensor(mu), _as_tensor(sigma)
     if not (y.shape == mu.shape == sigma.shape):
@@ -311,7 +318,7 @@ def gaussian_nll(y, mu, sigma) -> Tensor:
     if np.any(sv <= 0.0):
         raise ValueError("gaussian_nll requires strictly positive sigma")
     resid = y.value - mu.value
-    terms = 0.5 * np.log(2.0 * np.pi * sv**2) + resid**2 / (2.0 * sv**2)
+    terms = nll_terms(y.value, mu.value, sv)
     count = terms.size
     out = Tensor([[terms.mean()]], (y, mu, sigma))
 

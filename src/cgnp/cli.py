@@ -27,19 +27,21 @@ from .training import (
 
 __all__ = ["main", "parse_run_config", "CONFIG_DEFAULTS"]
 
+# every default but the model kind is the config dataclasses' own
+_DEFAULT = TrainConfig(model=ModelConfig(kind="cgnp"))
 CONFIG_DEFAULTS: dict[str, object] = {
-    "model.kind": "cgnp",
-    "model.latent_dim": 8,
-    "model.radius": 0.7,
-    "train.lr": 1e-3,
-    "train.batches": 20_000,
-    "train.batch_size": 64,
-    "train.eval_every": 1000,
-    "seed.master": 0,
-    "seed.init": 0,
-    "data.length_scale": 0.4,
-    "data.jitter": 1e-6,
-    "data.test_episodes": 1000,
+    "model.kind": _DEFAULT.model.kind,
+    "model.latent_dim": _DEFAULT.model.latent_dim,
+    "model.radius": _DEFAULT.model.radius,
+    "train.lr": _DEFAULT.lr,
+    "train.batches": _DEFAULT.protocol.train_batches,
+    "train.batch_size": _DEFAULT.protocol.batch_size,
+    "train.eval_every": _DEFAULT.eval_every,
+    "seed.master": _DEFAULT.protocol.master_seed,
+    "seed.init": _DEFAULT.model.init_seed,
+    "data.length_scale": _DEFAULT.kernel.length_scale,
+    "data.jitter": _DEFAULT.kernel.jitter,
+    "data.test_episodes": _DEFAULT.protocol.test_episodes,
 }
 
 

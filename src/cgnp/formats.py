@@ -88,7 +88,7 @@ def load_episodes(path) -> list[Episode]:
                 episodes.append(
                     Episode(record["x_c"], record["y_c"], record["x_t"], record["y_t"])
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: bad episode record on line {ln}: {exc}") from exc
     return episodes
 
@@ -128,22 +128,44 @@ def save_checkpoint(path, store: ParameterStore, cfg: ModelConfig, extra: dict |
     atomic_write_text(path, checkpoint_text(store, cfg, extra))
 
 
+def _entry(path, value, where: str, keys=()) -> dict:
+    """`value` as a JSON object holding every key in `keys`; otherwise a
+    ValueError naming the file and the entry."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {where} must be a JSON object, got {type(value).__name__}")
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise ValueError(f"{path}: {where} is missing {missing}")
+    return value
+
+
 def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
     """Read a checkpoint, rejecting any entry the model cannot use as is:
-    unknown model keys, unknown or missing parameters and batch-norm layers,
-    wrong shapes, non-finite values and negative running variances."""
+    text that is not a JSON object, missing keys, unknown model keys,
+    unknown or missing parameters and batch-norm layers, wrong shapes,
+    non-finite values and negative running variances."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    unknown = sorted(set(doc["model"]) - {f.name for f in fields(ModelConfig)})
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON document: {exc}") from exc
+    doc = _entry(path, doc, "checkpoint", ("model", "params", "bn"))
+    model = dict(_entry(path, doc["model"], "model"))
+    # checkpoints written while the fixed floor was a ModelConfig field echo it
+    floor = model.pop("sigma_floor", 0.1)
+    if floor != 0.1:
+        raise ValueError(f"{path}: sigma_floor is fixed at 0.1, got {floor!r}")
+    unknown = sorted(set(model) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown model keys {unknown}")
     try:
-        cfg = ModelConfig(**doc["model"])
+        cfg = ModelConfig(**model)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad model config: {exc}") from exc
     store = init_params(cfg)
     seen = set()
-    for entry in doc["params"]:
+    for i, entry in enumerate(doc["params"]):
+        entry = _entry(path, entry, f"params[{i}]", ("name", "rows", "cols", "data"))
         name = entry["name"]
         if name not in store:
             raise ValueError(f"{path}: unknown parameter {name!r} for kind={cfg.kind}")
@@ -163,14 +185,16 @@ def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
     missing = set(store.params) - seen
     if missing:
         raise ValueError(f"{path}: checkpoint is missing parameters {sorted(missing)}")
-    unknown = sorted(set(doc["bn"]) - set(store.bn))
+    bn = _entry(path, doc["bn"], "bn")
+    unknown = sorted(set(bn) - set(store.bn))
     if unknown:
         raise ValueError(f"{path}: unknown batch-norm layers {unknown} for kind={cfg.kind}")
-    missing = sorted(set(store.bn) - set(doc["bn"]))
+    missing = sorted(set(store.bn) - set(bn))
     if missing:
         raise ValueError(f"{path}: checkpoint is missing batch-norm layers {missing}")
-    for name, entry in doc["bn"].items():
+    for name, entry in bn.items():
         state: BatchNormState = store.bn[name]
+        entry = _entry(path, entry, f"batch-norm {name!r}", ("running_mean", "running_var", "momentum", "eps"))
         mean = np.asarray(entry["running_mean"], dtype=np.float64).reshape(1, -1)
         var = np.asarray(entry["running_var"], dtype=np.float64).reshape(1, -1)
         momentum, eps = float(entry["momentum"]), float(entry["eps"])

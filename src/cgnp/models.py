@@ -66,7 +66,6 @@ class ModelConfig:
     latent_dim: int = 8
     radius: float = 0.7  # cgnp only; ignored for cnp
     init_seed: int = 0
-    sigma_floor: float = 0.1
 
     def __post_init__(self):
         if self.kind not in ("cnp", "cgnp"):
@@ -75,9 +74,6 @@ class ModelConfig:
             raise ValueError(f"latent_dim must be at least 1, got {self.latent_dim}")
         if self.radius < 0.0:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
-        if self.sigma_floor != 0.1:
-            # the bounded-softplus head pins the floor at 0.1
-            raise ValueError("sigma_floor is fixed at 0.1")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ NLL) with Adam at a fixed learning rate, drawing a fresh 64-episode batch
 per step; the batch arrives as stacked arrays and goes to the model as is.
 Evaluation reports the NLL under two normalizations (per target point and
 per episode) plus the MSE of the predictive mean, all over target points
-only; it stacks episodes of equal (N_c, N_t) into `EpisodeBatch`es and runs
-one forward per batch.
+only; it stacks episodes of equal (N_c, N_t) into `EpisodeBatch`es, runs
+one forward per batch, and adds each batch's NLL and squared-error sums to
+running totals as soon as it is computed.
 """
 
 from __future__ import annotations
@@ -16,15 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor, backward, gaussian_nll
+from .autodiff import Tensor, backward, gaussian_nll, nll_terms
 from .gp import EpisodeBatch, EqKernelSpec, ProtocolConfig, make_heldout_set, make_train_batch
-from .models import (
-    GaussianPrediction,
-    ModelConfig,
-    ParameterStore,
-    forward_tensors,
-    init_params,
-)
+from .models import ModelConfig, ParameterStore, forward_tensors, init_params
 from .optim import AdamState, adam_step, zero_grads
 
 __all__ = [
@@ -35,8 +30,6 @@ __all__ = [
     "batch_loss",
     "train",
     "evaluate",
-    "prediction_metrics",
-    "nll_terms",
     "loss_drop",
     "VariantResult",
     "SeedRun",
@@ -152,54 +145,39 @@ def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
     return store, report
 
 
-def nll_terms(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Per-point Gaussian NLL, value-level (no autodiff)."""
-    return 0.5 * np.log(2.0 * np.pi * sigma**2) + (y - mu) ** 2 / (2.0 * sigma**2)
+def evaluate(store: ParameterStore, cfg: ModelConfig, episodes) -> Metrics:
+    """Eval-mode metrics of a frozen store over a non-empty episode set.
 
-
-def prediction_metrics(predictions, episodes) -> Metrics:
-    """Accumulate both NLL normalizations and MSE over target points."""
-    predictions, episodes = list(predictions), list(episodes)
-    if len(predictions) != len(episodes) or not episodes:
-        raise ValueError("need one prediction per episode and at least one episode")
-    total_nll = 0.0
-    total_sq = 0.0
+    Episodes are grouped by (N_c, N_t) and each group runs through stacked
+    forwards of at most EVAL_CHUNK_ROWS target rows (at least one episode);
+    eval-mode batch norm is row-wise, so predictions equal per-episode
+    forwards up to rounding. Each chunk's NLL and squared-error sums go
+    straight into the totals, so metrics equal per-episode scoring up to
+    summation order.
+    """
+    episodes = list(episodes)
+    if not episodes:
+        raise ValueError("need at least one episode to evaluate")
+    groups: dict[tuple[int, int], list] = {}
+    for ep in episodes:
+        groups.setdefault((ep.n_context, ep.n_target), []).append(ep)
+    total_nll = total_sq = 0.0
     total_points = 0
-    for pred, ep in zip(predictions, episodes):
-        total_nll += float(nll_terms(ep.y_t, pred.mu, pred.sigma).sum())
-        total_sq += float(((ep.y_t - pred.mu) ** 2).sum())
-        total_points += ep.n_target
+    for (_, n_t), members in groups.items():
+        step = max(1, EVAL_CHUNK_ROWS // n_t)
+        for start in range(0, len(members), step):
+            batch = EpisodeBatch.of(members[start : start + step])
+            mu, sigma = forward_tensors(batch, store, cfg, train=False)
+            y = batch.y_t.reshape(-1, 1)
+            total_nll += float(nll_terms(y, mu.value, sigma.value).sum())
+            total_sq += float(((y - mu.value) ** 2).sum())
+            total_points += y.size
     return Metrics(
         nll_per_point=total_nll / total_points,
         nll_per_episode=total_nll / len(episodes),
         mse=total_sq / total_points,
         episode_count=len(episodes),
     )
-
-
-def evaluate(store: ParameterStore, cfg: ModelConfig, episodes) -> Metrics:
-    """Eval-mode metrics of a frozen store over an episode set.
-
-    Episodes are grouped by (N_c, N_t) and each group runs through stacked
-    forwards of at most EVAL_CHUNK_ROWS target rows (at least one episode);
-    eval-mode batch norm is row-wise, so predictions equal per-episode
-    forwards up to rounding. Metrics accumulate in the given episode order.
-    """
-    episodes = list(episodes)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, ep in enumerate(episodes):
-        groups.setdefault((ep.n_context, ep.n_target), []).append(i)
-    preds: list[GaussianPrediction | None] = [None] * len(episodes)
-    for (_, n_t), members in groups.items():
-        step = max(1, EVAL_CHUNK_ROWS // n_t)
-        for start in range(0, len(members), step):
-            chunk = members[start : start + step]
-            batch = EpisodeBatch.of(episodes[i] for i in chunk)
-            mu, sigma = forward_tensors(batch, store, cfg, train=False)
-            mu, sigma = mu.value.reshape(len(chunk), n_t), sigma.value.reshape(len(chunk), n_t)
-            for k, i in enumerate(chunk):
-                preds[i] = GaussianPrediction(mu=mu[k], sigma=sigma[k])
-    return prediction_metrics(preds, episodes)
 
 
 def loss_drop(losses: np.ndarray, window: int = 1000) -> float:

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import cgnp
-from cgnp.cli import main, parse_run_config
+from cgnp.cli import _train_config, main, parse_run_config
 from cgnp.formats import file_sha256, load_episodes
+from cgnp.models import ModelConfig
+from cgnp.training import TrainConfig
 
 FAST = [
     "train.batches=40",
@@ -34,6 +36,10 @@ def test_defaults_follow_protocol():
     assert cfg["model.radius"] == 0.7
     assert cfg["train.lr"] == 1e-3
     assert cfg["data.length_scale"] == 0.4
+
+
+def test_default_run_config_is_the_dataclass_defaults():
+    assert _train_config(parse_run_config(None)) == TrainConfig(model=ModelConfig(kind="cgnp"))
 
 
 def test_config_file_and_overrides(tmp_path):

@@ -44,9 +44,10 @@ def test_episode_file_is_reproducible_bytes(tmp_path):
 
 def test_bad_episode_record_reports_line(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"x_c":[0.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}\n{"x_c":[0.0]}\n')
-    with pytest.raises(ValueError, match="line 2"):
-        load_episodes(path)
+    for bad in ('{"x_c":[0.0]}', "[1,2]"):
+        path.write_text('{"x_c":[0.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}\n' + bad + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad episode record on line 2")):
+            load_episodes(path)
 
 
 @pytest.mark.parametrize("field, token", [("x_c", "NaN"), ("y_t", "Infinity"), ("x_t", "-Infinity")])
@@ -139,6 +140,31 @@ def _unknown_model_key(doc):
     doc["model"]["bogus"] = 1
 
 
+def _drop_params(doc):
+    del doc["params"]
+
+
+def _drop_running_var(doc):
+    del doc["bn"]["enc1.bn"]["running_var"]
+
+
+def _drop_param_data(doc):
+    del doc["params"][0]["data"]
+
+
+def _other_sigma_floor(doc):
+    doc["model"]["sigma_floor"] = 0.2
+
+
+# edits of the whole document return the text to write instead
+def _not_json(doc):
+    return "{model: cnp}"
+
+
+def _list_document(doc):
+    return json.dumps([doc])
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -147,8 +173,16 @@ def _unknown_model_key(doc):
         (_drop_bn_layer, "checkpoint is missing batch-norm layers ['enc1.bn']"),
         (_unknown_bn_layer, "unknown batch-norm layers ['enc9.bn']"),
         (_unknown_model_key, "unknown model keys ['bogus']"),
+        (_drop_params, "checkpoint is missing ['params']"),
+        (_drop_running_var, "batch-norm 'enc1.bn' is missing ['running_var']"),
+        (_drop_param_data, "params[0] is missing ['data']"),
+        (_other_sigma_floor, "sigma_floor is fixed at 0.1, got 0.2"),
+        (_not_json, "not a JSON document: Expecting property name enclosed in double quotes"),
+        (_list_document, "checkpoint must be a JSON object, got list"),
     ],
-    ids=["nan_weight", "negative_running_var", "missing_bn_layer", "unknown_bn_layer", "unknown_model_key"],
+    ids=["nan_weight", "negative_running_var", "missing_bn_layer", "unknown_bn_layer", "unknown_model_key",
+         "missing_params", "missing_running_var", "missing_param_data", "other_sigma_floor", "not_json",
+         "list_document"],
 )
 def test_bad_checkpoint_is_rejected_naming_file_and_entry(tmp_path, capsys, edit, message):
     from cgnp.cli import main
@@ -157,8 +191,7 @@ def test_bad_checkpoint_is_rejected_naming_file_and_entry(tmp_path, capsys, edit
     path = tmp_path / "c.json"
     save_checkpoint(path, init_params(cfg), cfg)
     doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(edit(doc) or json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_checkpoint(path)
 
@@ -167,6 +200,22 @@ def test_bad_checkpoint_is_rejected_naming_file_and_entry(tmp_path, capsys, edit
     assert main(["eval", "--checkpoint", str(path), "--data", str(data), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_checkpoint_with_the_fixed_sigma_floor_key_loads(tmp_path):
+    # checkpoints written while ModelConfig had a sigma_floor field carry it at 0.1
+    cfg = ModelConfig(kind="cgnp", init_seed=2)
+    store = init_params(cfg)
+    path = tmp_path / "c.json"
+    save_checkpoint(path, store, cfg)
+    doc = json.loads(path.read_text())
+    assert "sigma_floor" not in doc["model"]
+    doc["model"]["sigma_floor"] = 0.1
+    path.write_text(json.dumps(doc))
+    loaded, loaded_cfg, _ = load_checkpoint(path)
+    assert loaded_cfg == cfg
+    for name, param in store.params.items():
+        assert np.array_equal(loaded[name].value, param.value)
 
 
 def test_atomic_write_leaves_no_partial_file(tmp_path):

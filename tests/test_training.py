@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import cgnp.training as training
-from cgnp.autodiff import backward
+from cgnp.autodiff import nll_terms
 from cgnp.gp import Episode, EpisodeBatch, EqKernelSpec, ProtocolConfig, make_train_batch
-from cgnp.models import GaussianPrediction, ModelConfig, forward, init_params
+from cgnp.models import ModelConfig, forward, init_params
 from cgnp.training import (
     Metrics,
     TrainConfig,
@@ -14,10 +14,9 @@ from cgnp.training import (
     batch_loss,
     evaluate,
     loss_drop,
-    nll_terms,
-    prediction_metrics,
     train,
 )
+from metrics_oracle import prediction_metrics
 
 KERNEL = EqKernelSpec()
 
@@ -163,15 +162,15 @@ def grid_episodes(count, seed=0):
 
 
 def test_trivial_predictor_matches_prior_baseline():
-    # mu = 0, sigma = 1 on GP-protocol episodes: mse near the prior variance,
-    # nll near 0.5*ln(2*pi) + 0.5
-    proto = ProtocolConfig(test_episodes=300)
-    episodes = [training.make_heldout_set(proto, KERNEL, 300)[i] for i in range(300)]
-    preds = [
-        GaussianPrediction(mu=np.zeros(ep.n_target), sigma=np.ones(ep.n_target))
-        for ep in episodes
-    ]
-    m = prediction_metrics(preds, episodes)
+    # a zero head weight and bias [0, ln(e - 1)] give mu = 0 and
+    # sigma = 0.1 + 0.9 * softplus(ln(e - 1)) = 1 on GP-protocol episodes:
+    # mse near the prior variance, nll near 0.5*ln(2*pi) + 0.5
+    episodes = training.make_heldout_set(ProtocolConfig(), KERNEL, 300)
+    cfg = ModelConfig(kind="cgnp", init_seed=1)
+    store = init_params(cfg)
+    store["dec2.w"].value[...] = 0.0
+    store["dec2.b"].value[...] = [[0.0, math.log(math.e - 1.0)]]
+    m = evaluate(store, cfg, episodes)
     np.testing.assert_allclose(m.mse, 1.0, atol=0.05)
     np.testing.assert_allclose(m.nll_per_point, 0.5 * math.log(2 * math.pi) + 0.5, atol=0.05)
     assert m.episode_count == 300
@@ -224,6 +223,12 @@ def test_nll_normalizations_are_consistent():
 def test_nll_terms_formula():
     val = nll_terms(np.array([1.0]), np.array([0.0]), np.array([1.0]))[0]
     np.testing.assert_allclose(val, 0.5 * math.log(2 * math.pi) + 0.5, rtol=1e-14)
+
+
+def test_evaluate_rejects_an_empty_episode_set():
+    cfg = ModelConfig(kind="cnp")
+    with pytest.raises(ValueError, match="at least one episode"):
+        evaluate(init_params(cfg), cfg, [])
 
 
 def test_loss_drop_windows():
