@@ -1,10 +1,10 @@
 """Reverse-mode autodiff over dense float64 matrices.
 
 Everything the models train with lives here: a small taped ``Tensor`` type,
-the layer primitives (affine, relu, batch norm, the bounded-softplus scale
-head), the layout and per-episode pooling ops, ``neighbor_mix`` (the batched
-mask-times-features product behind the graph convolution), and the Gaussian
-negative log-likelihood. Values are strictly 2-D float64 arrays; row
+the layer primitives (affine, one taped op for x @ w + b; relu; batch norm;
+the bounded-softplus scale head), the layout and per-episode pooling ops,
+``neighbor_mix`` (the batched mask-times-features product behind the graph
+convolution), and the Gaussian negative log-likelihood. Values are strictly 2-D float64 arrays; row
 vectors (biases, batch-norm scale/shift) have shape ``(1, d)``.
 
 Gradient buffers of intermediate tensors are allocated on the first
@@ -179,8 +179,23 @@ def add_rowvec(x, b) -> Tensor:
 
 
 def affine(x, w, b) -> Tensor:
-    """x @ w + b, the linear map inside every layer."""
-    return add_rowvec(matmul(x, w), b)
+    """x @ w + b, the linear map inside every layer, as one op."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.value.shape[1] != w.value.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {x.shape} @ {w.shape}")
+    if b.value.shape != (1, w.value.shape[1]):
+        raise ValueError(f"row vector shape {b.shape} does not match {(x.shape[0], w.shape[1])}")
+    value = x.value @ w.value
+    value += b.value  # in place: no second (n, d) array allocated and freed per call
+    out = Tensor(value, (x, w, b))
+
+    def vjp(g):
+        _accumulate(x, g @ w.value.T)
+        _accumulate(w, x.value.T @ g)
+        _accumulate(b, g.sum(axis=0, keepdims=True))
+
+    out._vjp = vjp
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +280,12 @@ def batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
     if train:
         if n < 2:
             raise ValueError(f"batch norm needs at least 2 rows in train mode, got {n}")
-        mean = x.value.mean(axis=0, keepdims=True)
-        var = x.value.var(axis=0, keepdims=True)  # biased: divide by n
+        # np.mean/np.var arithmetic without their wrappers, centring once
+        mean = x.value.sum(axis=0, keepdims=True) / n
+        centred = x.value - mean
+        var = (centred * centred).sum(axis=0, keepdims=True) / n  # biased
         inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x.value - mean) * inv_std
+        xhat = centred * inv_std
         m = state.momentum
         state.running_mean = m * state.running_mean + (1.0 - m) * mean
         state.running_var = m * state.running_var + (1.0 - m) * var

@@ -139,11 +139,26 @@ def _entry(path, value, where: str, keys=()) -> dict:
     return value
 
 
+def _numbers(path, value, where: str) -> np.ndarray:
+    """`value` as a float64 array if it is a flat JSON list of numbers;
+    otherwise a ValueError naming the file and the entry."""
+    if not isinstance(value, list) or not all(type(v) in (int, float) for v in value):
+        raise ValueError(f"{path}: {where} must be a flat list of numbers")
+    return np.array(value, dtype=np.float64)
+
+
+def _number(path, value, where: str) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"{path}: {where} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
     """Read a checkpoint, rejecting any entry the model cannot use as is:
     text that is not a JSON object, missing keys, unknown model keys,
     unknown or missing parameters and batch-norm layers, wrong shapes,
-    non-finite values and negative running variances."""
+    values that are not numbers, non-finite values, negative running
+    variances and batch-norm momentum or eps out of range."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -167,7 +182,7 @@ def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
     for i, entry in enumerate(doc["params"]):
         entry = _entry(path, entry, f"params[{i}]", ("name", "rows", "cols", "data"))
         name = entry["name"]
-        if name not in store:
+        if not isinstance(name, str) or name not in store:
             raise ValueError(f"{path}: unknown parameter {name!r} for kind={cfg.kind}")
         shape = (entry["rows"], entry["cols"])
         param = store[name]
@@ -175,7 +190,7 @@ def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
             raise ValueError(
                 f"{path}: shape mismatch for {name!r}: checkpoint {shape}, model {param.value.shape}"
             )
-        data = np.asarray(entry["data"], dtype=np.float64)
+        data = _numbers(path, entry["data"], f"parameter {name!r} data")
         if data.size != shape[0] * shape[1]:
             raise ValueError(f"{path}: {name!r} has {data.size} values for shape {shape}")
         if not np.isfinite(data).all():
@@ -194,19 +209,23 @@ def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
         raise ValueError(f"{path}: checkpoint is missing batch-norm layers {missing}")
     for name, entry in bn.items():
         state: BatchNormState = store.bn[name]
-        entry = _entry(path, entry, f"batch-norm {name!r}", ("running_mean", "running_var", "momentum", "eps"))
-        mean = np.asarray(entry["running_mean"], dtype=np.float64).reshape(1, -1)
-        var = np.asarray(entry["running_var"], dtype=np.float64).reshape(1, -1)
-        momentum, eps = float(entry["momentum"]), float(entry["eps"])
+        where = f"batch-norm {name!r}"
+        entry = _entry(path, entry, where, ("running_mean", "running_var", "momentum", "eps"))
+        mean = _numbers(path, entry["running_mean"], f"{where} running_mean").reshape(1, -1)
+        var = _numbers(path, entry["running_var"], f"{where} running_var").reshape(1, -1)
+        momentum = _number(path, entry["momentum"], f"{where} momentum")
+        eps = _number(path, entry["eps"], f"{where} eps")
         if mean.shape[1] != state.width or var.shape[1] != state.width:
             raise ValueError(f"{path}: batch-norm width mismatch for {name!r}")
         for key, value in (("running_mean", mean), ("running_var", var), ("momentum", momentum), ("eps", eps)):
             if not np.isfinite(value).all():
-                raise ValueError(f"{path}: batch-norm {name!r} {key} holds a non-finite value")
+                raise ValueError(f"{path}: {where} {key} holds a non-finite value")
         if (var < 0.0).any():
-            raise ValueError(f"{path}: batch-norm {name!r} running_var holds a negative value")
+            raise ValueError(f"{path}: {where} running_var holds a negative value")
+        if not 0.0 < momentum < 1.0:
+            raise ValueError(f"{path}: {where} momentum must be in (0, 1), got {momentum}")
         if eps <= 0.0:
-            raise ValueError(f"{path}: batch-norm {name!r} eps must be positive, got {eps}")
+            raise ValueError(f"{path}: {where} eps must be positive, got {eps}")
         state.running_mean = mean
         state.running_var = var
         state.momentum = momentum

@@ -107,8 +107,7 @@ def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
     """
     start = time.perf_counter()
     store = init_params(cfg.model)
-    params = store.parameters()
-    adam = AdamState(params, lr=cfg.lr)
+    adam = AdamState(store.parameters(), lr=cfg.lr)
     heldout = (
         make_heldout_set(cfg.protocol, cfg.kernel, cfg.heldout_episodes)
         if cfg.heldout_episodes > 0
@@ -126,8 +125,8 @@ def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
             raise TrainingDivergedError(b, loss_value, store)
         losses[b] = loss_value
         backward(loss)
-        adam_step(params, adam)
-        zero_grads(params)
+        adam_step(adam)
+        zero_grads(adam)
 
         at_eval = cfg.eval_every > 0 and (b % cfg.eval_every == 0 or b == n_batches - 1)
         if at_eval:

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgnp.autodiff import (
     BatchNormState,
     Parameter,
     Tensor,
+    _topo_order,
     add,
     add_rowvec,
     affine,
@@ -27,7 +28,17 @@ from cgnp.autodiff import (
 )
 from cgnp.optim import zero_grads
 
+from autodiff_oracle import reference_batch_norm
 from helpers import assert_grads_match, finite_diff_grad
+
+
+def pull(out, g):
+    """Backpropagate the upstream gradient g from out (`backward` seeds a
+    scalar loss with 1 instead)."""
+    out.grad = g.copy()
+    for node in reversed(_topo_order(out)):
+        if node._vjp is not None:
+            node._vjp(node.grad)
 
 
 def scalarize(t, rng):
@@ -55,6 +66,24 @@ def test_affine_bias_shift():
 def test_affine_hand_multiply():
     out = affine(Tensor([[2.0, 3.0]]), Tensor([[1.0], [1.0]]), Tensor([[0.5]]))
     np.testing.assert_allclose(out.value, [[5.5]])
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 9), st.integers(1, 9))
+def test_affine_is_one_op_equal_to_matmul_then_add_rowvec(seed, n, d_in, d_out):
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal(shape) for shape in ((n, d_in), (d_in, d_out), (1, d_out))]
+    g = rng.standard_normal((n, d_out))
+    one = [Parameter(name, v.copy()) for name, v in zip("xwb", values)]
+    two = [Parameter(name, v.copy()) for name, v in zip("xwb", values)]
+    out = affine(*one)
+    ref = add_rowvec(matmul(two[0], two[1]), two[2])
+    assert out._parents == tuple(one)  # one taped node
+    assert np.array_equal(out.value, ref.value)
+    pull(out, g)
+    pull(ref, g)
+    for p, q in zip(one, two):
+        assert np.array_equal(p.grad, q.grad), p.name
 
 
 def test_affine_shape_mismatch():
@@ -162,6 +191,35 @@ def test_batch_norm_unit_variance_for_wide_columns():
     out = batch_norm(Tensor(x), BatchNormState("bn", 4), train=True).value
     np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-8)
     np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-6)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 70), st.integers(1, 9), st.booleans(), st.booleans())
+@example(seed=1, n=2, d=3, constant_column=True, train=True)
+def test_batch_norm_matches_the_mean_var_oracle(seed, n, d, constant_column, train):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * rng.uniform(0.1, 5.0, d) + rng.uniform(-3, 3, d)
+    if constant_column:
+        x[:, 0] = 2.5
+    g = rng.standard_normal((n, d))
+    states, outs, leaves = [], [], []
+    for op in (batch_norm, reference_batch_norm):
+        state = BatchNormState("bn", d, momentum=0.8)
+        state.gamma.value[...] = np.linspace(0.5, 2.0, d)
+        state.beta.value[...] = np.linspace(-1.0, 1.0, d)
+        state.running_mean[...] = 0.25
+        state.running_var[...] = 1.5
+        xp = Parameter("x", x.copy())
+        out = op(xp, state, train=train)
+        pull(out, g)
+        states.append(state)
+        outs.append(out.value)
+        leaves.append((xp, state.gamma, state.beta))
+    assert np.array_equal(outs[0], outs[1])
+    assert np.array_equal(states[0].running_mean, states[1].running_mean)
+    assert np.array_equal(states[0].running_var, states[1].running_var)
+    for p, q in zip(*leaves):
+        assert np.array_equal(p.grad, q.grad), p.name
 
 
 # ---------------------------------------------------------------------------

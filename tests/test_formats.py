@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cgnp.formats import (
 )
 from cgnp.gp import Episode, EqKernelSpec, ProtocolConfig, make_test_episode
 from cgnp.models import ModelConfig, forward, init_params
+from cgnp.optim import AdamState
 from cgnp.training import Metrics, SeedRun, VariantResult
 
 
@@ -81,6 +83,27 @@ def test_checkpoint_roundtrip_bit_exact_and_stable(tmp_path):
         assert np.array_equal(state.running_var, loaded.bn[name].running_var)
     # serialize -> parse -> serialize is byte-identical
     assert checkpoint_text(loaded, loaded_cfg, extra) == path.read_text()
+
+
+def test_checkpoint_loads_into_the_parameter_buffers_in_place(tmp_path, monkeypatch):
+    import cgnp.formats as formats
+
+    cfg = ModelConfig(kind="cgnp", init_seed=4)
+    save_checkpoint(tmp_path / "c.json", init_params(cfg), cfg)
+    packed = []
+
+    def packed_init(model_cfg):
+        store = init_params(replace(model_cfg, init_seed=model_cfg.init_seed + 1))
+        packed.append(AdamState(store.parameters()))
+        return store
+
+    monkeypatch.setattr(formats, "init_params", packed_init)
+    loaded, _, _ = load_checkpoint(tmp_path / "c.json")
+    (state,) = packed
+    want = init_params(cfg)
+    for name, p in loaded.params.items():
+        assert np.shares_memory(p.value, state.value), name
+        assert np.array_equal(p.value, want[name].value), name
 
 
 def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
@@ -156,6 +179,25 @@ def _other_sigma_floor(doc):
     doc["model"]["sigma_floor"] = 0.2
 
 
+def _string_in_data(doc):
+    doc["params"][0]["data"][0] = "a"
+
+
+def _list_param_name(doc):
+    doc["params"][0]["name"] = ["enc1.w"]
+
+
+def _ragged_running_mean(doc):
+    doc["bn"]["enc1.bn"]["running_mean"] = [[0.0] * 8, [0.0]]
+
+
+def _momentum(value):
+    def edit(doc):
+        doc["bn"]["enc1.bn"]["momentum"] = value
+
+    return edit
+
+
 # edits of the whole document return the text to write instead
 def _not_json(doc):
     return "{model: cnp}"
@@ -179,10 +221,18 @@ def _list_document(doc):
         (_other_sigma_floor, "sigma_floor is fixed at 0.1, got 0.2"),
         (_not_json, "not a JSON document: Expecting property name enclosed in double quotes"),
         (_list_document, "checkpoint must be a JSON object, got list"),
+        (_string_in_data, "parameter 'enc1.w' data must be a flat list of numbers"),
+        (_list_param_name, "unknown parameter ['enc1.w'] for kind=cnp"),
+        (_ragged_running_mean, "batch-norm 'enc1.bn' running_mean must be a flat list of numbers"),
+        (_momentum([1, 2]), "batch-norm 'enc1.bn' momentum must be a number, got [1, 2]"),
+        (_momentum("0.9"), "batch-norm 'enc1.bn' momentum must be a number, got '0.9'"),
+        (_momentum(True), "batch-norm 'enc1.bn' momentum must be a number, got True"),
+        (_momentum(1.5), "batch-norm 'enc1.bn' momentum must be in (0, 1), got 1.5"),
     ],
     ids=["nan_weight", "negative_running_var", "missing_bn_layer", "unknown_bn_layer", "unknown_model_key",
          "missing_params", "missing_running_var", "missing_param_data", "other_sigma_floor", "not_json",
-         "list_document"],
+         "list_document", "string_in_data", "list_param_name", "ragged_running_mean", "list_momentum", "string_momentum",
+         "bool_momentum", "momentum_out_of_range"],
 )
 def test_bad_checkpoint_is_rejected_naming_file_and_entry(tmp_path, capsys, edit, message):
     from cgnp.cli import main

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cgnp.training as training
-from cgnp.autodiff import nll_terms
+from cgnp.autodiff import _topo_order, nll_terms
 from cgnp.gp import Episode, EpisodeBatch, EqKernelSpec, ProtocolConfig, make_train_batch
 from cgnp.models import ModelConfig, forward, init_params
 from cgnp.training import (
@@ -86,6 +86,27 @@ def test_training_is_deterministic():
     assert np.array_equal(reports[0].losses, reports[1].losses)
     for name, p in stores[0].params.items():
         assert np.array_equal(p.value, stores[1].params[name].value)
+
+
+def test_trained_parameters_stay_in_the_packed_buffers():
+    # a parameter rebound to a fresh array would silently stop being updated
+    store, _ = train(tiny_config("cgnp", batches=3))
+    params = store.parameters()
+    flat_value, flat_grad = params[0].value.base, params[0].grad.base
+    assert flat_value.size == flat_grad.size == sum(p.value.size for p in params)
+    for p in params:
+        assert p.value.base is flat_value and p.grad.base is flat_grad, p.name
+
+
+@pytest.mark.parametrize(
+    "cfg, nodes, ops",
+    [(ModelConfig(kind="cnp"), 40, 19), (ModelConfig(kind="cgnp", radius=0.7), 63, 37)],
+    ids=["cnp", "cgnp"],
+)
+def test_training_step_tape_size_budget(cfg, nodes, ops):
+    # pinned: a change to the tape size re-pins these, with a note in CHANGES.md
+    order = _topo_order(batch_loss(make_train_batch(ProtocolConfig(), KERNEL, 0), init_params(cfg), cfg))
+    assert (len(order), sum(node._vjp is not None for node in order)) == (nodes, ops)
 
 
 def test_training_decreases_loss_on_short_run():
