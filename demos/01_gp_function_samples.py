@@ -41,7 +41,7 @@ print(f"\ntraining batch 0: {len(batch)} episodes, "
       f"N_c={batch.n_context}, N_t={batch.n_target}")
 print(f"  first episode context x: {np.sort(batch.x_c[0]).round(3)}")
 
-test = make_test_episode(proto, kern, episode_index=0)
+test = make_test_episode(proto, kern, episode_index=0)  # a batch of one
 print(f"test episode 0: {test.n_context} context + {test.n_target} targets "
       f"on the 400-point grid")
 
@@ -54,7 +54,7 @@ try:
     fig, ax = plt.subplots(figsize=(7, 3.5))
     for row in draws[:5]:
         ax.plot(grid, row, lw=1.0, alpha=0.8)
-    ax.scatter(test.x_c, test.y_c, color="k", zorder=3, label="context of test episode 0")
+    ax.scatter(test.x_c[0], test.y_c[0], color="k", zorder=3, label="context of test episode 0")
     ax.set_xlabel("x")
     ax.set_ylabel("f(x)")
     ax.legend()

@@ -20,7 +20,7 @@ base = TrainConfig(
     heldout_episodes=0,
 )
 
-test_set = make_test_set(proto, kern)
+test_set = make_test_set(proto, kern)  # shape buckets, shared by every run
 results = compare_models(base, seeds=1, test_set=test_set, log=print)
 
 print(f"\n{'model':<16} {'rho':>5} {'nll/point':>10} {'nll/episode':>12} {'mse':>8}")

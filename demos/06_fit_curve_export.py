@@ -9,12 +9,12 @@ the format of the `cgnp plot` command.
 import numpy as np
 
 from cgnp import (
-    Episode,
+    EpisodeBatch,
     EqKernelSpec,
     ModelConfig,
     ProtocolConfig,
     TrainConfig,
-    forward,
+    forward_tensors,
     make_test_episode,
     train,
 )
@@ -30,22 +30,24 @@ print("training a cgnp for 3000 batches...")
 store, report = train(cfg)
 print(f"done in {report.wall_seconds:.1f}s")
 
-ep = make_test_episode(cfg.protocol, cfg.kernel, episode_index=4)
-xs = np.concatenate([ep.x_c, ep.x_t])
-ys = np.concatenate([ep.y_c, ep.y_t])
+ep = make_test_episode(cfg.protocol, cfg.kernel, episode_index=4)  # a batch of one
+xs = np.concatenate([ep.x_c[0], ep.x_t[0]])
+ys = np.concatenate([ep.y_c[0], ep.y_t[0]])
 is_ctx = np.concatenate([np.ones(ep.n_context, int), np.zeros(ep.n_target, int)])
 order = np.argsort(xs)
 xs, ys, is_ctx = xs[order], ys[order], is_ctx[order]
 
-pred = forward(Episode(ep.x_c, ep.y_c, xs, ys), store, cfg.model)
+# predict at every grid point: same context, all 400 points as targets
+mu, sigma = forward_tensors(EpisodeBatch(ep.x_c, ep.y_c, xs[None], ys[None]), store, cfg.model, train=False)
+mu, sigma = mu.value.ravel(), sigma.value.ravel()
 
 with open("fit_curve.csv", "w", encoding="utf-8") as fh:
     fh.write("x,y_true,mu,sigma,is_context\n")
-    for x, y, mu, sd, flag in zip(xs, ys, pred.mu, pred.sigma, is_ctx):
-        fh.write(f"{float(x)!r},{float(y)!r},{float(mu)!r},{float(sd)!r},{flag}\n")
+    for x, y, m, sd, flag in zip(xs, ys, mu, sigma, is_ctx):
+        fh.write(f"{float(x)!r},{float(y)!r},{float(m)!r},{float(sd)!r},{flag}\n")
 print(f"wrote fit_curve.csv ({xs.size} rows, {ep.n_context} context points)")
 
-inside = np.abs(ys - pred.mu) <= 2 * pred.sigma
+inside = np.abs(ys - mu) <= 2 * sigma
 print(f"coverage of the 2-sigma band: {inside.mean():.1%}")
 
 try:
@@ -56,10 +58,9 @@ try:
 
     fig, ax = plt.subplots(figsize=(7, 3.5))
     ax.plot(xs, ys, "k--", lw=1.0, label="true function")
-    ax.plot(xs, pred.mu, lw=1.5, label="predictive mean")
-    ax.fill_between(xs, pred.mu - 2 * pred.sigma, pred.mu + 2 * pred.sigma, alpha=0.25,
-                    label="2-sigma band")
-    ax.scatter(ep.x_c, ep.y_c, color="k", zorder=3, s=25, label="context")
+    ax.plot(xs, mu, lw=1.5, label="predictive mean")
+    ax.fill_between(xs, mu - 2 * sigma, mu + 2 * sigma, alpha=0.25, label="2-sigma band")
+    ax.scatter(ep.x_c[0], ep.y_c[0], color="k", zorder=3, s=25, label="context")
     ax.set_xlabel("x")
     ax.legend(loc="upper right", fontsize=8)
     fig.tight_layout()

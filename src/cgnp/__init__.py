@@ -14,11 +14,11 @@ from .autodiff import (
     relu,
 )
 from .gp import (
-    Episode,
     EpisodeBatch,
     EqKernelSpec,
     NotPositiveDefiniteError,
     ProtocolConfig,
+    bucket_episodes,
     cholesky,
     eq_kernel,
     kernel_matrix,
@@ -30,11 +30,9 @@ from .gp import (
 )
 from .graph import ConvLayerParams, bipartite_conv, radius_mask
 from .models import (
-    GaussianPrediction,
     ModelConfig,
     ParameterStore,
     cnp_weights_from_cgnp,
-    forward,
     forward_tensors,
     init_params,
 )

@@ -8,15 +8,15 @@ missing keys take the documented defaults below.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import formats
-from .gp import Episode, EqKernelSpec, ProtocolConfig, make_test_set
-from .models import ModelConfig, forward
+from .gp import EpisodeBatch, EqKernelSpec, ProtocolConfig, make_test_set
+from .models import ModelConfig, forward_tensors
 from .training import (
     Metrics,
     TrainConfig,
@@ -47,14 +47,15 @@ CONFIG_DEFAULTS: dict[str, object] = {
 
 def _coerce(key: str, raw: str):
     default = CONFIG_DEFAULTS[key]
+    if isinstance(default, str):
+        return raw
     try:
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
+        value = type(default)(raw)
     except ValueError as exc:
         raise ValueError(f"config key {key}: cannot parse {raw!r}: {exc}") from exc
-    return raw
+    if not math.isfinite(value):
+        raise ValueError(f"config key {key}: must be finite, got {value}")
+    return value
 
 
 def parse_run_config(path: str | None, overrides: list[str] | None = None) -> dict:
@@ -82,8 +83,11 @@ def parse_run_config(path: str | None, overrides: list[str] | None = None) -> di
             cfg[key] = _coerce(key, raw)
         else:
             raise ValueError(f"unknown config key {key!r}")
-    if cfg["model.kind"] not in ("cnp", "cgnp"):
-        raise ValueError(f"model.kind must be cnp or cgnp, got {cfg['model.kind']!r}")
+    for key in CONFIG_DEFAULTS:  # range checks, one key at a time so the error names it
+        try:
+            _train_config({**CONFIG_DEFAULTS, key: cfg[key]})
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from exc
     return cfg
 
 
@@ -91,33 +95,21 @@ def _config_echo(cfg: dict) -> str:
     return " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
 
 
-def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        kind=cfg["model.kind"],
-        latent_dim=cfg["model.latent_dim"],
-        radius=cfg["model.radius"],
-        init_seed=cfg["seed.init"],
-    )
-
-
-def _kernel(cfg: dict) -> EqKernelSpec:
-    return EqKernelSpec(length_scale=cfg["data.length_scale"], jitter=cfg["data.jitter"])
-
-
-def _protocol(cfg: dict) -> ProtocolConfig:
-    return ProtocolConfig(
-        batch_size=cfg["train.batch_size"],
-        train_batches=cfg["train.batches"],
-        test_episodes=cfg["data.test_episodes"],
-        master_seed=cfg["seed.master"],
-    )
-
-
 def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
-        model=_model_config(cfg),
-        kernel=_kernel(cfg),
-        protocol=_protocol(cfg),
+        model=ModelConfig(
+            kind=cfg["model.kind"],
+            latent_dim=cfg["model.latent_dim"],
+            radius=cfg["model.radius"],
+            init_seed=cfg["seed.init"],
+        ),
+        kernel=EqKernelSpec(length_scale=cfg["data.length_scale"], jitter=cfg["data.jitter"]),
+        protocol=ProtocolConfig(
+            batch_size=cfg["train.batch_size"],
+            train_batches=cfg["train.batches"],
+            test_episodes=cfg["data.test_episodes"],
+            master_seed=cfg["seed.master"],
+        ),
         lr=cfg["train.lr"],
         eval_every=cfg["train.eval_every"],
     )
@@ -138,10 +130,10 @@ def _print_metrics(metrics: Metrics) -> None:
 
 
 def cmd_generate(args) -> int:
-    cfg = parse_run_config(args.config, args.overrides)
-    episodes = make_test_set(_protocol(cfg), _kernel(cfg))
-    formats.save_episodes(args.out, episodes)
-    print(f"wrote {len(episodes)} episodes to {args.out}")
+    train_cfg = _train_config(parse_run_config(args.config, args.overrides))
+    batches = make_test_set(train_cfg.protocol, train_cfg.kernel)
+    formats.save_episodes(args.out, batches)
+    print(f"wrote {sum(map(len, batches))} episodes to {args.out}")
     return 0
 
 
@@ -176,10 +168,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     store, model_cfg, _ = formats.load_checkpoint(args.checkpoint)
-    episodes = formats.load_episodes(args.data)
-    if not episodes:
+    batches = formats.load_episodes(args.data)
+    if not batches:
         raise ValueError(f"{args.data}: no episodes to evaluate")
-    metrics = evaluate(store, model_cfg, episodes)
+    metrics = evaluate(store, model_cfg, batches)
     _print_metrics(metrics)
     out = args.out or str(Path(args.checkpoint).with_suffix(".metrics.csv"))
     header = (
@@ -195,11 +187,12 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     test_path = out.with_name(out.stem + "_testset.jsonl")
-    episodes = make_test_set(_protocol(cfg), _kernel(cfg))
-    formats.save_episodes(test_path, episodes)
+    train_cfg = _train_config(cfg)
+    batches = make_test_set(train_cfg.protocol, train_cfg.kernel)
+    formats.save_episodes(test_path, batches)
     test_hash = formats.file_sha256(test_path)
 
-    results = compare_models(_train_config(cfg), args.seeds, episodes, log=print)
+    results = compare_models(train_cfg, args.seeds, batches, log=print)
     header = (
         f"compare seeds={args.seeds} test_set={test_path.name} "
         f"test_set_sha256={test_hash} config: {_config_echo(cfg)}"
@@ -215,21 +208,23 @@ def cmd_compare(args) -> int:
 
 def cmd_plot(args) -> int:
     store, model_cfg, _ = formats.load_checkpoint(args.checkpoint)
-    episodes = formats.load_episodes(args.data)
-    if not 0 <= args.index < len(episodes):
-        raise ValueError(f"episode index {args.index} outside 0..{len(episodes) - 1}")
-    ep = episodes[args.index]
+    batches = formats.load_episodes(args.data)
+    count = sum(map(len, batches))
+    if not 0 <= args.index < count:
+        raise ValueError(f"episode index {args.index} outside 0..{count - 1}")
+    batch, row = next((b, k) for b in batches for k in np.flatnonzero(b.index == args.index))
 
     # predict at every point of the episode, context points included
-    xs = np.concatenate([ep.x_c, ep.x_t])
-    ys = np.concatenate([ep.y_c, ep.y_t])
-    is_ctx = np.concatenate([np.ones(ep.n_context, dtype=int), np.zeros(ep.n_target, dtype=int)])
+    xs = np.concatenate([batch.x_c[row], batch.x_t[row]])
+    ys = np.concatenate([batch.y_c[row], batch.y_t[row]])
+    is_ctx = np.concatenate([np.ones(batch.n_context, dtype=int), np.zeros(batch.n_target, dtype=int)])
     order = np.argsort(xs, kind="stable")
     xs, ys, is_ctx = xs[order], ys[order], is_ctx[order]
-    pred = forward(Episode(ep.x_c, ep.y_c, xs, ys), store, model_cfg)
+    curve = EpisodeBatch(batch.x_c[row : row + 1], batch.y_c[row : row + 1], xs[None], ys[None])
+    mu, sigma = forward_tensors(curve, store, model_cfg, train=False)
     lines = ["x,y_true,mu,sigma,is_context"]
-    for x, y, mu, sigma, flag in zip(xs, ys, pred.mu, pred.sigma, is_ctx):
-        lines.append(f"{float(x)!r},{float(y)!r},{float(mu)!r},{float(sigma)!r},{flag}")
+    for x, y, m, s, flag in zip(xs, ys, mu.value.ravel(), sigma.value.ravel(), is_ctx):
+        lines.append(f"{float(x)!r},{float(y)!r},{float(m)!r},{float(s)!r},{flag}")
     formats.atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {xs.size} rows to {args.out}")
     return 0

@@ -3,7 +3,9 @@
 Everything is plain text with '.' decimal separators and shortest
 round-trip float encoding, so files diff cleanly and parse back to the
 exact same doubles. All writes go through a temp file plus atomic rename;
-a failed command never leaves a partial file behind.
+a failed command never leaves a partial file behind. An episode file loads
+as shape buckets (`gp.bucket_episodes`) that remember each line's position,
+and saving them writes the lines back in that order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .autodiff import BatchNormState
-from .gp import Episode
+from .gp import EpisodeBatch, bucket_episodes
 from .models import ModelConfig, ParameterStore, init_params
 from .training import Metrics
 
@@ -61,36 +63,49 @@ def file_sha256(path: str | os.PathLike) -> str:
 # ---------------------------------------------------------------------------
 
 
-def episode_line(ep: Episode) -> str:
-    record = {
-        "x_c": ep.x_c.tolist(),
-        "y_c": ep.y_c.tolist(),
-        "x_t": ep.x_t.tolist(),
-        "y_t": ep.y_t.tolist(),
-    }
+_EPISODE_KEYS = ("x_c", "y_c", "x_t", "y_t")
+
+
+def episode_line(batch: EpisodeBatch, row: int) -> str:
+    record = {name: getattr(batch, name)[row].tolist() for name in _EPISODE_KEYS}
     return json.dumps(record, separators=(",", ":"))
 
 
-def save_episodes(path, episodes) -> None:
-    lines = [episode_line(ep) for ep in episodes]
+def save_episodes(path, batches: list[EpisodeBatch]) -> None:
+    """One line per episode, at the position its batch's `index` records."""
+    lines = [""] * sum(len(batch) for batch in batches)
+    for batch in batches:
+        for row, position in enumerate(batch.index):
+            lines[position] = episode_line(batch, row)
+    if "" in lines:
+        raise ValueError("episode positions must number the rows 0..n-1, each once")
     atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
 
 
-def load_episodes(path) -> list[Episode]:
-    episodes = []
+def _episode(path, ln: int, line: str) -> EpisodeBatch:
+    """One line as a batch of one; otherwise a ValueError naming the file,
+    the line and, where there is one, the field."""
+    where = f"bad episode record on line {ln}"
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {where}: {exc}") from exc
+    unknown = sorted(set(_entry(path, record, where, _EPISODE_KEYS)) - set(_EPISODE_KEYS))
+    if unknown:
+        raise ValueError(f"{path}: {where}: unknown keys {unknown}")
+    arrays = [_numbers(path, record[name], f"{where}: {name}")[None] for name in _EPISODE_KEYS]
+    try:
+        return EpisodeBatch(*arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {where}: {exc}") from exc
+
+
+def load_episodes(path) -> list[EpisodeBatch]:
+    """Every episode of the file, shape-bucketed; index i is line i's
+    episode, counting non-blank lines from 0."""
     with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                episodes.append(
-                    Episode(record["x_c"], record["y_c"], record["x_t"], record["y_t"])
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: bad episode record on line {ln}: {exc}") from exc
-    return episodes
+        rows = [_episode(path, ln, line) for ln, line in enumerate(fh, start=1) if line.strip()]
+    return bucket_episodes(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +157,12 @@ def _entry(path, value, where: str, keys=()) -> dict:
 def _numbers(path, value, where: str) -> np.ndarray:
     """`value` as a float64 array if it is a flat JSON list of numbers;
     otherwise a ValueError naming the file and the entry."""
-    if not isinstance(value, list) or not all(type(v) in (int, float) for v in value):
+    if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
         raise ValueError(f"{path}: {where} must be a flat list of numbers")
-    return np.array(value, dtype=np.float64)
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{path}: {where} holds a number too large for a double") from exc
 
 
 def _number(path, value, where: str) -> float:

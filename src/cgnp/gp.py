@@ -7,6 +7,11 @@ uniformly; test episodes sample the GP jointly on a 400-point even grid and
 promote a random subset of 3..10 grid points to context. Every episode and
 batch is a pure function of (master_seed, index), via the derived streams
 in ``seeds``.
+
+`EpisodeBatch` is the one episode record: a single episode is a batch of
+one, and an episode set (test, held-out or loaded from a file) is a list
+of shape buckets from `bucket_episodes`, each remembering the position of
+its rows in the set.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from .seeds import DOMAIN_HELDOUT, DOMAIN_TEST, DOMAIN_TRAIN, derive_rng
 
 __all__ = [
     "EqKernelSpec",
-    "Episode",
     "EpisodeBatch",
+    "bucket_episodes",
     "ProtocolConfig",
     "NotPositiveDefiniteError",
     "eq_kernel",
@@ -49,11 +54,11 @@ class EqKernelSpec:
     jitter: float = 1e-6
 
     def __post_init__(self):
-        if self.length_scale <= 0.0:
+        if not self.length_scale > 0.0:  # NaN fails every check here
             raise ValueError(f"length_scale must be positive, got {self.length_scale}")
-        if self.signal_variance <= 0.0:
+        if not self.signal_variance > 0.0:
             raise ValueError(f"signal_variance must be positive, got {self.signal_variance}")
-        if self.jitter < 0.0:
+        if not self.jitter >= 0.0:
             raise ValueError(f"jitter must be non-negative, got {self.jitter}")
 
 
@@ -69,43 +74,17 @@ def _check_finite(record) -> None:
 
 
 @dataclass(frozen=True)
-class Episode:
-    """One function instance split into context and target sets; every
-    value must be finite."""
-
-    x_c: np.ndarray
-    y_c: np.ndarray
-    x_t: np.ndarray
-    y_t: np.ndarray
-
-    def __post_init__(self):
-        for name in _FIELDS:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if self.x_c.shape != self.y_c.shape or self.x_c.ndim != 1 or self.x_c.size < 1:
-            raise ValueError("context arrays must be equal-length 1-D with at least one point")
-        if self.x_t.shape != self.y_t.shape or self.x_t.ndim != 1 or self.x_t.size < 1:
-            raise ValueError("target arrays must be equal-length 1-D with at least one point")
-        _check_finite(self)
-
-    @property
-    def n_context(self) -> int:
-        return self.x_c.size
-
-    @property
-    def n_target(self) -> int:
-        return self.x_t.size
-
-
-@dataclass(frozen=True)
 class EpisodeBatch:
     """B episodes that share one (N_c, N_t) pair, as four stacked arrays:
     x_c and y_c of shape (B, N_c), x_t and y_t of shape (B, N_t), one row
-    per episode. Every value must be finite."""
+    per episode. Every value must be finite. `index[k]` is row k's position
+    in the episode set the batch belongs to (0..B-1 unless given)."""
 
     x_c: np.ndarray
     y_c: np.ndarray
     x_t: np.ndarray
     y_t: np.ndarray
+    index: np.ndarray | None = None
 
     def __post_init__(self):
         for name in _FIELDS:
@@ -124,17 +103,10 @@ class EpisodeBatch:
                 f"a batch needs non-empty x_c, y_c of shape (B, N_c) and x_t, y_t of shape (B, N_t); got {shapes}"
             )
         _check_finite(self)
-
-    @classmethod
-    def of(cls, episodes) -> EpisodeBatch:
-        """Stack episodes that share (N_c, N_t), in the given order."""
-        episodes = list(episodes)
-        if not episodes:
-            raise ValueError("batch must contain at least one episode")
-        shapes = sorted({(ep.n_context, ep.n_target) for ep in episodes})
-        if len(shapes) != 1:
-            raise ValueError(f"episodes in one batch must share (N_c, N_t), got {shapes}")
-        return cls(*(np.stack([getattr(ep, n) for ep in episodes]) for n in _FIELDS))
+        index = np.arange(len(self)) if self.index is None else np.asarray(self.index)
+        if index.shape != (len(self),) or index.dtype.kind not in "iu":
+            raise ValueError(f"index must hold one integer per row, got shape {index.shape}")
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return self.x_c.shape[0]
@@ -146,6 +118,24 @@ class EpisodeBatch:
     @property
     def n_target(self) -> int:
         return self.x_t.shape[1]
+
+
+def bucket_episodes(batches) -> list[EpisodeBatch]:
+    """The rows of `batches` regrouped by (N_c, N_t): buckets in order of
+    first appearance, rows in input order within each. A bucket's `index`
+    holds each row's position among all input rows, counted from 0."""
+    groups: dict[tuple[int, int], list[tuple[int, EpisodeBatch]]] = {}
+    start = 0
+    for batch in batches:
+        groups.setdefault((batch.n_context, batch.n_target), []).append((start, batch))
+        start += len(batch)
+    return [
+        EpisodeBatch(
+            *(np.concatenate([getattr(b, n) for _, b in members]) for n in _FIELDS),
+            index=np.concatenate([np.arange(s, s + len(b)) for s, b in members]),
+        )
+        for members in groups.values()
+    ]
 
 
 @dataclass(frozen=True)
@@ -163,13 +153,17 @@ class ProtocolConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.interval[0] >= self.interval[1]:
+        if not self.interval[0] < self.interval[1]:
             raise ValueError(f"empty interval {self.interval}")
         for lo, hi in (self.n_context, self.n_target):
             if lo < 1 or hi < lo:
                 raise ValueError("count ranges must be non-empty and positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.train_batches < 1:
+            raise ValueError(f"train_batches must be at least 1, got {self.train_batches}")
+        if self.test_episodes < 0:
+            raise ValueError(f"test_episodes must be non-negative, got {self.test_episodes}")
         if self.test_grid < self.n_context[1] + 1:
             raise ValueError("test grid must exceed the largest context count")
 
@@ -255,7 +249,7 @@ def _grid_factor(interval: tuple[float, float], n: int, spec: EqKernelSpec):
     return grid, factor
 
 
-def _grid_episode(cfg: ProtocolConfig, spec: EqKernelSpec, rng: np.random.Generator) -> Episode:
+def _grid_episode(cfg: ProtocolConfig, spec: EqKernelSpec, rng: np.random.Generator) -> EpisodeBatch:
     # draw order: function values, then N_c, then the context indices
     grid, factor = _grid_factor(cfg.interval, cfg.test_grid, spec)
     y = factor @ rng.standard_normal(cfg.test_grid)
@@ -263,25 +257,27 @@ def _grid_episode(cfg: ProtocolConfig, spec: EqKernelSpec, rng: np.random.Genera
     ctx = rng.choice(cfg.test_grid, size=n_c, replace=False)
     mask = np.zeros(cfg.test_grid, dtype=bool)
     mask[ctx] = True
-    return Episode(grid[mask], y[mask], grid[~mask], y[~mask])
+    return EpisodeBatch(grid[mask][None], y[mask][None], grid[~mask][None], y[~mask][None])
 
 
-def make_test_episode(cfg: ProtocolConfig, spec: EqKernelSpec, episode_index: int) -> Episode:
-    """Test episode `episode_index`: joint sample on the even grid, random
-    context subset, all remaining grid points as targets."""
+def make_test_episode(cfg: ProtocolConfig, spec: EqKernelSpec, episode_index: int) -> EpisodeBatch:
+    """Test episode `episode_index` as a batch of one: joint sample on the
+    even grid, random context subset, all remaining grid points as targets."""
     if not 0 <= episode_index < cfg.test_episodes:
         raise ValueError(f"episode_index {episode_index} outside 0..{cfg.test_episodes - 1}")
     rng = derive_rng(cfg.master_seed, DOMAIN_TEST, episode_index)
     return _grid_episode(cfg, spec, rng)
 
 
-def make_test_set(cfg: ProtocolConfig, spec: EqKernelSpec) -> list[Episode]:
-    return [make_test_episode(cfg, spec, i) for i in range(cfg.test_episodes)]
+def make_test_set(cfg: ProtocolConfig, spec: EqKernelSpec) -> list[EpisodeBatch]:
+    """The test episodes, shape-bucketed; index i is test episode i."""
+    return bucket_episodes(make_test_episode(cfg, spec, i) for i in range(cfg.test_episodes))
 
 
-def make_heldout_set(cfg: ProtocolConfig, spec: EqKernelSpec, count: int) -> list[Episode]:
-    """Grid episodes from the held-out stream, disjoint from train and test."""
-    return [
+def make_heldout_set(cfg: ProtocolConfig, spec: EqKernelSpec, count: int) -> list[EpisodeBatch]:
+    """Grid episodes from the held-out stream, disjoint from train and test,
+    shape-bucketed like the test set."""
+    return bucket_episodes(
         _grid_episode(cfg, spec, derive_rng(cfg.master_seed, DOMAIN_HELDOUT, i))
         for i in range(count)
-    ]
+    )

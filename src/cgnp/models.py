@@ -19,8 +19,8 @@ Every forward runs over one `EpisodeBatch`: B episodes that share
 (N_c, N_t), as stacked (B, N_c) and (B, N_t) arrays. All points share one
 matrix (so train-mode batch norm pools statistics across the whole batch)
 while per-episode blocks keep neighborhoods and pooling episode-local, and
-neighborhoods are one dense (B, N_out, N_in) mask per layer. `forward`
-is the batch of one.
+neighborhoods are one dense (B, N_out, N_in) mask per layer. A single
+episode is a batch of one.
 """
 
 from __future__ import annotations
@@ -42,16 +42,14 @@ from .autodiff import (
     repeat_rows,
     slice_cols,
 )
-from .gp import Episode, EpisodeBatch
+from .gp import EpisodeBatch
 from .graph import ConvLayerParams, bipartite_conv, radius_mask
 from .seeds import DOMAIN_INIT, derive_rng
 
 __all__ = [
     "ModelConfig",
     "ParameterStore",
-    "GaussianPrediction",
     "init_params",
-    "forward",
     "forward_tensors",
     "cnp_weights_from_cgnp",
 ]
@@ -72,16 +70,8 @@ class ModelConfig:
             raise ValueError(f"kind must be 'cnp' or 'cgnp', got {self.kind!r}")
         if self.latent_dim < 1:
             raise ValueError(f"latent_dim must be at least 1, got {self.latent_dim}")
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:  # NaN fails too
             raise ValueError(f"radius must be non-negative, got {self.radius}")
-
-
-@dataclass(frozen=True)
-class GaussianPrediction:
-    """Per-target mean and standard deviation; sigma >= 0.1 by construction."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
 
 
 class ParameterStore:
@@ -204,19 +194,13 @@ def forward_tensors(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig
 
     Returns (mu, sigma) tensors of shape (B * N_t, 1), rows in episode
     order: rows k * N_t .. (k + 1) * N_t - 1 belong to episode k. Episodes
-    of different shapes go in separate batches (see `training.evaluate`).
+    of different shapes go in separate batches (see `gp.bucket_episodes`).
     """
     if not isinstance(batch, EpisodeBatch):
         raise TypeError(f"forward_tensors takes an EpisodeBatch, got {type(batch).__name__}")
     h = _encode(batch.x_c, batch.y_c, store, cfg, train)
     r = block_mean(h, len(batch))
     return _decode(batch.x_t, r, h, batch.x_c, store, cfg, train)
-
-
-def forward(episode: Episode, store: ParameterStore, cfg: ModelConfig, train: bool = False) -> GaussianPrediction:
-    """Encode context, pool the latent, decode every target of one episode."""
-    mu, sigma = forward_tensors(EpisodeBatch.of([episode]), store, cfg, train)
-    return GaussianPrediction(mu=mu.value.ravel().copy(), sigma=sigma.value.ravel().copy())
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ NLL) with Adam at a fixed learning rate, drawing a fresh 64-episode batch
 per step; the batch arrives as stacked arrays and goes to the model as is.
 Evaluation reports the NLL under two normalizations (per target point and
 per episode) plus the MSE of the predictive mean, all over target points
-only; it stacks episodes of equal (N_c, N_t) into `EpisodeBatch`es, runs
-one forward per batch, and adds each batch's NLL and squared-error sums to
-running totals as soon as it is computed.
+only; it takes an episode set as shape buckets (`gp.bucket_episodes`),
+runs one forward per chunk of a bucket, and adds each chunk's NLL and
+squared-error sums to running totals as soon as it is computed.
 """
 
 from __future__ import annotations
@@ -54,8 +54,10 @@ class TrainConfig:
     heldout_episodes: int = 64
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
+        if not self.eval_every >= 0:
+            raise ValueError(f"eval_every must be non-negative, got {self.eval_every}")
         if self.protocol.batch_size < 2:
             raise ValueError("batch_size must be at least 2 (batch norm needs 2+ rows)")
 
@@ -108,11 +110,7 @@ def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
     start = time.perf_counter()
     store = init_params(cfg.model)
     adam = AdamState(store.parameters(), lr=cfg.lr)
-    heldout = (
-        make_heldout_set(cfg.protocol, cfg.kernel, cfg.heldout_episodes)
-        if cfg.heldout_episodes > 0
-        else []
-    )
+    heldout = make_heldout_set(cfg.protocol, cfg.kernel, cfg.heldout_episodes)
     n_batches = cfg.protocol.train_batches
     losses = np.empty(n_batches)
     report = TrainReport(losses=losses, config=cfg)
@@ -144,38 +142,37 @@ def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
     return store, report
 
 
-def evaluate(store: ParameterStore, cfg: ModelConfig, episodes) -> Metrics:
-    """Eval-mode metrics of a frozen store over a non-empty episode set.
+def evaluate(store: ParameterStore, cfg: ModelConfig, batches) -> Metrics:
+    """Eval-mode metrics of a frozen store over a non-empty episode set,
+    given as shape buckets.
 
-    Episodes are grouped by (N_c, N_t) and each group runs through stacked
-    forwards of at most EVAL_CHUNK_ROWS target rows (at least one episode);
-    eval-mode batch norm is row-wise, so predictions equal per-episode
-    forwards up to rounding. Each chunk's NLL and squared-error sums go
-    straight into the totals, so metrics equal per-episode scoring up to
-    summation order.
+    Each bucket runs through stacked forwards of at most EVAL_CHUNK_ROWS
+    target rows (at least one episode); eval-mode batch norm is row-wise,
+    so predictions equal per-episode forwards up to rounding. Each chunk's
+    NLL and squared-error sums go straight into the totals, so metrics
+    equal per-episode scoring up to summation order.
     """
-    episodes = list(episodes)
+    batches = list(batches)
+    episodes = sum(len(batch) for batch in batches)
     if not episodes:
         raise ValueError("need at least one episode to evaluate")
-    groups: dict[tuple[int, int], list] = {}
-    for ep in episodes:
-        groups.setdefault((ep.n_context, ep.n_target), []).append(ep)
     total_nll = total_sq = 0.0
     total_points = 0
-    for (_, n_t), members in groups.items():
-        step = max(1, EVAL_CHUNK_ROWS // n_t)
-        for start in range(0, len(members), step):
-            batch = EpisodeBatch.of(members[start : start + step])
-            mu, sigma = forward_tensors(batch, store, cfg, train=False)
-            y = batch.y_t.reshape(-1, 1)
+    for batch in batches:
+        step = max(1, EVAL_CHUNK_ROWS // batch.n_target)
+        for start in range(0, len(batch), step):
+            rows = slice(start, start + step)
+            chunk = EpisodeBatch(batch.x_c[rows], batch.y_c[rows], batch.x_t[rows], batch.y_t[rows])
+            mu, sigma = forward_tensors(chunk, store, cfg, train=False)
+            y = chunk.y_t.reshape(-1, 1)
             total_nll += float(nll_terms(y, mu.value, sigma.value).sum())
             total_sq += float(((y - mu.value) ** 2).sum())
             total_points += y.size
     return Metrics(
         nll_per_point=total_nll / total_points,
-        nll_per_episode=total_nll / len(episodes),
+        nll_per_episode=total_nll / episodes,
         mse=total_sq / total_points,
-        episode_count=len(episodes),
+        episode_count=episodes,
     )
 
 
@@ -220,7 +217,7 @@ class VariantResult:
 
 def compare_models(base: TrainConfig, seeds: int, test_set, log=None) -> list[VariantResult]:
     """Train cnp, cgnp, and edgeless cgnp over a shared seed schedule and
-    evaluate all of them on one shared test set.
+    evaluate all of them on one shared test set of shape buckets.
 
     Seed i uses master_seed + i and init_seed + i, identical across the
     three variants, so per-seed comparisons are paired.

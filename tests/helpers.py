@@ -1,10 +1,13 @@
-"""Shared test utilities: the central finite-difference gradient oracle."""
+"""Shared test utilities: the central finite-difference gradient oracle,
+one-episode batches and flat predictions."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from cgnp.autodiff import Parameter
+from cgnp.gp import EpisodeBatch
+from cgnp.models import forward_tensors
 
 H = 1e-4
 RTOL = 1e-3
@@ -49,3 +52,14 @@ def assert_grads_match(loss_fn, build_loss, params, rtol=RTOL, atol=ATOL):
             p.grad, expected, rtol=rtol, atol=atol, err_msg=f"gradient mismatch for {p.name}"
         )
     zero_grads(params)
+
+
+def episode(x_c, y_c, x_t, y_t) -> EpisodeBatch:
+    """One episode as a batch of one, from four 1-D sequences."""
+    return EpisodeBatch(*(np.asarray(a, dtype=np.float64)[None] for a in (x_c, y_c, x_t, y_t)))
+
+
+def predict(batch, store, cfg, train=False) -> tuple[np.ndarray, np.ndarray]:
+    """A forward's (mu, sigma) as flat arrays, targets in episode order."""
+    mu, sigma = forward_tensors(batch, store, cfg, train)
+    return mu.value.ravel(), sigma.value.ravel()

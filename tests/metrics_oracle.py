@@ -1,9 +1,9 @@
 """Reference implementation the batched evaluation is held to.
 
-`prediction_metrics` scores one `GaussianPrediction` per episode, walking
-the episodes in order and accumulating both NLL normalizations and the MSE
-over target points. `training.evaluate` must agree with it, fed with
-per-episode `forward`s, up to summation order.
+`prediction_metrics` scores one flat `(mu, sigma)` pair of arrays per
+episode (a batch of one), walking the episodes in order and accumulating
+both NLL normalizations and the MSE over target points. `training.evaluate`
+must agree with it, fed with per-episode forwards, up to summation order.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ def prediction_metrics(predictions, episodes) -> Metrics:
     total_nll = 0.0
     total_sq = 0.0
     total_points = 0
-    for pred, ep in zip(predictions, episodes):
-        total_nll += float(nll_terms(ep.y_t, pred.mu, pred.sigma).sum())
-        total_sq += float(((ep.y_t - pred.mu) ** 2).sum())
+    for (mu, sigma), ep in zip(predictions, episodes):
+        y = ep.y_t[0]
+        total_nll += float(nll_terms(y, mu, sigma).sum())
+        total_sq += float(((y - mu) ** 2).sum())
         total_points += ep.n_target
     return Metrics(
         nll_per_point=total_nll / total_points,

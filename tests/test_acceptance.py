@@ -14,23 +14,23 @@ import numpy as np
 import pytest
 
 from cgnp import (
-    Episode,
+    EpisodeBatch,
     EqKernelSpec,
     ModelConfig,
     ProtocolConfig,
     TrainConfig,
     backward,
     cnp_weights_from_cgnp,
-    forward,
     init_params,
     kernel_matrix,
     make_test_set,
     sample_function_values,
     zero_grads,
 )
-from cgnp.gp import EpisodeBatch
 from cgnp.graph import radius_mask
 from cgnp.training import batch_loss, compare_models
+
+from helpers import episode, predict
 
 DESK_PROTOCOL = ProtocolConfig(train_batches=20_000, test_episodes=1_000, master_seed=0)
 KERNEL = EqKernelSpec()
@@ -42,7 +42,7 @@ def random_episode(rng):
     n_t = int(rng.integers(2, 11))
     xs = rng.uniform(-2, 2, n_c + n_t)
     ys = rng.standard_normal(n_c + n_t)
-    return Episode(xs[:n_c], ys[:n_c], xs[n_c:], ys[n_c:])
+    return episode(xs[:n_c], ys[:n_c], xs[n_c:], ys[n_c:])
 
 
 def randomize_bn(store, rng):
@@ -128,12 +128,12 @@ def test_criterion_4_radius_zero_equivalence():
     worst = 0.0
     for _ in range(100):
         ep = random_episode(rng)
-        a = forward(ep, store, cfg)
-        b = forward(ep, cnp_store, cnp_cfg)
-        np.testing.assert_allclose(a.mu, b.mu, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(a.sigma, b.sigma, rtol=1e-9, atol=1e-12)
-        denom = np.maximum(np.abs(b.mu), 1e-12)
-        worst = max(worst, float(np.max(np.abs(a.mu - b.mu) / denom)))
+        mu_a, sigma_a = predict(ep, store, cfg)
+        mu_b, sigma_b = predict(ep, cnp_store, cnp_cfg)
+        np.testing.assert_allclose(mu_a, mu_b, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(sigma_a, sigma_b, rtol=1e-9, atol=1e-12)
+        denom = np.maximum(np.abs(mu_b), 1e-12)
+        worst = max(worst, float(np.max(np.abs(mu_a - mu_b) / denom)))
     print(f"criterion 4 PASS: 100 episodes, worst relative mu gap {worst:.2e} (<= 1e-9)")
 
 
@@ -154,8 +154,7 @@ def test_criterion_5_gradient_suite():
         cfg = ModelConfig(kind=kind, latent_dim=8, radius=0.7, init_seed=1)
         store = init_params(cfg)
         params = store.parameters()
-        for ep in episodes:
-            batch = EpisodeBatch.of([ep])
+        for batch in episodes:
             zero_grads(params)
             backward(batch_loss(batch, store, cfg))
             analytic = {p.name: p.grad.copy() for p in params}
@@ -246,11 +245,11 @@ def test_criterion_8_permutation_invariance():
         for _ in range(25):
             ep = random_episode(rng)
             perm = rng.permutation(ep.n_context)
-            base = forward(ep, store, cfg)
-            swapped = forward(Episode(ep.x_c[perm], ep.y_c[perm], ep.x_t, ep.y_t), store, cfg)
-            np.testing.assert_allclose(swapped.mu, base.mu, rtol=1e-6, atol=1e-9)
-            np.testing.assert_allclose(swapped.sigma, base.sigma, rtol=1e-6, atol=1e-9)
-            rel = np.max(np.abs(swapped.mu - base.mu) / np.maximum(np.abs(base.mu), 1e-9))
+            mu, sigma = predict(ep, store, cfg)
+            mu_p, sigma_p = predict(EpisodeBatch(ep.x_c[:, perm], ep.y_c[:, perm], ep.x_t, ep.y_t), store, cfg)
+            np.testing.assert_allclose(mu_p, mu, rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(sigma_p, sigma, rtol=1e-6, atol=1e-9)
+            rel = np.max(np.abs(mu_p - mu) / np.maximum(np.abs(mu), 1e-9))
             worst = max(worst, float(rel))
     print(f"criterion 8 (invariance) PASS: worst relative change {worst:.2e} <= 1e-6")
 
@@ -271,11 +270,11 @@ def test_criterion_8_sigma_floor_on_100k_predictions():
             for _ in range(70):
                 n_t = int(rng.integers(300, 500))
                 xs = rng.uniform(-2, 2, 5 + n_t)
-                ep = Episode(xs[:5], rng.standard_normal(5) * scale, xs[5:], np.zeros(n_t))
-                pred = forward(ep, store, cfg)
-                total += pred.sigma.size
-                minimum = min(minimum, float(pred.sigma.min()))
-                assert np.all(pred.sigma >= 0.1)
+                ep = episode(xs[:5], rng.standard_normal(5) * scale, xs[5:], np.zeros(n_t))
+                _, sigma = predict(ep, store, cfg)
+                total += sigma.size
+                minimum = min(minimum, float(sigma.min()))
+                assert np.all(sigma >= 0.1)
     assert total >= 100_000
     print(f"criterion 8 (sigma floor) PASS: min sigma {minimum:.6f} >= 0.1 "
           f"over {total} predictions")

@@ -65,6 +65,25 @@ def test_bad_value_and_kind_rejected():
         parse_run_config(None, ["model.kind=mlp"])
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("model.radius=nan", "config key model.radius: must be finite, got nan"),
+        ("train.lr=inf", "config key train.lr: must be finite, got inf"),
+        ("data.length_scale=nan", "config key data.length_scale: must be finite, got nan"),
+        ("train.eval_every=-5", "config key train.eval_every: eval_every must be non-negative, got -5"),
+        ("train.batches=0", "config key train.batches: train_batches must be at least 1, got 0"),
+    ],
+)
+def test_bad_config_value_exits_1_naming_the_key_and_writes_nothing(tmp_path, capsys, override, message):
+    out_dir = tmp_path / "run"
+    assert main(["train", "--out-dir", str(out_dir), "train.batches=3", "train.batch_size=8", override]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -73,9 +92,9 @@ def test_bad_value_and_kind_rejected():
 def test_generate_writes_deterministic_episodes(tmp_path, capsys):
     out = tmp_path / "test.jsonl"
     assert run_cli("generate", "--out", str(out), "data.test_episodes=5") == 0
-    episodes = load_episodes(out)
-    assert len(episodes) == 5
-    assert all(ep.n_context + ep.n_target == 400 for ep in episodes)
+    buckets = load_episodes(out)
+    assert sum(len(b) for b in buckets) == 5
+    assert all(b.n_context + b.n_target == 400 for b in buckets)
     first_hash = file_sha256(out)
     assert run_cli("generate", "--out", str(out), "data.test_episodes=5") == 0
     assert file_sha256(out) == first_hash
@@ -205,8 +224,8 @@ def test_plot_exports_fit_curve(trained_dir, tmp_path, capsys):
     xs = np.array([float(r["x"]) for r in rows])
     assert np.all(np.diff(xs) > 0)
     assert all(float(r["sigma"]) >= 0.1 for r in rows)
-    episodes = load_episodes(data)
-    assert sum(int(r["is_context"]) for r in rows) == episodes[1].n_context
+    (bucket,) = [b for b in load_episodes(data) if 1 in b.index]
+    assert sum(int(r["is_context"]) for r in rows) == bucket.n_context
 
 
 def test_plot_index_out_of_range(trained_dir, tmp_path, capsys):

@@ -1,0 +1,40 @@
+"""Every exported name resolves: each `cgnp.*` module's `__all__` and every
+name the package `__init__` imports. A stale export left behind when code
+is deleted fails here at once instead of at a user's import."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import cgnp
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(cgnp.__path__) if not m.name.startswith("_"))
+
+
+def test_modules_are_found():
+    assert {"gp", "models", "training", "formats", "cli"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"cgnp.{name}")
+    exported = getattr(module, "__all__", [])
+    assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_every_name_the_package_imports_resolves():
+    tree = ast.parse(Path(cgnp.__file__).read_text(encoding="utf-8"))
+    imported = [
+        (node.module, alias.asname or alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert imported
+    for module_name, name in imported:
+        module = importlib.import_module(f"cgnp.{module_name}")
+        assert hasattr(module, name), f"cgnp.{module_name}.{name}"
+        assert getattr(cgnp, name) is getattr(module, name), name

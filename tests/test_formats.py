@@ -16,27 +16,62 @@ from cgnp.formats import (
     save_checkpoint,
     save_episodes,
 )
-from cgnp.gp import Episode, EqKernelSpec, ProtocolConfig, make_test_episode
-from cgnp.models import ModelConfig, forward, init_params
+from cgnp.gp import EqKernelSpec, ProtocolConfig, bucket_episodes, make_test_episode, make_test_set
+from cgnp.models import ModelConfig, init_params
 from cgnp.optim import AdamState
 from cgnp.training import Metrics, SeedRun, VariantResult
+
+from helpers import episode, predict
+
+FIELDS = ("x_c", "y_c", "x_t", "y_t")
+GOOD_LINE = '{"x_c":[0.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}'
+
+
+def assert_same_buckets(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in (*FIELDS, "index"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_episode_roundtrip_is_exact(tmp_path):
     eps = [make_test_episode(ProtocolConfig(test_episodes=3), EqKernelSpec(), i) for i in range(3)]
     # adversarial float values must survive too
-    eps.append(Episode([1e-300, 0.1 + 0.2], [-1e300, 5e-324], [np.pi], [2.0 / 3.0]))
+    eps.append(episode([1e-300, 0.1 + 0.2], [-1e300, 5e-324], [np.pi], [2.0 / 3.0]))
     path = tmp_path / "episodes.jsonl"
-    save_episodes(path, eps)
+    buckets = bucket_episodes(eps)
+    save_episodes(path, buckets)
     loaded = load_episodes(path)
-    assert len(loaded) == 4
-    for a, b in zip(eps, loaded):
-        assert np.array_equal(a.x_c, b.x_c) and np.array_equal(a.y_c, b.y_c)
-        assert np.array_equal(a.x_t, b.x_t) and np.array_equal(a.y_t, b.y_t)
+    assert sum(len(b) for b in loaded) == 4
+    assert_same_buckets(loaded, buckets)
+
+
+def test_ragged_episode_file_round_trips_bytes_and_positions(tmp_path):
+    # 30 grid episodes span several (N_c, N_t) buckets, interleaved in the file
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    save_episodes(first, make_test_set(ProtocolConfig(test_episodes=30), EqKernelSpec()))
+    loaded = load_episodes(first)
+    assert len(loaded) > 3
+    save_episodes(second, loaded[::-1])  # bucket order does not matter, positions do
+    assert second.read_bytes() == first.read_bytes()
+    lines = first.read_text().splitlines()
+    for bucket in loaded:
+        for row, position in enumerate(bucket.index):
+            record = json.loads(lines[position])
+            for name in FIELDS:
+                assert getattr(bucket, name)[row].tolist() == record[name], (position, name)
+
+
+def test_save_episodes_rejects_positions_that_are_not_one_each(tmp_path):
+    a = episode([0.0], [0.0], [1.0], [1.0])
+    for batches in ([a, a], [bucket_episodes([a, a, a])[0], a]):
+        with pytest.raises(ValueError, match="positions must number the rows"):
+            save_episodes(tmp_path / "x.jsonl", batches)
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_episode_file_is_reproducible_bytes(tmp_path):
-    eps = [make_test_episode(ProtocolConfig(test_episodes=2), EqKernelSpec(), i) for i in range(2)]
+    eps = make_test_set(ProtocolConfig(test_episodes=2), EqKernelSpec())
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     save_episodes(a, eps)
     save_episodes(b, eps)
@@ -46,10 +81,33 @@ def test_episode_file_is_reproducible_bytes(tmp_path):
 
 def test_bad_episode_record_reports_line(tmp_path):
     path = tmp_path / "bad.jsonl"
-    for bad in ('{"x_c":[0.0]}', "[1,2]"):
-        path.write_text('{"x_c":[0.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}\n' + bad + "\n")
+    for bad in ('{"x_c":[0.0]}', "[1,2]", '{"x_c":[0.0],"y_c":[0.'):
+        path.write_text(GOOD_LINE + "\n" + bad + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: bad episode record on line 2")):
             load_episodes(path)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ('{"x_c":["0.5",1.0],"y_c":[0.0,0.5],"x_t":[1.0],"y_t":[1.0]}', "x_c must be a flat list of numbers"),
+        ('{"x_c":[true,1.0],"y_c":[0.0,0.5],"x_t":[1.0],"y_t":[1.0]}', "x_c must be a flat list of numbers"),
+        ('{"x_c":[0.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0],"bogus":1}', "unknown keys ['bogus']"),
+        ('{"x_c":[[0.0]],"y_c":[[0.0]],"x_t":[1.0],"y_t":[1.0]}', "x_c must be a flat list of numbers"),
+        ('{"x_c":[1e999999],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}', "x_c holds a non-finite value"),
+        ('{"x_c":[' + "9" * 400 + '],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}', "x_c holds a number too large"),
+        ('{"x_c":[],"y_c":[],"x_t":[1.0],"y_t":[1.0]}', "a batch needs non-empty x_c"),
+        ('{"x_c":[0.0,0.5],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}', "a batch needs non-empty x_c, y_c of shape (B, N_c) and x_t, y_t of shape (B, N_t); got x_c (1, 2), y_c (1, 1)"),
+    ],
+    ids=["string_value", "bool_value", "extra_key", "nested_list", "overflowing_float",
+         "overflowing_integer", "empty_context", "length_mismatch"],
+)
+def test_episode_values_that_are_not_numbers_or_keys_are_rejected(tmp_path, bad, message):
+    # strings, booleans, extra keys and nested lists are not episode data
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f"{GOOD_LINE}\n{bad}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad episode record on line 2: {message}")):
+        load_episodes(path)
 
 
 @pytest.mark.parametrize("field, token", [("x_c", "NaN"), ("y_t", "Infinity"), ("x_t", "-Infinity")])
@@ -110,12 +168,12 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     cfg = ModelConfig(kind="cnp", init_seed=5)
     store = init_params(cfg)
     ep = make_test_episode(ProtocolConfig(test_episodes=1), EqKernelSpec(), 0)
-    before = forward(ep, store, cfg)
+    mu, sigma = predict(ep, store, cfg)
     save_checkpoint(tmp_path / "c.json", store, cfg)
     loaded, loaded_cfg, _ = load_checkpoint(tmp_path / "c.json")
-    after = forward(ep, loaded, loaded_cfg)
-    assert np.array_equal(before.mu, after.mu)
-    assert np.array_equal(before.sigma, after.sigma)
+    mu_after, sigma_after = predict(ep, loaded, loaded_cfg)
+    assert np.array_equal(mu, mu_after)
+    assert np.array_equal(sigma, sigma_after)
 
 
 def test_checkpoint_shape_mismatch_is_explicit(tmp_path):
@@ -246,7 +304,7 @@ def test_bad_checkpoint_is_rejected_naming_file_and_entry(tmp_path, capsys, edit
         load_checkpoint(path)
 
     data, out = tmp_path / "data.jsonl", tmp_path / "metrics.csv"
-    save_episodes(data, [make_test_episode(ProtocolConfig(test_episodes=2), EqKernelSpec(), i) for i in range(2)])
+    save_episodes(data, make_test_set(ProtocolConfig(test_episodes=2), EqKernelSpec()))
     assert main(["eval", "--checkpoint", str(path), "--data", str(data), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()

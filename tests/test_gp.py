@@ -7,20 +7,23 @@ from hypothesis import strategies as st
 
 import cgnp.gp as gp
 from cgnp.gp import (
-    Episode,
     EpisodeBatch,
     EqKernelSpec,
     NotPositiveDefiniteError,
     ProtocolConfig,
+    bucket_episodes,
     cholesky,
     eq_kernel,
     kernel_matrix,
     make_heldout_set,
     make_test_episode,
+    make_test_set,
     make_train_batch,
     sample_function_values,
 )
 from cgnp.seeds import DOMAIN_TRAIN, derive_rng
+
+from helpers import episode
 
 SPEC = EqKernelSpec()  # length scale 0.4, unit variance, jitter 1e-6
 PROTO = ProtocolConfig()
@@ -60,6 +63,18 @@ def test_kernel_spec_validation():
         EqKernelSpec(length_scale=0.0)
     with pytest.raises(ValueError):
         EqKernelSpec(jitter=-1e-9)
+    for field in ("length_scale", "signal_variance", "jitter"):
+        with pytest.raises(ValueError, match=field):
+            EqKernelSpec(**{field: math.nan})
+
+
+def test_protocol_validation():
+    with pytest.raises(ValueError, match="train_batches"):
+        ProtocolConfig(train_batches=0)
+    with pytest.raises(ValueError, match="test_episodes"):
+        ProtocolConfig(test_episodes=-1)
+    with pytest.raises(ValueError, match="interval"):
+        ProtocolConfig(interval=(math.nan, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +155,8 @@ def test_sampling_mean_and_covariance_match_kernel():
 
 
 def per_episode_train_batch(cfg, spec, batch_index):
-    """Reference: the training batch as one Episode per row of the joint
-    draw, as make_train_batch built it before batches became arrays."""
+    """Reference: the training batch as one single-episode batch per row of
+    the joint draw, as make_train_batch built it before batches became arrays."""
     rng = derive_rng(cfg.master_seed, DOMAIN_TRAIN, batch_index)
     n_c = int(rng.integers(cfg.n_context[0], cfg.n_context[1] + 1))
     n_t = int(rng.integers(cfg.n_target[0], cfg.n_target[1] + 1))
@@ -153,14 +168,14 @@ def per_episode_train_batch(cfg, spec, batch_index):
         ys = np.einsum("bij,bj->bi", np.linalg.cholesky(k), zs)
     except np.linalg.LinAlgError:
         ys = np.stack([gp._factor(x, spec) @ z for x, z in zip(xs, zs)])
-    return [Episode(x[:n_c], y[:n_c], x[n_c:], y[n_c:]) for x, y in zip(xs, ys)]
+    return [episode(x[:n_c], y[:n_c], x[n_c:], y[n_c:]) for x, y in zip(xs, ys)]
 
 
 def assert_batch_equals_episodes(batch, episodes):
     assert len(batch) == len(episodes)
     for k, ep in enumerate(episodes):
         for name in ("x_c", "y_c", "x_t", "y_t"):
-            assert np.array_equal(getattr(batch, name)[k], getattr(ep, name)), (k, name)
+            assert np.array_equal(getattr(batch, name)[k], getattr(ep, name)[0]), (k, name)
 
 
 def test_train_batch_shared_counts_and_interval():
@@ -229,9 +244,10 @@ def test_train_batch_index_validation():
 
 def test_test_episode_grid_structure():
     ep = make_test_episode(PROTO, SPEC, 0)
+    assert len(ep) == 1 and ep.index.tolist() == [0]
     assert ep.n_context + ep.n_target == 400
     assert 3 <= ep.n_context <= 10
-    grid = np.sort(np.concatenate([ep.x_c, ep.x_t]))
+    grid = np.sort(np.concatenate([ep.x_c[0], ep.x_t[0]]))
     np.testing.assert_allclose(grid[0], -2.0)
     np.testing.assert_allclose(grid[-1], 2.0)
     np.testing.assert_allclose(np.diff(grid), 4.0 / 399.0, rtol=1e-12)
@@ -246,33 +262,55 @@ def test_test_episode_deterministic():
 
 def test_test_and_heldout_streams_differ():
     test = make_test_episode(PROTO, SPEC, 0)
-    held = make_heldout_set(PROTO, SPEC, 1)[0]
+    (held,) = make_heldout_set(PROTO, SPEC, 1)
     assert not np.array_equal(test.y_t, held.y_t)
 
 
 def test_episode_validation():
-    with pytest.raises(ValueError):
-        Episode([], [], [0.0], [0.0])
-    with pytest.raises(ValueError):
-        Episode([0.0], [0.0, 1.0], [0.0], [0.0])
+    with pytest.raises(ValueError, match="non-empty"):
+        episode([], [], [0.0], [0.0])
+    with pytest.raises(ValueError, match=r"y_c \(1, 2\)"):
+        episode([0.0], [0.0, 1.0], [0.0], [0.0])
+    with pytest.raises(ValueError, match="one integer per row"):
+        EpisodeBatch(*(np.zeros((2, 3)) for _ in range(4)), index=[0])
+    with pytest.raises(ValueError, match="one integer per row"):
+        EpisodeBatch(*(np.zeros((2, 3)) for _ in range(4)), index=[0.0, 1.0])
 
 
 def test_episode_batch_requires_shared_counts():
-    a = Episode([0.0, 1.0], [0.0, 0.0], [0.5], [0.0])
-    b = Episode([0.0], [0.0], [0.5], [0.0])
-    with pytest.raises(ValueError, match="share"):
-        EpisodeBatch.of((a, b))
-    with pytest.raises(ValueError, match="at least one episode"):
-        EpisodeBatch.of([])
+    # every bucket shares one (N_c, N_t); an empty input gives no bucket
+    a = episode([0.0, 1.0], [0.0, 0.0], [0.5], [0.0])
+    b = episode([0.0], [0.0], [0.5], [0.0])
+    buckets = bucket_episodes((a, b, a))
+    assert [(x.n_context, x.n_target, len(x)) for x in buckets] == [(2, 1, 2), (1, 1, 1)]
+    assert bucket_episodes([]) == []
 
 
-def test_episode_batch_of_stacks_in_order():
-    a = Episode([0.0, 1.0], [2.0, 3.0], [0.5], [4.0])
-    b = Episode([-1.0, -0.5], [5.0, 6.0], [1.5], [7.0])
-    batch = EpisodeBatch.of([a, b])
-    assert len(batch) == 2 and batch.n_context == 2 and batch.n_target == 1
-    np.testing.assert_array_equal(batch.x_c, [[0.0, 1.0], [-1.0, -0.5]])
-    np.testing.assert_array_equal(batch.y_t, [[4.0], [7.0]])
+def test_bucket_episodes_stacks_in_order_and_records_positions():
+    a = episode([0.0, 1.0], [2.0, 3.0], [0.5], [4.0])
+    b = episode([-1.0, -0.5], [5.0, 6.0], [1.5], [7.0])
+    c = episode([9.0], [9.0], [9.5], [9.0])
+    first, second = bucket_episodes([a, c, b])
+    assert len(first) == 2 and first.n_context == 2 and first.n_target == 1
+    np.testing.assert_array_equal(first.x_c, [[0.0, 1.0], [-1.0, -0.5]])
+    np.testing.assert_array_equal(first.y_t, [[4.0], [7.0]])
+    assert first.index.tolist() == [0, 2] and second.index.tolist() == [1]
+    # multi-row inputs: positions count rows across the whole input
+    buckets = bucket_episodes([c, first, c])
+    assert [x.index.tolist() for x in buckets] == [[0, 3], [1, 2]]
+
+
+def test_test_set_buckets_hold_every_episode_at_its_index():
+    proto = ProtocolConfig(test_episodes=40)
+    buckets = make_test_set(proto, SPEC)
+    assert sorted(np.concatenate([b.index for b in buckets]).tolist()) == list(range(40))
+    assert len({(b.n_context, b.n_target) for b in buckets}) == len(buckets)
+    for bucket in buckets:
+        assert np.all(np.diff(bucket.index) > 0)  # input order kept inside a bucket
+        for row, i in enumerate(bucket.index):
+            single = make_test_episode(proto, SPEC, int(i))
+            for name in ("x_c", "y_c", "x_t", "y_t"):
+                assert np.array_equal(getattr(bucket, name)[row], getattr(single, name)[0])
 
 
 @pytest.mark.parametrize("field", ["x_c", "y_c", "x_t", "y_t"])

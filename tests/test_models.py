@@ -2,19 +2,11 @@ import numpy as np
 import pytest
 
 from cgnp.autodiff import Tensor, backward, block_mean
-from cgnp.gp import Episode, EpisodeBatch, EqKernelSpec, ProtocolConfig, make_train_batch
-from cgnp.models import (
-    GaussianPrediction,
-    ModelConfig,
-    cnp_weights_from_cgnp,
-    forward,
-    forward_tensors,
-    init_params,
-)
-from cgnp.optim import zero_grads
+from cgnp.gp import EpisodeBatch, bucket_episodes
+from cgnp.models import ModelConfig, cnp_weights_from_cgnp, forward_tensors, init_params
 from cgnp.training import batch_loss
 
-from helpers import assert_grads_match
+from helpers import assert_grads_match, episode, predict
 
 CNP = ModelConfig(kind="cnp", latent_dim=8, init_seed=0)
 CGNP = ModelConfig(kind="cgnp", latent_dim=8, radius=0.7, init_seed=0)
@@ -25,7 +17,7 @@ def random_episode(rng, n_c=None, n_t=None):
     n_t = n_t or int(rng.integers(2, 11))
     xs = rng.uniform(-2, 2, n_c + n_t)
     ys = rng.standard_normal(n_c + n_t)
-    return Episode(xs[:n_c], ys[:n_c], xs[n_c:], ys[n_c:])
+    return episode(xs[:n_c], ys[:n_c], xs[n_c:], ys[n_c:])
 
 
 def randomize_store(store, rng):
@@ -83,6 +75,8 @@ def test_config_validation():
         ModelConfig(kind="cnp", latent_dim=0)
     with pytest.raises(ValueError, match="radius"):
         ModelConfig(kind="cgnp", radius=-0.5)
+    with pytest.raises(ValueError, match="radius"):
+        ModelConfig(kind="cgnp", radius=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +88,7 @@ def test_stacked_forward_is_invariant_to_context_permutation():
     # each episode's context shuffled on its own, in train mode (batch norm
     # pools statistics over every context row) and in eval mode
     rng = np.random.default_rng(1)
-    batch = EpisodeBatch.of([random_episode(rng, n_c=7, n_t=5) for _ in range(4)])
+    (batch,) = bucket_episodes(random_episode(rng, n_c=7, n_t=5) for _ in range(4))
     perms = np.stack([rng.permutation(7) for _ in range(4)])
     rows = np.arange(4)[:, None]
     shuffled = EpisodeBatch(batch.x_c[rows, perms], batch.y_c[rows, perms], batch.x_t, batch.y_t)
@@ -119,10 +113,10 @@ def test_single_context_encoders_coincide_for_any_radius():
         randomize_store(store, rng)
         cnp_store, cnp_cfg = cnp_weights_from_cgnp(store, cgnp)
         far = [0.3 - radius - 0.5, 0.3 + radius + 0.25]
-        ep = Episode([0.3], [-1.1], far, [0.0, 0.0])
-        a, b = forward(ep, store, cgnp), forward(ep, cnp_store, cnp_cfg)
-        np.testing.assert_allclose(a.mu, b.mu, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(a.sigma, b.sigma, rtol=1e-9, atol=1e-12)
+        ep = episode([0.3], [-1.1], far, [0.0, 0.0])
+        (mu_a, sigma_a), (mu_b, sigma_b) = predict(ep, store, cgnp), predict(ep, cnp_store, cnp_cfg)
+        np.testing.assert_allclose(mu_a, mu_b, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(sigma_a, sigma_b, rtol=1e-9, atol=1e-12)
 
 
 def test_pooled_latent_shape_and_invariance():
@@ -146,11 +140,10 @@ def test_sigma_floor_at_a_far_target():
     # contexts far to the left; the target at 2.0 has an empty radius ball
     x_c = rng.uniform(-2, -1, 5)
     y_c = rng.standard_normal(5)
-    pred = forward(Episode(x_c, y_c, [2.0, -1.5], [0.0, 0.0]), store, CGNP)
-    assert isinstance(pred, GaussianPrediction)
-    assert pred.mu.shape == pred.sigma.shape == (2,)
-    assert np.all(np.isfinite(pred.mu)) and np.all(np.isfinite(pred.sigma))
-    assert np.all(pred.sigma >= 0.1)
+    mu, sigma = predict(episode(x_c, y_c, [2.0, -1.5], [0.0, 0.0]), store, CGNP)
+    assert mu.shape == sigma.shape == (2,)
+    assert np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))
+    assert np.all(sigma >= 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +157,9 @@ def test_forward_shapes_across_protocol_sizes():
         store = init_params(cfg)
         for n_c, n_t in ((1, 1), (1, 399), (10, 390), (37, 113), (400, 400)):
             ep = random_episode(rng, n_c=n_c, n_t=n_t)
-            pred = forward(ep, store, cfg)
-            assert pred.mu.shape == (n_t,) and pred.sigma.shape == (n_t,)
-            assert np.all(pred.sigma >= 0.1)
+            mu, sigma = predict(ep, store, cfg)
+            assert mu.shape == (n_t,) and sigma.shape == (n_t,)
+            assert np.all(sigma >= 0.1)
 
 
 def test_forward_is_invariant_to_context_permutation():
@@ -175,13 +168,13 @@ def test_forward_is_invariant_to_context_permutation():
         store = init_params(cfg)
         randomize_store(store, rng)
         ep = random_episode(rng, n_c=9, n_t=14)
-        base = forward(ep, store, cfg)
+        mu, sigma = predict(ep, store, cfg)
         perm = rng.permutation(9)
-        swapped = forward(
-            Episode(ep.x_c[perm], ep.y_c[perm], ep.x_t, ep.y_t), store, cfg
+        mu_p, sigma_p = predict(
+            EpisodeBatch(ep.x_c[:, perm], ep.y_c[:, perm], ep.x_t, ep.y_t), store, cfg
         )
-        np.testing.assert_allclose(swapped.mu, base.mu, rtol=1e-6, atol=1e-9)
-        np.testing.assert_allclose(swapped.sigma, base.sigma, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(mu_p, mu, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(sigma_p, sigma, rtol=1e-6, atol=1e-9)
 
 
 def test_stacked_forward_matches_per_episode_in_eval_mode():
@@ -191,22 +184,26 @@ def test_stacked_forward_matches_per_episode_in_eval_mode():
         for cfg in (CNP, CGNP):
             store = init_params(cfg)
             randomize_store(store, rng)
-            mu, sigma = forward_tensors(EpisodeBatch.of(episodes), store, cfg, train=False)
+            (batch,) = bucket_episodes(episodes)
+            mu, sigma = forward_tensors(batch, store, cfg, train=False)
             assert mu.value.shape == sigma.value.shape == (5 * n_t, 1)
             for i, ep in enumerate(episodes):
-                single = forward(ep, store, cfg)
+                single_mu, single_sigma = predict(ep, store, cfg)
                 rows = slice(i * n_t, (i + 1) * n_t)
-                np.testing.assert_allclose(mu.value[rows, 0], single.mu, rtol=1e-12)
-                np.testing.assert_allclose(sigma.value[rows, 0], single.sigma, rtol=1e-12)
+                np.testing.assert_allclose(mu.value[rows, 0], single_mu, rtol=1e-12)
+                np.testing.assert_allclose(sigma.value[rows, 0], single_sigma, rtol=1e-12)
 
 
 def test_stacked_forward_rejects_mixed_shapes():
+    # rows of different N_t cannot share one batch; bucketing keeps them apart
     rng = np.random.default_rng(12)
     episodes = [random_episode(rng, n_c=3, n_t=4), random_episode(rng, n_c=3, n_t=5)]
-    with pytest.raises(ValueError, match=r"share \(N_c, N_t\).*\(3, 4\), \(3, 5\)"):
-        forward_tensors(EpisodeBatch.of(episodes), init_params(CGNP), CGNP, train=False)
+    x_c, y_c, x_t, y_t = ([getattr(ep, n)[0] for ep in episodes] for n in ("x_c", "y_c", "x_t", "y_t"))
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        EpisodeBatch(x_c, y_c, x_t, y_t)
+    assert [(b.n_target, b.index.tolist()) for b in bucket_episodes(episodes)] == [(4, [0]), (5, [1])]
     with pytest.raises(TypeError, match="EpisodeBatch"):
-        forward_tensors(episodes[:1], init_params(CGNP), CGNP, train=False)
+        forward_tensors(x_c, init_params(CGNP), CGNP, train=False)
 
 
 def test_radius_zero_equals_cnp_on_100_random_episodes():
@@ -217,10 +214,10 @@ def test_radius_zero_equals_cnp_on_100_random_episodes():
     cnp_store, cnp_cfg = cnp_weights_from_cgnp(store, cgnp)
     for _ in range(100):
         ep = random_episode(rng)
-        a = forward(ep, store, cgnp)
-        b = forward(ep, cnp_store, cnp_cfg)
-        np.testing.assert_allclose(a.mu, b.mu, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(a.sigma, b.sigma, rtol=1e-9, atol=1e-12)
+        mu_a, sigma_a = predict(ep, store, cgnp)
+        mu_b, sigma_b = predict(ep, cnp_store, cnp_cfg)
+        np.testing.assert_allclose(mu_a, mu_b, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(sigma_a, sigma_b, rtol=1e-9, atol=1e-12)
 
 
 def test_radius_zero_equivalence_holds_in_train_mode():
@@ -229,16 +226,16 @@ def test_radius_zero_equivalence_holds_in_train_mode():
     store = init_params(cgnp)
     cnp_store, cnp_cfg = cnp_weights_from_cgnp(store, cgnp)
     ep = random_episode(rng, n_c=6, n_t=5)
-    a = forward(ep, store, cgnp, train=True)
-    b = forward(ep, cnp_store, cnp_cfg, train=True)
-    np.testing.assert_allclose(a.mu, b.mu, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(a.sigma, b.sigma, rtol=1e-9, atol=1e-12)
+    mu_a, sigma_a = predict(ep, store, cgnp, train=True)
+    mu_b, sigma_b = predict(ep, cnp_store, cnp_cfg, train=True)
+    np.testing.assert_allclose(mu_a, mu_b, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(sigma_a, sigma_b, rtol=1e-9, atol=1e-12)
 
 
 def test_every_parameter_reaches_the_loss():
     rng = np.random.default_rng(10)
     ep = random_episode(rng, n_c=6, n_t=5)
-    batch = EpisodeBatch.of((ep, random_episode(rng, n_c=6, n_t=5)))
+    (batch,) = bucket_episodes((ep, random_episode(rng, n_c=6, n_t=5)))
     for cfg in (CNP, CGNP):
         store = init_params(cfg)
         loss = batch_loss(batch, store, cfg)
@@ -255,8 +252,7 @@ def test_end_to_end_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(100)
     cfg = ModelConfig(kind=kind, latent_dim=8, radius=0.7, init_seed=0)
     store = init_params(cfg)
-    ep = random_episode(rng, n_c=5, n_t=4)
-    batch = EpisodeBatch.of([ep])
+    batch = random_episode(rng, n_c=5, n_t=4)
 
     def build_loss():
         return batch_loss(batch, store, cfg)

@@ -5,8 +5,8 @@ import pytest
 
 import cgnp.training as training
 from cgnp.autodiff import _topo_order, nll_terms
-from cgnp.gp import Episode, EpisodeBatch, EqKernelSpec, ProtocolConfig, make_train_batch
-from cgnp.models import ModelConfig, forward, init_params
+from cgnp.gp import EpisodeBatch, EqKernelSpec, ProtocolConfig, bucket_episodes, make_train_batch
+from cgnp.models import ModelConfig, init_params
 from cgnp.training import (
     Metrics,
     TrainConfig,
@@ -16,6 +16,7 @@ from cgnp.training import (
     loss_drop,
     train,
 )
+from helpers import episode, predict
 from metrics_oracle import prediction_metrics
 
 KERNEL = EqKernelSpec()
@@ -130,10 +131,10 @@ def test_training_logs_and_heldout(capsys):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to NaN is the point
 def test_nan_loss_aborts_with_diagnostics(monkeypatch):
     # finite values (episodes reject NaN) large enough that the loss overflows
-    poisoned = Episode([0.0, 1.0], [0.0, 1e200], [0.5, 1.5], [0.0, 1e200])
+    poisoned = episode([0.0, 1.0], [0.0, 1e200], [0.5, 1.5], [0.0, 1e200])
 
     def bad_batch(cfg, spec, index):
-        return EpisodeBatch.of((poisoned, poisoned))
+        return bucket_episodes((poisoned, poisoned))[0]
 
     monkeypatch.setattr(training, "make_train_batch", bad_batch)
     with pytest.raises(TrainingDivergedError, match="batch 0"):
@@ -165,6 +166,11 @@ def test_train_config_validation():
         tiny_config(lr=0.0)
     with pytest.raises(ValueError, match="batch_size"):
         tiny_config(batch_size=1)
+    for lr in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="learning rate"):
+            tiny_config(lr=lr)
+    with pytest.raises(ValueError, match="eval_every"):
+        tiny_config(eval_every=-5)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +184,7 @@ def grid_episodes(count, seed=0):
     episodes = []
     for _ in range(count):
         y = rng.standard_normal(50)
-        episodes.append(Episode(grid[:5], y[:5], grid[5:], y[5:]))
+        episodes.append(episode(grid[:5], y[:5], grid[5:], y[5:]))
     return episodes
 
 
@@ -201,8 +207,8 @@ def test_metrics_invariant_to_episode_order():
     episodes = grid_episodes(20)
     cfg = ModelConfig(kind="cnp", init_seed=2)
     store = init_params(cfg)
-    a = evaluate(store, cfg, episodes)
-    b = evaluate(store, cfg, episodes[::-1])
+    a = evaluate(store, cfg, bucket_episodes(episodes))
+    b = evaluate(store, cfg, bucket_episodes(episodes[::-1]))
     np.testing.assert_allclose(a.nll_per_point, b.nll_per_point, rtol=1e-9)
     np.testing.assert_allclose(a.mse, b.mse, rtol=1e-9)
     assert a.episode_count == b.episode_count == 20
@@ -218,15 +224,15 @@ def test_evaluate_on_a_ragged_set_matches_per_episode_forwards(monkeypatch):
         n_c, n_t = 3 + k % 3, (2, 9, 25)[k % 4 % 3]
         xs = rng.uniform(-2, 2, n_c + n_t)
         ys = rng.standard_normal(n_c + n_t)
-        episodes.append(Episode(xs[:n_c], ys[:n_c], xs[n_c:], ys[n_c:]))
+        episodes.append(episode(xs[:n_c], ys[:n_c], xs[n_c:], ys[n_c:]))
     for kind in ("cnp", "cgnp"):
         cfg = ModelConfig(kind=kind, init_seed=4)
         store = init_params(cfg)
         for state in store.bn.values():
             state.running_mean = rng.standard_normal(state.running_mean.shape) * 0.1
             state.running_var = rng.uniform(0.5, 2.0, state.running_var.shape)
-        got = evaluate(store, cfg, episodes)
-        want = prediction_metrics([forward(ep, store, cfg) for ep in episodes], episodes)
+        got = evaluate(store, cfg, bucket_episodes(episodes))
+        want = prediction_metrics([predict(ep, store, cfg) for ep in episodes], episodes)
         assert got.episode_count == want.episode_count == 23
         for name in ("nll_per_point", "nll_per_episode", "mse"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, err_msg=name)
@@ -236,7 +242,7 @@ def test_nll_normalizations_are_consistent():
     episodes = grid_episodes(15)
     cfg = ModelConfig(kind="cnp", init_seed=2)
     store = init_params(cfg)
-    m = evaluate(store, cfg, episodes)
+    m = evaluate(store, cfg, bucket_episodes(episodes))
     mean_targets = np.mean([ep.n_target for ep in episodes])
     np.testing.assert_allclose(m.nll_per_episode, m.nll_per_point * mean_targets, rtol=1e-12)
 
