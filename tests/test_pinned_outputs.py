@@ -18,9 +18,18 @@ GENERATE = {
     0: "c34d1e81a4528e7c6464969b28edd98b189ecef0439d656d9d4352d4e99a6081",
     7: "a0c92933f22fed794690c64042c45525d0c6a2a4a8eac532eacdd8f6bfbcc83d",
 }
-PLOT_INDEX_13 = "a43b0cfd288e7e96a2fb95938a974aa6e28ac33ffffc03bc5ede8a82d7a8046e"
-EVAL_RECORD = "nll_per_point=1.5452543659409916 nll_per_episode=607.825804842889 mse=1.0748526084918282 episode_count=40"
-TRAIN = ["model.kind=cgnp", "train.batches=20", "train.batch_size=8", "train.eval_every=0", "seed.init=2"]
+# per model kind: (digest of the index-13 fit curve, first line of the eval record)
+PLOT_AND_EVAL = {
+    "cgnp": (
+        "a43b0cfd288e7e96a2fb95938a974aa6e28ac33ffffc03bc5ede8a82d7a8046e",
+        "nll_per_point=1.5452543659409916 nll_per_episode=607.825804842889 mse=1.0748526084918282 episode_count=40",
+    ),
+    "cnp": (
+        "d7e3606ac39bd2ce06e2fa9b7139927e8ef4d4182c3f85787394ab7f1dabd129",
+        "nll_per_point=1.4928515614441156 nll_per_episode=587.2131616940429 mse=1.0381681416938038 episode_count=40",
+    ),
+}
+TRAIN = ["train.batches=20", "train.batch_size=8", "train.eval_every=0", "seed.init=2"]
 
 
 def sha256(path) -> str:
@@ -37,15 +46,17 @@ def test_generate_output_matches_pinned_digest(tmp_path, seed):
     assert sha256(tmp_path / "test.jsonl") == GENERATE[seed]
 
 
-def test_plot_and_eval_outputs_match_pinned_digests(tmp_path, capsys):
+@pytest.mark.parametrize("kind", sorted(PLOT_AND_EVAL))
+def test_plot_and_eval_outputs_match_pinned_digests(tmp_path, capsys, kind):
+    plot_digest, eval_record = PLOT_AND_EVAL[kind]
     data = tmp_path / "test.jsonl"
     generate(data, 7)
-    assert main(["train", "--out-dir", str(tmp_path / "run")] + TRAIN) == 0
+    assert main(["train", "--out-dir", str(tmp_path / "run"), f"model.kind={kind}"] + TRAIN) == 0
     ckpt = str(tmp_path / "run" / "checkpoint.json")
     out = tmp_path / "fit.csv"
     assert main(["plot", "--checkpoint", ckpt, "--data", str(data), "--index", "13", "--out", str(out)]) == 0
-    assert sha256(out) == PLOT_INDEX_13
+    assert sha256(out) == plot_digest
     capsys.readouterr()
     assert main(["eval", "--checkpoint", ckpt, "--data", str(data), "--out", str(tmp_path / "m.csv")]) == 0
     record = capsys.readouterr().out.splitlines()[0]
-    assert record == EVAL_RECORD
+    assert record == eval_record
