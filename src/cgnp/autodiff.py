@@ -1,11 +1,12 @@
 """Reverse-mode autodiff over dense float64 matrices.
 
 Everything the models train with lives here: a small taped ``Tensor`` type,
-the layer primitives (affine, one taped op for x @ w + b; relu; batch norm;
-the bounded-softplus scale head), the layout and per-episode pooling ops,
-``neighbor_mix`` (the batched mask-times-features product behind the graph
-convolution), and the Gaussian negative log-likelihood. Values are strictly 2-D float64 arrays; row
-vectors (biases, batch-norm scale/shift) have shape ``(1, d)``.
+the layer primitives (affine, one taped op for x @ w + b and the only linear
+map; relu; batch norm; the bounded-softplus scale head), the layout and
+per-episode pooling ops, ``neighbor_mix`` (the batched mask-times-features
+product behind the graph convolution), and the Gaussian negative
+log-likelihood. Values are strictly 2-D float64 arrays; row vectors
+(biases, batch-norm scale/shift) have shape ``(1, d)``.
 
 Gradient buffers of intermediate tensors are allocated on the first
 accumulation, so a forward pass that is never differentiated (evaluation)
@@ -24,15 +25,13 @@ __all__ = [
     "BatchNormState",
     "backward",
     "affine",
-    "matmul",
-    "add",
-    "add_rowvec",
     "relu",
     "bounded_softplus",
     "batch_norm",
     "gaussian_nll",
     "nll_terms",
     "concat_cols",
+    "concat_rows",
     "slice_cols",
     "block_mean",
     "repeat_rows",
@@ -133,49 +132,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
-
-
-def matmul(x, w) -> Tensor:
-    x, w = _as_tensor(x), _as_tensor(w)
-    if x.value.shape[1] != w.value.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {x.shape} @ {w.shape}")
-    out = Tensor(x.value @ w.value, (x, w))
-
-    def vjp(g):
-        _accumulate(x, g @ w.value.T)
-        _accumulate(w, x.value.T @ g)
-
-    out._vjp = vjp
-    return out
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.value + b.value, (a, b))
-
-    def vjp(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    out._vjp = vjp
-    return out
-
-
-def add_rowvec(x, b) -> Tensor:
-    """x + b with b a (1, d) row vector broadcast over rows."""
-    x, b = _as_tensor(x), _as_tensor(b)
-    if b.value.shape != (1, x.value.shape[1]):
-        raise ValueError(f"row vector shape {b.shape} does not match {x.shape}")
-    out = Tensor(x.value + b.value, (x, b))
-
-    def vjp(g):
-        _accumulate(x, g)
-        _accumulate(b, g.sum(axis=0, keepdims=True))
-
-    out._vjp = vjp
-    return out
 
 
 def affine(x, w, b) -> Tensor:
@@ -364,6 +320,21 @@ def concat_cols(a, b) -> Tensor:
     def vjp(g):
         _accumulate(a, g[:, :da])
         _accumulate(b, g[:, da:])
+
+    out._vjp = vjp
+    return out
+
+
+def concat_rows(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.value.shape[1] != b.value.shape[1]:
+        raise ValueError(f"concat_rows column mismatch: {a.shape} vs {b.shape}")
+    na = a.value.shape[0]
+    out = Tensor(np.concatenate([a.value, b.value], axis=0), (a, b))
+
+    def vjp(g):
+        _accumulate(a, g[:na])
+        _accumulate(b, g[na:])
 
     out._vjp = vjp
     return out

@@ -184,10 +184,12 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = parse_run_config(args.config, args.overrides)
+    train_cfg = _train_config(cfg)
+    if train_cfg.protocol.test_episodes < 1:
+        raise ValueError("config key data.test_episodes: compare needs at least one test episode, got 0")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     test_path = out.with_name(out.stem + "_testset.jsonl")
-    train_cfg = _train_config(cfg)
     batches = make_test_set(train_cfg.protocol, train_cfg.kernel)
     formats.save_episodes(test_path, batches)
     test_hash = formats.file_sha256(test_path)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -39,7 +39,9 @@ __all__ = [
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.part")
+    # mode 0o666 less the umask, as open(path, "w") gives; O_EXCL never reuses a file
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -166,6 +166,8 @@ class ProtocolConfig:
             raise ValueError(f"test_episodes must be non-negative, got {self.test_episodes}")
         if self.test_grid < self.n_context[1] + 1:
             raise ValueError("test grid must exceed the largest context count")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
 
 
 # ---------------------------------------------------------------------------

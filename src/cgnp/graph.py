@@ -9,10 +9,10 @@ matrix, optionally adds a self term on the output node's own feature, and
 takes the arithmetic mean of the resulting set.
 
 Neighborhoods are dense 0/1 masks of shape (B, N_out, N_in), one block per
-episode, for B episodes that share (N_in, N_out). Because the message map
-is linear, the mean of the per-neighbor messages equals (summed neighbor
-features, summed relative positions) @ w_nbr divided by the count, so the
-convolution aggregates first (`neighbor_mix`) and transforms once.
+episode, for B episodes that share (N_in, N_out). The message map is
+linear, so the mean of the messages is the mean of their inputs mapped once:
+neighbor sums (`neighbor_mix`), then the self feature, divided by the
+message count, through one `affine` with w_self stacked under w_nbr.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ import numpy as np
 from .autodiff import (
     Parameter,
     Tensor,
-    add,
-    add_rowvec,
+    affine,
     concat_cols,
-    matmul,
+    concat_rows,
     neighbor_mix,
     row_scale,
 )
@@ -105,21 +104,17 @@ def bipartite_conv(
 
     # summed relative positions, as masked sums of exact pairwise differences
     rel = (mask * (coords_in[:, None, :] - coords_out[:, :, None])).sum(axis=2)
-    summed = concat_cols(neighbor_mix(feats_in, mask), Tensor(rel.reshape(-1, 1)))
-    pooled = matmul(summed, params.w_nbr)
+    inputs = concat_cols(neighbor_mix(feats_in, mask), Tensor(rel.reshape(-1, 1)))
+    weights = params.w_nbr
     denom = mask.sum(axis=2).ravel()
 
     if params.w_self is not None:
         if self_feats is None:
             raise ValueError("layer declares a self term but no self features were given")
-        if self_feats.value.shape != (b * n_out, params.w_self.value.shape[0]):
-            raise ValueError(
-                f"self features {self_feats.value.shape} do not match "
-                f"({b * n_out}, {params.w_self.value.shape[0]})"
-            )
-        pooled = add(pooled, matmul(self_feats, params.w_self))
+        inputs = concat_cols(inputs, self_feats)
+        weights = concat_rows(weights, params.w_self)
         denom = denom + 1.0
     elif np.any(denom == 0.0):
         raise ValueError("isolated output node: empty neighborhood and no self term")
 
-    return add_rowvec(row_scale(pooled, 1.0 / denom), params.bias)
+    return affine(row_scale(inputs, 1.0 / denom), weights, params.bias)

@@ -72,6 +72,8 @@ class ModelConfig:
             raise ValueError(f"latent_dim must be at least 1, got {self.latent_dim}")
         if not self.radius >= 0.0:  # NaN fails too
             raise ValueError(f"radius must be non-negative, got {self.radius}")
+        if self.init_seed < 0:
+            raise ValueError(f"init_seed must be non-negative, got {self.init_seed}")
 
 
 class ParameterStore:

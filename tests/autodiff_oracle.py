@@ -1,4 +1,10 @@
-"""Reference batch norm the single-pass statistics are held to.
+"""Reference ops the autodiff layer is held to.
+
+`matmul`, `add` and `add_rowvec` are the unfused linear-algebra ops, one
+taped op each, as they were before every linear map in the models ran
+through `autodiff.affine`. They are the oracle `affine` must match, and the
+building blocks of the edge-list convolution in `graph_oracle.py` and of
+the test compositions.
 
 `reference_batch_norm` is the train/eval batch norm written with
 `np.mean`/`np.var`, centring the input twice, as the op was before its
@@ -46,3 +52,46 @@ def reference_batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
             _accumulate(x, g * (gamma.value * inv_std))
 
     return Tensor(gamma.value * xhat + beta.value, (x, gamma, beta), vjp)
+
+
+def matmul(x, w) -> Tensor:
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.value.shape[1] != w.value.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {x.shape} @ {w.shape}")
+    out = Tensor(x.value @ w.value, (x, w))
+
+    def vjp(g):
+        _accumulate(x, g @ w.value.T)
+        _accumulate(w, x.value.T @ g)
+
+    out._vjp = vjp
+    return out
+
+
+def add(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape:
+        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    out = Tensor(a.value + b.value, (a, b))
+
+    def vjp(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
+
+    out._vjp = vjp
+    return out
+
+
+def add_rowvec(x, b) -> Tensor:
+    """x + b with b a (1, d) row vector broadcast over rows."""
+    x, b = _as_tensor(x), _as_tensor(b)
+    if b.value.shape != (1, x.value.shape[1]):
+        raise ValueError(f"row vector shape {b.shape} does not match {x.shape}")
+    out = Tensor(x.value + b.value, (x, b))
+
+    def vjp(g):
+        _accumulate(x, g)
+        _accumulate(b, g.sum(axis=0, keepdims=True))
+
+    out._vjp = vjp
+    return out

@@ -73,6 +73,8 @@ def test_bad_value_and_kind_rejected():
         ("data.length_scale=nan", "config key data.length_scale: must be finite, got nan"),
         ("train.eval_every=-5", "config key train.eval_every: eval_every must be non-negative, got -5"),
         ("train.batches=0", "config key train.batches: train_batches must be at least 1, got 0"),
+        ("seed.master=-1", "config key seed.master: master_seed must be non-negative, got -1"),
+        ("seed.init=-1", "config key seed.init: init_seed must be non-negative, got -1"),
     ],
 )
 def test_bad_config_value_exits_1_naming_the_key_and_writes_nothing(tmp_path, capsys, override, message):
@@ -208,6 +210,17 @@ def test_compare_table_and_shared_test_set(tmp_path, capsys):
     seeds_file = tmp_path / "table_seeds.csv"
     seed_rows = list(csv.DictReader(seeds_file.read_text().splitlines()[1:]))
     assert len(seed_rows) == 6  # 3 models x 2 seeds
+
+
+def test_compare_rejects_an_empty_test_set_before_training_or_writing(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    assert main(["compare", "--seeds", "1", "--out", str(out), "train.batches=3", "data.test_episodes=0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: config key data.test_episodes: compare needs at least one test episode, got 0"
+    ]
+    assert captured.out == ""  # no "training ..." line
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_plot_exports_fit_curve(trained_dir, tmp_path, capsys):

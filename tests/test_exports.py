@@ -1,6 +1,8 @@
 """Every exported name resolves: each `cgnp.*` module's `__all__` and every
 name the package `__init__` imports. A stale export left behind when code
-is deleted fails here at once instead of at a user's import."""
+is deleted fails here at once instead of at a user's import. Every
+autodiff op also has a caller in another module of the package: an op that
+serves only tests belongs in `tests/`."""
 
 import ast
 import importlib
@@ -38,3 +40,26 @@ def test_every_name_the_package_imports_resolves():
         module = importlib.import_module(f"cgnp.{module_name}")
         assert hasattr(module, name), f"cgnp.{module_name}.{name}"
         assert getattr(cgnp, name) is getattr(module, name), name
+
+
+def autodiff_names_used(path: Path) -> set[str]:
+    """Names a module imports from `.autodiff` and then refers to."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "autodiff"
+        for alias in node.names
+    }
+    return {imported[n.id] for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in imported}
+
+
+def test_every_autodiff_op_has_a_caller_in_the_package():
+    autodiff = importlib.import_module("cgnp.autodiff")
+    package = Path(cgnp.__file__).parent
+    used = set().union(*(
+        autodiff_names_used(path)
+        for path in package.glob("*.py")
+        if path.name not in ("autodiff.py", "__init__.py")
+    ))
+    assert sorted(set(autodiff.__all__) - used) == []

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -331,6 +333,17 @@ def test_atomic_write_leaves_no_partial_file(tmp_path):
     atomic_write_text(target, "hello\n")
     assert target.read_text() == "hello\n"
     assert list(tmp_path.iterdir()) == [target]  # no temp droppings
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_atomic_write_gives_the_mode_open_would(tmp_path, umask, mode):
+    target = tmp_path / "out.txt"
+    previous = os.umask(umask)
+    try:
+        atomic_write_text(target, "hello\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(target.stat().st_mode) == mode
 
 
 def test_metrics_csv_layout():

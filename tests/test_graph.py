@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgnp.autodiff import Parameter, Tensor, add, backward, block_mean, matmul
+from cgnp.autodiff import Parameter, Tensor, backward, block_mean
 from cgnp.graph import ConvLayerParams, bipartite_conv, radius_mask
 from cgnp.optim import zero_grads
 
+from autodiff_oracle import add, matmul
 from graph_oracle import brute_force_neighbors, edge_list_conv
 from helpers import assert_grads_match
 
@@ -173,6 +174,13 @@ def test_conv_self_term_and_empty_neighborhood():
     # no neighbors in range: the mean of the self message alone, 1*2 + 1*2 + bias
     out = conv([-1.5], [1.5], 0.7, Tensor([[1.0, 1.0]]), Tensor([[1.0, 1.0]]), params)
     np.testing.assert_allclose(out.value, [[4.5, 4.5]])
+    # self features of the wrong width or row count are rejected by the ops
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        conv([-1.5], [1.5], 0.7, Tensor([[1.0, 1.0]]), Tensor([[1.0, 1.0, 1.0]]), params)
+    with pytest.raises(ValueError, match="row mismatch"):
+        conv([-1.5], [1.5], 0.7, Tensor([[1.0, 1.0]]), Tensor(np.ones((2, 2))), params)
+    with pytest.raises(ValueError, match="no self features"):
+        conv([-1.5], [1.5], 0.7, Tensor([[1.0, 1.0]]), None, params)
 
 
 def test_conv_isolated_node_without_self_term_raises():

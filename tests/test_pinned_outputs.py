@@ -21,8 +21,8 @@ GENERATE = {
 # per model kind: (digest of the index-13 fit curve, first line of the eval record)
 PLOT_AND_EVAL = {
     "cgnp": (
-        "a43b0cfd288e7e96a2fb95938a974aa6e28ac33ffffc03bc5ede8a82d7a8046e",
-        "nll_per_point=1.5452543659409916 nll_per_episode=607.825804842889 mse=1.0748526084918282 episode_count=40",
+        "bf32ff9e72db0e04504fd1135dbbe427c0b6e5f5d31718ba1c25c640ce0e6654",
+        "nll_per_point=1.5452543659564821 nll_per_episode=607.8258048489822 mse=1.0748526085022874 episode_count=40",
     ),
     "cnp": (
         "d7e3606ac39bd2ce06e2fa9b7139927e8ef4d4182c3f85787394ab7f1dabd129",

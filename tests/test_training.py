@@ -101,7 +101,7 @@ def test_trained_parameters_stay_in_the_packed_buffers():
 
 @pytest.mark.parametrize(
     "cfg, nodes, ops",
-    [(ModelConfig(kind="cnp"), 40, 19), (ModelConfig(kind="cgnp", radius=0.7), 63, 37)],
+    [(ModelConfig(kind="cnp"), 40, 19), (ModelConfig(kind="cgnp", radius=0.7), 59, 33)],
     ids=["cnp", "cgnp"],
 )
 def test_training_step_tape_size_budget(cfg, nodes, ops):
