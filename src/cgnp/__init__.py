@@ -28,7 +28,7 @@ from .gp import (
     make_train_batch,
     sample_function_values,
 )
-from .graph import ConvLayerParams, bipartite_conv, radius_mask
+from .graph import bipartite_conv, radius_neighborhood
 from .models import (
     ModelConfig,
     ParameterStore,

@@ -63,7 +63,7 @@ def parse_run_config(path: str | None, overrides: list[str] | None = None) -> di
     cfg = dict(CONFIG_DEFAULTS)
     entries: list[tuple[str, str]] = []
     if path is not None:
-        for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for ln, line in enumerate(formats.read_text(path).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -183,6 +183,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     cfg = parse_run_config(args.config, args.overrides)
     train_cfg = _train_config(cfg)
     if train_cfg.protocol.test_episodes < 1:

@@ -52,6 +52,15 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+def read_text(path: str | os.PathLike) -> str:
+    """The file's text; bytes that are not UTF-8 give a ValueError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def file_sha256(path: str | os.PathLike) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -105,9 +114,8 @@ def _episode(path, ln: int, line: str) -> EpisodeBatch:
 def load_episodes(path) -> list[EpisodeBatch]:
     """Every episode of the file, shape-bucketed; index i is line i's
     episode, counting non-blank lines from 0."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [_episode(path, ln, line) for ln, line in enumerate(fh, start=1) if line.strip()]
-    return bucket_episodes(rows)
+    lines = enumerate(read_text(path).split("\n"), start=1)
+    return bucket_episodes([_episode(path, ln, line) for ln, line in lines if line.strip()])
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +183,15 @@ def _number(path, value, where: str) -> float:
 
 def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
     """Read a checkpoint, rejecting any entry the model cannot use as is:
-    text that is not a JSON object, missing keys, unknown model keys,
-    unknown or missing parameters and batch-norm layers, wrong shapes,
-    values that are not numbers, non-finite values, negative running
-    variances and batch-norm momentum or eps out of range."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not a JSON document: {exc}") from exc
+    bytes that are not UTF-8, text that is not a JSON object, missing keys,
+    unknown model keys, unknown, duplicate or missing parameters and
+    batch-norm layers, wrong shapes, values that are not numbers,
+    non-finite values, negative running variances and batch-norm momentum
+    or eps out of range."""
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a JSON document: {exc}") from exc
     doc = _entry(path, doc, "checkpoint", ("model", "params", "bn"))
     model = dict(_entry(path, doc["model"], "model"))
     # checkpoints written while the fixed floor was a ModelConfig field echo it
@@ -198,12 +206,16 @@ def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad model config: {exc}") from exc
     store = init_params(cfg)
+    if not isinstance(doc["params"], list):
+        raise ValueError(f"{path}: params must be a JSON list, got {type(doc['params']).__name__}")
     seen = set()
     for i, entry in enumerate(doc["params"]):
         entry = _entry(path, entry, f"params[{i}]", ("name", "rows", "cols", "data"))
         name = entry["name"]
         if not isinstance(name, str) or name not in store:
             raise ValueError(f"{path}: unknown parameter {name!r} for kind={cfg.kind}")
+        if name in seen:
+            raise ValueError(f"{path}: duplicate parameter {name!r}")
         shape = (entry["rows"], entry["cols"])
         param = store[name]
         if param.value.shape != shape:

@@ -19,8 +19,9 @@ Every forward runs over one `EpisodeBatch`: B episodes that share
 (N_c, N_t), as stacked (B, N_c) and (B, N_t) arrays. All points share one
 matrix (so train-mode batch norm pools statistics across the whole batch)
 while per-episode blocks keep neighborhoods and pooling episode-local, and
-neighborhoods are one dense (B, N_out, N_in) mask per layer. A single
-episode is a batch of one.
+neighborhoods are built once per coordinate pair: one `Neighborhood` over
+(x_c, x_c) serves all three encoder blocks, one over (x_c, x_t) the decoder.
+A single episode is a batch of one.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .autodiff import (
     slice_cols,
 )
 from .gp import EpisodeBatch
-from .graph import ConvLayerParams, bipartite_conv, radius_mask
+from .graph import bipartite_conv, radius_neighborhood
 from .seeds import DOMAIN_INIT, derive_rng
 
 __all__ = [
@@ -152,26 +153,18 @@ def init_params(cfg: ModelConfig) -> ParameterStore:
 # ---------------------------------------------------------------------------
 
 
-def _conv_params(store: ParameterStore, layer: str, with_self: bool) -> ConvLayerParams:
-    return ConvLayerParams(
-        w_nbr=store[f"{layer}.w_nbr"],
-        w_self=store[f"{layer}.w_self"] if with_self else None,
-        bias=store[f"{layer}.b"],
-    )
-
-
 def _encode(x_c, y_c, store, cfg, train):
     """Context features, one row per context point, episode by episode.
 
     x_c and y_c are (B, N_c) arrays."""
     h = Tensor(np.column_stack([x_c.ravel(), y_c.ravel()]))
     if cfg.kind == "cgnp":
-        mask = radius_mask(x_c, x_c, cfg.radius)
+        nbhd = radius_neighborhood(x_c, x_c, cfg.radius)  # shared by all encoder blocks
     for k in range(1, ENCODER_DEPTH + 1):
         if cfg.kind == "cnp":
             z = affine(h, store[f"enc{k}.w"], store[f"enc{k}.b"])
         else:
-            z = bipartite_conv(mask, x_c, x_c, h, None, _conv_params(store, f"enc{k}", with_self=False))
+            z = bipartite_conv(nbhd, h, store[f"enc{k}.w_nbr"], store[f"enc{k}.b"])
         z = batch_norm(z, store.bn[f"enc{k}.bn"], train)
         h = relu(z) if k < ENCODER_DEPTH else z
     return h
@@ -184,8 +177,8 @@ def _decode(x_t, r, h_ctx, x_c, store, cfg, train):
     if cfg.kind == "cnp":
         z = affine(own, store["dec1.w"], store["dec1.b"])
     else:
-        mask = radius_mask(x_c, x_t, cfg.radius)
-        z = bipartite_conv(mask, x_c, x_t, h_ctx, own, _conv_params(store, "dec1", with_self=True))
+        nbhd = radius_neighborhood(x_c, x_t, cfg.radius)
+        z = bipartite_conv(nbhd, h_ctx, store["dec1.w_nbr"], store["dec1.b"], (own, store["dec1.w_self"]))
     z = relu(batch_norm(z, store.bn["dec1.bn"], train))
     out = affine(z, store["dec2.w"], store["dec2.b"])
     return slice_cols(out, 0, 1), bounded_softplus(slice_cols(out, 1, 2))

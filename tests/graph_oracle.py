@@ -25,8 +25,9 @@ def brute_force_neighbors(coords_in, coords_out, radius):
     ]
 
 
-def edge_list_conv(coords_in, coords_out, radius, feats_in, self_feats, params):
-    """Mean of per-edge messages (and the self message) for one episode."""
+def edge_list_conv(coords_in, coords_out, radius, feats_in, w_nbr, bias, self_term=None):
+    """Mean of per-edge messages (and the self message, when ``self_term``
+    is (self_feats, w_self)) for one episode."""
     neighbors = brute_force_neighbors(coords_in, coords_out, radius)
     edge_in = np.array([i for nbrs in neighbors for i in nbrs], dtype=np.intp)
     edge_out = np.array([o for o, nbrs in enumerate(neighbors) for _ in nbrs], dtype=np.intp)
@@ -35,12 +36,13 @@ def edge_list_conv(coords_in, coords_out, radius, feats_in, self_feats, params):
     incidence[edge_out, np.arange(edge_in.size)] = 1.0
     gather = np.eye(len(coords_in))[edge_in]  # one-hot rows: exact gathers
 
-    messages = matmul(concat_cols(matmul(Tensor(gather), feats_in), Tensor(delta[:, None])), params.w_nbr)
+    messages = matmul(concat_cols(matmul(Tensor(gather), feats_in), Tensor(delta[:, None])), w_nbr)
     pooled = matmul(Tensor(incidence), messages)
     count = incidence.sum(axis=1)
-    if params.w_self is not None:
-        pooled = add(pooled, matmul(self_feats, params.w_self))
+    if self_term is not None:
+        self_feats, w_self = self_term
+        pooled = add(pooled, matmul(self_feats, w_self))
         count = count + 1.0
     elif np.any(count == 0.0):
         raise ValueError("isolated output node: empty neighborhood and no self term")
-    return add_rowvec(row_scale(pooled, 1.0 / count), params.bias)
+    return add_rowvec(row_scale(pooled, 1.0 / count), bias)

@@ -27,7 +27,7 @@ from cgnp import (
     sample_function_values,
     zero_grads,
 )
-from cgnp.graph import radius_mask
+from cgnp.graph import radius_neighborhood
 from cgnp.training import batch_loss, compare_models
 
 from helpers import episode, predict
@@ -217,7 +217,7 @@ def test_criterion_7_graph_suite():
             coords_out[0] = coords_in[0]
         per_radius = []
         for rho in radii:
-            mask = radius_mask(coords_in, coords_out, rho)[0]
+            mask = radius_neighborhood(coords_in, coords_out, rho).mask[0]
             neighbors = [np.flatnonzero(row) for row in mask]
             for o in range(n_out):
                 oracle = [i for i in range(n_in) if abs(coords_in[i] - coords_out[o]) <= rho]

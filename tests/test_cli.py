@@ -9,8 +9,9 @@ import pytest
 
 import cgnp
 from cgnp.cli import _train_config, main, parse_run_config
-from cgnp.formats import file_sha256, load_episodes
-from cgnp.models import ModelConfig
+from cgnp.formats import file_sha256, load_episodes, save_checkpoint, save_episodes
+from cgnp.gp import EqKernelSpec, ProtocolConfig, make_test_set
+from cgnp.models import ModelConfig, init_params
 from cgnp.training import TrainConfig
 
 FAST = [
@@ -221,6 +222,39 @@ def test_compare_rejects_an_empty_test_set_before_training_or_writing(tmp_path, 
     ]
     assert captured.out == ""  # no "training ..." line
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_compare_rejects_fewer_than_one_seed_before_training_or_writing(tmp_path, capsys, seeds):
+    out = tmp_path / "table.csv"
+    assert main(["compare", "--seeds", seeds, "--out", str(out), "train.batches=3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: --seeds must be at least 1, got {seeds}"]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []  # no _testset.jsonl either
+
+
+@pytest.mark.parametrize("bad", ["config", "checkpoint", "episodes"])
+def test_undecodable_input_file_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, bad):
+    cfg = ModelConfig(kind="cnp")
+    files = {name: tmp_path / name for name in ("config", "checkpoint", "episodes")}
+    files["config"].write_text("train.batches = 3\n")
+    save_checkpoint(files["checkpoint"], init_params(cfg), cfg)
+    save_episodes(files["episodes"], make_test_set(ProtocolConfig(test_episodes=2), EqKernelSpec()))
+    files[bad].write_bytes(b"\xff" + files[bad].read_bytes())
+    before = sorted(tmp_path.iterdir())
+    if bad == "config":
+        argv = ["train", "--config", str(files["config"]), "--out-dir", str(tmp_path / "run")]
+    else:
+        argv = ["eval", "--checkpoint", str(files["checkpoint"]), "--data", str(files["episodes"]),
+                "--out", str(tmp_path / "metrics.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {files[bad]}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    ]
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_plot_exports_fit_curve(trained_dir, tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Every exported name resolves: each `cgnp.*` module's `__all__` and every
 name the package `__init__` imports. A stale export left behind when code
 is deleted fails here at once instead of at a user's import. Every
-autodiff op also has a caller in another module of the package: an op that
-serves only tests belongs in `tests/`."""
+autodiff op and every graph function also has a caller in another module
+of the package: code that serves only tests belongs in `tests/`."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -42,24 +43,34 @@ def test_every_name_the_package_imports_resolves():
         assert getattr(cgnp, name) is getattr(module, name), name
 
 
-def autodiff_names_used(path: Path) -> set[str]:
-    """Names a module imports from `.autodiff` and then refers to."""
+def names_used(path: Path, source: str) -> set[str]:
+    """Names a module imports from `.<source>` and then refers to."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {
         alias.asname or alias.name: alias.name
         for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "autodiff"
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == source
         for alias in node.names
     }
     return {imported[n.id] for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in imported}
 
 
+def used_elsewhere_in_the_package(source: str) -> set[str]:
+    package = Path(cgnp.__file__).parent
+    return set().union(*(
+        names_used(path, source)
+        for path in package.glob("*.py")
+        if path.name not in (f"{source}.py", "__init__.py")
+    ))
+
+
 def test_every_autodiff_op_has_a_caller_in_the_package():
     autodiff = importlib.import_module("cgnp.autodiff")
-    package = Path(cgnp.__file__).parent
-    used = set().union(*(
-        autodiff_names_used(path)
-        for path in package.glob("*.py")
-        if path.name not in ("autodiff.py", "__init__.py")
-    ))
-    assert sorted(set(autodiff.__all__) - used) == []
+    assert sorted(set(autodiff.__all__) - used_elsewhere_in_the_package("autodiff")) == []
+
+
+def test_every_graph_function_has_a_caller_in_the_package():
+    graph = importlib.import_module("cgnp.graph")
+    functions = {name for name in graph.__all__ if inspect.isfunction(getattr(graph, name))}
+    assert functions  # radius_neighborhood and bipartite_conv at least
+    assert sorted(functions - used_elsewhere_in_the_package("graph")) == []

@@ -251,6 +251,19 @@ def _ragged_running_mean(doc):
     doc["bn"]["enc1.bn"]["running_mean"] = [[0.0] * 8, [0.0]]
 
 
+def _params(value):
+    def edit(doc):
+        doc["params"] = value
+
+    return edit
+
+
+def _duplicate_param(doc):
+    # a zeroed second copy would win if the loader let the last entry stand
+    first = doc["params"][0]
+    doc["params"].append(dict(first, data=[0.0] * len(first["data"])))
+
+
 def _momentum(value):
     def edit(doc):
         doc["bn"]["enc1.bn"]["momentum"] = value
@@ -265,6 +278,10 @@ def _not_json(doc):
 
 def _list_document(doc):
     return json.dumps([doc])
+
+
+def _not_utf8(doc):
+    return b"\xff" + json.dumps(doc).encode()
 
 
 @pytest.mark.parametrize(
@@ -288,11 +305,15 @@ def _list_document(doc):
         (_momentum("0.9"), "batch-norm 'enc1.bn' momentum must be a number, got '0.9'"),
         (_momentum(True), "batch-norm 'enc1.bn' momentum must be a number, got True"),
         (_momentum(1.5), "batch-norm 'enc1.bn' momentum must be in (0, 1), got 1.5"),
+        (_params(5), "params must be a JSON list, got int"),
+        (_params(None), "params must be a JSON list, got NoneType"),
+        (_duplicate_param, "duplicate parameter 'enc1.w'"),
+        (_not_utf8, "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"),
     ],
     ids=["nan_weight", "negative_running_var", "missing_bn_layer", "unknown_bn_layer", "unknown_model_key",
          "missing_params", "missing_running_var", "missing_param_data", "other_sigma_floor", "not_json",
          "list_document", "string_in_data", "list_param_name", "ragged_running_mean", "list_momentum", "string_momentum",
-         "bool_momentum", "momentum_out_of_range"],
+         "bool_momentum", "momentum_out_of_range", "int_params", "null_params", "duplicate_param", "not_utf8"],
 )
 def test_bad_checkpoint_is_rejected_naming_file_and_entry(tmp_path, capsys, edit, message):
     from cgnp.cli import main
@@ -301,7 +322,8 @@ def test_bad_checkpoint_is_rejected_naming_file_and_entry(tmp_path, capsys, edit
     path = tmp_path / "c.json"
     save_checkpoint(path, init_params(cfg), cfg)
     doc = json.loads(path.read_text())
-    path.write_text(edit(doc) or json.dumps(doc))
+    text = edit(doc) or json.dumps(doc)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_checkpoint(path)
 
