@@ -8,14 +8,19 @@ product behind the graph convolution), and the Gaussian negative
 log-likelihood. Values are strictly 2-D float64 arrays; row vectors
 (biases, batch-norm scale/shift) have shape ``(1, d)``.
 
-Gradient buffers of intermediate tensors are allocated on the first
-accumulation, so a forward pass that is never differentiated (evaluation)
-allocates none; parameters keep an eager zero buffer for the optimizer.
-Gradients are exact analytic rules per op. The test suite holds every op,
-and random compositions of them, to a central finite-difference oracle.
+``backward`` runs the ops newest first, by creation number: an op's inputs
+always exist before its output, so when an op's turn comes every consumer
+of its output has already passed its gradient on. Gradient buffers of
+intermediate tensors are allocated on the first accumulation, so a forward
+pass that is never differentiated (evaluation) allocates none; parameters
+keep an eager zero buffer for the optimizer. Gradients are exact analytic
+rules per op. The test suite holds every op, and random compositions of
+them, to a central finite-difference oracle.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -40,16 +45,20 @@ __all__ = [
 ]
 
 
+_creation = itertools.count()  # shared by every tape: backward uses only the order
+
+
 class Tensor:
     """A node in the reverse-mode graph: a 2-D float64 value and its gradient.
 
-    Leaves are built directly from arrays; ops return tensors holding a
-    closure that routes the output gradient back to the parents. ``value``
-    is treated as immutable once created (ops never write into inputs).
+    Leaves are built directly from arrays; an op returns its output built
+    complete, with its parents and a closure that routes the output gradient
+    back to them. Tensors are numbered in creation order. ``value`` is
+    treated as immutable once created (ops never write into inputs).
     ``grad`` is None until a gradient first reaches the node.
     """
 
-    __slots__ = ("value", "grad", "_parents", "_vjp")
+    __slots__ = ("value", "grad", "_parents", "_vjp", "_seq")
 
     def __init__(self, value, _parents=(), _vjp=None):
         arr = np.asarray(value, dtype=np.float64)
@@ -59,6 +68,7 @@ class Tensor:
         self.grad = None
         self._parents = _parents
         self._vjp = _vjp
+        self._seq = next(_creation)  # larger than every parent's
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -97,36 +107,21 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(node) into ``.grad`` for every reachable node.
 
-    ``loss`` must hold exactly one element. Leaves that did not contribute
-    keep whatever gradient they already had (zero for a parameter right
-    after creation or after ``zero_grads``).
+    ``loss`` must hold exactly one element. Ops run newest first, so each
+    output gradient is complete when its op's turn comes. Leaves that did
+    not contribute keep whatever gradient they already had (zero for a
+    parameter right after creation or after ``zero_grads``).
     """
     if loss.value.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-    order = _topo_order(loss)
     _accumulate(loss, np.ones_like(loss.value))
-    for node in reversed(order):
-        if node._vjp is not None:
-            node._vjp(node.grad)
-
-
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
+    pending = {loss._seq: loss} if loss._vjp is not None else {}
+    while pending:
+        node = pending.pop(max(pending))
+        node._vjp(node.grad)
         for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order
+            if parent._vjp is not None:
+                pending[parent._seq] = parent
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +138,13 @@ def affine(x, w, b) -> Tensor:
         raise ValueError(f"row vector shape {b.shape} does not match {(x.shape[0], w.shape[1])}")
     value = x.value @ w.value
     value += b.value  # in place: no second (n, d) array allocated and freed per call
-    out = Tensor(value, (x, w, b))
 
     def vjp(g):
         _accumulate(x, g @ w.value.T)
         _accumulate(w, x.value.T @ g)
         _accumulate(b, g.sum(axis=0, keepdims=True))
 
-    out._vjp = vjp
-    return out
+    return Tensor(value, (x, w, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +154,12 @@ def affine(x, w, b) -> Tensor:
 
 def relu(x) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(np.maximum(x.value, 0.0), (x,))
 
     def vjp(g):
         # subgradient at exactly 0 is 0 (deterministic tie-break)
         _accumulate(x, g * (x.value > 0.0))
 
-    out._vjp = vjp
-    return out
+    return Tensor(np.maximum(x.value, 0.0), (x,), vjp)
 
 
 def bounded_softplus(s) -> Tensor:
@@ -178,14 +169,12 @@ def bounded_softplus(s) -> Tensor:
     which keeps predicted standard deviations off zero.
     """
     s = _as_tensor(s)
-    out = Tensor(0.1 + 0.9 * np.logaddexp(0.0, s.value), (s,))
 
     def vjp(g):
         sig = 0.5 * (1.0 + np.tanh(0.5 * s.value))  # overflow-safe sigmoid
         _accumulate(s, g * (0.9 * sig))
 
-    out._vjp = vjp
-    return out
+    return Tensor(0.1 + 0.9 * np.logaddexp(0.0, s.value), (s,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +282,6 @@ def gaussian_nll(y, mu, sigma) -> Tensor:
     resid = y.value - mu.value
     terms = nll_terms(y.value, mu.value, sv)
     count = terms.size
-    out = Tensor([[terms.mean()]], (y, mu, sigma))
 
     def vjp(g):
         scale = g[0, 0] / count
@@ -301,8 +289,7 @@ def gaussian_nll(y, mu, sigma) -> Tensor:
         _accumulate(y, scale * (resid / sv**2))
         _accumulate(sigma, scale * (1.0 / sv - resid**2 / sv**3))
 
-    out._vjp = vjp
-    return out
+    return Tensor([[terms.mean()]], (y, mu, sigma), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +302,12 @@ def concat_cols(a, b) -> Tensor:
     if a.value.shape[0] != b.value.shape[0]:
         raise ValueError(f"concat_cols row mismatch: {a.shape} vs {b.shape}")
     da = a.value.shape[1]
-    out = Tensor(np.concatenate([a.value, b.value], axis=1), (a, b))
 
     def vjp(g):
         _accumulate(a, g[:, :da])
         _accumulate(b, g[:, da:])
 
-    out._vjp = vjp
-    return out
+    return Tensor(np.concatenate([a.value, b.value], axis=1), (a, b), vjp)
 
 
 def concat_rows(a, b) -> Tensor:
@@ -330,27 +315,23 @@ def concat_rows(a, b) -> Tensor:
     if a.value.shape[1] != b.value.shape[1]:
         raise ValueError(f"concat_rows column mismatch: {a.shape} vs {b.shape}")
     na = a.value.shape[0]
-    out = Tensor(np.concatenate([a.value, b.value], axis=0), (a, b))
 
     def vjp(g):
         _accumulate(a, g[:na])
         _accumulate(b, g[na:])
 
-    out._vjp = vjp
-    return out
+    return Tensor(np.concatenate([a.value, b.value], axis=0), (a, b), vjp)
 
 
 def slice_cols(x, start: int, stop: int) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(x.value[:, start:stop], (x,))
 
     def vjp(g):
         full = np.zeros_like(x.value)
         full[:, start:stop] = g
         _accumulate(x, full)
 
-    out._vjp = vjp
-    return out
+    return Tensor(x.value[:, start:stop], (x,), vjp)
 
 
 def block_mean(x, blocks: int) -> Tensor:
@@ -361,13 +342,11 @@ def block_mean(x, blocks: int) -> Tensor:
     if blocks < 1 or n == 0 or n % blocks:
         raise ValueError(f"{n} rows do not split into {blocks} equal non-empty blocks")
     size = n // blocks
-    out = Tensor(x.value.reshape(blocks, size, d).sum(axis=1) / size, (x,))
 
     def vjp(g):
         _accumulate(x, np.repeat(g / size, size, axis=0))
 
-    out._vjp = vjp
-    return out
+    return Tensor(x.value.reshape(blocks, size, d).sum(axis=1) / size, (x,), vjp)
 
 
 def repeat_rows(x, times: int) -> Tensor:
@@ -377,13 +356,11 @@ def repeat_rows(x, times: int) -> Tensor:
     n, d = x.value.shape
     if times < 1:
         raise ValueError(f"repeat count must be positive, got {times}")
-    out = Tensor(np.repeat(x.value, times, axis=0), (x,))
 
     def vjp(g):
         _accumulate(x, g.reshape(n, times, d).sum(axis=1))
 
-    out._vjp = vjp
-    return out
+    return Tensor(np.repeat(x.value, times, axis=0), (x,), vjp)
 
 
 def neighbor_mix(x, mask) -> Tensor:
@@ -399,13 +376,11 @@ def neighbor_mix(x, mask) -> Tensor:
     d = x.value.shape[1]
     if x.value.shape[0] != b * n_in:
         raise ValueError(f"neighbor_mix expects {b} x {n_in} input rows, got {x.value.shape[0]}")
-    out = Tensor((mask @ x.value.reshape(b, n_in, d)).reshape(b * n_out, d), (x,))
 
     def vjp(g):
         _accumulate(x, (mask.transpose(0, 2, 1) @ g.reshape(b, n_out, d)).reshape(b * n_in, d))
 
-    out._vjp = vjp
-    return out
+    return Tensor((mask @ x.value.reshape(b, n_in, d)).reshape(b * n_out, d), (x,), vjp)
 
 
 def row_scale(x, scale) -> Tensor:
@@ -414,10 +389,8 @@ def row_scale(x, scale) -> Tensor:
     scale = np.asarray(scale, dtype=np.float64)
     if scale.shape != (x.value.shape[0],):
         raise ValueError("row_scale needs one factor per row")
-    out = Tensor(x.value * scale[:, None], (x,))
 
     def vjp(g):
         _accumulate(x, g * scale[:, None])
 
-    out._vjp = vjp
-    return out
+    return Tensor(x.value * scale[:, None], (x,), vjp)

@@ -140,8 +140,6 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     cfg = parse_run_config(args.config, args.overrides)
     train_cfg = _train_config(cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def log(batch_index, loss, metrics):
         print(f"batch={batch_index} loss={loss:.6f}", flush=True)
@@ -153,6 +151,8 @@ def cmd_train(args) -> int:
             )
 
     store, report = train(train_cfg, log=log)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once there is something to write
     formats.save_checkpoint(out_dir / "checkpoint.json", store, train_cfg.model, extra=dict(cfg))
     if report.final_metrics is not None:
         header = f"train report config: {_config_echo(cfg)}"

@@ -69,6 +69,16 @@ def file_sha256(path: str | os.PathLike) -> str:
     return digest.hexdigest()
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, with a ValueError naming a key given twice
+    (``json.loads`` alone keeps the last value)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # episodes: one JSON object per line, keys x_c, y_c, x_t, y_t
 # ---------------------------------------------------------------------------
@@ -98,7 +108,7 @@ def _episode(path, ln: int, line: str) -> EpisodeBatch:
     the line and, where there is one, the field."""
     where = f"bad episode record on line {ln}"
     try:
-        record = json.loads(line)
+        record = json.loads(line, object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise ValueError(f"{path}: {where}: {exc}") from exc
     unknown = sorted(set(_entry(path, record, where, _EPISODE_KEYS)) - set(_EPISODE_KEYS))
@@ -183,15 +193,18 @@ def _number(path, value, where: str) -> float:
 
 def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
     """Read a checkpoint, rejecting any entry the model cannot use as is:
-    bytes that are not UTF-8, text that is not a JSON object, missing keys,
-    unknown model keys, unknown, duplicate or missing parameters and
-    batch-norm layers, wrong shapes, values that are not numbers,
-    non-finite values, negative running variances and batch-norm momentum
-    or eps out of range."""
+    bytes that are not UTF-8, text that is not a JSON object, repeated or
+    missing keys, unknown model keys, unknown, duplicate or missing
+    parameters and batch-norm layers, wrong shapes, values that are not
+    numbers, non-finite values, negative running variances and batch-norm
+    momentum or eps out of range."""
+    text = read_text(path)
     try:
-        doc = json.loads(read_text(path))
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a JSON document: {exc}") from exc
+    except ValueError as exc:  # a repeated key
+        raise ValueError(f"{path}: {exc}") from exc
     doc = _entry(path, doc, "checkpoint", ("model", "params", "bn"))
     model = dict(_entry(path, doc["model"], "model"))
     # checkpoints written while the fixed floor was a ModelConfig field echo it

@@ -182,10 +182,11 @@ def eq_kernel(x1, x2, spec: EqKernelSpec):
 
 
 def kernel_matrix(xs, spec: EqKernelSpec) -> np.ndarray:
-    """Symmetric kernel matrix with spec.jitter added to the diagonal."""
+    """Symmetric kernel matrix with spec.jitter added to the diagonal, one
+    (n, n) matrix per row of n points for xs of shape (..., n)."""
     xs = np.asarray(xs, dtype=np.float64)
-    k = eq_kernel(xs[:, None], xs[None, :], spec)
-    return k + spec.jitter * np.eye(xs.size)
+    k = eq_kernel(xs[..., :, None], xs[..., None, :], spec)
+    return k + spec.jitter * np.eye(xs.shape[-1])
 
 
 def cholesky(k: np.ndarray) -> np.ndarray:
@@ -234,8 +235,7 @@ def make_train_batch(cfg: ProtocolConfig, spec: EqKernelSpec, batch_index: int) 
     xs = rng.uniform(lo, hi, (cfg.batch_size, n_c + n_t))
     zs = rng.standard_normal((cfg.batch_size, n_c + n_t))
     try:
-        k = eq_kernel(xs[:, :, None], xs[:, None, :], spec) + spec.jitter * np.eye(n_c + n_t)
-        ys = np.einsum("bij,bj->bi", np.linalg.cholesky(k), zs)
+        ys = np.einsum("bij,bj->bi", np.linalg.cholesky(kernel_matrix(xs, spec)), zs)
     except np.linalg.LinAlgError:
         # some episode needed the jitter retry; factor them one at a time
         ys = np.stack([_factor(x, spec) @ z for x, z in zip(xs, zs)])

@@ -57,7 +57,7 @@ def radius_neighborhood(coords_in, coords_out, radius: float) -> Neighborhood:
     """
     coords_in = np.atleast_2d(np.asarray(coords_in, dtype=np.float64))
     coords_out = np.atleast_2d(np.asarray(coords_out, dtype=np.float64))
-    if radius < 0.0:
+    if not radius >= 0.0:  # NaN fails too
         raise ValueError(f"radius must be non-negative, got {radius}")
     if not (np.isfinite(coords_in).all() and np.isfinite(coords_out).all()):
         raise ValueError("coordinates must be finite")

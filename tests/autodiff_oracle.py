@@ -6,6 +6,12 @@ through `autodiff.affine`. They are the oracle `affine` must match, and the
 building blocks of the edge-list convolution in `graph_oracle.py` and of
 the test compositions.
 
+`topo_order` and `reference_backward` are the depth-first walk `backward`
+used before it ran the ops newest first by creation number: every node
+reachable from the output, parents before children, with an `id()` seen
+set, then each op's rule in the reverse of that order. The tape-size pins
+count its nodes, and `backward` must give the same gradients.
+
 `reference_batch_norm` is the train/eval batch norm written with
 `np.mean`/`np.var`, centring the input twice, as the op was before its
 statistics were computed in one pass. `autodiff.batch_norm` must match it
@@ -17,6 +23,34 @@ from __future__ import annotations
 import numpy as np
 
 from cgnp.autodiff import BatchNormState, Tensor, _accumulate, _as_tensor
+
+
+def topo_order(root: Tensor) -> list[Tensor]:
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    return order
+
+
+def reference_backward(out: Tensor, g=None) -> None:
+    """Backpropagate the upstream gradient g from out (ones by default, as
+    `backward` seeds a scalar loss)."""
+    _accumulate(out, np.ones_like(out.value) if g is None else g)
+    for node in reversed(topo_order(out)):
+        if node._vjp is not None:
+            node._vjp(node.grad)
 
 
 def reference_batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
@@ -58,28 +92,24 @@ def matmul(x, w) -> Tensor:
     x, w = _as_tensor(x), _as_tensor(w)
     if x.value.shape[1] != w.value.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {x.shape} @ {w.shape}")
-    out = Tensor(x.value @ w.value, (x, w))
 
     def vjp(g):
         _accumulate(x, g @ w.value.T)
         _accumulate(w, x.value.T @ g)
 
-    out._vjp = vjp
-    return out
+    return Tensor(x.value @ w.value, (x, w), vjp)
 
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.value + b.value, (a, b))
 
     def vjp(g):
         _accumulate(a, g)
         _accumulate(b, g)
 
-    out._vjp = vjp
-    return out
+    return Tensor(a.value + b.value, (a, b), vjp)
 
 
 def add_rowvec(x, b) -> Tensor:
@@ -87,11 +117,9 @@ def add_rowvec(x, b) -> Tensor:
     x, b = _as_tensor(x), _as_tensor(b)
     if b.value.shape != (1, x.value.shape[1]):
         raise ValueError(f"row vector shape {b.shape} does not match {x.shape}")
-    out = Tensor(x.value + b.value, (x, b))
 
     def vjp(g):
         _accumulate(x, g)
         _accumulate(b, g.sum(axis=0, keepdims=True))
 
-    out._vjp = vjp
-    return out
+    return Tensor(x.value + b.value, (x, b), vjp)

@@ -9,7 +9,6 @@ from cgnp.autodiff import (
     BatchNormState,
     Parameter,
     Tensor,
-    _topo_order,
     affine,
     backward,
     batch_norm,
@@ -26,17 +25,8 @@ from cgnp.autodiff import (
 )
 from cgnp.optim import zero_grads
 
-from autodiff_oracle import add, add_rowvec, matmul, reference_batch_norm
+from autodiff_oracle import add, add_rowvec, matmul, reference_backward, reference_batch_norm
 from helpers import assert_grads_match, finite_diff_grad
-
-
-def pull(out, g):
-    """Backpropagate the upstream gradient g from out (`backward` seeds a
-    scalar loss with 1 instead)."""
-    out.grad = g.copy()
-    for node in reversed(_topo_order(out)):
-        if node._vjp is not None:
-            node._vjp(node.grad)
 
 
 def scalarize(t, rng):
@@ -78,8 +68,8 @@ def test_affine_is_one_op_equal_to_matmul_then_add_rowvec(seed, n, d_in, d_out):
     ref = add_rowvec(matmul(two[0], two[1]), two[2])
     assert out._parents == tuple(one)  # one taped node
     assert np.array_equal(out.value, ref.value)
-    pull(out, g)
-    pull(ref, g)
+    reference_backward(out, g)
+    reference_backward(ref, g)
     for p, q in zip(one, two):
         assert np.array_equal(p.grad, q.grad), p.name
 
@@ -209,7 +199,7 @@ def test_batch_norm_matches_the_mean_var_oracle(seed, n, d, constant_column, tra
         state.running_var[...] = 1.5
         xp = Parameter("x", x.copy())
         out = op(xp, state, train=train)
-        pull(out, g)
+        reference_backward(out, g)
         states.append(state)
         outs.append(out.value)
         leaves.append((xp, state.gamma, state.beta))
@@ -284,6 +274,36 @@ def test_backward_accumulates_through_shared_nodes():
     h = matmul(Tensor([[2.0]]), w)
     backward(add(h, h))  # loss = 2 * 2 * w
     np.testing.assert_allclose(w.grad, [[4.0]])
+
+
+def test_backward_waits_for_a_consumer_reached_through_a_later_longer_chain():
+    """h feeds three ops: a row scale, the start of a slice -> repeat ->
+    mean chain, and a concat created after that chain. Its gradient must
+    collect all three before its own rule runs. Every value is a small
+    integer, so any summation order gives the exact gradient."""
+
+    def build():
+        x = Parameter("x", [[1.0, 2.0], [3.0, -1.0]])
+        w = Parameter("w", [[1.0, 0.0], [2.0, 1.0]])
+        b = Parameter("b", [[0.0, 1.0]])
+        h = affine(x, w, b)
+        near = row_scale(h, [2.0, 3.0])
+        chain = block_mean(repeat_rows(slice_cols(h, 1, 2), 2), 2)
+        far = concat_cols(chain, h)
+        rows = matmul(concat_cols(near, far), Tensor([[1.0], [2.0], [3.0], [4.0], [5.0]]))
+        return matmul(Tensor([[1.0, 1.0]]), rows), h, (x, w, b)
+
+    loss, h, params = build()
+    backward(loss)
+    np.testing.assert_array_equal(h.grad, [[6.0, 12.0], [7.0, 14.0]])
+    expected = ([[6.0, 24.0], [7.0, 28.0]], [[27.0, 54.0], [5.0, 10.0]], [[13.0, 26.0]])
+    for p, grad in zip(params, expected):
+        np.testing.assert_array_equal(p.grad, grad, err_msg=p.name)
+    ref_loss, ref_h, ref_params = build()
+    reference_backward(ref_loss)
+    assert np.array_equal(ref_h.grad, h.grad)
+    for p, q in zip(params, ref_params):
+        assert np.array_equal(p.grad, q.grad), p.name
 
 
 def test_ops_are_deterministic():

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import cgnp
-from cgnp.cli import _train_config, main, parse_run_config
-from cgnp.formats import file_sha256, load_episodes, save_checkpoint, save_episodes
+from cgnp.cli import CONFIG_DEFAULTS, _train_config, main, parse_run_config
+from cgnp.formats import file_sha256, load_checkpoint, load_episodes, save_checkpoint, save_episodes
 from cgnp.gp import EqKernelSpec, ProtocolConfig, make_test_set
 from cgnp.models import ModelConfig, init_params
 from cgnp.training import TrainConfig
@@ -84,6 +84,36 @@ def test_bad_config_value_exits_1_naming_the_key_and_writes_nothing(tmp_path, ca
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {message}"]
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "", "abc"])
+@pytest.mark.parametrize("key", list(CONFIG_DEFAULTS))
+def test_every_config_key_takes_a_boundary_value_or_rejects_it_naming_the_key(
+    tmp_path, monkeypatch, capsys, key, value
+):
+    # the full grid of keys x boundary values; 1e308 is left out because
+    # train.lr=1e308 prints NaN held-out metrics before it diverges
+    monkeypatch.chdir(tmp_path)
+    code = main(["train", "--out-dir", "run", "train.batches=3", "data.test_episodes=4", f"{key}={value}"])
+    captured = capsys.readouterr()
+    if code == 1:
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: config key {key}: ")
+        assert list(tmp_path.iterdir()) == []
+        return
+    assert code == 0 and captured.err == ""
+    load_checkpoint(tmp_path / "run" / "checkpoint.json")  # rejects non-finite values
+    curve = np.loadtxt(tmp_path / "run" / "loss_curve.csv", delimiter=",", skiprows=1)
+    assert curve.shape == (3, 2) and np.isfinite(curve).all()
+    assert np.isfinite(np.loadtxt(tmp_path / "run" / "report.csv", delimiter=",", skiprows=2)).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that diverges it
+def test_diverged_training_exits_1_and_leaves_no_output_directory(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert main(["train", "--out-dir", str(out_dir), "train.lr=1e308", "train.batches=3"]) == 1
+    assert capsys.readouterr().err.startswith("error: non-finite loss")
     assert list(tmp_path.iterdir()) == []
 
 

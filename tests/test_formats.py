@@ -100,12 +100,13 @@ def test_bad_episode_record_reports_line(tmp_path):
         ('{"x_c":[' + "9" * 400 + '],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}', "x_c holds a number too large"),
         ('{"x_c":[],"y_c":[],"x_t":[1.0],"y_t":[1.0]}', "a batch needs non-empty x_c"),
         ('{"x_c":[0.0,0.5],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}', "a batch needs non-empty x_c, y_c of shape (B, N_c) and x_t, y_t of shape (B, N_t); got x_c (1, 2), y_c (1, 1)"),
+        ('{"x_c":[0.0],"x_c":[5.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}', "repeated key 'x_c'"),
     ],
     ids=["string_value", "bool_value", "extra_key", "nested_list", "overflowing_float",
-         "overflowing_integer", "empty_context", "length_mismatch"],
+         "overflowing_integer", "empty_context", "length_mismatch", "repeated_key"],
 )
 def test_episode_values_that_are_not_numbers_or_keys_are_rejected(tmp_path, bad, message):
-    # strings, booleans, extra keys and nested lists are not episode data
+    # strings, booleans, extra or repeated keys and nested lists are not episode data
     path = tmp_path / "bad.jsonl"
     path.write_text(f"{GOOD_LINE}\n{bad}\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: bad episode record on line 2: {message}")):
@@ -264,6 +265,14 @@ def _duplicate_param(doc):
     doc["params"].append(dict(first, data=[0.0] * len(first["data"])))
 
 
+def _repeated_bn_layer(doc):
+    # enc1.bn listed again with other statistics, which json.loads alone would let win
+    bn = doc.pop("bn")
+    stale = dict(bn["enc1.bn"], running_var=[2.0] * len(bn["enc1.bn"]["running_var"]))
+    entries = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in [*bn.items(), ("enc1.bn", stale)]]
+    return json.dumps(doc)[:-1] + ', "bn": {' + ", ".join(entries) + "}}"
+
+
 def _momentum(value):
     def edit(doc):
         doc["bn"]["enc1.bn"]["momentum"] = value
@@ -309,11 +318,13 @@ def _not_utf8(doc):
         (_params(None), "params must be a JSON list, got NoneType"),
         (_duplicate_param, "duplicate parameter 'enc1.w'"),
         (_not_utf8, "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"),
+        (_repeated_bn_layer, "repeated key 'enc1.bn'"),
     ],
     ids=["nan_weight", "negative_running_var", "missing_bn_layer", "unknown_bn_layer", "unknown_model_key",
          "missing_params", "missing_running_var", "missing_param_data", "other_sigma_floor", "not_json",
          "list_document", "string_in_data", "list_param_name", "ragged_running_mean", "list_momentum", "string_momentum",
-         "bool_momentum", "momentum_out_of_range", "int_params", "null_params", "duplicate_param", "not_utf8"],
+         "bool_momentum", "momentum_out_of_range", "int_params", "null_params", "duplicate_param", "not_utf8",
+         "repeated_bn_layer"],
 )
 def test_bad_checkpoint_is_rejected_naming_file_and_entry(tmp_path, capsys, edit, message):
     from cgnp.cli import main

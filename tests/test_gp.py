@@ -48,6 +48,14 @@ def test_kernel_matrix_values():
     np.testing.assert_allclose(k[0, 2], math.exp(-12.5), rtol=1e-14)
 
 
+def test_kernel_matrix_of_stacked_rows_is_each_row_s_matrix():
+    xs = np.random.default_rng(0).uniform(-2.0, 2.0, (4, 7))
+    k = kernel_matrix(xs, SPEC)
+    assert k.shape == (4, 7, 7)
+    for row, matrix in zip(xs, k):
+        assert np.array_equal(matrix, kernel_matrix(row, SPEC))
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.floats(-2, 2), min_size=1, max_size=15), st.integers(0, 2**32 - 1))
 def test_kernel_matrix_symmetry_and_range(xs, seed):

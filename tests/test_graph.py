@@ -44,6 +44,8 @@ def test_radius_covering_diameter_gives_complete_graph():
 def test_radius_graph_rejects_bad_inputs():
     with pytest.raises(ValueError, match="non-negative"):
         radius_neighborhood([0.0], [0.0], -0.1)
+    with pytest.raises(ValueError, match="non-negative, got nan"):
+        radius_neighborhood([0.0, 1.0], [0.0], float("nan"))
     with pytest.raises(ValueError, match="finite"):
         radius_neighborhood([np.nan], [0.0], 1.0)
     with pytest.raises(ValueError, match="episodes"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cgnp.training as training
-from cgnp.autodiff import _topo_order, nll_terms
+from cgnp.autodiff import backward, nll_terms
 from cgnp.gp import EpisodeBatch, EqKernelSpec, ProtocolConfig, bucket_episodes, make_train_batch
 from cgnp.models import ModelConfig, init_params
 from cgnp.training import (
@@ -16,6 +16,7 @@ from cgnp.training import (
     loss_drop,
     train,
 )
+from autodiff_oracle import reference_backward, topo_order
 from helpers import episode, predict
 from metrics_oracle import prediction_metrics
 
@@ -106,8 +107,20 @@ def test_trained_parameters_stay_in_the_packed_buffers():
 )
 def test_training_step_tape_size_budget(cfg, nodes, ops):
     # pinned: a change to the tape size re-pins these, with a note in CHANGES.md
-    order = _topo_order(batch_loss(make_train_batch(ProtocolConfig(), KERNEL, 0), init_params(cfg), cfg))
+    order = topo_order(batch_loss(make_train_batch(ProtocolConfig(), KERNEL, 0), init_params(cfg), cfg))
     assert (len(order), sum(node._vjp is not None for node in order)) == (nodes, ops)
+
+
+@pytest.mark.parametrize(
+    "cfg", [ModelConfig(kind="cnp"), ModelConfig(kind="cgnp", radius=0.7)], ids=["cnp", "cgnp"]
+)
+def test_backward_gradients_equal_the_depth_first_oracle_on_a_training_batch(cfg):
+    batch = make_train_batch(ProtocolConfig(), KERNEL, 0)
+    store, ref_store = init_params(cfg), init_params(cfg)
+    backward(batch_loss(batch, store, cfg))
+    reference_backward(batch_loss(batch, ref_store, cfg))
+    for p, q in zip(store.parameters(), ref_store.parameters()):
+        assert p.name == q.name and np.array_equal(p.grad, q.grad), p.name
 
 
 def test_training_decreases_loss_on_short_run():
