@@ -5,7 +5,11 @@ round-trip float encoding, so files diff cleanly and parse back to the
 exact same doubles. All writes go through a temp file plus atomic rename;
 a failed command never leaves a partial file behind. An episode file loads
 as shape buckets (`gp.bucket_episodes`) that remember each line's position,
-and saving them writes the lines back in that order.
+and saving them writes the lines back in that order. A checkpoint is the
+model config plus three flat vectors: `values` (every parameter, row-major,
+in `init_params` order, the layout of `AdamState.value`) and the batch-norm
+`running_mean` and `running_var` (layer after layer). The config fixes each
+vector's length, so the loader checks lengths before it allocates a model.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .autodiff import BatchNormState
 from .gp import EpisodeBatch, bucket_episodes
-from .models import ModelConfig, ParameterStore, init_params
+from .models import ModelConfig, ParameterStore, flat_sizes, init_params
 from .training import Metrics
 
 __all__ = [
@@ -129,31 +132,17 @@ def load_episodes(path) -> list[EpisodeBatch]:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: one JSON document with config echo, parameters, BN statistics
+# checkpoints: one JSON document with config echo and three flat vectors
 # ---------------------------------------------------------------------------
 
 
 def checkpoint_text(store: ParameterStore, cfg: ModelConfig, extra: dict | None = None) -> str:
+    bn = store.bn.values()
     doc = {
         "model": asdict(cfg),
-        "params": [
-            {
-                "name": p.name,
-                "rows": p.value.shape[0],
-                "cols": p.value.shape[1],
-                "data": p.value.ravel().tolist(),  # row-major
-            }
-            for p in store.parameters()
-        ],
-        "bn": {
-            name: {
-                "running_mean": state.running_mean.ravel().tolist(),
-                "running_var": state.running_var.ravel().tolist(),
-                "momentum": state.momentum,
-                "eps": state.eps,
-            }
-            for name, state in store.bn.items()
-        },
+        "values": np.concatenate([p.value.ravel() for p in store.parameters()]).tolist(),
+        "running_mean": np.concatenate([state.running_mean.ravel() for state in bn]).tolist(),
+        "running_var": np.concatenate([state.running_var.ravel() for state in bn]).tolist(),
         "extra": extra or {},
     }
     return json.dumps(doc, indent=1) + "\n"
@@ -185,19 +174,19 @@ def _numbers(path, value, where: str) -> np.ndarray:
         raise ValueError(f"{path}: {where} holds a number too large for a double") from exc
 
 
-def _number(path, value, where: str) -> float:
-    if type(value) not in (int, float):
-        raise ValueError(f"{path}: {where} must be a number, got {value!r}")
-    return float(value)
+def _unflatten(flat: np.ndarray, arrays: list[np.ndarray]) -> None:
+    """Copy consecutive slices of `flat` into `arrays`, in place."""
+    for array, part in zip(arrays, np.split(flat, np.cumsum([a.size for a in arrays])[:-1])):
+        array[...] = part.reshape(array.shape)
 
 
 def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
     """Read a checkpoint, rejecting any entry the model cannot use as is:
     bytes that are not UTF-8, text that is not a JSON object, repeated or
-    missing keys, unknown model keys, unknown, duplicate or missing
-    parameters and batch-norm layers, wrong shapes, values that are not
-    numbers, non-finite values, negative running variances and batch-norm
-    momentum or eps out of range."""
+    missing keys, a model config `ModelConfig` rejects, vectors that are
+    not flat lists of numbers or not as long as the config implies,
+    non-finite values and negative running variances. Lengths are checked
+    before `init_params` allocates the model."""
     text = read_text(path)
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
@@ -205,12 +194,8 @@ def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
         raise ValueError(f"{path}: not a JSON document: {exc}") from exc
     except ValueError as exc:  # a repeated key
         raise ValueError(f"{path}: {exc}") from exc
-    doc = _entry(path, doc, "checkpoint", ("model", "params", "bn"))
-    model = dict(_entry(path, doc["model"], "model"))
-    # checkpoints written while the fixed floor was a ModelConfig field echo it
-    floor = model.pop("sigma_floor", 0.1)
-    if floor != 0.1:
-        raise ValueError(f"{path}: sigma_floor is fixed at 0.1, got {floor!r}")
+    doc = _entry(path, doc, "checkpoint", ("model", "running_mean", "running_var", "values"))
+    model = _entry(path, doc["model"], "model")
     unknown = sorted(set(model) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown model keys {unknown}")
@@ -218,63 +203,22 @@ def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
         cfg = ModelConfig(**model)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad model config: {exc}") from exc
+    n_values, bn_width = flat_sizes(cfg)
+    vectors = {}
+    for key, size in (("values", n_values), ("running_mean", bn_width), ("running_var", bn_width)):
+        vectors[key] = _numbers(path, doc[key], key)
+        if vectors[key].size != size:
+            raise ValueError(f"{path}: {key} holds {vectors[key].size} numbers, "
+                             f"the model config implies {size}")
+        if not np.isfinite(vectors[key]).all():
+            raise ValueError(f"{path}: {key} holds a non-finite value")
+    if (vectors["running_var"] < 0.0).any():
+        raise ValueError(f"{path}: running_var holds a negative value")
     store = init_params(cfg)
-    if not isinstance(doc["params"], list):
-        raise ValueError(f"{path}: params must be a JSON list, got {type(doc['params']).__name__}")
-    seen = set()
-    for i, entry in enumerate(doc["params"]):
-        entry = _entry(path, entry, f"params[{i}]", ("name", "rows", "cols", "data"))
-        name = entry["name"]
-        if not isinstance(name, str) or name not in store:
-            raise ValueError(f"{path}: unknown parameter {name!r} for kind={cfg.kind}")
-        if name in seen:
-            raise ValueError(f"{path}: duplicate parameter {name!r}")
-        shape = (entry["rows"], entry["cols"])
-        param = store[name]
-        if param.value.shape != shape:
-            raise ValueError(
-                f"{path}: shape mismatch for {name!r}: checkpoint {shape}, model {param.value.shape}"
-            )
-        data = _numbers(path, entry["data"], f"parameter {name!r} data")
-        if data.size != shape[0] * shape[1]:
-            raise ValueError(f"{path}: {name!r} has {data.size} values for shape {shape}")
-        if not np.isfinite(data).all():
-            raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
-        param.value[...] = data.reshape(shape)
-        seen.add(name)
-    missing = set(store.params) - seen
-    if missing:
-        raise ValueError(f"{path}: checkpoint is missing parameters {sorted(missing)}")
-    bn = _entry(path, doc["bn"], "bn")
-    unknown = sorted(set(bn) - set(store.bn))
-    if unknown:
-        raise ValueError(f"{path}: unknown batch-norm layers {unknown} for kind={cfg.kind}")
-    missing = sorted(set(store.bn) - set(bn))
-    if missing:
-        raise ValueError(f"{path}: checkpoint is missing batch-norm layers {missing}")
-    for name, entry in bn.items():
-        state: BatchNormState = store.bn[name]
-        where = f"batch-norm {name!r}"
-        entry = _entry(path, entry, where, ("running_mean", "running_var", "momentum", "eps"))
-        mean = _numbers(path, entry["running_mean"], f"{where} running_mean").reshape(1, -1)
-        var = _numbers(path, entry["running_var"], f"{where} running_var").reshape(1, -1)
-        momentum = _number(path, entry["momentum"], f"{where} momentum")
-        eps = _number(path, entry["eps"], f"{where} eps")
-        if mean.shape[1] != state.width or var.shape[1] != state.width:
-            raise ValueError(f"{path}: batch-norm width mismatch for {name!r}")
-        for key, value in (("running_mean", mean), ("running_var", var), ("momentum", momentum), ("eps", eps)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"{path}: {where} {key} holds a non-finite value")
-        if (var < 0.0).any():
-            raise ValueError(f"{path}: {where} running_var holds a negative value")
-        if not 0.0 < momentum < 1.0:
-            raise ValueError(f"{path}: {where} momentum must be in (0, 1), got {momentum}")
-        if eps <= 0.0:
-            raise ValueError(f"{path}: {where} eps must be positive, got {eps}")
-        state.running_mean = mean
-        state.running_var = var
-        state.momentum = momentum
-        state.eps = eps
+    bn = store.bn.values()
+    _unflatten(vectors["values"], [p.value for p in store.parameters()])
+    _unflatten(vectors["running_mean"], [state.running_mean for state in bn])
+    _unflatten(vectors["running_var"], [state.running_var for state in bn])
     return store, cfg, doc.get("extra", {})
 
 

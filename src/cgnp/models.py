@@ -51,6 +51,7 @@ __all__ = [
     "ModelConfig",
     "ParameterStore",
     "init_params",
+    "flat_sizes",
     "forward_tensors",
     "cnp_weights_from_cgnp",
 ]
@@ -69,6 +70,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in ("cnp", "cgnp"):
             raise ValueError(f"kind must be 'cnp' or 'cgnp', got {self.kind!r}")
+        # exact types, so that a bool (an int subclass) is rejected too
+        for name, types in (("latent_dim", (int,)), ("init_seed", (int,)), ("radius", (int, float))):
+            if type(getattr(self, name)) not in types:
+                kinds = " or ".join(t.__name__ for t in types)
+                raise ValueError(f"{name} must be an {kinds}, got {getattr(self, name)!r}")
         if self.latent_dim < 1:
             raise ValueError(f"latent_dim must be at least 1, got {self.latent_dim}")
         if not self.radius >= 0.0:  # NaN fails too
@@ -146,6 +152,19 @@ def init_params(cfg: ModelConfig) -> ParameterStore:
     draw("dec2.w", d_in2, d_out2)
     store.add(Parameter("dec2.b", np.zeros((1, d_out2))))
     return store
+
+
+def flat_sizes(cfg: ModelConfig) -> tuple[int, int]:
+    """(number of parameter values, total batch-norm width) of
+    `init_params(cfg)`, counted without allocating anything."""
+    encoder, decoder = _layer_dims(cfg)
+    (d_in1, d_out1), (d_in2, d_out2) = decoder
+    rel = 0 if cfg.kind == "cnp" else 1  # w_nbr's relative-position row
+    weights = sum((d_in + rel) * d_out for d_in, d_out in encoder) + d_in1 * d_out1 + d_in2 * d_out2
+    if cfg.kind == "cgnp":
+        weights += (cfg.latent_dim + 1) * d_out1  # dec1.w_nbr beside dec1.w_self
+    bn_width = sum(d_out for _, d_out in encoder) + d_out1
+    return weights + 3 * bn_width + d_out2, bn_width  # bias, gamma, beta per bn column
 
 
 # ---------------------------------------------------------------------------

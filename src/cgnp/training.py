@@ -80,15 +80,17 @@ class TrainReport:
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, batch_index: int, loss_value: float, store: ParameterStore):
+    """A non-finite training loss or held-out metric; `what` names it."""
+
+    def __init__(self, batch_index: int, what: str, value: float, store: ParameterStore):
         norms = ", ".join(
             f"{name}={np.linalg.norm(p.value):.3g}" for name, p in store.params.items()
         )
         super().__init__(
-            f"non-finite loss {loss_value} at batch {batch_index}; parameter norms: {norms}"
+            f"non-finite {what} {value} at batch {batch_index}; parameter norms: {norms}"
         )
         self.batch_index = batch_index
-        self.loss_value = loss_value
+        self.value = value
 
 
 def batch_loss(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig) -> Tensor:
@@ -115,12 +117,19 @@ def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
     losses = np.empty(n_batches)
     report = TrainReport(losses=losses, config=cfg)
 
+    def heldout_metrics(b: int) -> Metrics:
+        metrics = evaluate(store, cfg.model, heldout)
+        for name in ("nll_per_point", "mse"):  # nll_per_episode scales nll_per_point
+            if not np.isfinite(getattr(metrics, name)):
+                raise TrainingDivergedError(b, f"held-out {name}", getattr(metrics, name), store)
+        return metrics
+
     for b in range(n_batches):
         batch = make_train_batch(cfg.protocol, cfg.kernel, b)
         loss = batch_loss(batch, store, cfg.model)
         loss_value = float(loss.value[0, 0])
         if not np.isfinite(loss_value):
-            raise TrainingDivergedError(b, loss_value, store)
+            raise TrainingDivergedError(b, "loss", loss_value, store)
         losses[b] = loss_value
         backward(loss)
         adam_step(adam)
@@ -128,7 +137,7 @@ def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
 
         at_eval = cfg.eval_every > 0 and (b % cfg.eval_every == 0 or b == n_batches - 1)
         if at_eval:
-            metrics = evaluate(store, cfg.model, heldout) if heldout else None
+            metrics = heldout_metrics(b) if heldout else None
             if metrics is not None:
                 report.heldout.append((b, metrics))
             if log is not None:
@@ -137,7 +146,7 @@ def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
     if report.heldout:  # the last batch was just evaluated
         report.final_metrics = report.heldout[-1][1]
     elif heldout:
-        report.final_metrics = evaluate(store, cfg.model, heldout)
+        report.final_metrics = heldout_metrics(n_batches - 1)
     report.wall_seconds = time.perf_counter() - start
     return store, report
 

@@ -93,7 +93,7 @@ def test_every_config_key_takes_a_boundary_value_or_rejects_it_naming_the_key(
     tmp_path, monkeypatch, capsys, key, value
 ):
     # the full grid of keys x boundary values; 1e308 is left out because
-    # train.lr=1e308 prints NaN held-out metrics before it diverges
+    # train.lr=1e308 diverges, which exits 1 naming the batch, not the key
     monkeypatch.chdir(tmp_path)
     code = main(["train", "--out-dir", "run", "train.batches=3", "data.test_episodes=4", f"{key}={value}"])
     captured = capsys.readouterr()
@@ -113,7 +113,19 @@ def test_every_config_key_takes_a_boundary_value_or_rejects_it_naming_the_key(
 def test_diverged_training_exits_1_and_leaves_no_output_directory(tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main(["train", "--out-dir", str(out_dir), "train.lr=1e308", "train.batches=3"]) == 1
-    assert capsys.readouterr().err.startswith("error: non-finite loss")
+    assert capsys.readouterr().err.startswith(
+        "error: non-finite held-out nll_per_point nan at batch 0; parameter norms: enc1.w_nbr=inf, "
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_final_heldout_metrics_exit_1_and_leave_no_output_directory(tmp_path, capsys):
+    # one finite training loss, then only the final held-out evaluation sees the NaN
+    out_dir = tmp_path / "run"
+    argv = ["train", "--out-dir", str(out_dir), "train.lr=1e308", "train.batches=1", "train.eval_every=0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: non-finite held-out nll_per_point nan at batch 0; ")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -179,105 +179,62 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     assert np.array_equal(sigma, sigma_after)
 
 
-def test_checkpoint_shape_mismatch_is_explicit(tmp_path):
-    cfg = ModelConfig(kind="cnp", init_seed=0)
-    store = init_params(cfg)
-    path = tmp_path / "c.json"
-    save_checkpoint(path, store, cfg)
-    doc = json.loads(path.read_text())
-    doc["params"][0]["rows"] += 1
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="shape mismatch"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_missing_parameter_rejected(tmp_path):
-    cfg = ModelConfig(kind="cnp", init_seed=0)
-    store = init_params(cfg)
-    path = tmp_path / "c.json"
-    save_checkpoint(path, store, cfg)
-    doc = json.loads(path.read_text())
-    doc["params"] = doc["params"][1:]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="missing parameters"):
-        load_checkpoint(path)
-
-
-def _poison_weight(doc):
-    entry = next(e for e in doc["params"] if e["name"] == "enc1.w")
-    entry["data"][3] = float("nan")
+def _poison_value(doc):
+    doc["values"][3] = float("nan")
 
 
 def _negative_variance(doc):
-    doc["bn"]["dec1.bn"]["running_var"][0] = -1.0
-
-
-def _drop_bn_layer(doc):
-    del doc["bn"]["enc1.bn"]
-
-
-def _unknown_bn_layer(doc):
-    doc["bn"]["enc9.bn"] = doc["bn"]["enc1.bn"]
+    doc["running_var"][-1] = -1.0
 
 
 def _unknown_model_key(doc):
     doc["model"]["bogus"] = 1
 
 
-def _drop_params(doc):
-    del doc["params"]
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+
+    return edit
 
 
-def _drop_running_var(doc):
-    del doc["bn"]["enc1.bn"]["running_var"]
+def _model(key, value):
+    def edit(doc):
+        doc["model"][key] = value
+
+    return edit
 
 
-def _drop_param_data(doc):
-    del doc["params"][0]["data"]
+def _resize(key, delta):
+    def edit(doc):
+        doc[key] = doc[key][:delta] if delta < 0 else doc[key] + [1.0] * delta
+
+    return edit
 
 
-def _other_sigma_floor(doc):
-    doc["model"]["sigma_floor"] = 0.2
+def _null_values(doc):
+    doc["values"] = None
 
 
-def _string_in_data(doc):
-    doc["params"][0]["data"][0] = "a"
-
-
-def _list_param_name(doc):
-    doc["params"][0]["name"] = ["enc1.w"]
+def _string_in_values(doc):
+    doc["values"][0] = "a"
 
 
 def _ragged_running_mean(doc):
-    doc["bn"]["enc1.bn"]["running_mean"] = [[0.0] * 8, [0.0]]
+    doc["running_mean"] = [[0.0] * 8, [0.0]]
 
 
-def _params(value):
-    def edit(doc):
-        doc["params"] = value
-
-    return edit
-
-
-def _duplicate_param(doc):
-    # a zeroed second copy would win if the loader let the last entry stand
-    first = doc["params"][0]
-    doc["params"].append(dict(first, data=[0.0] * len(first["data"])))
+def _v1_document(doc):
+    # the named-entry layout this format replaced
+    for key in ("values", "running_mean", "running_var"):
+        del doc[key]
+    doc["params"], doc["bn"] = [], {}
 
 
-def _repeated_bn_layer(doc):
-    # enc1.bn listed again with other statistics, which json.loads alone would let win
-    bn = doc.pop("bn")
-    stale = dict(bn["enc1.bn"], running_var=[2.0] * len(bn["enc1.bn"]["running_var"]))
-    entries = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in [*bn.items(), ("enc1.bn", stale)]]
-    return json.dumps(doc)[:-1] + ', "bn": {' + ", ".join(entries) + "}}"
-
-
-def _momentum(value):
-    def edit(doc):
-        doc["bn"]["enc1.bn"]["momentum"] = value
-
-    return edit
+def _repeated_key(doc):
+    # running_var given again with other statistics, which json.loads alone would let win
+    stale = [2.0] * len(doc["running_var"])
+    return json.dumps(doc)[:-1] + f', "running_var": {json.dumps(stale)}}}'
 
 
 # edits of the whole document return the text to write instead
@@ -293,38 +250,39 @@ def _not_utf8(doc):
     return b"\xff" + json.dumps(doc).encode()
 
 
+# a CNP with latent_dim=8 has 330 parameter values and 32 batch-norm columns
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_poison_weight, "parameter 'enc1.w' holds a non-finite value"),
-        (_negative_variance, "batch-norm 'dec1.bn' running_var holds a negative value"),
-        (_drop_bn_layer, "checkpoint is missing batch-norm layers ['enc1.bn']"),
-        (_unknown_bn_layer, "unknown batch-norm layers ['enc9.bn']"),
+        (_poison_value, "values holds a non-finite value"),
+        (_negative_variance, "running_var holds a negative value"),
         (_unknown_model_key, "unknown model keys ['bogus']"),
-        (_drop_params, "checkpoint is missing ['params']"),
-        (_drop_running_var, "batch-norm 'enc1.bn' is missing ['running_var']"),
-        (_drop_param_data, "params[0] is missing ['data']"),
-        (_other_sigma_floor, "sigma_floor is fixed at 0.1, got 0.2"),
+        (_drop("values"), "checkpoint is missing ['values']"),
+        (_drop("running_var"), "checkpoint is missing ['running_var']"),
+        (_v1_document, "checkpoint is missing ['running_mean', 'running_var', 'values']"),
         (_not_json, "not a JSON document: Expecting property name enclosed in double quotes"),
         (_list_document, "checkpoint must be a JSON object, got list"),
-        (_string_in_data, "parameter 'enc1.w' data must be a flat list of numbers"),
-        (_list_param_name, "unknown parameter ['enc1.w'] for kind=cnp"),
-        (_ragged_running_mean, "batch-norm 'enc1.bn' running_mean must be a flat list of numbers"),
-        (_momentum([1, 2]), "batch-norm 'enc1.bn' momentum must be a number, got [1, 2]"),
-        (_momentum("0.9"), "batch-norm 'enc1.bn' momentum must be a number, got '0.9'"),
-        (_momentum(True), "batch-norm 'enc1.bn' momentum must be a number, got True"),
-        (_momentum(1.5), "batch-norm 'enc1.bn' momentum must be in (0, 1), got 1.5"),
-        (_params(5), "params must be a JSON list, got int"),
-        (_params(None), "params must be a JSON list, got NoneType"),
-        (_duplicate_param, "duplicate parameter 'enc1.w'"),
+        (_null_values, "values must be a flat list of numbers"),
+        (_string_in_values, "values must be a flat list of numbers"),
+        (_ragged_running_mean, "running_mean must be a flat list of numbers"),
+        (_resize("values", 1), "values holds 331 numbers, the model config implies 330"),
+        (_resize("values", -1), "values holds 329 numbers, the model config implies 330"),
+        (_resize("running_mean", 1), "running_mean holds 33 numbers, the model config implies 32"),
+        (_resize("running_mean", -1), "running_mean holds 31 numbers, the model config implies 32"),
+        (_resize("running_var", 1), "running_var holds 33 numbers, the model config implies 32"),
+        (_resize("running_var", -1), "running_var holds 31 numbers, the model config implies 32"),
+        (_model("latent_dim", 1.5), "bad model config: latent_dim must be an int, got 1.5"),
+        (_model("latent_dim", True), "bad model config: latent_dim must be an int, got True"),
+        (_model("init_seed", 1.5), "bad model config: init_seed must be an int, got 1.5"),
+        (_model("radius", True), "bad model config: radius must be an int or float, got True"),
         (_not_utf8, "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"),
-        (_repeated_bn_layer, "repeated key 'enc1.bn'"),
+        (_repeated_key, "repeated key 'running_var'"),
     ],
-    ids=["nan_weight", "negative_running_var", "missing_bn_layer", "unknown_bn_layer", "unknown_model_key",
-         "missing_params", "missing_running_var", "missing_param_data", "other_sigma_floor", "not_json",
-         "list_document", "string_in_data", "list_param_name", "ragged_running_mean", "list_momentum", "string_momentum",
-         "bool_momentum", "momentum_out_of_range", "int_params", "null_params", "duplicate_param", "not_utf8",
-         "repeated_bn_layer"],
+    ids=["nan_value", "negative_running_var", "unknown_model_key", "missing_values", "missing_running_var",
+         "v1_document", "not_json", "list_document", "null_values", "string_in_values", "ragged_running_mean",
+         "values_one_too_many", "values_one_too_few", "running_mean_one_too_many", "running_mean_one_too_few",
+         "running_var_one_too_many", "running_var_one_too_few", "float_latent_dim", "bool_latent_dim",
+         "float_init_seed", "bool_radius", "not_utf8", "repeated_key"],
 )
 def test_bad_checkpoint_is_rejected_naming_file_and_entry(tmp_path, capsys, edit, message):
     from cgnp.cli import main
@@ -345,20 +303,56 @@ def test_bad_checkpoint_is_rejected_naming_file_and_entry(tmp_path, capsys, edit
     assert not out.exists()
 
 
-def test_checkpoint_with_the_fixed_sigma_floor_key_loads(tmp_path):
-    # checkpoints written while ModelConfig had a sigma_floor field carry it at 0.1
-    cfg = ModelConfig(kind="cgnp", init_seed=2)
-    store = init_params(cfg)
+@pytest.mark.parametrize("latent_dim", [10**74, 10**5], ids=["75_digits", "1e5"])
+def test_checkpoint_latent_dim_beyond_its_values_is_rejected_before_allocating(tmp_path, monkeypatch, latent_dim):
+    import cgnp.formats as formats
+
+    cfg = ModelConfig(kind="cnp", latent_dim=1)
     path = tmp_path / "c.json"
-    save_checkpoint(path, store, cfg)
+    save_checkpoint(path, init_params(cfg), cfg)
     doc = json.loads(path.read_text())
-    assert "sigma_floor" not in doc["model"]
-    doc["model"]["sigma_floor"] = 0.1
+    doc["model"]["latent_dim"] = latent_dim
     path.write_text(json.dumps(doc))
-    loaded, loaded_cfg, _ = load_checkpoint(path)
-    assert loaded_cfg == cfg
-    for name, param in store.params.items():
-        assert np.array_equal(loaded[name].value, param.value)
+
+    def no_init(model_cfg):
+        raise AssertionError("init_params ran before the lengths were checked")
+
+    monkeypatch.setattr(formats, "init_params", no_init)
+    implied = formats.flat_sizes(replace(cfg, latent_dim=latent_dim))[0]
+    with pytest.raises(ValueError, match=re.escape(f"{path}: values holds 22 numbers, the model config implies {implied}")):
+        load_checkpoint(path)
+
+
+# every single-byte corruption: each byte replaced by one of these, or doubled
+CORRUPTIONS = [b"", b"0", b"-", b"e", b'"', b"[", b"]", b"{", b"}", b",", b":", b"\xff", b"N", b"9" * 400]
+TWO_EPISODES = (
+    b'{"x_c":[-1.5,0.25],"y_c":[0.5,-2e-3],"x_t":[1.0,-0.75],"y_t":[0.125,1.5]}\n'
+    b'{"x_c":[0.5,-0.3125],"y_c":[-1.25,0.875],"x_t":[1.75,0.0,-1.0],"y_t":[2.5,-0.5,1e+2]}\n'
+)
+
+
+def _corruption_violations(path, data: bytes, load) -> list:
+    """The variants of `data` that neither load nor raise a ValueError
+    whose message starts with the path."""
+    violations = []
+    for i in range(len(data)):
+        for variant in [data[:i] + c + data[i + 1:] for c in CORRUPTIONS] + [data[:i + 1] + data[i:]]:
+            path.write_bytes(variant)
+            try:
+                load(path)
+            except Exception as exc:
+                if not (isinstance(exc, ValueError) and str(exc).startswith(f"{path}: ")):
+                    violations.append((i, variant[max(0, i - 20):i + 20], repr(exc)[:200]))
+    return violations
+
+
+def test_every_single_byte_corruption_loads_or_is_rejected_naming_the_file(tmp_path):
+    cfg = ModelConfig(kind="cnp", latent_dim=1)
+    checkpoint = checkpoint_text(init_params(cfg), cfg).encode()
+    (tmp_path / "e.jsonl").write_bytes(TWO_EPISODES)
+    assert sum(map(len, load_episodes(tmp_path / "e.jsonl"))) == 2
+    assert _corruption_violations(tmp_path / "c.json", checkpoint, load_checkpoint) == []
+    assert _corruption_violations(tmp_path / "e.jsonl", TWO_EPISODES, load_episodes) == []
 
 
 def test_atomic_write_leaves_no_partial_file(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from cgnp.autodiff import Tensor, backward, block_mean
 from cgnp.gp import EpisodeBatch, bucket_episodes
-from cgnp.models import ModelConfig, cnp_weights_from_cgnp, forward_tensors, init_params
+from cgnp.models import ModelConfig, cnp_weights_from_cgnp, flat_sizes, forward_tensors, init_params
 from cgnp.training import batch_loss
 
 from helpers import assert_grads_match, episode, predict
@@ -77,6 +77,20 @@ def test_config_validation():
         ModelConfig(kind="cgnp", radius=-0.5)
     with pytest.raises(ValueError, match="radius"):
         ModelConfig(kind="cgnp", radius=float("nan"))
+    with pytest.raises(ValueError, match="latent_dim must be an int, got 8.0"):
+        ModelConfig(kind="cnp", latent_dim=8.0)
+    with pytest.raises(ValueError, match="init_seed must be an int, got False"):
+        ModelConfig(kind="cnp", init_seed=False)
+
+
+@pytest.mark.parametrize("latent_dim", [1, 2, 3, 8, 17])
+@pytest.mark.parametrize("kind", ["cnp", "cgnp"])
+def test_flat_sizes_count_what_init_params_allocates(kind, latent_dim):
+    cfg = ModelConfig(kind=kind, latent_dim=latent_dim)
+    store = init_params(cfg)
+    values = sum(p.value.size for p in store.parameters())
+    bn_width = sum(state.running_mean.size for state in store.bn.values())
+    assert flat_sizes(cfg) == (values, bn_width)
 
 
 # ---------------------------------------------------------------------------
