@@ -182,11 +182,12 @@ def _unflatten(flat: np.ndarray, arrays: list[np.ndarray]) -> None:
 
 def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
     """Read a checkpoint, rejecting any entry the model cannot use as is:
-    bytes that are not UTF-8, text that is not a JSON object, repeated or
-    missing keys, a model config `ModelConfig` rejects, vectors that are
-    not flat lists of numbers or not as long as the config implies,
-    non-finite values and negative running variances. Lengths are checked
-    before `init_params` allocates the model."""
+    bytes that are not UTF-8, text that is not a JSON object, repeated,
+    missing or unknown keys, an `extra` that is not a JSON object, a model
+    config `ModelConfig` rejects, vectors that are not flat lists of numbers
+    or not as long as the config implies, non-finite values and negative
+    running variances. Lengths are checked before `init_params` allocates
+    the model."""
     text = read_text(path)
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
@@ -195,6 +196,10 @@ def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
     except ValueError as exc:  # a repeated key
         raise ValueError(f"{path}: {exc}") from exc
     doc = _entry(path, doc, "checkpoint", ("model", "running_mean", "running_var", "values"))
+    unknown = sorted(set(doc) - {"model", "running_mean", "running_var", "values", "extra"})
+    if unknown:
+        raise ValueError(f"{path}: unknown checkpoint keys {unknown}")
+    extra = _entry(path, doc.get("extra", {}), "extra")
     model = _entry(path, doc["model"], "model")
     unknown = sorted(set(model) - {f.name for f in fields(ModelConfig)})
     if unknown:
@@ -219,7 +224,7 @@ def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
     _unflatten(vectors["values"], [p.value for p in store.parameters()])
     _unflatten(vectors["running_mean"], [state.running_mean for state in bn])
     _unflatten(vectors["running_var"], [state.running_var for state in bn])
-    return store, cfg, doc.get("extra", {})
+    return store, cfg, extra
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ batches hold 64 episodes sharing one (N_c, N_t) draw with inputs sampled
 uniformly; test episodes sample the GP jointly on a 400-point even grid and
 promote a random subset of 3..10 grid points to context. Every episode and
 batch is a pure function of (master_seed, index), via the derived streams
-in ``seeds``.
+in ``seeds``, whatever the BLAS thread count: the test grid's kernel (and
+any `sample_function_values` draw) is factored column by column, whose
+bytes do not depend on it, and LAPACK factors only the small per-episode
+kernels of training batches (20 points at most by default), which it does
+not split.
 
 `EpisodeBatch` is the one episode record: a single episode is a batch of
 one, and an episode set (test, held-out or loaded from a file) is a list
@@ -197,13 +201,27 @@ def cholesky(k: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
 
 
-def _factor(xs, spec: EqKernelSpec) -> np.ndarray:
+def _column_cholesky(k: np.ndarray) -> np.ndarray:
+    """`cholesky` computed one column per step (unblocked, left-looking).
+    LAPACK's blocked factorisation of a large matrix splits its work by the
+    BLAS thread count, and its bytes change with it; each step here is one
+    matrix-vector product, whose bytes do not."""
+    ell = np.zeros_like(k)
+    for j in range(k.shape[0]):
+        col = k[j:, j] - ell[j:, :j] @ ell[j, :j]
+        if not col[0] > 0.0:  # NaN fails too
+            raise NotPositiveDefiniteError(f"matrix is not positive definite: pivot {j} is {col[0]}")
+        ell[j:, j] = col / np.sqrt(col[0])
+    return ell
+
+
+def _factor(xs, spec: EqKernelSpec, factor=cholesky) -> np.ndarray:
     try:
-        return cholesky(kernel_matrix(xs, spec))
+        return factor(kernel_matrix(xs, spec))
     except NotPositiveDefiniteError:
         # one retry with 100x jitter before giving up
         bumped = dataclasses.replace(spec, jitter=max(spec.jitter, 1e-12) * 100.0)
-        return cholesky(kernel_matrix(xs, bumped))
+        return factor(kernel_matrix(xs, bumped))
 
 
 def sample_function_values(xs, spec: EqKernelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -211,7 +229,7 @@ def sample_function_values(xs, spec: EqKernelSpec, rng: np.random.Generator) -> 
     xs = np.asarray(xs, dtype=np.float64)
     if not np.all(np.isfinite(xs)):
         raise ValueError("sample points must be finite")
-    return _factor(xs, spec) @ rng.standard_normal(xs.size)
+    return _factor(xs, spec, _column_cholesky) @ rng.standard_normal(xs.size)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +263,7 @@ def make_train_batch(cfg: ProtocolConfig, spec: EqKernelSpec, batch_index: int) 
 @lru_cache(maxsize=8)
 def _grid_factor(interval: tuple[float, float], n: int, spec: EqKernelSpec):
     grid = np.linspace(interval[0], interval[1], n)
-    factor = _factor(grid, spec)
+    factor = _factor(grid, spec, _column_cholesky)
     grid.flags.writeable = False
     factor.flags.writeable = False
     return grid, factor

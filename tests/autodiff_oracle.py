@@ -13,9 +13,11 @@ set, then each op's rule in the reverse of that order. The tape-size pins
 count its nodes, and `backward` must give the same gradients.
 
 `reference_batch_norm` is the train/eval batch norm written with
-`np.mean`/`np.var`, centring the input twice, as the op was before its
-statistics were computed in one pass. `autodiff.batch_norm` must match it
-exactly: output, running statistics and every gradient.
+`np.mean`/`np.var`, centring the input twice, and a four-sum train-mode
+backward, as the op was before its statistics were computed in one pass
+and its sums over rows became products with a row of ones.
+`autodiff.batch_norm` must match it exactly where it takes no sum (the
+eval-mode output and input gradient) and to rounding everywhere else.
 """
 
 from __future__ import annotations

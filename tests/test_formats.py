@@ -191,6 +191,14 @@ def _unknown_model_key(doc):
     doc["model"]["bogus"] = 1
 
 
+def _unknown_key(doc):
+    doc["m"] = [0.0]  # say, a vector a later format adds
+
+
+def _extra_not_an_object(doc):
+    doc["extra"] = 5
+
+
 def _drop(key):
     def edit(doc):
         del doc[key]
@@ -257,6 +265,8 @@ def _not_utf8(doc):
         (_poison_value, "values holds a non-finite value"),
         (_negative_variance, "running_var holds a negative value"),
         (_unknown_model_key, "unknown model keys ['bogus']"),
+        (_unknown_key, "unknown checkpoint keys ['m']"),
+        (_extra_not_an_object, "extra must be a JSON object, got int"),
         (_drop("values"), "checkpoint is missing ['values']"),
         (_drop("running_var"), "checkpoint is missing ['running_var']"),
         (_v1_document, "checkpoint is missing ['running_mean', 'running_var', 'values']"),
@@ -278,8 +288,9 @@ def _not_utf8(doc):
         (_not_utf8, "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"),
         (_repeated_key, "repeated key 'running_var'"),
     ],
-    ids=["nan_value", "negative_running_var", "unknown_model_key", "missing_values", "missing_running_var",
-         "v1_document", "not_json", "list_document", "null_values", "string_in_values", "ragged_running_mean",
+    ids=["nan_value", "negative_running_var", "unknown_model_key", "unknown_key", "extra_not_an_object",
+         "missing_values", "missing_running_var", "v1_document", "not_json", "list_document", "null_values",
+         "string_in_values", "ragged_running_mean",
          "values_one_too_many", "values_one_too_few", "running_mean_one_too_many", "running_mean_one_too_few",
          "running_var_one_too_many", "running_var_one_too_few", "float_latent_dim", "bool_latent_dim",
          "float_init_seed", "bool_radius", "not_utf8", "repeated_key"],

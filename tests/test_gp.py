@@ -102,8 +102,9 @@ def test_cholesky_hand_case():
 
 
 def test_cholesky_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        cholesky([[1.0, 2.0], [2.0, 1.0]])
+    for factor in (cholesky, gp._column_cholesky):
+        with pytest.raises(NotPositiveDefiniteError):
+            factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 @settings(deadline=None, max_examples=40)
@@ -113,6 +114,9 @@ def test_cholesky_reconstructs_protocol_matrices(seed, n):
     k = kernel_matrix(xs, SPEC)
     ell = cholesky(k)
     assert np.max(np.abs(ell @ ell.T - k)) <= 1e-10
+    column = gp._column_cholesky(k)
+    assert np.array_equal(column, np.tril(column))
+    assert np.max(np.abs(column @ column.T - k)) <= 1e-10
 
 
 def test_cholesky_succeeds_on_ten_thousand_protocol_draws():
