@@ -134,7 +134,8 @@ def backward(loss: Tensor) -> None:
     ``loss`` must hold exactly one element. Ops run newest first, so each
     output gradient is complete when its op's turn comes. Leaves that did
     not contribute keep whatever gradient they already had (zero for a
-    parameter right after creation or after ``zero_grads``).
+    parameter right after creation or after its store's ``grad`` buffer
+    is cleared).
     """
     if loss.value.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")

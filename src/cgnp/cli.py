@@ -44,6 +44,15 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "data.test_episodes": _DEFAULT.protocol.test_episodes,
 }
 
+# upper bounds on the keys that size an allocation, so that an oversized
+# value is rejected naming the key rather than failing inside numpy
+CONFIG_MAXIMA = {
+    "model.latent_dim": 512,
+    "train.batches": 10**7,
+    "train.batch_size": 4096,
+    "data.test_episodes": 10**5,
+}
+
 
 def _coerce(key: str, raw: str):
     default = CONFIG_DEFAULTS[key]
@@ -55,6 +64,8 @@ def _coerce(key: str, raw: str):
         raise ValueError(f"config key {key}: cannot parse {raw!r}: {exc}") from exc
     if not math.isfinite(value):
         raise ValueError(f"config key {key}: must be finite, got {value}")
+    if key in CONFIG_MAXIMA and value > CONFIG_MAXIMA[key]:
+        raise ValueError(f"config key {key}: must be at most {CONFIG_MAXIMA[key]}, got {value}")
     return value
 
 

@@ -6,10 +6,11 @@ exact same doubles. All writes go through a temp file plus atomic rename;
 a failed command never leaves a partial file behind. An episode file loads
 as shape buckets (`gp.bucket_episodes`) that remember each line's position,
 and saving them writes the lines back in that order. A checkpoint is the
-model config plus three flat vectors: `values` (every parameter, row-major,
-in `init_params` order, the layout of `AdamState.value`) and the batch-norm
-`running_mean` and `running_var` (layer after layer). The config fixes each
-vector's length, so the loader checks lengths before it allocates a model.
+model config plus three flat vectors: `values` (the store's flat `value`
+buffer: every parameter, row-major, in `models._layout` order) and the
+batch-norm `running_mean` and `running_var` (layer after layer). The
+config fixes each vector's length, so the loader checks lengths before it
+allocates a model.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def checkpoint_text(store: ParameterStore, cfg: ModelConfig, extra: dict | None 
     bn = store.bn.values()
     doc = {
         "model": asdict(cfg),
-        "values": np.concatenate([p.value.ravel() for p in store.parameters()]).tolist(),
+        "values": store.value.tolist(),
         "running_mean": np.concatenate([state.running_mean.ravel() for state in bn]).tolist(),
         "running_var": np.concatenate([state.running_var.ravel() for state in bn]).tolist(),
         "extra": extra or {},
@@ -175,7 +176,8 @@ def _numbers(path, value, where: str) -> np.ndarray:
 
 
 def _unflatten(flat: np.ndarray, arrays: list[np.ndarray]) -> None:
-    """Copy consecutive slices of `flat` into `arrays`, in place."""
+    """Copy consecutive slices of `flat` into `arrays` (the per-layer
+    batch-norm statistics), in place."""
     for array, part in zip(arrays, np.split(flat, np.cumsum([a.size for a in arrays])[:-1])):
         array[...] = part.reshape(array.shape)
 
@@ -220,8 +222,8 @@ def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
     if (vectors["running_var"] < 0.0).any():
         raise ValueError(f"{path}: running_var holds a negative value")
     store = init_params(cfg)
+    store.value[:] = vectors["values"]
     bn = store.bn.values()
-    _unflatten(vectors["values"], [p.value for p in store.parameters()])
     _unflatten(vectors["running_mean"], [state.running_mean for state in bn])
     _unflatten(vectors["running_var"], [state.running_var for state in bn])
     return store, cfg, extra

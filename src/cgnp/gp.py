@@ -170,6 +170,8 @@ class ProtocolConfig:
             raise ValueError(f"test_episodes must be non-negative, got {self.test_episodes}")
         if self.test_grid < self.n_context[1] + 1:
             raise ValueError("test grid must exceed the largest context count")
+        if self.test_grid > 4096:  # it sizes a (test_grid, test_grid) kernel matrix
+            raise ValueError(f"test_grid must be at most 4096, got {self.test_grid}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
 

@@ -15,6 +15,11 @@ context. At radius 0 with distinct coordinates the convolutions collapse to
 pointwise affine maps, and `cnp_weights_from_cgnp` maps a CGNP store onto
 the CNP that computes the identical function.
 
+Every parameter's name and shape is stated once, in `_layout`.
+`init_params` lays the parameters out in that order in two flat buffers,
+``store.value`` and ``store.grad``, which Adam updates and the checkpoint
+copies whole; `flat_sizes` counts the same table without allocating.
+
 Every forward runs over one `EpisodeBatch`: B episodes that share
 (N_c, N_t), as stacked (B, N_c) and (B, N_t) arrays. All points share one
 matrix (so train-mode batch norm pools statistics across the whole batch)
@@ -84,11 +89,14 @@ class ModelConfig:
 
 
 class ParameterStore:
-    """Named parameter leaves plus per-layer batch-norm state."""
+    """Named parameter leaves plus per-layer batch-norm state. Every
+    parameter's ``.value``/``.grad`` is a view into the store's flat
+    ``value``/``grad`` buffers, which `init_params` lays out by `_layout`."""
 
     def __init__(self):
         self.params: dict[str, Parameter] = {}
         self.bn: dict[str, BatchNormState] = {}
+        self.value, self.grad = np.zeros(0), np.zeros(0)
 
     def add(self, param: Parameter) -> Parameter:
         if param.name in self.params:
@@ -96,75 +104,69 @@ class ParameterStore:
         self.params[param.name] = param
         return param
 
-    def add_bn(self, state: BatchNormState) -> BatchNormState:
-        self.bn[state.name] = state
-        self.add(state.gamma)
-        self.add(state.beta)
-        return state
-
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
 
     def __getitem__(self, name: str) -> Parameter:
         return self.params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
 
+def _layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, int]]]:
+    """Every parameter's name and shape, in creation order: block by block,
+    the weights, the bias and (all but dec2) batch-norm gamma and beta.
 
-def _layer_dims(cfg: ModelConfig) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    d = cfg.latent_dim
-    encoder = [(2, d), (d, d), (d, d)]
-    decoder = [(1 + d, d), (d, 2)]
-    return encoder, decoder
+    The CGNP's weights are the CNP's plus a relative-position row in each
+    encoder weight (w_nbr) and, in dec1, a neighbor weight over encoded
+    context features beside the self term on concat(target x, latent)."""
+    d, cgnp = cfg.latent_dim, cfg.kind == "cgnp"
+
+    def bias_and_bn(block):
+        return [(f"{block}.b", (1, d)), (f"{block}.bn.gamma", (1, d)), (f"{block}.bn.beta", (1, d))]
+
+    layout = []
+    for k, d_in in enumerate((2, d, d), start=1):
+        weight = (f"enc{k}.w_nbr", (d_in + 1, d)) if cgnp else (f"enc{k}.w", (d_in, d))
+        layout += [weight, *bias_and_bn(f"enc{k}")]
+    layout += [("dec1.w_nbr", (d + 1, d)), ("dec1.w_self", (1 + d, d))] if cgnp else [("dec1.w", (1 + d, d))]
+    return layout + bias_and_bn("dec1") + [("dec2.w", (d, 2)), ("dec2.b", (1, 2))]
 
 
 def init_params(cfg: ModelConfig) -> ParameterStore:
     """Fan-in-scaled uniform weights, zero biases, unit batch-norm state.
 
-    Draw order is fixed (enc1..enc3 then dec1, w_nbr before w_self), so a
-    given init_seed always yields bit-identical stores.
+    Weights are drawn in `_layout` order (enc1..enc3 then dec1, w_nbr
+    before w_self), so a given init_seed always yields bit-identical stores.
     """
     rng = derive_rng(cfg.init_seed, DOMAIN_INIT)
     store = ParameterStore()
-
-    def draw(name: str, fan_in: int, fan_out: int) -> Parameter:
-        bound = 1.0 / np.sqrt(fan_in)
-        return store.add(Parameter(name, rng.uniform(-bound, bound, (fan_in, fan_out))))
-
-    encoder, decoder = _layer_dims(cfg)
-    for k, (d_in, d_out) in enumerate(encoder, start=1):
-        if cfg.kind == "cnp":
-            draw(f"enc{k}.w", d_in, d_out)
+    n_values = flat_sizes(cfg)[0]
+    store.value, store.grad = np.empty(n_values), np.zeros(n_values)
+    start = 0
+    for name, (rows, cols) in _layout(cfg):
+        stop = start + rows * cols
+        p = store.add(Parameter(name, store.value[start:stop].reshape(rows, cols)))
+        p.grad = store.grad[start:stop].reshape(rows, cols)
+        if name.endswith((".b", ".beta")):
+            p.value.fill(0.0)
+        elif name.endswith(".gamma"):
+            p.value.fill(1.0)
         else:
-            draw(f"enc{k}.w_nbr", d_in + 1, d_out)  # +1 for the relative position
-        store.add(Parameter(f"enc{k}.b", np.zeros((1, d_out))))
-        store.add_bn(BatchNormState(f"enc{k}.bn", d_out))
-
-    (d_in1, d_out1), (d_in2, d_out2) = decoder
-    if cfg.kind == "cnp":
-        draw("dec1.w", d_in1, d_out1)
-    else:
-        draw("dec1.w_nbr", cfg.latent_dim + 1, d_out1)  # neighbors carry encoded features
-        draw("dec1.w_self", d_in1, d_out1)
-    store.add(Parameter("dec1.b", np.zeros((1, d_out1))))
-    store.add_bn(BatchNormState("dec1.bn", d_out1))
-    draw("dec2.w", d_in2, d_out2)
-    store.add(Parameter("dec2.b", np.zeros((1, d_out2))))
+            bound = 1.0 / np.sqrt(rows)  # fan-in
+            p.value[...] = rng.uniform(-bound, bound, (rows, cols))
+        if name.endswith(".bn.beta"):  # gamma came just before
+            layer = name.removesuffix(".beta")
+            state = store.bn[layer] = BatchNormState(layer, cols)
+            state.gamma, state.beta = store[f"{layer}.gamma"], p
+        start = stop
     return store
 
 
 def flat_sizes(cfg: ModelConfig) -> tuple[int, int]:
     """(number of parameter values, total batch-norm width) of
     `init_params(cfg)`, counted without allocating anything."""
-    encoder, decoder = _layer_dims(cfg)
-    (d_in1, d_out1), (d_in2, d_out2) = decoder
-    rel = 0 if cfg.kind == "cnp" else 1  # w_nbr's relative-position row
-    weights = sum((d_in + rel) * d_out for d_in, d_out in encoder) + d_in1 * d_out1 + d_in2 * d_out2
-    if cfg.kind == "cgnp":
-        weights += (cfg.latent_dim + 1) * d_out1  # dec1.w_nbr beside dec1.w_self
-    bn_width = sum(d_out for _, d_out in encoder) + d_out1
-    return weights + 3 * bn_width + d_out2, bn_width  # bias, gamma, beta per bn column
+    layout = _layout(cfg)
+    bn_width = sum(cols for name, (_, cols) in layout if name.endswith(".gamma"))
+    return sum(rows * cols for _, (rows, cols) in layout), bn_width
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +237,10 @@ def cnp_weights_from_cgnp(store: ParameterStore, cfg: ModelConfig) -> tuple[Para
         raise ValueError("expected a cgnp config")
     cnp_cfg = replace(cfg, kind="cnp")
     out = init_params(cnp_cfg)
-    for k in range(1, ENCODER_DEPTH + 1):
-        out[f"enc{k}.w"].value[...] = store[f"enc{k}.w_nbr"].value[:-1, :]
-        out[f"enc{k}.b"].value[...] = store[f"enc{k}.b"].value
-    out["dec1.w"].value[...] = store["dec1.w_self"].value
-    out["dec1.b"].value[...] = store["dec1.b"].value
-    out["dec2.w"].value[...] = store["dec2.w"].value
-    out["dec2.b"].value[...] = store["dec2.b"].value
+    source = {f"enc{k}.w": f"enc{k}.w_nbr" for k in range(1, ENCODER_DEPTH + 1)} | {"dec1.w": "dec1.w_self"}
+    for name, p in out.params.items():
+        p.value[...] = store[source.get(name, name)].value[: p.value.shape[0]]  # drops w_nbr's last row
     for name, src in store.bn.items():
-        dst = out.bn[name]
-        dst.gamma.value[...] = src.gamma.value
-        dst.beta.value[...] = src.beta.value
-        dst.running_mean = src.running_mean.copy()
-        dst.running_var = src.running_var.copy()
-        dst.momentum = src.momentum
-        dst.eps = src.eps
+        out.bn[name].running_mean = src.running_mean.copy()
+        out.bn[name].running_var = src.running_var.copy()
     return out, cnp_cfg

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Tensor, backward, gaussian_nll, nll_terms
 from .gp import EpisodeBatch, EqKernelSpec, ProtocolConfig, make_heldout_set, make_train_batch
 from .models import ModelConfig, ParameterStore, forward_tensors, init_params
-from .optim import AdamState, adam_step, zero_grads
+from .optim import AdamState, adam_step
 
 __all__ = [
     "TrainConfig",
@@ -111,7 +111,7 @@ def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
     """
     start = time.perf_counter()
     store = init_params(cfg.model)
-    adam = AdamState(store.parameters(), lr=cfg.lr)
+    adam = AdamState(store, lr=cfg.lr)
     heldout = make_heldout_set(cfg.protocol, cfg.kernel, cfg.heldout_episodes)
     n_batches = cfg.protocol.train_batches
     losses = np.empty(n_batches)
@@ -133,7 +133,7 @@ def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
         losses[b] = loss_value
         backward(loss)
         adam_step(adam)
-        zero_grads(adam)
+        store.grad.fill(0.0)
 
         at_eval = cfg.eval_every > 0 and (b % cfg.eval_every == 0 or b == n_batches - 1)
         if at_eval:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cgnp
-from cgnp.cli import CONFIG_DEFAULTS, _train_config, main, parse_run_config
+from cgnp.cli import CONFIG_DEFAULTS, CONFIG_MAXIMA, _train_config, main, parse_run_config
 from cgnp.formats import file_sha256, load_checkpoint, load_episodes, save_checkpoint, save_episodes
 from cgnp.gp import EqKernelSpec, ProtocolConfig, make_test_set
 from cgnp.models import ModelConfig, init_params
@@ -84,6 +84,25 @@ def test_bad_config_value_exits_1_naming_the_key_and_writes_nothing(tmp_path, ca
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {message}"]
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", list(CONFIG_MAXIMA))
+def test_oversized_value_exits_1_naming_the_key_before_allocating(tmp_path, monkeypatch, capsys, key):
+    import cgnp.cli as cli
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("an oversized value reached allocation")
+
+    monkeypatch.setattr(cli, "train", no_allocation)
+    monkeypatch.setattr(cli, "make_test_set", no_allocation)
+    bound = CONFIG_MAXIMA[key]
+    assert parse_run_config(None, [f"{key}={bound}"])[key] == bound
+    for argv in (["train", "--out-dir", str(tmp_path / "run")], ["generate", "--out", str(tmp_path / "t.jsonl")]):
+        assert main([*argv, f"{key}={bound + 1}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: config key {key}: must be at most {bound}, got {bound + 1}"]
+        assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -329,14 +348,15 @@ def test_plot_index_out_of_range(trained_dir, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
     # the child imports the package under test, installed or not
     src = str(Path(cgnp.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "smoke.jsonl"
     proc = subprocess.run(
-        [sys.executable, "-m", "cgnp", "generate", "--out", "/tmp/cgnp_cli_smoke.jsonl",
-         "data.test_episodes=2"],
+        [sys.executable, "-m", "cgnp", "generate", "--out", str(out), "data.test_episodes=2"],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "wrote 2 episodes" in proc.stdout
+    assert len(out.read_text().splitlines()) == 2

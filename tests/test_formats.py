@@ -20,7 +20,6 @@ from cgnp.formats import (
 )
 from cgnp.gp import EqKernelSpec, ProtocolConfig, bucket_episodes, make_test_episode, make_test_set
 from cgnp.models import ModelConfig, init_params
-from cgnp.optim import AdamState
 from cgnp.training import Metrics, SeedRun, VariantResult
 
 from helpers import episode, predict
@@ -129,6 +128,7 @@ def test_checkpoint_roundtrip_bit_exact_and_stable(tmp_path):
     cfg = ModelConfig(kind="cgnp", latent_dim=8, radius=0.7, init_seed=9)
     store = init_params(cfg)
     rng = np.random.default_rng(0)
+    store.value[:] = rng.standard_normal(store.value.size)  # not what init_params draws
     for state in store.bn.values():
         state.running_mean = rng.standard_normal(state.running_mean.shape)
         state.running_var = rng.uniform(0.5, 2.0, state.running_var.shape)
@@ -151,19 +151,20 @@ def test_checkpoint_loads_into_the_parameter_buffers_in_place(tmp_path, monkeypa
 
     cfg = ModelConfig(kind="cgnp", init_seed=4)
     save_checkpoint(tmp_path / "c.json", init_params(cfg), cfg)
-    packed = []
+    built = []
 
-    def packed_init(model_cfg):
+    def other_init(model_cfg):
         store = init_params(replace(model_cfg, init_seed=model_cfg.init_seed + 1))
-        packed.append(AdamState(store.parameters()))
+        built.append((store, store.value))
         return store
 
-    monkeypatch.setattr(formats, "init_params", packed_init)
+    monkeypatch.setattr(formats, "init_params", other_init)
     loaded, _, _ = load_checkpoint(tmp_path / "c.json")
-    (state,) = packed
+    ((store, buffer),) = built
+    assert loaded is store and loaded.value is buffer
     want = init_params(cfg)
     for name, p in loaded.params.items():
-        assert np.shares_memory(p.value, state.value), name
+        assert np.shares_memory(p.value, buffer), name
         assert np.array_equal(p.value, want[name].value), name
 
 

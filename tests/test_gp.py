@@ -83,6 +83,9 @@ def test_protocol_validation():
         ProtocolConfig(test_episodes=-1)
     with pytest.raises(ValueError, match="interval"):
         ProtocolConfig(interval=(math.nan, 2.0))
+    with pytest.raises(ValueError, match="test_grid must be at most 4096, got 4097"):
+        ProtocolConfig(test_grid=4097)
+    assert ProtocolConfig(test_grid=4096).test_grid == 4096
 
 
 # ---------------------------------------------------------------------------

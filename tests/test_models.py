@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from cgnp.autodiff import Tensor, backward, block_mean
+from cgnp.autodiff import Parameter, Tensor, backward, block_mean
+from cgnp.formats import load_checkpoint, save_checkpoint
 from cgnp.gp import EpisodeBatch, bucket_episodes
-from cgnp.models import ModelConfig, cnp_weights_from_cgnp, flat_sizes, forward_tensors, init_params
+from cgnp.models import (
+    ModelConfig,
+    ParameterStore,
+    _layout,
+    cnp_weights_from_cgnp,
+    flat_sizes,
+    forward_tensors,
+    init_params,
+)
 from cgnp.training import batch_loss
 
 from helpers import assert_grads_match, episode, predict
@@ -91,6 +100,45 @@ def test_flat_sizes_count_what_init_params_allocates(kind, latent_dim):
     values = sum(p.value.size for p in store.parameters())
     bn_width = sum(state.running_mean.size for state in store.bn.values())
     assert flat_sizes(cfg) == (values, bn_width)
+
+
+def assert_views_tile_the_buffers(store, cfg):
+    """Each parameter's value and grad are views of the store's flat
+    buffers, in `_layout` order, with no gap and no overlap."""
+    layout = _layout(cfg)
+    assert list(store.params) == [name for name, _ in layout]
+    for flat, attr in ((store.value, "value"), (store.grad, "grad")):
+        base = flat.__array_interface__["data"][0]
+        start = 0
+        for name, shape in layout:
+            view = getattr(store[name], attr)
+            assert view.shape == shape and view.flags.c_contiguous, name
+            assert np.shares_memory(view, flat), name
+            assert view.__array_interface__["data"][0] == base + start * flat.itemsize, name
+            start += view.size
+        assert start == flat.size
+    bn_width = sum(state.running_mean.size for state in store.bn.values())
+    assert flat_sizes(cfg) == (store.value.size, bn_width)
+
+
+@pytest.mark.parametrize("latent_dim", [1, 3, 8])
+@pytest.mark.parametrize("kind", ["cnp", "cgnp"])
+def test_parameter_views_tile_the_flat_buffers_in_layout_order(tmp_path, kind, latent_dim):
+    cfg = ModelConfig(kind=kind, latent_dim=latent_dim)
+    store = init_params(cfg)
+    assert_views_tile_the_buffers(store, cfg)
+    save_checkpoint(tmp_path / "c.json", store, cfg)
+    loaded, _, _ = load_checkpoint(tmp_path / "c.json")
+    assert_views_tile_the_buffers(loaded, cfg)
+    assert np.array_equal(loaded.value, store.value)
+
+
+def test_store_add_rejects_a_duplicate_name():
+    store = ParameterStore()
+    store.add(Parameter("a", [[1.0]]))
+    with pytest.raises(ValueError, match="duplicate parameter 'a'"):
+        store.add(Parameter("a", [[2.0]]))
+    assert store["a"].value[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------

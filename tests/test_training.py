@@ -94,10 +94,9 @@ def test_trained_parameters_stay_in_the_packed_buffers():
     # a parameter rebound to a fresh array would silently stop being updated
     store, _ = train(tiny_config("cgnp", batches=3))
     params = store.parameters()
-    flat_value, flat_grad = params[0].value.base, params[0].grad.base
-    assert flat_value.size == flat_grad.size == sum(p.value.size for p in params)
+    assert store.value.size == store.grad.size == sum(p.value.size for p in params)
     for p in params:
-        assert p.value.base is flat_value and p.grad.base is flat_grad, p.name
+        assert p.value.base is store.value and p.grad.base is store.grad, p.name
 
 
 @pytest.mark.parametrize(
