@@ -19,14 +19,18 @@ always exist before its output, so when an op's turn comes every consumer
 of its output has already passed its gradient on. Gradient buffers of
 intermediate tensors are allocated on the first accumulation, so a forward
 pass that is never differentiated (evaluation) allocates none; parameters
-keep an eager zero buffer for the optimizer. Gradients are exact analytic
-rules per op. The test suite holds every op, and random compositions of
-them, to a central finite-difference oracle.
+keep an eager zero buffer for the optimizer. Inside ``no_grad``
+(evaluation) an op's output keeps neither its parents nor its backward
+closure, so each intermediate is freed once the next op has used it.
+Gradients are exact analytic rules per op. The test suite holds every op,
+and random compositions of them, to a central finite-difference oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +40,7 @@ __all__ = [
     "Parameter",
     "BatchNormState",
     "backward",
+    "no_grad",
     "affine",
     "relu",
     "bounded_softplus",
@@ -53,6 +58,7 @@ __all__ = [
 
 
 _creation = itertools.count()  # shared by every tape: backward uses only the order
+_taping = ContextVar("taping", default=True)  # False inside no_grad
 
 
 class Tensor:
@@ -60,9 +66,10 @@ class Tensor:
 
     Leaves are built directly from arrays; an op returns its output built
     complete, with its parents and a closure that routes the output gradient
-    back to them. Tensors are numbered in creation order. ``value`` is
-    treated as immutable once created (ops never write into inputs).
-    ``grad`` is None until a gradient first reaches the node.
+    back to them (neither is kept inside ``no_grad``). Tensors are numbered
+    in creation order. ``value`` is treated as immutable once created (ops
+    never write into inputs). ``grad`` is None until a gradient first
+    reaches the node.
     """
 
     __slots__ = ("value", "grad", "_parents", "_vjp", "_seq")
@@ -73,8 +80,7 @@ class Tensor:
             raise ValueError(f"tensors are 2-D matrices, got shape {arr.shape}")
         self.value = arr
         self.grad = None
-        self._parents = _parents
-        self._vjp = _vjp
+        self._parents, self._vjp = (_parents, _vjp) if _taping.get() else ((), None)
         self._seq = next(_creation)  # larger than every parent's
 
     @property
@@ -97,6 +103,19 @@ class Parameter(Tensor):
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
+
+
+@contextmanager
+def no_grad():
+    """Build no tape inside the block: ops compute their values as usual,
+    but their outputs record no parents and no backward closure. The
+    previous setting is restored however the block exits; other threads
+    keep their own."""
+    token = _taping.set(False)
+    try:
+        yield
+    finally:
+        _taping.reset(token)
 
 
 def _as_tensor(x) -> Tensor:

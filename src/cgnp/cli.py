@@ -70,7 +70,9 @@ def _coerce(key: str, raw: str):
 
 
 def parse_run_config(path: str | None, overrides: list[str] | None = None) -> dict:
-    """Defaults, then the config file, then command-line overrides."""
+    """Defaults, then the config file, then command-line overrides. Only
+    the last value given for a key is parsed and range-checked, so a later
+    entry replaces an earlier bad one; an unknown key is rejected anywhere."""
     cfg = dict(CONFIG_DEFAULTS)
     entries: list[tuple[str, str]] = []
     if path is not None:
@@ -87,13 +89,11 @@ def parse_run_config(path: str | None, overrides: list[str] | None = None) -> di
             raise ValueError(f"override {item!r} is not key=value")
         key, _, raw = item.partition("=")
         entries.append((key.strip(), raw.strip()))
-    for key, raw in entries:
-        if key.startswith("paths."):
-            cfg[key] = raw
-        elif key in CONFIG_DEFAULTS:
-            cfg[key] = _coerce(key, raw)
-        else:
+    for key, _ in entries:
+        if key not in CONFIG_DEFAULTS and not key.startswith("paths."):
             raise ValueError(f"unknown config key {key!r}")
+    for key, raw in dict(entries).items():  # the last value of each key
+        cfg[key] = raw if key.startswith("paths.") else _coerce(key, raw)
     for key in CONFIG_DEFAULTS:  # range checks, one key at a time so the error names it
         try:
             _train_config({**CONFIG_DEFAULTS, key: cfg[key]})

@@ -5,7 +5,8 @@ round-trip float encoding, so files diff cleanly and parse back to the
 exact same doubles. All writes go through a temp file plus atomic rename;
 a failed command never leaves a partial file behind. An episode file loads
 as shape buckets (`gp.bucket_episodes`) that remember each line's position,
-and saving them writes the lines back in that order. A checkpoint is the
+and saving them writes the lines back in that order; both go one line at a
+time, so neither holds the file's text in memory. A checkpoint is the
 model config plus three flat vectors: `values` (the store's flat `value`
 buffer: every parameter, row-major, in `models._layout` order) and the
 batch-norm `running_mean` and `running_var` (layer after layer). The
@@ -19,6 +20,7 @@ import hashlib
 import json
 import os
 import secrets
+from collections.abc import Iterable
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -40,7 +42,9 @@ __all__ = [
 ]
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
+def atomic_write_text(path: str | os.PathLike, chunks: str | Iterable[str]) -> None:
+    """Write `chunks` (one string, or strings in order) to `path` through a
+    temp file renamed into place; if anything fails, no file is left."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.part")
@@ -48,7 +52,7 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([chunks] if isinstance(chunks, str) else chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -97,14 +101,14 @@ def episode_line(batch: EpisodeBatch, row: int) -> str:
 
 
 def save_episodes(path, batches: list[EpisodeBatch]) -> None:
-    """One line per episode, at the position its batch's `index` records."""
-    lines = [""] * sum(len(batch) for batch in batches)
-    for batch in batches:
-        for row, position in enumerate(batch.index):
-            lines[position] = episode_line(batch, row)
-    if "" in lines:
+    """One line per episode, at the position its batch's `index` records.
+    The positions are checked before any file is created; the lines are
+    then encoded and written one at a time."""
+    rows = sorted((position, k, row) for k, batch in enumerate(batches)
+                  for row, position in enumerate(batch.index.tolist()))
+    if any(position != i for i, (position, _, _) in enumerate(rows)):
         raise ValueError("episode positions must number the rows 0..n-1, each once")
-    atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
+    atomic_write_text(path, (episode_line(batches[k], row) + "\n" for _, k, row in rows))
 
 
 def _episode(path, ln: int, line: str) -> EpisodeBatch:
@@ -127,9 +131,17 @@ def _episode(path, ln: int, line: str) -> EpisodeBatch:
 
 def load_episodes(path) -> list[EpisodeBatch]:
     """Every episode of the file, shape-bucketed; index i is line i's
-    episode, counting non-blank lines from 0."""
-    lines = enumerate(read_text(path).split("\n"), start=1)
-    return bucket_episodes([_episode(path, ln, line) for ln, line in lines if line.strip()])
+    episode, counting non-blank lines from 0. The file is parsed one line
+    at a time; "\n", "\r\n" and a lone "\r" each end a line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = enumerate(fh, start=1)
+            return bucket_episodes(_episode(path, ln, line) for ln, line in lines if line.strip())
+    except UnicodeDecodeError as exc:
+        # the streamed decoder counts byte positions from the start of its
+        # chunk; read_text raises naming the position in the whole file
+        read_text(path)
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -127,19 +127,24 @@ class EpisodeBatch:
 def bucket_episodes(batches) -> list[EpisodeBatch]:
     """The rows of `batches` regrouped by (N_c, N_t): buckets in order of
     first appearance, rows in input order within each. A bucket's `index`
-    holds each row's position among all input rows, counted from 0."""
+    holds each row's position among all input rows, counted from 0.
+
+    `batches` may be a generator (`formats.load_episodes` feeds one line
+    at a time); each shape group's input batches are released as soon as
+    its bucket is built, so at most one group is held twice."""
     groups: dict[tuple[int, int], list[tuple[int, EpisodeBatch]]] = {}
     start = 0
     for batch in batches:
         groups.setdefault((batch.n_context, batch.n_target), []).append((start, batch))
         start += len(batch)
-    return [
-        EpisodeBatch(
+    buckets = []
+    while groups:
+        members = groups.pop(next(iter(groups)))
+        buckets.append(EpisodeBatch(
             *(np.concatenate([getattr(b, n) for _, b in members]) for n in _FIELDS),
             index=np.concatenate([np.arange(s, s + len(b)) for s, b in members]),
-        )
-        for members in groups.values()
-    ]
+        ))
+    return buckets
 
 
 @dataclass(frozen=True)

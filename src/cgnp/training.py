@@ -6,8 +6,9 @@ per step; the batch arrives as stacked arrays and goes to the model as is.
 Evaluation reports the NLL under two normalizations (per target point and
 per episode) plus the MSE of the predictive mean, all over target points
 only; it takes an episode set as shape buckets (`gp.bucket_episodes`),
-runs one forward per chunk of a bucket, and adds each chunk's NLL and
-squared-error sums to running totals as soon as it is computed.
+runs one tapeless forward (`autodiff.no_grad`) per chunk of a bucket, and
+adds each chunk's NLL and squared-error sums to running totals as soon as
+it is computed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor, backward, gaussian_nll, nll_terms
+from .autodiff import Tensor, backward, gaussian_nll, nll_terms, no_grad
 from .gp import EpisodeBatch, EqKernelSpec, ProtocolConfig, make_heldout_set, make_train_batch
 from .models import ModelConfig, ParameterStore, forward_tensors, init_params
 from .optim import AdamState, adam_step
@@ -39,8 +40,8 @@ __all__ = [
 
 
 # Target rows per stacked evaluation forward: large enough to amortise the
-# per-op overhead, small enough to keep the tape's arrays in cache and off
-# the peak resident set.
+# per-op overhead, small enough to keep each op's arrays in cache and off
+# the peak resident set. It also fixes the summation order of the metrics.
 EVAL_CHUNK_ROWS = 4096
 
 
@@ -151,15 +152,18 @@ def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
     return store, report
 
 
+@no_grad()
 def evaluate(store: ParameterStore, cfg: ModelConfig, batches) -> Metrics:
     """Eval-mode metrics of a frozen store over a non-empty episode set,
     given as shape buckets.
 
     Each bucket runs through stacked forwards of at most EVAL_CHUNK_ROWS
     target rows (at least one episode); eval-mode batch norm is row-wise,
-    so predictions equal per-episode forwards up to rounding. Each chunk's
-    NLL and squared-error sums go straight into the totals, so metrics
-    equal per-episode scoring up to summation order.
+    so predictions equal per-episode forwards up to rounding. The forwards
+    build no tape, so each op's intermediates are freed as soon as the next
+    op has used them. Each chunk's NLL and squared-error sums go straight
+    into the totals, so metrics equal per-episode scoring up to summation
+    order.
     """
     batches = list(batches)
     episodes = sum(len(batch) for batch in batches)

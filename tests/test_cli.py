@@ -87,6 +87,58 @@ def test_bad_config_value_exits_1_naming_the_key_and_writes_nothing(tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "config, overrides",
+    [
+        (None, ["train.batch_size=1000000000000", "train.batch_size=4"]),
+        (None, ["train.batch_size=nan", "train.batch_size=4"]),
+        ("train.batch_size = abc\n", ["train.batch_size=4"]),
+        ("train.batch_size = 0\n", ["train.batch_size=4"]),
+    ],
+    ids=["oversized_then_good", "nan_then_good", "file_unparsable_then_good", "file_out_of_range_then_good"],
+)
+def test_a_later_value_replaces_an_earlier_bad_one(tmp_path, capsys, config, overrides):
+    path = None
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        path = str(path)
+    assert parse_run_config(path, overrides)["train.batch_size"] == 4
+    argv = ["train", "--out-dir", str(tmp_path / "run"), "train.batches=3", *overrides]
+    assert main(argv if path is None else [*argv, "--config", path]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "run" / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config, overrides, message",
+    [
+        (None, ["train.batch_size=4", "train.batch_size=1000000000000"],
+         "config key train.batch_size: must be at most 4096, got 1000000000000"),
+        ("train.batch_size = 4\n", ["train.batch_size=abc"],
+         "config key train.batch_size: cannot parse 'abc'"),
+        ("train.batch_size = 4\n", ["train.batch_size=0"],
+         "config key train.batch_size: batch_size must be at least 1"),
+        (None, ["train.bogus=1", "train.batch_size=4"], "unknown config key 'train.bogus'"),
+        ("train.bogus = 1\n", ["train.bogus=2"], "unknown config key 'train.bogus'"),
+    ],
+    ids=["good_then_oversized", "file_good_then_unparsable", "file_good_then_out_of_range",
+         "unknown_then_good", "unknown_in_file_and_override"],
+)
+def test_a_bad_last_value_or_an_unknown_key_exits_1_naming_it(tmp_path, capsys, config, overrides, message):
+    argv = ["train", "--out-dir", str(tmp_path / "run"), "train.batches=3", *overrides]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("key", list(CONFIG_MAXIMA))
 def test_oversized_value_exits_1_naming_the_key_before_allocating(tmp_path, monkeypatch, capsys, key):
     import cgnp.cli as cli

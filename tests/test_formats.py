@@ -2,6 +2,7 @@ import json
 import os
 import re
 import stat
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +87,64 @@ def test_bad_episode_record_reports_line(tmp_path):
         path.write_text(GOOD_LINE + "\n" + bad + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: bad episode record on line 2")):
             load_episodes(path)
+
+
+def test_lines_end_at_lf_crlf_or_a_lone_cr(tmp_path):
+    # text mode's universal newlines: the streaming loader numbers lines as
+    # reading the whole file and splitting it did
+    path = tmp_path / "e.jsonl"
+    path.write_bytes(f"{GOOD_LINE}\r\n{GOOD_LINE}\r\n".encode())
+    loaded = load_episodes(path)
+    assert [b.index.tolist() for b in loaded] == [[0, 1]]
+    for text in ('{\r"x_c":[0.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}\n',
+                 f"{GOOD_LINE}\r{GOOD_LINE}\r\n[1,2]\n", f"{GOOD_LINE}\r\n\r\n[1,2]\r"):
+        path.write_bytes(text.encode())
+        line = 1 if text.startswith("{\r") else 3
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad episode record on line {line}")):
+            load_episodes(path)
+
+
+def test_undecodable_episode_file_names_the_byte_position_in_the_file(tmp_path):
+    # a bad byte far past the first block the streaming reader decodes (a
+    # leading one is pinned in test_cli)
+    path = tmp_path / "e.jsonl"
+    save_episodes(path, make_test_set(ProtocolConfig(test_episodes=8), EqKernelSpec()))
+    data = path.read_bytes()
+    position = data.index(b"\n", 3 * 8192) + 1
+    path.write_bytes(data[:position] + b"\xff" + data[position:])
+    message = f"not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_episodes(path)
+
+
+def _traced_peak(call):
+    """`call()` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def episodes_200():
+    return make_test_set(ProtocolConfig(test_episodes=200), EqKernelSpec())
+
+
+def test_save_episodes_writes_within_a_bounded_working_set(tmp_path, episodes_200):
+    path = tmp_path / "e.jsonl"
+    _, peak = _traced_peak(lambda: save_episodes(path, episodes_200))
+    assert path.stat().st_size > 2**20
+    assert peak <= 2**20  # a line at a time, not the whole text
+
+
+def test_load_episodes_reads_within_a_bounded_working_set(tmp_path, episodes_200):
+    path = tmp_path / "e.jsonl"
+    save_episodes(path, episodes_200)
+    loaded, peak = _traced_peak(lambda: load_episodes(path))
+    assert_same_buckets(loaded, episodes_200)
+    arrays = sum(getattr(b, name).nbytes for b in loaded for name in (*FIELDS, "index"))
+    assert peak <= 2 * arrays  # the per-line arrays and the buckets, not the text too
 
 
 @pytest.mark.parametrize(

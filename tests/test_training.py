@@ -270,6 +270,47 @@ def test_evaluate_rejects_an_empty_episode_set():
         evaluate(init_params(cfg), cfg, [])
 
 
+@pytest.mark.parametrize("kind", ["cnp", "cgnp"])
+def test_evaluate_builds_no_tape_and_leaves_taping_on_when_it_returns_or_raises(monkeypatch, kind):
+    cfg = ModelConfig(kind=kind, init_seed=3)
+    train_batch = make_train_batch(ProtocolConfig(batch_size=8), KERNEL, 0)
+
+    def step_grads(store):
+        backward(batch_loss(train_batch, store, cfg))
+        return store.grad.copy()
+
+    fresh = step_grads(init_params(cfg))
+    assert np.count_nonzero(fresh)
+    monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 90)  # 15 episodes of 45 targets: 8 chunks
+    forward, outputs = training.forward_tensors, []
+
+    def recording(*args, **kwargs):
+        outputs.extend(forward(*args, **kwargs))
+        return outputs[-2:]
+
+    monkeypatch.setattr(training, "forward_tensors", recording)
+    store = init_params(cfg)
+    evaluate(store, cfg, bucket_episodes(grid_episodes(15)))
+    assert len(outputs) == 16
+    assert all(t._parents == () and t._vjp is None for t in outputs)
+    monkeypatch.setattr(training, "forward_tensors", forward)  # batch_loss calls it too
+    assert np.array_equal(step_grads(store), fresh)
+
+    def failing(*args, **kwargs):
+        if len(outputs) == 2:
+            raise RuntimeError("second chunk fails")
+        return recording(*args, **kwargs)
+
+    outputs.clear()
+    monkeypatch.setattr(training, "forward_tensors", failing)
+    store = init_params(cfg)
+    with pytest.raises(RuntimeError, match="second chunk fails"):
+        evaluate(store, cfg, bucket_episodes(grid_episodes(15)))
+    assert len(outputs) == 2
+    monkeypatch.setattr(training, "forward_tensors", forward)
+    assert np.array_equal(step_grads(store), fresh)
+
+
 def test_loss_drop_windows():
     losses = np.concatenate([np.full(1000, 2.0), np.full(1000, 1.5)])
     np.testing.assert_allclose(loss_drop(losses), 0.25)
