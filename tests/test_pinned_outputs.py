@@ -1,9 +1,9 @@
 """Pinned bytes of the command-line outputs that must not drift.
 
-`cgnp generate` files and one `cgnp plot` fit curve are compared against
-sha256 digests taken once, and the `cgnp eval` record against its text, so a
-refactor of the episode, evaluation or plotting path that changes a
-single byte fails here (two runs merely agreeing with each other is
+`cgnp generate` files, one `cgnp plot` fit curve and the two tables of a
+small `cgnp compare` are compared against sha256 digests taken once, and the
+`cgnp eval` record against its text, so a refactor of the episode,
+training, evaluation or plotting path that changes a single byte fails here (two runs merely agreeing with each other is
 checked elsewhere). Re-pin only together with a note of why the bytes
 changed.
 
@@ -39,6 +39,11 @@ PLOT_AND_EVAL = {
         "eac0ea7fc760b6de0749b06b25178e73e8fe4b0120ff8e3e63197f0d6527473d",
         "nll_per_point=1.4928515614757074 nll_per_episode=587.2131617064695 mse=1.038168141734578 episode_count=40",
     ),
+}
+# the compare table's header holds the shared test set's digest, so it pins that file too
+COMPARE = {
+    "table.csv": "ff0814b573ee424fe4580f8357912020e304544e54ae531b0ff27a5970ca91f6",
+    "table_seeds.csv": "f2ca55a4e6093d86ae1947cdd6b03b28d23c28df7f841140e5de2719dddf65d4",
 }
 TRAIN = ["train.batches=20", "train.batch_size=8", "train.eval_every=0", "seed.init=2"]
 
@@ -86,3 +91,10 @@ def test_plot_and_eval_outputs_match_pinned_digests(tmp_path, capsys, kind):
     assert main(["eval", "--checkpoint", ckpt, "--data", str(data), "--out", str(tmp_path / "m.csv")]) == 0
     record = capsys.readouterr().out.splitlines()[0]
     assert record == eval_record
+
+
+def test_compare_tables_match_pinned_digests(tmp_path):
+    argv = ["compare", "--seeds", "2", "--out", str(tmp_path / "table.csv"), "train.batches=30",
+            "train.batch_size=8", "train.eval_every=10", "data.test_episodes=5"]
+    assert main(argv) == 0
+    assert {name: sha256(tmp_path / name) for name in COMPARE} == COMPARE
