@@ -201,13 +201,21 @@ def cmd_compare(args) -> int:
     if train_cfg.protocol.test_episodes < 1:
         raise ValueError("config key data.test_episodes: compare needs at least one test episode, got 0")
     out = Path(args.out)
+    made = [d for d in (out.parent, *out.parent.parents) if not d.exists()]  # deepest first
     out.parent.mkdir(parents=True, exist_ok=True)
     test_path = out.with_name(out.stem + "_testset.jsonl")
     batches = make_test_set(train_cfg.protocol, train_cfg.kernel)
+    # written before training, so that an unwritable --out fails first
     formats.save_episodes(test_path, batches)
     test_hash = formats.file_sha256(test_path)
 
-    results = compare_models(train_cfg, args.seeds, batches, log=print)
+    try:
+        results = compare_models(train_cfg, args.seeds, batches, log=print)
+    except BaseException:  # a failed comparison leaves no file behind
+        test_path.unlink(missing_ok=True)
+        for directory in made:
+            directory.rmdir()
+        raise
     header = (
         f"compare seeds={args.seeds} test_set={test_path.name} "
         f"test_set_sha256={test_hash} config: {_config_echo(cfg)}"

@@ -249,7 +249,7 @@ def make_train_batch(cfg: ProtocolConfig, spec: EqKernelSpec, batch_index: int) 
 
     Draw order is fixed: N_c, N_t, all inputs (batch_size x n), then all
     standard normals. Each episode's function values are one joint GP draw
-    at that episode's inputs.
+    at that episode's inputs. The arrays are read-only.
     """
     if not 0 <= batch_index < cfg.train_batches:
         raise ValueError(f"batch_index {batch_index} outside 0..{cfg.train_batches - 1}")
@@ -264,7 +264,15 @@ def make_train_batch(cfg: ProtocolConfig, spec: EqKernelSpec, batch_index: int) 
     except np.linalg.LinAlgError:
         # some episode needed the jitter retry; factor them one at a time
         ys = np.stack([_factor(x, spec) @ z for x, z in zip(xs, zs)])
-    return EpisodeBatch(xs[:, :n_c], ys[:, :n_c], xs[:, n_c:], ys[:, n_c:])
+    return _read_only(EpisodeBatch(xs[:, :n_c], ys[:, :n_c], xs[:, n_c:], ys[:, n_c:]))
+
+
+def _read_only(batch: EpisodeBatch) -> EpisodeBatch:
+    """`batch` with its arrays made read-only: a training batch or held-out
+    set may feed several runs at once (`training.compare_models`)."""
+    for name in (*_FIELDS, "index"):
+        getattr(batch, name).flags.writeable = False
+    return batch
 
 
 @lru_cache(maxsize=8)
@@ -303,8 +311,8 @@ def make_test_set(cfg: ProtocolConfig, spec: EqKernelSpec) -> list[EpisodeBatch]
 
 def make_heldout_set(cfg: ProtocolConfig, spec: EqKernelSpec, count: int) -> list[EpisodeBatch]:
     """Grid episodes from the held-out stream, disjoint from train and test,
-    shape-bucketed like the test set."""
-    return bucket_episodes(
+    shape-bucketed like the test set, with read-only arrays."""
+    return [_read_only(bucket) for bucket in bucket_episodes(
         _grid_episode(cfg, spec, derive_rng(cfg.master_seed, DOMAIN_HELDOUT, i))
         for i in range(count)
-    )
+    )]

@@ -3,6 +3,10 @@
 Training minimizes the batch NLL (mean over episodes of the mean per-target
 NLL) with Adam at a fixed learning rate, drawing a fresh 64-episode batch
 per step; the batch arrives as stacked arrays and goes to the model as is.
+A `Run` holds one run part-way through and `advance` takes it one batch on;
+`train` advances one run over its protocol's batches, and `compare_models`
+advances a seed's three variants in lockstep over one shared batch stream
+and held-out set.
 Evaluation reports the NLL under two normalizations (per target point and
 per episode) plus the MSE of the predictive mean, all over target points
 only; it takes an episode set as shape buckets (`gp.bucket_episodes`),
@@ -37,6 +41,9 @@ __all__ = [
     "compare_models",
     "COMPARE_VARIANTS",
 ]
+# Run, start_run, advance and finish_run stay out of __all__: perfbench
+# traces the functions listed here, and a span around every step would
+# reparent the held-out evaluations its per-layer metrics find under train.
 
 
 # Target rows per stacked evaluation forward: large enough to amortise the
@@ -104,52 +111,82 @@ def batch_loss(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig) -> 
     return gaussian_nll(batch.y_t.reshape(-1, 1), mu, sigma)
 
 
-def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
-    """Run the training protocol; returns the trained store and a report.
+@dataclass
+class Run:
+    """A training run part-way through: `report.losses[:next_batch]` are
+    its losses so far and `report.heldout` its records on `heldout_set`."""
 
-    ``log(batch_index, loss, metrics_or_none)`` is called every
-    ``eval_every`` batches and on the final batch.
-    """
-    start = time.perf_counter()
+    cfg: TrainConfig
+    store: ParameterStore
+    adam: AdamState
+    heldout_set: list[EpisodeBatch]
+    report: TrainReport
+    next_batch: int = 0
+
+
+def start_run(cfg: TrainConfig, heldout_set: list[EpisodeBatch]) -> Run:
+    """A fresh run of `cfg`, scored on its protocol's `make_heldout_set`."""
     store = init_params(cfg.model)
-    adam = AdamState(store, lr=cfg.lr)
-    heldout = make_heldout_set(cfg.protocol, cfg.kernel, cfg.heldout_episodes)
-    n_batches = cfg.protocol.train_batches
-    losses = np.empty(n_batches)
-    report = TrainReport(losses=losses, config=cfg)
+    report = TrainReport(losses=np.empty(cfg.protocol.train_batches), config=cfg)
+    return Run(cfg, store, AdamState(store, lr=cfg.lr), heldout_set, report)
 
-    def heldout_metrics(b: int) -> Metrics:
-        metrics = evaluate(store, cfg.model, heldout)
-        for name in ("nll_per_point", "mse"):  # nll_per_episode scales nll_per_point
-            if not np.isfinite(getattr(metrics, name)):
-                raise TrainingDivergedError(b, f"held-out {name}", getattr(metrics, name), store)
-        return metrics
 
-    for b in range(n_batches):
-        batch = make_train_batch(cfg.protocol, cfg.kernel, b)
-        loss = batch_loss(batch, store, cfg.model)
-        loss_value = float(loss.value[0, 0])
-        if not np.isfinite(loss_value):
-            raise TrainingDivergedError(b, "loss", loss_value, store)
-        losses[b] = loss_value
-        backward(loss)
-        adam_step(adam)
-        store.grad.fill(0.0)
+def _heldout_metrics(run: Run, b: int) -> Metrics:
+    metrics = evaluate(run.store, run.cfg.model, run.heldout_set)
+    for name in ("nll_per_point", "mse"):  # nll_per_episode scales nll_per_point
+        if not np.isfinite(getattr(metrics, name)):
+            raise TrainingDivergedError(b, f"held-out {name}", getattr(metrics, name), run.store)
+    return metrics
 
-        at_eval = cfg.eval_every > 0 and (b % cfg.eval_every == 0 or b == n_batches - 1)
-        if at_eval:
-            metrics = heldout_metrics(b) if heldout else None
-            if metrics is not None:
-                report.heldout.append((b, metrics))
-            if log is not None:
-                log(b, loss_value, metrics)
 
+def advance(run: Run, batch: EpisodeBatch, log=None) -> None:
+    """One training step of `run` on its next batch, then the held-out
+    evaluation when due: ``log(batch_index, loss, metrics_or_none)`` is
+    called every ``eval_every`` batches and on the final batch."""
+    b, cfg = run.next_batch, run.cfg
+    loss = batch_loss(batch, run.store, cfg.model)
+    loss_value = float(loss.value[0, 0])
+    if not np.isfinite(loss_value):
+        raise TrainingDivergedError(b, "loss", loss_value, run.store)
+    run.report.losses[b] = loss_value
+    backward(loss)
+    adam_step(run.adam)
+    run.store.grad.fill(0.0)
+    run.next_batch = b + 1
+
+    if cfg.eval_every > 0 and (b % cfg.eval_every == 0 or run.next_batch == cfg.protocol.train_batches):
+        metrics = _heldout_metrics(run, b) if run.heldout_set else None
+        if metrics is not None:
+            run.report.heldout.append((b, metrics))
+        if log is not None:
+            log(b, loss_value, metrics)
+
+
+def finish_run(run: Run) -> TrainReport:
+    """The report of a run that has seen all its batches, with its final
+    held-out metrics (the last periodic evaluation when there was one)."""
+    n_batches = run.cfg.protocol.train_batches
+    if run.next_batch != n_batches:
+        raise ValueError(f"run stopped at batch {run.next_batch} of {n_batches}")
+    report = run.report
     if report.heldout:  # the last batch was just evaluated
         report.final_metrics = report.heldout[-1][1]
-    elif heldout:
-        report.final_metrics = heldout_metrics(n_batches - 1)
+    elif run.heldout_set:
+        report.final_metrics = _heldout_metrics(run, n_batches - 1)
+    return report
+
+
+def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
+    """Run the training protocol; returns the trained store and a report
+    whose `wall_seconds` covers the whole call. `log` is as in `advance`.
+    """
+    start = time.perf_counter()
+    run = start_run(cfg, make_heldout_set(cfg.protocol, cfg.kernel, cfg.heldout_episodes))
+    for b in range(cfg.protocol.train_batches):
+        advance(run, make_train_batch(cfg.protocol, cfg.kernel, b), log)
+    report = finish_run(run)
     report.wall_seconds = time.perf_counter() - start
-    return store, report
+    return run.store, report
 
 
 @no_grad()
@@ -233,7 +270,11 @@ def compare_models(base: TrainConfig, seeds: int, test_set, log=None) -> list[Va
     evaluate all of them on one shared test set of shape buckets.
 
     Seed i uses master_seed + i and init_seed + i, identical across the
-    three variants, so per-seed comparisons are paired.
+    three variants, so per-seed comparisons are paired. A seed's three runs
+    advance in lockstep: its held-out set and each of its batches are made
+    once and fed to the runs in COMPARE_VARIANTS order, so every result
+    equals that of a separate `train` call. A run's `wall_seconds` is the
+    time of its own steps plus a third of the seed's data generation.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -243,40 +284,61 @@ def compare_models(base: TrainConfig, seeds: int, test_set, log=None) -> list[Va
         "cgnp": replace(base.model, kind="cgnp"),
         "cgnp_edgeless": replace(base.model, kind="cgnp", radius=0.0),
     }
-    results = []
-    for label in COMPARE_VARIANTS:
-        model = variants[label]
-        runs = []
-        for i in range(seeds):
-            cfg = replace(
-                base,
-                model=replace(model, init_seed=model.init_seed + i),
-                protocol=replace(base.protocol, master_seed=base.protocol.master_seed + i),
-            )
-            if log is not None:
-                log(f"training {label} seed {i} "
-                    f"(master={cfg.protocol.master_seed}, init={cfg.model.init_seed})")
-            store, report = train(cfg)
-            metrics = evaluate(store, cfg.model, test_set)
-            runs.append(
+    seed_runs = {label: [] for label in COMPARE_VARIANTS}
+    for i in range(seeds):
+        protocol = replace(base.protocol, master_seed=base.protocol.master_seed + i)
+        if log is not None:
+            log(f"training seed {i} (master={protocol.master_seed}, init={base.model.init_seed + i})")
+        walls = dict.fromkeys([*COMPARE_VARIANTS, "shared"], 0.0)
+        last = time.perf_counter()
+
+        def charge(who: str) -> None:  # the time since the last charge was `who`'s
+            nonlocal last
+            now = time.perf_counter()
+            walls[who] += now - last
+            last = now
+
+        heldout_set = make_heldout_set(protocol, base.kernel, base.heldout_episodes)
+        charge("shared")
+        runs = {}
+        for label, model in variants.items():
+            cfg = replace(base, model=replace(model, init_seed=model.init_seed + i), protocol=protocol)
+            runs[label] = start_run(cfg, heldout_set)
+            charge(label)
+        try:
+            for b in range(protocol.train_batches):
+                batch = make_train_batch(protocol, base.kernel, b)
+                charge("shared")
+                for label, run in runs.items():
+                    advance(run, batch)
+                    charge(label)
+            for label, run in runs.items():
+                finish_run(run)
+                charge(label)
+        except TrainingDivergedError as exc:  # `label` and `run` are the run that raised
+            exc.args = (f"{label} seed {i} (master={protocol.master_seed}, "
+                        f"init={run.cfg.model.init_seed}): {exc}",)
+            raise
+        for label, run in runs.items():
+            metrics = evaluate(run.store, run.cfg.model, test_set)
+            losses = run.report.losses
+            seed_runs[label].append(
                 SeedRun(
-                    master_seed=cfg.protocol.master_seed,
-                    init_seed=cfg.model.init_seed,
+                    master_seed=protocol.master_seed,
+                    init_seed=run.cfg.model.init_seed,
                     metrics=metrics,
-                    loss_drop=loss_drop(report.losses)
-                    if report.losses.size >= 2000
-                    else float("nan"),
-                    wall_seconds=report.wall_seconds,
+                    loss_drop=loss_drop(losses) if losses.size >= 2000 else float("nan"),
+                    wall_seconds=walls[label] + walls["shared"] / len(runs),
                 )
             )
             if log is not None:
-                log(f"  nll_per_point={metrics.nll_per_point:.4f} mse={metrics.mse:.4f}")
-        results.append(
-            VariantResult(
-                label=label,
-                kind=model.kind,
-                radius=None if model.kind == "cnp" else model.radius,
-                runs=tuple(runs),
-            )
+                log(f"  {label} nll_per_point={metrics.nll_per_point:.4f} mse={metrics.mse:.4f}")
+    return [
+        VariantResult(
+            label=label,
+            kind=model.kind,
+            radius=None if model.kind == "cnp" else model.radius,
+            runs=tuple(seed_runs[label]),
         )
-    return results
+        for label, model in variants.items()
+    ]

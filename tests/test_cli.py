@@ -337,6 +337,20 @@ def test_compare_rejects_an_empty_test_set_before_training_or_writing(tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that diverges it
+@pytest.mark.parametrize("out", ["table.csv", "made/for/it/table.csv"])
+def test_diverged_compare_exits_1_naming_the_variant_and_leaves_no_file(tmp_path, capsys, out):
+    argv = ["compare", "--seeds", "1", "--out", str(tmp_path / out),
+            "train.lr=1e308", "train.batches=2", "data.test_episodes=2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "training seed 0 (master=0, init=0)\n"
+    assert captured.err.startswith(
+        "error: cnp seed 0 (master=0, init=0): non-finite held-out nll_per_point nan at batch 0; "
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_compare_rejects_fewer_than_one_seed_before_training_or_writing(tmp_path, capsys, seeds):
     out = tmp_path / "table.csv"

@@ -281,6 +281,19 @@ def test_test_and_heldout_streams_differ():
     assert not np.array_equal(test.y_t, held.y_t)
 
 
+def test_training_batches_and_heldout_sets_are_read_only():
+    # a batch and a held-out set feed several runs at once in compare_models
+    heldout = make_heldout_set(PROTO, SPEC, 12)
+    assert len(heldout) >= 2  # several shape buckets
+    for batch in [make_train_batch(PROTO, SPEC, 4), *heldout]:
+        for name in ("x_c", "y_c", "x_t", "y_t", "index"):
+            array = getattr(batch, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1
+
+
 def test_episode_validation():
     with pytest.raises(ValueError, match="non-empty"):
         episode([], [], [0.0], [0.0])

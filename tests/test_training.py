@@ -5,22 +5,36 @@ import pytest
 
 import cgnp.training as training
 from cgnp.autodiff import backward, nll_terms
-from cgnp.gp import EpisodeBatch, EqKernelSpec, ProtocolConfig, bucket_episodes, make_train_batch
+from cgnp.gp import (
+    EpisodeBatch,
+    EqKernelSpec,
+    ProtocolConfig,
+    bucket_episodes,
+    make_test_set,
+    make_train_batch,
+)
 from cgnp.models import ModelConfig, init_params
 from cgnp.training import (
+    COMPARE_VARIANTS,
     Metrics,
     TrainConfig,
     TrainingDivergedError,
+    advance,
     batch_loss,
+    compare_models,
     evaluate,
+    finish_run,
     loss_drop,
+    start_run,
     train,
 )
 from autodiff_oracle import reference_backward, topo_order
+from compare_oracle import sequential_compare
 from helpers import episode, predict
 from metrics_oracle import prediction_metrics
 
 KERNEL = EqKernelSpec()
+FIELDS = ("x_c", "y_c", "x_t", "y_t", "index")
 
 
 def tiny_config(kind="cnp", batches=30, **kw):
@@ -173,6 +187,14 @@ def test_final_metrics_reuse_the_last_heldout_evaluation(monkeypatch):
     assert isinstance(report.final_metrics, Metrics)
 
 
+def test_finish_rejects_a_run_that_has_not_seen_every_batch():
+    cfg = tiny_config(batches=3)
+    run = start_run(cfg, [])
+    advance(run, make_train_batch(cfg.protocol, KERNEL, 0))
+    with pytest.raises(ValueError, match="stopped at batch 1 of 3"):
+        finish_run(run)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError, match="learning rate"):
         tiny_config(lr=0.0)
@@ -309,6 +331,72 @@ def test_evaluate_builds_no_tape_and_leaves_taping_on_when_it_returns_or_raises(
     assert len(outputs) == 2
     monkeypatch.setattr(training, "forward_tensors", forward)
     assert np.array_equal(step_grads(store), fresh)
+
+
+# ---------------------------------------------------------------------------
+# multi-model comparison
+# ---------------------------------------------------------------------------
+
+
+def seed_run_bits(run):
+    """Every SeedRun field but the wall time, floats as their exact bits."""
+    floats = (run.metrics.nll_per_point, run.metrics.nll_per_episode, run.metrics.mse, run.loss_drop)
+    return run.master_seed, run.init_seed, run.metrics.episode_count, tuple(map(float.hex, floats))
+
+
+@pytest.mark.parametrize(
+    "seeds, batches, batch_size, eval_every, heldout",
+    [(2, 30, 8, 10, 3), (1, 2000, 2, 700, 2)],
+    ids=["two_seeds", "loss_drop"],
+)
+def test_lockstep_compare_equals_the_sequential_oracle_bitwise(seeds, batches, batch_size, eval_every, heldout):
+    base = tiny_config(batches=batches, batch_size=batch_size, eval_every=eval_every,
+                       heldout_episodes=heldout, init_seed=3, master_seed=5)
+    test_set = make_test_set(base.protocol, KERNEL)
+    got = compare_models(base, seeds, test_set)
+    want = sequential_compare(base, seeds, test_set)
+    assert [r.label for r in got] == list(COMPARE_VARIANTS)
+    for g, w in zip(got, want):
+        assert (g.label, g.kind, g.radius) == (w.label, w.kind, w.radius)
+        assert [seed_run_bits(run) for run in g.runs] == [seed_run_bits(run) for run in w.runs]
+        assert all(run.wall_seconds > 0 for run in g.runs)
+    assert all(math.isfinite(run.loss_drop) for r in got for run in r.runs) == (batches >= 2000)
+
+
+def test_compare_names_the_diverged_variant_and_seed(monkeypatch):
+    real_batch_loss = training.batch_loss
+
+    def diverging(batch, store, cfg):  # cgnp(0.7), the middle run, diverges at batch 1 of seed 1
+        loss = real_batch_loss(batch, store, cfg)
+        if cfg.kind == "cgnp" and cfg.radius > 0 and cfg.init_seed == 4 and len(seen) == 5 + 2:
+            loss.value[...] = np.nan
+        return loss
+
+    seen = []
+    monkeypatch.setattr(training, "batch_loss", diverging)
+    monkeypatch.setattr(training, "make_train_batch", lambda *args: seen.append(1) or make_train_batch(*args))
+    base = tiny_config(batches=5, init_seed=3, master_seed=7)
+    with pytest.raises(TrainingDivergedError, match=r"^cgnp seed 1 \(master=8, init=4\): "
+                       r"non-finite loss nan at batch 1; parameter norms: ") as info:
+        compare_models(base, 2, make_test_set(base.protocol, KERNEL))
+    assert info.value.batch_index == 1
+
+
+def test_a_lockstep_seed_makes_each_batch_once_and_leaves_it_unchanged(monkeypatch):
+    made = []
+
+    def recording(cfg, spec, index):
+        batch = make_train_batch(cfg, spec, index)
+        made.append((batch, [getattr(batch, n).copy() for n in FIELDS]))
+        return batch
+
+    monkeypatch.setattr(training, "make_train_batch", recording)
+    base = tiny_config(batches=6, eval_every=2, heldout_episodes=2)
+    compare_models(base, 2, make_test_set(base.protocol, KERNEL))
+    assert len(made) == 2 * 6  # once per seed and batch, not once per run
+    for batch, copies in made:
+        for name, copy in zip(FIELDS, copies):
+            assert np.array_equal(getattr(batch, name), copy)
 
 
 def test_loss_drop_windows():
