@@ -151,6 +151,10 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     cfg = parse_run_config(args.config, args.overrides)
     train_cfg = _train_config(cfg)
+    out_dir = Path(args.out_dir)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():  # checked before training, made only after it
+        raise ValueError(f"--out-dir {out_dir}: {existing} exists and is not a directory")
 
     def log(batch_index, loss, metrics):
         print(f"batch={batch_index} loss={loss:.6f}", flush=True)
@@ -162,7 +166,6 @@ def cmd_train(args) -> int:
             )
 
     store, report = train(train_cfg, log=log)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # only once there is something to write
     formats.save_checkpoint(out_dir / "checkpoint.json", store, train_cfg.model, extra=dict(cfg))
     if report.final_metrics is not None:
@@ -201,6 +204,10 @@ def cmd_compare(args) -> int:
     if train_cfg.protocol.test_episodes < 1:
         raise ValueError("config key data.test_episodes: compare needs at least one test episode, got 0")
     out = Path(args.out)
+    seeds_path = out.with_name(out.stem + "_seeds.csv")
+    for path in (out, seeds_path):
+        if path.is_dir():
+            raise ValueError(f"--out {out}: {path} is a directory")
     made = [d for d in (out.parent, *out.parent.parents) if not d.exists()]  # deepest first
     out.parent.mkdir(parents=True, exist_ok=True)
     test_path = out.with_name(out.stem + "_testset.jsonl")
@@ -222,9 +229,7 @@ def cmd_compare(args) -> int:
     )
     table = formats.comparison_csv(results, header)
     formats.atomic_write_text(out, table)
-    formats.atomic_write_text(
-        out.with_name(out.stem + "_seeds.csv"), formats.per_seed_csv(results, header)
-    )
+    formats.atomic_write_text(seeds_path, formats.per_seed_csv(results, header))
     print(table, end="")
     return 0
 

@@ -3,10 +3,9 @@
 Training minimizes the batch NLL (mean over episodes of the mean per-target
 NLL) with Adam at a fixed learning rate, drawing a fresh 64-episode batch
 per step; the batch arrives as stacked arrays and goes to the model as is.
-A `Run` holds one run part-way through and `advance` takes it one batch on;
-`train` advances one run over its protocol's batches, and `compare_models`
-advances a seed's three variants in lockstep over one shared batch stream
-and held-out set.
+One driver, `_train_group`, steps a group of `Run`s in lockstep over one
+shared batch stream and held-out set: `train` is a group of one, and
+`compare_models` trains each seed's three variants as one group.
 Evaluation reports the NLL under two normalizations (per target point and
 per episode) plus the MSE of the predictive mean, all over target points
 only; it takes an episode set as shape buckets (`gp.bucket_episodes`),
@@ -41,9 +40,7 @@ __all__ = [
     "compare_models",
     "COMPARE_VARIANTS",
 ]
-# Run, start_run, advance and finish_run stay out of __all__: perfbench
-# traces the functions listed here, and a span around every step would
-# reparent the held-out evaluations its per-layer metrics find under train.
+# _train_group stays private, so perfbench's tracer parents train's batch and held-out spans under train
 
 
 # Target rows per stacked evaluation forward: large enough to amortise the
@@ -124,13 +121,6 @@ class Run:
     next_batch: int = 0
 
 
-def start_run(cfg: TrainConfig, heldout_set: list[EpisodeBatch]) -> Run:
-    """A fresh run of `cfg`, scored on its protocol's `make_heldout_set`."""
-    store = init_params(cfg.model)
-    report = TrainReport(losses=np.empty(cfg.protocol.train_batches), config=cfg)
-    return Run(cfg, store, AdamState(store, lr=cfg.lr), heldout_set, report)
-
-
 def _heldout_metrics(run: Run, b: int) -> Metrics:
     metrics = evaluate(run.store, run.cfg.model, run.heldout_set)
     for name in ("nll_per_point", "mse"):  # nll_per_episode scales nll_per_point
@@ -139,54 +129,74 @@ def _heldout_metrics(run: Run, b: int) -> Metrics:
     return metrics
 
 
-def advance(run: Run, batch: EpisodeBatch, log=None) -> None:
-    """One training step of `run` on its next batch, then the held-out
-    evaluation when due: ``log(batch_index, loss, metrics_or_none)`` is
-    called every ``eval_every`` batches and on the final batch."""
-    b, cfg = run.next_batch, run.cfg
-    loss = batch_loss(batch, run.store, cfg.model)
-    loss_value = float(loss.value[0, 0])
-    if not np.isfinite(loss_value):
-        raise TrainingDivergedError(b, "loss", loss_value, run.store)
-    run.report.losses[b] = loss_value
-    backward(loss)
-    adam_step(run.adam)
-    run.store.grad.fill(0.0)
-    run.next_batch = b + 1
-
-    if cfg.eval_every > 0 and (b % cfg.eval_every == 0 or run.next_batch == cfg.protocol.train_batches):
-        metrics = _heldout_metrics(run, b) if run.heldout_set else None
-        if metrics is not None:
-            run.report.heldout.append((b, metrics))
-        if log is not None:
-            log(b, loss_value, metrics)
-
-
-def finish_run(run: Run) -> TrainReport:
-    """The report of a run that has seen all its batches, with its final
-    held-out metrics (the last periodic evaluation when there was one)."""
-    n_batches = run.cfg.protocol.train_batches
-    if run.next_batch != n_batches:
-        raise ValueError(f"run stopped at batch {run.next_batch} of {n_batches}")
-    report = run.report
-    if report.heldout:  # the last batch was just evaluated
-        report.final_metrics = report.heldout[-1][1]
-    elif run.heldout_set:
-        report.final_metrics = _heldout_metrics(run, n_batches - 1)
-    return report
+def _train_group(cfgs: list[TrainConfig], names: list[str] | None = None, log=None) -> list[Run]:
+    """Train a group of configs that share the first one's protocol, kernel
+    and held-out set size over one batch stream. The held-out set and each
+    batch are made once, and the runs step on them in order, so each run
+    ends as it would trained alone. ``log(batch_index, loss, metrics_or_none)``
+    is called every ``eval_every`` batches and on the final batch. A run's
+    `wall_seconds` is the time of its own work plus an equal share of the
+    rest of the call; a divergence is prefixed with the run's entry in
+    `names`.
+    """
+    start = time.perf_counter()
+    protocol, kernel = cfgs[0].protocol, cfgs[0].kernel
+    n_batches = protocol.train_batches
+    heldout_set = make_heldout_set(protocol, kernel, cfgs[0].heldout_episodes)
+    runs, own = [], [0.0] * len(cfgs)
+    for k, cfg in enumerate(cfgs):
+        last = time.perf_counter()
+        store = init_params(cfg.model)
+        report = TrainReport(losses=np.empty(n_batches), config=cfg)
+        runs.append(Run(cfg, store, AdamState(store, lr=cfg.lr), heldout_set, report))
+        own[k] += time.perf_counter() - last
+    try:
+        for b in range(n_batches):
+            batch = make_train_batch(protocol, kernel, b)
+            last = time.perf_counter()
+            for k, run in enumerate(runs):
+                loss = batch_loss(batch, run.store, run.cfg.model)
+                loss_value = float(loss.value[0, 0])
+                if not np.isfinite(loss_value):
+                    raise TrainingDivergedError(b, "loss", loss_value, run.store)
+                run.report.losses[b] = loss_value
+                backward(loss)
+                adam_step(run.adam)
+                run.store.grad.fill(0.0)
+                run.next_batch = b + 1
+                eval_every = run.cfg.eval_every
+                if eval_every > 0 and (b % eval_every == 0 or run.next_batch == n_batches):
+                    metrics = _heldout_metrics(run, b) if heldout_set else None
+                    if metrics is not None:
+                        run.report.heldout.append((b, metrics))
+                    if log is not None:
+                        log(b, loss_value, metrics)
+                now = time.perf_counter()
+                own[k] += now - last
+                last = now
+        for k, run in enumerate(runs):  # final metrics: the last periodic evaluation if any
+            last = time.perf_counter()
+            if run.report.heldout:
+                run.report.final_metrics = run.report.heldout[-1][1]
+            elif heldout_set:
+                run.report.final_metrics = _heldout_metrics(run, n_batches - 1)
+            own[k] += time.perf_counter() - last
+    except TrainingDivergedError as exc:  # `k` is the run that raised
+        if names is not None:
+            exc.args = (f"{names[k]}: {exc}",)
+        raise
+    shared = (time.perf_counter() - start - sum(own)) / len(runs)
+    for run, seconds in zip(runs, own):
+        run.report.wall_seconds = seconds + shared
+    return runs
 
 
 def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
     """Run the training protocol; returns the trained store and a report
-    whose `wall_seconds` covers the whole call. `log` is as in `advance`.
+    whose `wall_seconds` covers the whole call. `log` is as in `_train_group`.
     """
-    start = time.perf_counter()
-    run = start_run(cfg, make_heldout_set(cfg.protocol, cfg.kernel, cfg.heldout_episodes))
-    for b in range(cfg.protocol.train_batches):
-        advance(run, make_train_batch(cfg.protocol, cfg.kernel, b), log)
-    report = finish_run(run)
-    report.wall_seconds = time.perf_counter() - start
-    return run.store, report
+    (run,) = _train_group([cfg], log=log)
+    return run.store, run.report
 
 
 @no_grad()
@@ -270,11 +280,9 @@ def compare_models(base: TrainConfig, seeds: int, test_set, log=None) -> list[Va
     evaluate all of them on one shared test set of shape buckets.
 
     Seed i uses master_seed + i and init_seed + i, identical across the
-    three variants, so per-seed comparisons are paired. A seed's three runs
-    advance in lockstep: its held-out set and each of its batches are made
-    once and fed to the runs in COMPARE_VARIANTS order, so every result
-    equals that of a separate `train` call. A run's `wall_seconds` is the
-    time of its own steps plus a third of the seed's data generation.
+    three variants, so per-seed comparisons are paired. Each seed's three
+    runs are one `_train_group` in COMPARE_VARIANTS order, so every result
+    equals that of a separate `train` call.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -289,37 +297,11 @@ def compare_models(base: TrainConfig, seeds: int, test_set, log=None) -> list[Va
         protocol = replace(base.protocol, master_seed=base.protocol.master_seed + i)
         if log is not None:
             log(f"training seed {i} (master={protocol.master_seed}, init={base.model.init_seed + i})")
-        walls = dict.fromkeys([*COMPARE_VARIANTS, "shared"], 0.0)
-        last = time.perf_counter()
-
-        def charge(who: str) -> None:  # the time since the last charge was `who`'s
-            nonlocal last
-            now = time.perf_counter()
-            walls[who] += now - last
-            last = now
-
-        heldout_set = make_heldout_set(protocol, base.kernel, base.heldout_episodes)
-        charge("shared")
-        runs = {}
-        for label, model in variants.items():
-            cfg = replace(base, model=replace(model, init_seed=model.init_seed + i), protocol=protocol)
-            runs[label] = start_run(cfg, heldout_set)
-            charge(label)
-        try:
-            for b in range(protocol.train_batches):
-                batch = make_train_batch(protocol, base.kernel, b)
-                charge("shared")
-                for label, run in runs.items():
-                    advance(run, batch)
-                    charge(label)
-            for label, run in runs.items():
-                finish_run(run)
-                charge(label)
-        except TrainingDivergedError as exc:  # `label` and `run` are the run that raised
-            exc.args = (f"{label} seed {i} (master={protocol.master_seed}, "
-                        f"init={run.cfg.model.init_seed}): {exc}",)
-            raise
-        for label, run in runs.items():
+        cfgs = [replace(base, model=replace(model, init_seed=model.init_seed + i), protocol=protocol)
+                for model in variants.values()]
+        names = [f"{label} seed {i} (master={protocol.master_seed}, init={cfg.model.init_seed})"
+                 for label, cfg in zip(variants, cfgs)]
+        for label, run in zip(variants, _train_group(cfgs, names)):
             metrics = evaluate(run.store, run.cfg.model, test_set)
             losses = run.report.losses
             seed_runs[label].append(
@@ -328,7 +310,7 @@ def compare_models(base: TrainConfig, seeds: int, test_set, log=None) -> list[Va
                     init_seed=run.cfg.model.init_seed,
                     metrics=metrics,
                     loss_drop=loss_drop(losses) if losses.size >= 2000 else float("nan"),
-                    wall_seconds=walls[label] + walls["shared"] / len(runs),
+                    wall_seconds=run.report.wall_seconds,
                 )
             )
             if log is not None:

@@ -1,11 +1,13 @@
 """Reference comparison the lockstep `training.compare_models` is held to.
 
 `sequential_compare` trains the three variants one after another, each run
-through `train` with its own batches and held-out set, as `compare_models`
-did before it advanced each seed's three runs in lockstep over one shared
-batch stream. Every `SeedRun` field but `wall_seconds` must come out bit
-for bit the same.
-"""
+through `train`, a training group of one with its own batches and held-out
+set. `compare_models` trains each seed's three variants as one group of
+three over a shared batch stream, so matching this oracle proves that a
+group of three equals three groups of one: every `SeedRun` field but
+`wall_seconds` must come out bit for bit the same. The training step itself
+is held by `test_golden.py` and the compare, plot and eval pins in
+`test_pinned_outputs.py`."""
 
 from __future__ import annotations
 

@@ -351,6 +351,34 @@ def test_diverged_compare_exits_1_naming_the_variant_and_leaves_no_file(tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("existing", ["d", "d_seeds.csv"])
+def test_compare_rejects_a_table_path_that_is_a_directory_before_training_or_writing(
+    tmp_path, capsys, existing
+):
+    (tmp_path / existing).mkdir()
+    out = tmp_path / "d"
+    argv = ["compare", "--seeds", "1", "--out", str(out), "train.batches=3", "data.test_episodes=2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: --out {out}: {tmp_path / existing} is a directory"]
+    assert "training seed" not in captured.out
+    assert list(tmp_path.iterdir()) == [tmp_path / existing]  # no _testset.jsonl
+    assert list((tmp_path / existing).iterdir()) == []
+
+
+@pytest.mark.parametrize("out_dir", ["f", "f/run"])
+def test_train_rejects_an_out_dir_under_a_file_before_training(tmp_path, capsys, out_dir):
+    (tmp_path / "f").write_text("kept\n")
+    assert main(["train", "--out-dir", str(tmp_path / out_dir), "train.batches=3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: --out-dir {tmp_path / out_dir}: {tmp_path / 'f'} exists and is not a directory"
+    ]
+    assert captured.out == ""  # no batch line
+    assert list(tmp_path.iterdir()) == [tmp_path / "f"]
+    assert (tmp_path / "f").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_compare_rejects_fewer_than_one_seed_before_training_or_writing(tmp_path, capsys, seeds):
     out = tmp_path / "table.csv"

@@ -1,4 +1,6 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,13 +21,10 @@ from cgnp.training import (
     Metrics,
     TrainConfig,
     TrainingDivergedError,
-    advance,
     batch_loss,
     compare_models,
     evaluate,
-    finish_run,
     loss_drop,
-    start_run,
     train,
 )
 from autodiff_oracle import reference_backward, topo_order
@@ -185,14 +184,6 @@ def test_final_metrics_reuse_the_last_heldout_evaluation(monkeypatch):
     _, report = train(tiny_config(batches=12, eval_every=0, heldout_episodes=3))
     assert len(calls) == 1 and report.heldout == []
     assert isinstance(report.final_metrics, Metrics)
-
-
-def test_finish_rejects_a_run_that_has_not_seen_every_batch():
-    cfg = tiny_config(batches=3)
-    run = start_run(cfg, [])
-    advance(run, make_train_batch(cfg.protocol, KERNEL, 0))
-    with pytest.raises(ValueError, match="stopped at batch 1 of 3"):
-        finish_run(run)
 
 
 def test_train_config_validation():
@@ -404,3 +395,33 @@ def test_loss_drop_windows():
     np.testing.assert_allclose(loss_drop(losses), 0.25)
     with pytest.raises(ValueError, match="at least"):
         loss_drop(np.ones(1500))
+
+
+# ---------------------------------------------------------------------------
+# wall-time accounting
+# ---------------------------------------------------------------------------
+
+
+def fake_clock(monkeypatch):
+    """Replace training's clock by one that ticks by 1 per reading; returns
+    the list of readings taken."""
+    ticks, readings = itertools.count(), []
+    monkeypatch.setattr(training, "time", SimpleNamespace(
+        perf_counter=lambda: readings.append(float(next(ticks))) or readings[-1]))
+    return readings
+
+
+def test_a_group_of_one_charges_the_whole_train_call(monkeypatch):
+    readings = fake_clock(monkeypatch)
+    _, report = train(tiny_config(batches=4, eval_every=2, heldout_episodes=2))
+    assert report.wall_seconds == readings[-1] - readings[0] > 0
+
+
+def test_a_lockstep_seed_splits_its_training_ticks_among_its_runs(monkeypatch):
+    base = tiny_config(batches=4, eval_every=2, heldout_episodes=2)
+    test_set = make_test_set(base.protocol, KERNEL)
+    readings = fake_clock(monkeypatch)
+    results = compare_models(base, 1, test_set)
+    walls = [r.runs[0].wall_seconds for r in results]
+    assert all(wall > 0 for wall in walls)
+    assert sum(walls) == pytest.approx(readings[-1] - readings[0], rel=1e-12)
