@@ -135,6 +135,22 @@ def _print_metrics(metrics: Metrics) -> None:
     )
 
 
+def _check_out(option: str, given: Path, files: list[Path] | None = None, make_dirs: bool = False) -> None:
+    """Reject, before any work, a `given` path whose output `files` (by
+    default `given` itself) cannot be written: one is a directory, or their
+    directory lies under a file or, unless the command makes it, does not exist."""
+    files = files or [given]
+    for path in files:
+        if path.is_dir():
+            raise ValueError(f"{option} {given}: {path} is a directory")
+    directory = files[0].parent
+    existing = next(p for p in (directory, *directory.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"{option} {given}: {existing} exists and is not a directory")
+    if existing != directory and not make_dirs:
+        raise ValueError(f"{option} {given}: directory {directory} does not exist")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -142,6 +158,7 @@ def _print_metrics(metrics: Metrics) -> None:
 
 def cmd_generate(args) -> int:
     train_cfg = _train_config(parse_run_config(args.config, args.overrides))
+    _check_out("--out", Path(args.out))
     batches = make_test_set(train_cfg.protocol, train_cfg.kernel)
     formats.save_episodes(args.out, batches)
     print(f"wrote {sum(map(len, batches))} episodes to {args.out}")
@@ -152,9 +169,9 @@ def cmd_train(args) -> int:
     cfg = parse_run_config(args.config, args.overrides)
     train_cfg = _train_config(cfg)
     out_dir = Path(args.out_dir)
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not existing.is_dir():  # checked before training, made only after it
-        raise ValueError(f"--out-dir {out_dir}: {existing} exists and is not a directory")
+    # checked before training; the directory is made only after it
+    _check_out("--out-dir", out_dir, [out_dir / n for n in ("checkpoint.json", "report.csv", "loss_curve.csv")],
+               make_dirs=True)
 
     def log(batch_index, loss, metrics):
         print(f"batch={batch_index} loss={loss:.6f}", flush=True)
@@ -182,12 +199,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     store, model_cfg, _ = formats.load_checkpoint(args.checkpoint)
+    # after the checkpoint, so that a missing one is named rather than its default --out
+    out = Path(args.out or Path(args.checkpoint).with_suffix(".metrics.csv"))
+    _check_out("--out", out)
     batches = formats.load_episodes(args.data)
     if not batches:
         raise ValueError(f"{args.data}: no episodes to evaluate")
     metrics = evaluate(store, model_cfg, batches)
     _print_metrics(metrics)
-    out = args.out or str(Path(args.checkpoint).with_suffix(".metrics.csv"))
     header = (
         f"eval checkpoint={args.checkpoint} data={args.data} "
         f"data_sha256={formats.file_sha256(args.data)}"
@@ -205,12 +224,10 @@ def cmd_compare(args) -> int:
         raise ValueError("config key data.test_episodes: compare needs at least one test episode, got 0")
     out = Path(args.out)
     seeds_path = out.with_name(out.stem + "_seeds.csv")
-    for path in (out, seeds_path):
-        if path.is_dir():
-            raise ValueError(f"--out {out}: {path} is a directory")
+    test_path = out.with_name(out.stem + "_testset.jsonl")
+    _check_out("--out", out, [out, seeds_path, test_path], make_dirs=True)
     made = [d for d in (out.parent, *out.parent.parents) if not d.exists()]  # deepest first
     out.parent.mkdir(parents=True, exist_ok=True)
-    test_path = out.with_name(out.stem + "_testset.jsonl")
     batches = make_test_set(train_cfg.protocol, train_cfg.kernel)
     # written before training, so that an unwritable --out fails first
     formats.save_episodes(test_path, batches)
@@ -235,6 +252,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    _check_out("--out", Path(args.out))
     store, model_cfg, _ = formats.load_checkpoint(args.checkpoint)
     batches = formats.load_episodes(args.data)
     count = sum(map(len, batches))

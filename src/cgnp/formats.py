@@ -6,7 +6,12 @@ exact same doubles. All writes go through a temp file plus atomic rename;
 a failed command never leaves a partial file behind. An episode file loads
 as shape buckets (`gp.bucket_episodes`) that remember each line's position,
 and saving them writes the lines back in that order; both go one line at a
-time, so neither holds the file's text in memory. A checkpoint is the
+time, so neither holds the file's text in memory. A grid file repeats the
+same 400 coordinates on every line, so the saver formats each coordinate
+once: the buckets whose rows share their coordinates take their x fields'
+text from one bounded table keyed by the double's bits, and every other
+field goes through the JSON encoder; the bytes are those of one
+`json.dumps(record, separators=(",", ":"))` per line. A checkpoint is the
 model config plus three flat vectors: `values` (the store's flat `value`
 buffer: every parameter, row-major, in `models._layout` order) and the
 batch-norm `running_mean` and `running_var` (layer after layer). The
@@ -44,20 +49,26 @@ __all__ = [
 
 def atomic_write_text(path: str | os.PathLike, chunks: str | Iterable[str]) -> None:
     """Write `chunks` (one string, or strings in order) to `path` through a
-    temp file renamed into place; if anything fails, no file is left."""
+    temp file renamed into place; if anything fails, no file is left. An
+    error in creating or renaming the temp file names `path`."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.part")
-    # mode 0o666 less the umask, as open(path, "w") gives; O_EXCL never reuses a file
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines([chunks] if isinstance(chunks, str) else chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        # mode 0o666 less the umask, as open(path, "w") gives; O_EXCL never reuses a file
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines([chunks] if isinstance(chunks, str) else chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -93,22 +104,60 @@ def _unique_keys(pairs: list) -> dict:
 
 
 _EPISODE_KEYS = ("x_c", "y_c", "x_t", "y_t")
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(..., separators=(",", ":"))
+_X_TEXTS_LIMIT = 2048  # coordinate texts kept by one save: five 400-point grids
 
 
-def episode_line(batch: EpisodeBatch, row: int) -> str:
-    record = {name: getattr(batch, name)[row].tolist() for name in _EPISODE_KEYS}
-    return json.dumps(record, separators=(",", ":"))
+def _repeats_coordinates(batch: EpisodeBatch) -> bool:
+    """Whether row 1 draws every coordinate from row 0's: true of a grid
+    bucket, whose rows all split one grid, false of training batches,
+    whose coordinates never repeat."""
+    if len(batch) < 2:
+        return False
+    first, second = (set(np.concatenate([batch.x_c[row], batch.x_t[row]]).view(np.int64).tolist())
+                     for row in (0, 1))
+    return second <= first
+
+
+def _x_text(values: np.ndarray, texts: dict[int, str]) -> str:
+    """The JSON list `values` without its brackets, taking each coordinate's
+    text from `texts`, keyed by the double's bits (so 0.0 and -0.0 differ).
+    On a missing coordinate the JSON encoder formats the whole row, and its
+    texts are added, after emptying `texts` if it would pass `_X_TEXTS_LIMIT`."""
+    keys = values.view(np.int64).tolist()
+    try:
+        return ",".join(map(texts.__getitem__, keys))
+    except KeyError:
+        if len(texts) + len(keys) > _X_TEXTS_LIMIT:
+            texts.clear()
+        text = _ENCODE(values.tolist())[1:-1]
+        texts.update(zip(keys, text.split(",")))
+        return text
+
+
+def episode_line(batch: EpisodeBatch, row: int, x_texts: dict[int, str] | None = None) -> str:
+    """Episode `row` of `batch` as the bytes `json.dumps(record, separators=(",", ":"))`
+    writes. Given `x_texts`, the x fields reuse its coordinate texts (`_x_text`);
+    the y fields always go through the JSON encoder."""
+    if x_texts is None:
+        return _ENCODE({name: getattr(batch, name)[row].tolist() for name in _EPISODE_KEYS})
+    return (f'{{"x_c":[{_x_text(batch.x_c[row], x_texts)}],"y_c":{_ENCODE(batch.y_c[row].tolist())},'
+            f'"x_t":[{_x_text(batch.x_t[row], x_texts)}],"y_t":{_ENCODE(batch.y_t[row].tolist())}}}')
 
 
 def save_episodes(path, batches: list[EpisodeBatch]) -> None:
     """One line per episode, at the position its batch's `index` records.
     The positions are checked before any file is created; the lines are
-    then encoded and written one at a time."""
+    then encoded and written one at a time. The buckets whose rows repeat
+    coordinates (`_repeats_coordinates`) share one bounded table of
+    coordinate texts, so each grid point is formatted about once."""
     rows = sorted((position, k, row) for k, batch in enumerate(batches)
                   for row, position in enumerate(batch.index.tolist()))
     if any(position != i for i, (position, _, _) in enumerate(rows)):
         raise ValueError("episode positions must number the rows 0..n-1, each once")
-    atomic_write_text(path, (episode_line(batches[k], row) + "\n" for _, k, row in rows))
+    x_texts: dict[int, str] = {}
+    shared = [x_texts if _repeats_coordinates(batch) else None for batch in batches]
+    atomic_write_text(path, (episode_line(batches[k], row, shared[k]) + "\n" for _, k, row in rows))
 
 
 def _episode(path, ln: int, line: str) -> EpisodeBatch:

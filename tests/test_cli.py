@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cgnp
+from cgnp import cli
 from cgnp.cli import CONFIG_DEFAULTS, CONFIG_MAXIMA, _train_config, main, parse_run_config
 from cgnp.formats import file_sha256, load_checkpoint, load_episodes, save_checkpoint, save_episodes
 from cgnp.gp import EqKernelSpec, ProtocolConfig, make_test_set
@@ -351,7 +352,7 @@ def test_diverged_compare_exits_1_naming_the_variant_and_leaves_no_file(tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("existing", ["d", "d_seeds.csv"])
+@pytest.mark.parametrize("existing", ["d", "d_seeds.csv", "d_testset.jsonl"])
 def test_compare_rejects_a_table_path_that_is_a_directory_before_training_or_writing(
     tmp_path, capsys, existing
 ):
@@ -377,6 +378,79 @@ def test_train_rejects_an_out_dir_under_a_file_before_training(tmp_path, capsys,
     assert captured.out == ""  # no batch line
     assert list(tmp_path.iterdir()) == [tmp_path / "f"]
     assert (tmp_path / "f").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("name", ["checkpoint.json", "report.csv", "loss_curve.csv"])
+def test_train_rejects_an_output_file_that_is_a_directory_before_training(tmp_path, capsys, name):
+    run = tmp_path / "run"
+    (run / name).mkdir(parents=True)
+    assert main(["train", "--out-dir", str(run), "train.batches=3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: --out-dir {run}: {run / name} is a directory"]
+    assert captured.out == ""  # no batch line
+    assert list(run.iterdir()) == [run / name]
+
+
+UNWRITABLE = ["directory", "missing parent", "under a file"]
+
+
+def _unwritable_out(tmp_path, case: str) -> tuple[Path, str]:
+    """An --out that cannot be written, and the problem its error names."""
+    if case == "directory":
+        (tmp_path / "d").mkdir()
+        return tmp_path / "d", f"{tmp_path / 'd'} is a directory"
+    if case == "under a file":
+        (tmp_path / "f").write_text("kept\n")
+        return tmp_path / "f" / "out", f"{tmp_path / 'f'} exists and is not a directory"
+    return tmp_path / "nodir" / "out", f"directory {tmp_path / 'nodir'} does not exist"
+
+
+def _assert_rejected_out_before_any_work(tmp_path, capsys, out, problem, before):
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: --out {out}: {problem}"]
+    assert captured.out == ""  # no metrics or "wrote" line
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("case", UNWRITABLE)
+def test_generate_rejects_an_unwritable_out_before_generating(tmp_path, capsys, monkeypatch, case):
+    out, problem = _unwritable_out(tmp_path, case)
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "make_test_set", lambda *_: pytest.fail("generated before checking --out"))
+    assert main(["generate", "--out", str(out), "data.test_episodes=2"]) == 1
+    _assert_rejected_out_before_any_work(tmp_path, capsys, out, problem, before)
+
+
+@pytest.mark.parametrize("case", [*UNWRITABLE, "default beside the checkpoint"])
+def test_eval_rejects_an_unwritable_out_before_evaluating(trained_dir, tmp_path, capsys, monkeypatch, case):
+    data = tmp_path / "data.jsonl"
+    save_episodes(data, make_test_set(ProtocolConfig(test_episodes=2), EqKernelSpec()))
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_bytes((trained_dir / "checkpoint.json").read_bytes())
+    if case == "default beside the checkpoint":
+        out = tmp_path / "checkpoint.metrics.csv"
+        out.mkdir()
+        problem, argv = f"{out} is a directory", []
+    else:
+        out, problem = _unwritable_out(tmp_path, case)
+        argv = ["--out", str(out)]
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "evaluate", lambda *_: pytest.fail("evaluated before checking --out"))
+    assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data), *argv]) == 1
+    _assert_rejected_out_before_any_work(tmp_path, capsys, out, problem, before)
+
+
+@pytest.mark.parametrize("case", UNWRITABLE)
+def test_plot_rejects_an_unwritable_out_before_predicting(trained_dir, tmp_path, capsys, monkeypatch, case):
+    data = tmp_path / "data.jsonl"
+    save_episodes(data, make_test_set(ProtocolConfig(test_episodes=2), EqKernelSpec()))
+    out, problem = _unwritable_out(tmp_path, case)
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "forward_tensors", lambda *_: pytest.fail("predicted before checking --out"))
+    argv = ["plot", "--checkpoint", str(trained_dir / "checkpoint.json"), "--data", str(data),
+            "--index", "1", "--out", str(out)]
+    assert main(argv) == 1
+    _assert_rejected_out_before_any_work(tmp_path, capsys, out, problem, before)
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])

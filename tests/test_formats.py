@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cgnp.formats import (
+    _repeats_coordinates,
     atomic_write_text,
     checkpoint_text,
     comparison_csv,
@@ -19,10 +20,19 @@ from cgnp.formats import (
     save_checkpoint,
     save_episodes,
 )
-from cgnp.gp import EqKernelSpec, ProtocolConfig, bucket_episodes, make_test_episode, make_test_set
+from cgnp.gp import (
+    EpisodeBatch,
+    EqKernelSpec,
+    ProtocolConfig,
+    bucket_episodes,
+    make_test_episode,
+    make_test_set,
+    make_train_batch,
+)
 from cgnp.models import ModelConfig, init_params
 from cgnp.training import Metrics, SeedRun, VariantResult
 
+from episode_oracle import oracle_episode_text
 from helpers import episode, predict
 
 FIELDS = ("x_c", "y_c", "x_t", "y_t")
@@ -34,6 +44,15 @@ def assert_same_buckets(got, want):
     for a, b in zip(got, want):
         for name in (*FIELDS, "index"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def assert_same_lines(got: str, want: str) -> None:
+    """`got == want`, compared line by line, since pytest's own diff of a
+    multi-megabyte text takes minutes."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for n, (a, b) in enumerate(zip(got_lines, want_lines), 1):
+        assert a == b, f"line {n} differs"
+    assert len(got_lines) == len(want_lines)
 
 
 def test_episode_roundtrip_is_exact(tmp_path):
@@ -79,6 +98,44 @@ def test_episode_file_is_reproducible_bytes(tmp_path):
     save_episodes(b, eps)
     assert a.read_bytes() == b.read_bytes()
     assert file_sha256(a) == file_sha256(b)
+
+
+def _relaid(bucket: EpisodeBatch, layout: str) -> EpisodeBatch:
+    """The same episodes at the same positions, from arrays laid out otherwise."""
+    if layout == "fortran":
+        return EpisodeBatch(*(np.asfortranarray(getattr(bucket, n)) for n in FIELDS), index=bucket.index)
+    if layout == "rows reversed":
+        return EpisodeBatch(*(getattr(bucket, n)[::-1] for n in FIELDS), index=bucket.index[::-1])
+    # every other column of a twice-as-wide array
+    return EpisodeBatch(*(np.repeat(getattr(bucket, n), 2, axis=1)[:, ::2] for n in FIELDS), index=bucket.index)
+
+
+def _edge_coordinate_episodes() -> list[EpisodeBatch]:
+    """Rows that share their coordinates (so the writer shares their texts),
+    with 0.0 and -0.0 in turn in the same column."""
+    zero, negative_zero, *rest = [0.0, -0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, -1e300]
+    rows = [[zero, negative_zero, *rest], [negative_zero, zero, *rest[::-1]],
+            [zero, zero, *rest], [negative_zero, negative_zero, *rest]]
+    x = np.array(rows)
+    y = np.arange(x.size, dtype=np.float64).reshape(x.shape) / 7.0
+    return [EpisodeBatch(x[:, :3], y[:, :3], x[:, 3:], y[:, 3:])]
+
+
+@pytest.mark.parametrize("case", ["default test set", "edge coordinates", "fortran",
+                                  "rows reversed", "sliced columns", "training"])
+def test_save_episodes_writes_the_bytes_of_one_json_dumps_per_line(tmp_path, case):
+    if case == "default test set":
+        buckets = make_test_set(ProtocolConfig(), EqKernelSpec())
+        assert sum(map(len, buckets)) == 1000
+    elif case == "edge coordinates":
+        buckets = _edge_coordinate_episodes()
+    elif case == "training":
+        buckets = _training_episodes(3)
+    else:
+        buckets = [_relaid(b, case) for b in make_test_set(ProtocolConfig(test_episodes=40), EqKernelSpec())]
+    path = tmp_path / "e.jsonl"
+    save_episodes(path, buckets)
+    assert_same_lines(path.read_bytes().decode(), oracle_episode_text(buckets))
 
 
 def test_bad_episode_record_reports_line(tmp_path):
@@ -131,11 +188,44 @@ def episodes_200():
     return make_test_set(ProtocolConfig(test_episodes=200), EqKernelSpec())
 
 
-def test_save_episodes_writes_within_a_bounded_working_set(tmp_path, episodes_200):
+def _training_episodes(batches: int) -> list[EpisodeBatch]:
+    """`batches` training batches of 64, bucketed: no coordinate repeats."""
+    cfg = ProtocolConfig(train_batches=batches)
+    return bucket_episodes(make_train_batch(cfg, EqKernelSpec(), i) for i in range(batches))
+
+
+def _with_row_1_as_row_0(bucket: EpisodeBatch) -> EpisodeBatch:
+    """`bucket` with its second row a copy of its first, so that the writer
+    shares coordinate texts across its rows, all of which but that one are new."""
+    arrays = [np.array(getattr(bucket, name)) for name in FIELDS]
+    for array in arrays:
+        array[1] = array[0]
+    return EpisodeBatch(*arrays, index=bucket.index)
+
+
+@pytest.fixture(scope="module")
+def training_episodes():
+    buckets = _training_episodes(30)
+    return {"training": buckets, "training, texts shared": [_with_row_1_as_row_0(b) for b in buckets]}
+
+
+def test_grid_buckets_share_coordinate_texts_and_training_buckets_do_not(episodes_200, training_episodes):
+    # sharing costs a table lookup per coordinate, a loss where none repeats
+    assert all(_repeats_coordinates(b) for b in episodes_200)
+    assert not any(_repeats_coordinates(b) for b in training_episodes["training"])
+    assert not _repeats_coordinates(episode([0.0], [0.0], [1.0], [1.0]))  # one row shares nothing
+
+
+@pytest.mark.parametrize("kind", ["grid", "training", "training, texts shared"])
+def test_save_episodes_writes_within_a_bounded_working_set(tmp_path, episodes_200, training_episodes, kind):
+    # a grid repeats 400 coordinates on every line; training coordinates
+    # never repeat, so a table of their texts would grow with the file
+    episodes = episodes_200 if kind == "grid" else training_episodes[kind]
     path = tmp_path / "e.jsonl"
-    _, peak = _traced_peak(lambda: save_episodes(path, episodes_200))
+    _, peak = _traced_peak(lambda: save_episodes(path, episodes))
     assert path.stat().st_size > 2**20
     assert peak <= 2**20  # a line at a time, not the whole text
+    assert_same_lines(path.read_bytes().decode(), oracle_episode_text(episodes))
 
 
 def test_load_episodes_reads_within_a_bounded_working_set(tmp_path, episodes_200):
@@ -431,6 +521,17 @@ def test_atomic_write_leaves_no_partial_file(tmp_path):
     atomic_write_text(target, "hello\n")
     assert target.read_text() == "hello\n"
     assert list(tmp_path.iterdir()) == [target]  # no temp droppings
+
+
+@pytest.mark.parametrize("target, error", [("d", IsADirectoryError), ("nodir/out.txt", FileNotFoundError)])
+def test_atomic_write_that_cannot_create_or_rename_names_the_target_not_its_temp_file(tmp_path, target, error):
+    (tmp_path / "d").mkdir()
+    with pytest.raises(error) as caught:
+        atomic_write_text(tmp_path / target, "hello\n")
+    assert caught.value.filename == str(tmp_path / target)
+    assert ".tmp-" not in str(caught.value)
+    assert list(tmp_path.iterdir()) == [tmp_path / "d"]
+    assert list((tmp_path / "d").iterdir()) == []
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
