@@ -135,6 +135,17 @@ def _print_metrics(metrics: Metrics) -> None:
     )
 
 
+def _finite(metrics: Metrics) -> bool:
+    return all(map(math.isfinite, (metrics.nll_per_point, metrics.nll_per_episode, metrics.mse)))
+
+
+def _episode_at(batches: list[EpisodeBatch], position: int) -> EpisodeBatch:
+    """The episode at `position` (as `formats.load_episodes` counts it) as a batch of one."""
+    batch, row = next((b, k) for b in batches for k in np.flatnonzero(b.index == position))
+    return EpisodeBatch(batch.x_c[row : row + 1], batch.y_c[row : row + 1],
+                        batch.x_t[row : row + 1], batch.y_t[row : row + 1])
+
+
 def _check_out(option: str, given: Path, files: list[Path] | None = None, make_dirs: bool = False) -> None:
     """Reject, before any work, a `given` path whose output `files` (by
     default `given` itself) cannot be written: one is a directory, or their
@@ -206,6 +217,11 @@ def cmd_eval(args) -> int:
     if not batches:
         raise ValueError(f"{args.data}: no episodes to evaluate")
     metrics = evaluate(store, model_cfg, batches)
+    if not _finite(metrics):  # only then look for the episode, so that a good run pays nothing
+        bad = next((i for i in range(metrics.episode_count)
+                    if not _finite(evaluate(store, model_cfg, [_episode_at(batches, i)]))), None)
+        where = "summed over its episodes, " if bad is None else f"episode {bad}: "
+        raise ValueError(f"{args.data}: {where}the model's metrics are not finite")
     _print_metrics(metrics)
     header = (
         f"eval checkpoint={args.checkpoint} data={args.data} "
@@ -258,16 +274,18 @@ def cmd_plot(args) -> int:
     count = sum(map(len, batches))
     if not 0 <= args.index < count:
         raise ValueError(f"episode index {args.index} outside 0..{count - 1}")
-    batch, row = next((b, k) for b in batches for k in np.flatnonzero(b.index == args.index))
+    episode = _episode_at(batches, args.index)
 
     # predict at every point of the episode, context points included
-    xs = np.concatenate([batch.x_c[row], batch.x_t[row]])
-    ys = np.concatenate([batch.y_c[row], batch.y_t[row]])
-    is_ctx = np.concatenate([np.ones(batch.n_context, dtype=int), np.zeros(batch.n_target, dtype=int)])
+    xs = np.concatenate([episode.x_c[0], episode.x_t[0]])
+    ys = np.concatenate([episode.y_c[0], episode.y_t[0]])
+    is_ctx = np.concatenate([np.ones(episode.n_context, dtype=int), np.zeros(episode.n_target, dtype=int)])
     order = np.argsort(xs, kind="stable")
     xs, ys, is_ctx = xs[order], ys[order], is_ctx[order]
-    curve = EpisodeBatch(batch.x_c[row : row + 1], batch.y_c[row : row + 1], xs[None], ys[None])
+    curve = EpisodeBatch(episode.x_c, episode.y_c, xs[None], ys[None])
     mu, sigma = forward_tensors(curve, store, model_cfg, train=False)
+    if not (np.isfinite(mu.value).all() and np.isfinite(sigma.value).all()):
+        raise ValueError(f"{args.data}: episode {args.index}: the model's prediction is not finite")
     lines = ["x,y_true,mu,sigma,is_context"]
     for x, y, m, s, flag in zip(xs, ys, mu.value.ravel(), sigma.value.ravel(), is_ctx):
         lines.append(f"{float(x)!r},{float(y)!r},{float(m)!r},{float(s)!r},{flag}")

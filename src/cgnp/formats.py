@@ -8,15 +8,14 @@ as shape buckets (`gp.bucket_episodes`) that remember each line's position,
 and saving them writes the lines back in that order; both go one line at a
 time, so neither holds the file's text in memory. A grid file repeats the
 same 400 coordinates on every line, so the saver formats each coordinate
-once: the buckets whose rows share their coordinates take their x fields'
-text from one bounded table keyed by the double's bits, and every other
-field goes through the JSON encoder; the bytes are those of one
-`json.dumps(record, separators=(",", ":"))` per line. A checkpoint is the
-model config plus three flat vectors: `values` (the store's flat `value`
-buffer: every parameter, row-major, in `models._layout` order) and the
-batch-norm `running_mean` and `running_var` (layer after layer). The
-config fixes each vector's length, so the loader checks lengths before it
-allocates a model.
+once: every line takes its x fields' text from one bounded table keyed by
+the double's bits, and its y fields go through the JSON encoder; the bytes
+are those of one `json.dumps(record, separators=(",", ":"))` per line.
+A checkpoint is the model config plus three flat vectors: `values` (the
+store's flat `value` buffer: every parameter, row-major, in
+`models._layout` order) and the batch-norm `running_mean` and
+`running_var` (layer after layer). The config fixes each vector's length,
+so the loader checks lengths before it allocates a model.
 """
 
 from __future__ import annotations
@@ -108,17 +107,6 @@ _ENCODE = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(..., sepa
 _X_TEXTS_LIMIT = 2048  # coordinate texts kept by one save: five 400-point grids
 
 
-def _repeats_coordinates(batch: EpisodeBatch) -> bool:
-    """Whether row 1 draws every coordinate from row 0's: true of a grid
-    bucket, whose rows all split one grid, false of training batches,
-    whose coordinates never repeat."""
-    if len(batch) < 2:
-        return False
-    first, second = (set(np.concatenate([batch.x_c[row], batch.x_t[row]]).view(np.int64).tolist())
-                     for row in (0, 1))
-    return second <= first
-
-
 def _x_text(values: np.ndarray, texts: dict[int, str]) -> str:
     """The JSON list `values` without its brackets, taking each coordinate's
     text from `texts`, keyed by the double's bits (so 0.0 and -0.0 differ).
@@ -135,12 +123,10 @@ def _x_text(values: np.ndarray, texts: dict[int, str]) -> str:
         return text
 
 
-def episode_line(batch: EpisodeBatch, row: int, x_texts: dict[int, str] | None = None) -> str:
+def episode_line(batch: EpisodeBatch, row: int, x_texts: dict[int, str]) -> str:
     """Episode `row` of `batch` as the bytes `json.dumps(record, separators=(",", ":"))`
-    writes. Given `x_texts`, the x fields reuse its coordinate texts (`_x_text`);
-    the y fields always go through the JSON encoder."""
-    if x_texts is None:
-        return _ENCODE({name: getattr(batch, name)[row].tolist() for name in _EPISODE_KEYS})
+    writes: the x fields reuse the coordinate texts of `x_texts` (`_x_text`),
+    the y fields go through the JSON encoder."""
     return (f'{{"x_c":[{_x_text(batch.x_c[row], x_texts)}],"y_c":{_ENCODE(batch.y_c[row].tolist())},'
             f'"x_t":[{_x_text(batch.x_t[row], x_texts)}],"y_t":{_ENCODE(batch.y_t[row].tolist())}}}')
 
@@ -148,16 +134,14 @@ def episode_line(batch: EpisodeBatch, row: int, x_texts: dict[int, str] | None =
 def save_episodes(path, batches: list[EpisodeBatch]) -> None:
     """One line per episode, at the position its batch's `index` records.
     The positions are checked before any file is created; the lines are
-    then encoded and written one at a time. The buckets whose rows repeat
-    coordinates (`_repeats_coordinates`) share one bounded table of
-    coordinate texts, so each grid point is formatted about once."""
+    then encoded and written one at a time, all through one bounded table
+    of coordinate texts, so each grid point is formatted about once."""
     rows = sorted((position, k, row) for k, batch in enumerate(batches)
                   for row, position in enumerate(batch.index.tolist()))
     if any(position != i for i, (position, _, _) in enumerate(rows)):
         raise ValueError("episode positions must number the rows 0..n-1, each once")
     x_texts: dict[int, str] = {}
-    shared = [x_texts if _repeats_coordinates(batch) else None for batch in batches]
-    atomic_write_text(path, (episode_line(batches[k], row, shared[k]) + "\n" for _, k, row in rows))
+    atomic_write_text(path, (episode_line(batches[k], row, x_texts) + "\n" for _, k, row in rows))
 
 
 def _episode(path, ln: int, line: str) -> EpisodeBatch:

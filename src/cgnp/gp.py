@@ -58,8 +58,10 @@ class EqKernelSpec:
     jitter: float = 1e-6
 
     def __post_init__(self):
-        if not self.length_scale > 0.0:  # NaN fails every check here
-            raise ValueError(f"length_scale must be positive, got {self.length_scale}")
+        # eq_kernel divides (x-x')^2 by 2 l^2: within these bounds that is a positive double
+        # and the quotient finite for |x - x'| up to 1e4; past them it underflows or overflows
+        if not 1e-150 <= self.length_scale <= 1e150:  # NaN fails every check here
+            raise ValueError(f"length_scale must be between 1e-150 and 1e150, got {self.length_scale}")
         if not self.signal_variance > 0.0:
             raise ValueError(f"signal_variance must be positive, got {self.signal_variance}")
         if not self.jitter >= 0.0:

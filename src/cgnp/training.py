@@ -81,7 +81,6 @@ class TrainReport:
     heldout: list[tuple[int, Metrics]] = field(default_factory=list)
     final_metrics: Metrics | None = None
     wall_seconds: float = 0.0
-    config: TrainConfig | None = None
 
 
 class TrainingDivergedError(RuntimeError):
@@ -147,7 +146,7 @@ def _train_group(cfgs: list[TrainConfig], names: list[str] | None = None, log=No
     for k, cfg in enumerate(cfgs):
         last = time.perf_counter()
         store = init_params(cfg.model)
-        report = TrainReport(losses=np.empty(n_batches), config=cfg)
+        report = TrainReport(losses=np.empty(n_batches))
         runs.append(Run(cfg, store, AdamState(store, lr=cfg.lr), heldout_set, report))
         own[k] += time.perf_counter() - last
     try:

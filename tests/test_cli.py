@@ -201,6 +201,30 @@ def test_non_finite_final_heldout_metrics_exit_1_and_leave_no_output_directory(t
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["1e-300", "1e300"])
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_a_length_scale_that_breaks_the_kernel_exits_1_naming_the_key_before_any_work(
+    tmp_path, capsys, command, value
+):
+    # eq_kernel's divisor 2 * length_scale**2 underflows to 0 at 1e-300 and overflows at 1e300
+    out = ["--out", str(tmp_path / "g.jsonl")] if command == "generate" else ["--out-dir", str(tmp_path / "run")]
+    assert main([command, *out, f"data.length_scale={value}", "train.batches=3", "data.test_episodes=2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: config key data.length_scale: length_scale must be between 1e-150 and 1e150, got {float(value)}"
+    ]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["1e-150", "1e150"])
+def test_a_length_scale_at_its_bounds_generates_without_a_warning(tmp_path, capsys, value):
+    # pytest turns RuntimeWarning into an error, so an overflow in eq_kernel would fail here
+    out = tmp_path / "g.jsonl"
+    assert main(["generate", "--out", str(out), f"data.length_scale={value}", "data.test_episodes=2"]) == 0
+    assert sum(map(len, load_episodes(out))) == 2
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -299,6 +323,57 @@ def test_eval_untrained_fresh_model_near_prior(tmp_path, capsys):
     fields = dict(kv.split("=") for kv in record.split())
     assert np.isfinite(float(fields["nll_per_point"]))
     assert 0.7 <= float(fields["mse"]) <= 1.3
+
+
+SMALL_EPISODE = '{"x_c":[0.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}'
+# finite, so the loader takes it, but any model's forward overflows on it
+HUGE_EPISODE = '{"x_c":[1e308,-1e308],"y_c":[0.0,0.5],"x_t":[0.0],"y_t":[1.0]}'
+
+
+def _checkpoint_and_data(tmp_path, kind: str, lines: list[str]) -> tuple[Path, Path]:
+    cfg = ModelConfig(kind=kind)
+    checkpoint, data = tmp_path / "checkpoint.json", tmp_path / "data.jsonl"
+    save_checkpoint(checkpoint, init_params(cfg), cfg)
+    data.write_text("".join(line + "\n" for line in lines))
+    return checkpoint, data
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that makes the metrics non-finite
+@pytest.mark.parametrize("kind", ["cnp", "cgnp"])  # cnp's metrics are inf, cgnp's nan
+def test_eval_exits_1_naming_the_episode_whose_metrics_are_not_finite_and_writes_nothing(tmp_path, capsys, kind):
+    # the blank line is not counted: the huge episode is episode 1, as --index counts it
+    checkpoint, data = _checkpoint_and_data(tmp_path, kind, [SMALL_EPISODE, "", HUGE_EPISODE, SMALL_EPISODE])
+    out = tmp_path / "metrics.csv"
+    assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {data}: episode 1: the model's metrics are not finite"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sums overflow
+def test_eval_exits_1_when_only_the_sums_of_finite_episode_metrics_overflow(tmp_path, capsys):
+    # each episode's squared error is 8.1e307; four of them pass the largest double
+    line = '{"x_c":[0.0],"y_c":[0.0],"x_t":[0.5],"y_t":[9e153]}'
+    checkpoint, data = _checkpoint_and_data(tmp_path, "cnp", [line] * 4)
+    out = tmp_path / "metrics.csv"
+    assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {data}: summed over its episodes, the model's metrics are not finite"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_plot_exits_1_naming_the_episode_whose_prediction_is_not_finite_and_writes_nothing(tmp_path, capsys):
+    checkpoint, data = _checkpoint_and_data(tmp_path, "cgnp", [SMALL_EPISODE, HUGE_EPISODE])
+    out = tmp_path / "fit.csv"
+    argv = ["plot", "--checkpoint", str(checkpoint), "--data", str(data), "--index", "1", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {data}: episode 1: the model's prediction is not finite"]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

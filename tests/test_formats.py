@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cgnp.formats import (
-    _repeats_coordinates,
+    _X_TEXTS_LIMIT,
     atomic_write_text,
     checkpoint_text,
     comparison_csv,
@@ -111,8 +111,9 @@ def _relaid(bucket: EpisodeBatch, layout: str) -> EpisodeBatch:
 
 
 def _edge_coordinate_episodes() -> list[EpisodeBatch]:
-    """Rows that share their coordinates (so the writer shares their texts),
-    with 0.0 and -0.0 in turn in the same column."""
+    """Rows that share their coordinates (so each row after the first takes
+    its texts from the writer's table), with 0.0 and -0.0 in turn in the same
+    column."""
     zero, negative_zero, *rest = [0.0, -0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, -1e300]
     rows = [[zero, negative_zero, *rest], [negative_zero, zero, *rest[::-1]],
             [zero, zero, *rest], [negative_zero, negative_zero, *rest]]
@@ -121,8 +122,20 @@ def _edge_coordinate_episodes() -> list[EpisodeBatch]:
     return [EpisodeBatch(x[:, :3], y[:, :3], x[:, 3:], y[:, 3:])]
 
 
+def _grid_and_training_episodes() -> list[EpisodeBatch]:
+    """40 grid episodes and 3 bucketed training batches in one file, their
+    lines shuffled together, so that the training coordinates fill the table
+    of texts past its limit and it is emptied and refilled between grid lines."""
+    grid, training = make_test_set(ProtocolConfig(test_episodes=40), EqKernelSpec()), _training_episodes(3)
+    coordinates = np.concatenate([a.ravel() for b in training for a in (b.x_c, b.x_t)])
+    assert np.unique(coordinates).size > _X_TEXTS_LIMIT
+    positions = np.random.default_rng(0).permutation(40 + sum(map(len, training)))
+    return ([replace(b, index=positions[b.index]) for b in grid]
+            + [replace(b, index=positions[40 + b.index]) for b in training])
+
+
 @pytest.mark.parametrize("case", ["default test set", "edge coordinates", "fortran",
-                                  "rows reversed", "sliced columns", "training"])
+                                  "rows reversed", "sliced columns", "training", "grid and training"])
 def test_save_episodes_writes_the_bytes_of_one_json_dumps_per_line(tmp_path, case):
     if case == "default test set":
         buckets = make_test_set(ProtocolConfig(), EqKernelSpec())
@@ -131,6 +144,8 @@ def test_save_episodes_writes_the_bytes_of_one_json_dumps_per_line(tmp_path, cas
         buckets = _edge_coordinate_episodes()
     elif case == "training":
         buckets = _training_episodes(3)
+    elif case == "grid and training":
+        buckets = _grid_and_training_episodes()
     else:
         buckets = [_relaid(b, case) for b in make_test_set(ProtocolConfig(test_episodes=40), EqKernelSpec())]
     path = tmp_path / "e.jsonl"
@@ -196,7 +211,7 @@ def _training_episodes(batches: int) -> list[EpisodeBatch]:
 
 def _with_row_1_as_row_0(bucket: EpisodeBatch) -> EpisodeBatch:
     """`bucket` with its second row a copy of its first, so that the writer
-    shares coordinate texts across its rows, all of which but that one are new."""
+    takes that row's texts from its table; every other row's are new."""
     arrays = [np.array(getattr(bucket, name)) for name in FIELDS]
     for array in arrays:
         array[1] = array[0]
@@ -207,13 +222,6 @@ def _with_row_1_as_row_0(bucket: EpisodeBatch) -> EpisodeBatch:
 def training_episodes():
     buckets = _training_episodes(30)
     return {"training": buckets, "training, texts shared": [_with_row_1_as_row_0(b) for b in buckets]}
-
-
-def test_grid_buckets_share_coordinate_texts_and_training_buckets_do_not(episodes_200, training_episodes):
-    # sharing costs a table lookup per coordinate, a loss where none repeats
-    assert all(_repeats_coordinates(b) for b in episodes_200)
-    assert not any(_repeats_coordinates(b) for b in training_episodes["training"])
-    assert not _repeats_coordinates(episode([0.0], [0.0], [1.0], [1.0]))  # one row shares nothing
 
 
 @pytest.mark.parametrize("kind", ["grid", "training", "training, texts shared"])
