@@ -36,7 +36,7 @@ from .models import (
     forward_tensors,
     init_params,
 )
-from .optim import AdamState, adam_step, zero_grads
+from .optim import AdamState, adam_step
 from .training import (
     Metrics,
     TrainConfig,

@@ -226,27 +226,26 @@ def bounded_softplus(s) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
+
 class BatchNormState:
     """Scale/shift parameters plus running statistics for one layer.
 
-    ``gamma``/``beta`` are trainable (1, d) parameters. Running statistics
-    are plain arrays updated in train mode as
-    ``running = momentum * running + (1 - momentum) * batch``; the batch
-    variance is biased (divide by n).
+    ``gamma``/``beta`` are trainable (1, d) parameters. The running
+    statistics are (1, d) arrays, updated in place in train mode as
+    ``running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch``, so
+    they may be views into a larger buffer (`models.ParameterStore`); the
+    batch variance is biased (divide by n).
     """
 
-    def __init__(self, name: str, width: int, momentum: float = 0.9, eps: float = 1e-5):
-        if not 0.0 < momentum < 1.0:
-            raise ValueError(f"momentum must be in (0, 1), got {momentum}")
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
+    def __init__(self, name: str, width: int):
         self.name = name
         self.gamma = Parameter(f"{name}.gamma", np.ones((1, width)))
         self.beta = Parameter(f"{name}.beta", np.zeros((1, width)))
         self.running_mean = np.zeros((1, width))
         self.running_var = np.ones((1, width))
-        self.momentum = float(momentum)
-        self.eps = float(eps)
 
     @property
     def width(self) -> int:
@@ -272,11 +271,11 @@ def batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
         mean = _block_sums(x.value) / n
         centred = x.value - mean
         var = _block_sums(centred * centred) / n  # biased
-        inv_std = 1.0 / np.sqrt(var + state.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = centred * inv_std
-        m = state.momentum
-        state.running_mean = m * state.running_mean + (1.0 - m) * mean
-        state.running_var = m * state.running_var + (1.0 - m) * var
+        m = BN_MOMENTUM
+        state.running_mean[...] = m * state.running_mean + (1.0 - m) * mean
+        state.running_var[...] = m * state.running_var + (1.0 - m) * var
 
         def vjp(g):
             # gamma is constant per column, so the sums of g and g * xhat
@@ -287,7 +286,7 @@ def batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
             _accumulate(x, (gamma.value * inv_std / n) * (n * g - gsum - xhat * gxhat))
 
     else:
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         xhat = (x.value - state.running_mean) * inv_std
 
         def vjp(g):

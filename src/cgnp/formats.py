@@ -11,11 +11,12 @@ same 400 coordinates on every line, so the saver formats each coordinate
 once: every line takes its x fields' text from one bounded table keyed by
 the double's bits, and its y fields go through the JSON encoder; the bytes
 are those of one `json.dumps(record, separators=(",", ":"))` per line.
-A checkpoint is the model config plus three flat vectors: `values` (the
-store's flat `value` buffer: every parameter, row-major, in
-`models._layout` order) and the batch-norm `running_mean` and
-`running_var` (layer after layer). The config fixes each vector's length,
-so the loader checks lengths before it allocates a model.
+A checkpoint is the model config plus three flat vectors, each a copy of
+one of the store's flat buffers (`models.ParameterStore`): `values` (every
+parameter, row-major, in `models._layout` order) and the batch-norm
+`running_mean` and `running_var` (layer after layer). The config fixes
+each vector's length, so the loader checks lengths before it allocates a
+model.
 """
 
 from __future__ import annotations
@@ -183,12 +184,11 @@ def load_episodes(path) -> list[EpisodeBatch]:
 
 
 def checkpoint_text(store: ParameterStore, cfg: ModelConfig, extra: dict | None = None) -> str:
-    bn = store.bn.values()
     doc = {
         "model": asdict(cfg),
         "values": store.value.tolist(),
-        "running_mean": np.concatenate([state.running_mean.ravel() for state in bn]).tolist(),
-        "running_var": np.concatenate([state.running_var.ravel() for state in bn]).tolist(),
+        "running_mean": store.running_mean.tolist(),
+        "running_var": store.running_var.tolist(),
         "extra": extra or {},
     }
     return json.dumps(doc, indent=1) + "\n"
@@ -218,13 +218,6 @@ def _numbers(path, value, where: str) -> np.ndarray:
         return np.array(value, dtype=np.float64)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValueError(f"{path}: {where} holds a number too large for a double") from exc
-
-
-def _unflatten(flat: np.ndarray, arrays: list[np.ndarray]) -> None:
-    """Copy consecutive slices of `flat` into `arrays` (the per-layer
-    batch-norm statistics), in place."""
-    for array, part in zip(arrays, np.split(flat, np.cumsum([a.size for a in arrays])[:-1])):
-        array[...] = part.reshape(array.shape)
 
 
 def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
@@ -268,9 +261,8 @@ def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
         raise ValueError(f"{path}: running_var holds a negative value")
     store = init_params(cfg)
     store.value[:] = vectors["values"]
-    bn = store.bn.values()
-    _unflatten(vectors["running_mean"], [state.running_mean for state in bn])
-    _unflatten(vectors["running_var"], [state.running_var for state in bn])
+    store.running_mean[:] = vectors["running_mean"]
+    store.running_var[:] = vectors["running_var"]
     return store, cfg, extra
 
 

@@ -4,13 +4,15 @@ Functions are drawn from a zero-mean GP with a unit-variance exponentiated
 quadratic kernel (length scale 0.4) on the interval [-2, 2]. Training
 batches hold 64 episodes sharing one (N_c, N_t) draw with inputs sampled
 uniformly; test episodes sample the GP jointly on a 400-point even grid and
-promote a random subset of 3..10 grid points to context. Every episode and
-batch is a pure function of (master_seed, index), via the derived streams
-in ``seeds``, whatever the BLAS thread count: the test grid's kernel (and
-any `sample_function_values` draw) is factored column by column, whose
-bytes do not depend on it, and LAPACK factors only the small per-episode
-kernels of training batches (20 points at most by default), which it does
-not split.
+promote a random subset of 3..10 grid points to context. The interval, the
+count ranges and the grid are the protocol's fixed constants INTERVAL,
+N_CONTEXT, N_TARGET and TEST_GRID, and the kernel's variance is fixed at 1.
+Every episode and batch is a pure function of (master_seed, index), via
+the derived streams in ``seeds``, whatever the BLAS thread count: the test
+grid's kernel (and any `sample_function_values` draw) is factored column
+by column, whose bytes do not depend on it, and LAPACK factors only the
+small per-episode kernels of training batches (20 points at most), which
+it does not split.
 
 `EpisodeBatch` is the one episode record: a single episode is a batch of
 one, and an episode set (test, held-out or loaded from a file) is a list
@@ -49,12 +51,18 @@ class NotPositiveDefiniteError(ValueError):
     """Cholesky hit a non-positive pivot; the matrix is not PD."""
 
 
+INTERVAL = (-2.0, 2.0)
+N_CONTEXT = (3, 10)  # inclusive
+N_TARGET = (2, 10)  # inclusive, training only
+TEST_GRID = 400
+
+
 @dataclass(frozen=True)
 class EqKernelSpec:
-    """Exponentiated quadratic kernel k(x, x') = v * exp(-(x-x')^2 / (2 l^2))."""
+    """Unit-variance exponentiated quadratic kernel k(x, x') = exp(-(x-x')^2 / (2 l^2)),
+    plus `jitter` on the diagonal of a kernel matrix."""
 
     length_scale: float = 0.4
-    signal_variance: float = 1.0
     jitter: float = 1e-6
 
     def __post_init__(self):
@@ -62,10 +70,9 @@ class EqKernelSpec:
         # and the quotient finite for |x - x'| up to 1e4; past them it underflows or overflows
         if not 1e-150 <= self.length_scale <= 1e150:  # NaN fails every check here
             raise ValueError(f"length_scale must be between 1e-150 and 1e150, got {self.length_scale}")
-        if not self.signal_variance > 0.0:
-            raise ValueError(f"signal_variance must be positive, got {self.signal_variance}")
-        if not self.jitter >= 0.0:
-            raise ValueError(f"jitter must be non-negative, got {self.jitter}")
+        # a diagonal stabiliser never needs to reach the kernel's unit variance
+        if not 0.0 <= self.jitter <= 1.0:
+            raise ValueError(f"jitter must be between 0 and 1, got {self.jitter}")
 
 
 _FIELDS = ("x_c", "y_c", "x_t", "y_t")
@@ -154,31 +161,18 @@ class ProtocolConfig:
     """Data-generation protocol. Defaults are the desk-scale run; the full
     protocol uses train_batches=200_000 and test_episodes=10_000."""
 
-    interval: tuple[float, float] = (-2.0, 2.0)
-    n_context: tuple[int, int] = (3, 10)  # inclusive
-    n_target: tuple[int, int] = (2, 10)  # inclusive, training only
     batch_size: int = 64
     train_batches: int = 20_000
-    test_grid: int = 400
     test_episodes: int = 1_000
     master_seed: int = 0
 
     def __post_init__(self):
-        if not self.interval[0] < self.interval[1]:
-            raise ValueError(f"empty interval {self.interval}")
-        for lo, hi in (self.n_context, self.n_target):
-            if lo < 1 or hi < lo:
-                raise ValueError("count ranges must be non-empty and positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.train_batches < 1:
             raise ValueError(f"train_batches must be at least 1, got {self.train_batches}")
         if self.test_episodes < 0:
             raise ValueError(f"test_episodes must be non-negative, got {self.test_episodes}")
-        if self.test_grid < self.n_context[1] + 1:
-            raise ValueError("test grid must exceed the largest context count")
-        if self.test_grid > 4096:  # it sizes a (test_grid, test_grid) kernel matrix
-            raise ValueError(f"test_grid must be at most 4096, got {self.test_grid}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
 
@@ -191,7 +185,7 @@ class ProtocolConfig:
 def eq_kernel(x1, x2, spec: EqKernelSpec):
     """Kernel value(s); broadcasts over array inputs."""
     d = np.asarray(x1, dtype=np.float64) - np.asarray(x2, dtype=np.float64)
-    return spec.signal_variance * np.exp(-(d**2) / (2.0 * spec.length_scale**2))
+    return np.exp(-(d**2) / (2.0 * spec.length_scale**2))
 
 
 def kernel_matrix(xs, spec: EqKernelSpec) -> np.ndarray:
@@ -256,10 +250,9 @@ def make_train_batch(cfg: ProtocolConfig, spec: EqKernelSpec, batch_index: int) 
     if not 0 <= batch_index < cfg.train_batches:
         raise ValueError(f"batch_index {batch_index} outside 0..{cfg.train_batches - 1}")
     rng = derive_rng(cfg.master_seed, DOMAIN_TRAIN, batch_index)
-    n_c = int(rng.integers(cfg.n_context[0], cfg.n_context[1] + 1))
-    n_t = int(rng.integers(cfg.n_target[0], cfg.n_target[1] + 1))
-    lo, hi = cfg.interval
-    xs = rng.uniform(lo, hi, (cfg.batch_size, n_c + n_t))
+    n_c = int(rng.integers(N_CONTEXT[0], N_CONTEXT[1] + 1))
+    n_t = int(rng.integers(N_TARGET[0], N_TARGET[1] + 1))
+    xs = rng.uniform(*INTERVAL, (cfg.batch_size, n_c + n_t))
     zs = rng.standard_normal((cfg.batch_size, n_c + n_t))
     try:
         ys = np.einsum("bij,bj->bi", np.linalg.cholesky(kernel_matrix(xs, spec)), zs)
@@ -278,21 +271,21 @@ def _read_only(batch: EpisodeBatch) -> EpisodeBatch:
 
 
 @lru_cache(maxsize=8)
-def _grid_factor(interval: tuple[float, float], n: int, spec: EqKernelSpec):
-    grid = np.linspace(interval[0], interval[1], n)
+def _grid_factor(spec: EqKernelSpec):
+    grid = np.linspace(*INTERVAL, TEST_GRID)
     factor = _factor(grid, spec, _column_cholesky)
     grid.flags.writeable = False
     factor.flags.writeable = False
     return grid, factor
 
 
-def _grid_episode(cfg: ProtocolConfig, spec: EqKernelSpec, rng: np.random.Generator) -> EpisodeBatch:
+def _grid_episode(spec: EqKernelSpec, rng: np.random.Generator) -> EpisodeBatch:
     # draw order: function values, then N_c, then the context indices
-    grid, factor = _grid_factor(cfg.interval, cfg.test_grid, spec)
-    y = factor @ rng.standard_normal(cfg.test_grid)
-    n_c = int(rng.integers(cfg.n_context[0], cfg.n_context[1] + 1))
-    ctx = rng.choice(cfg.test_grid, size=n_c, replace=False)
-    mask = np.zeros(cfg.test_grid, dtype=bool)
+    grid, factor = _grid_factor(spec)
+    y = factor @ rng.standard_normal(TEST_GRID)
+    n_c = int(rng.integers(N_CONTEXT[0], N_CONTEXT[1] + 1))
+    ctx = rng.choice(TEST_GRID, size=n_c, replace=False)
+    mask = np.zeros(TEST_GRID, dtype=bool)
     mask[ctx] = True
     return EpisodeBatch(grid[mask][None], y[mask][None], grid[~mask][None], y[~mask][None])
 
@@ -303,7 +296,7 @@ def make_test_episode(cfg: ProtocolConfig, spec: EqKernelSpec, episode_index: in
     if not 0 <= episode_index < cfg.test_episodes:
         raise ValueError(f"episode_index {episode_index} outside 0..{cfg.test_episodes - 1}")
     rng = derive_rng(cfg.master_seed, DOMAIN_TEST, episode_index)
-    return _grid_episode(cfg, spec, rng)
+    return _grid_episode(spec, rng)
 
 
 def make_test_set(cfg: ProtocolConfig, spec: EqKernelSpec) -> list[EpisodeBatch]:
@@ -315,6 +308,6 @@ def make_heldout_set(cfg: ProtocolConfig, spec: EqKernelSpec, count: int) -> lis
     """Grid episodes from the held-out stream, disjoint from train and test,
     shape-bucketed like the test set, with read-only arrays."""
     return [_read_only(bucket) for bucket in bucket_episodes(
-        _grid_episode(cfg, spec, derive_rng(cfg.master_seed, DOMAIN_HELDOUT, i))
+        _grid_episode(spec, derive_rng(cfg.master_seed, DOMAIN_HELDOUT, i))
         for i in range(count)
     )]

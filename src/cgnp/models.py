@@ -17,8 +17,11 @@ the CNP that computes the identical function.
 
 Every parameter's name and shape is stated once, in `_layout`.
 `init_params` lays the parameters out in that order in two flat buffers,
-``store.value`` and ``store.grad``, which Adam updates and the checkpoint
-copies whole; `flat_sizes` counts the same table without allocating.
+``store.value`` and ``store.grad``, which Adam updates, and the batch-norm
+running statistics, layer after layer, in two more, ``store.running_mean``
+and ``store.running_var``; every parameter and statistic is a view into
+them. The checkpoint copies ``value`` and the two statistics buffers
+whole; `flat_sizes` counts the same table without allocating.
 
 Every forward runs over one `EpisodeBatch`: B episodes that share
 (N_c, N_t), as stacked (B, N_c) and (B, N_t) arrays. All points share one
@@ -91,12 +94,15 @@ class ModelConfig:
 class ParameterStore:
     """Named parameter leaves plus per-layer batch-norm state. Every
     parameter's ``.value``/``.grad`` is a view into the store's flat
-    ``value``/``grad`` buffers, which `init_params` lays out by `_layout`."""
+    ``value``/``grad`` buffers, and every layer's ``running_mean``/
+    ``running_var`` a view into its flat ``running_mean``/``running_var``,
+    all four laid out by `init_params` in `_layout` order."""
 
     def __init__(self):
         self.params: dict[str, Parameter] = {}
         self.bn: dict[str, BatchNormState] = {}
         self.value, self.grad = np.zeros(0), np.zeros(0)
+        self.running_mean, self.running_var = np.zeros(0), np.zeros(0)
 
     def add(self, param: Parameter) -> Parameter:
         if param.name in self.params:
@@ -139,9 +145,10 @@ def init_params(cfg: ModelConfig) -> ParameterStore:
     """
     rng = derive_rng(cfg.init_seed, DOMAIN_INIT)
     store = ParameterStore()
-    n_values = flat_sizes(cfg)[0]
+    n_values, bn_width = flat_sizes(cfg)
     store.value, store.grad = np.empty(n_values), np.zeros(n_values)
-    start = 0
+    store.running_mean, store.running_var = np.zeros(bn_width), np.ones(bn_width)
+    start = bn_start = 0
     for name, (rows, cols) in _layout(cfg):
         stop = start + rows * cols
         p = store.add(Parameter(name, store.value[start:stop].reshape(rows, cols)))
@@ -157,6 +164,9 @@ def init_params(cfg: ModelConfig) -> ParameterStore:
             layer = name.removesuffix(".beta")
             state = store.bn[layer] = BatchNormState(layer, cols)
             state.gamma, state.beta = store[f"{layer}.gamma"], p
+            state.running_mean = store.running_mean[bn_start : bn_start + cols].reshape(1, cols)
+            state.running_var = store.running_var[bn_start : bn_start + cols].reshape(1, cols)
+            bn_start += cols
         start = stop
     return store
 
@@ -240,7 +250,6 @@ def cnp_weights_from_cgnp(store: ParameterStore, cfg: ModelConfig) -> tuple[Para
     source = {f"enc{k}.w": f"enc{k}.w_nbr" for k in range(1, ENCODER_DEPTH + 1)} | {"dec1.w": "dec1.w_self"}
     for name, p in out.params.items():
         p.value[...] = store[source.get(name, name)].value[: p.value.shape[0]]  # drops w_nbr's last row
-    for name, src in store.bn.items():
-        out.bn[name].running_mean = src.running_mean.copy()
-        out.bn[name].running_var = src.running_var.copy()
+    out.running_mean[:] = store.running_mean
+    out.running_var[:] = store.running_var
     return out, cnp_cfg

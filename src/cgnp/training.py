@@ -48,6 +48,9 @@ __all__ = [
 # the peak resident set. It also fixes the summation order of the metrics.
 EVAL_CHUNK_ROWS = 4096
 
+# Batches averaged at each end of a loss curve by `loss_drop`.
+LOSS_WINDOW = 1000
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -235,13 +238,13 @@ def evaluate(store: ParameterStore, cfg: ModelConfig, batches) -> Metrics:
     )
 
 
-def loss_drop(losses: np.ndarray, window: int = 1000) -> float:
-    """Relative drop between the first and last `window`-batch loss averages."""
+def loss_drop(losses: np.ndarray) -> float:
+    """Relative drop between the first and last LOSS_WINDOW-batch loss averages."""
     losses = np.asarray(losses, dtype=np.float64)
-    if losses.size < 2 * window:
-        raise ValueError(f"need at least {2 * window} batches, got {losses.size}")
-    first = losses[:window].mean()
-    last = losses[-window:].mean()
+    if losses.size < 2 * LOSS_WINDOW:
+        raise ValueError(f"need at least {2 * LOSS_WINDOW} batches, got {losses.size}")
+    first = losses[:LOSS_WINDOW].mean()
+    last = losses[-LOSS_WINDOW:].mean()
     return (first - last) / abs(first)
 
 
@@ -308,7 +311,7 @@ def compare_models(base: TrainConfig, seeds: int, test_set, log=None) -> list[Va
                     master_seed=protocol.master_seed,
                     init_seed=run.cfg.model.init_seed,
                     metrics=metrics,
-                    loss_drop=loss_drop(losses) if losses.size >= 2000 else float("nan"),
+                    loss_drop=loss_drop(losses) if losses.size >= 2 * LOSS_WINDOW else float("nan"),
                     wall_seconds=run.report.wall_seconds,
                 )
             )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cgnp.autodiff import BatchNormState, Tensor, _accumulate, _as_tensor
+from cgnp.autodiff import BN_EPS, BN_MOMENTUM, BatchNormState, Tensor, _accumulate, _as_tensor
 
 
 def topo_order(root: Tensor) -> list[Tensor]:
@@ -62,9 +62,9 @@ def reference_batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
     if train:
         mean = x.value.mean(axis=0, keepdims=True)
         var = x.value.var(axis=0, keepdims=True)  # biased: divide by n
-        inv_std = 1.0 / np.sqrt(var + state.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.value - mean) * inv_std
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean = m * state.running_mean + (1.0 - m) * mean
         state.running_var = m * state.running_var + (1.0 - m) * var
 
@@ -79,7 +79,7 @@ def reference_batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
             ))
 
     else:
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         xhat = (x.value - state.running_mean) * inv_std
 
         def vjp(g):

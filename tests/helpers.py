@@ -1,5 +1,5 @@
 """Shared test utilities: the central finite-difference gradient oracle,
-one-episode batches and flat predictions."""
+gradient clearing, one-episode batches and flat predictions."""
 
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ def assert_grads_match(loss_fn, build_loss, params, rtol=RTOL, atol=ATOL):
     `loss_fn()` returns its float value (for the oracle side).
     """
     from cgnp.autodiff import backward
-    from cgnp.optim import zero_grads
 
     zero_grads(params)
     loss = build_loss()
@@ -52,6 +51,13 @@ def assert_grads_match(loss_fn, build_loss, params, rtol=RTOL, atol=ATOL):
             p.grad, expected, rtol=rtol, atol=atol, err_msg=f"gradient mismatch for {p.name}"
         )
     zero_grads(params)
+
+
+def zero_grads(params) -> None:
+    """Zero the gradients of some parameters (a store clears all of its
+    own with one ``store.grad.fill(0.0)``)."""
+    for p in params:
+        p.grad[...] = 0.0
 
 
 def episode(x_c, y_c, x_t, y_t) -> EpisodeBatch:

@@ -25,12 +25,11 @@ from cgnp import (
     kernel_matrix,
     make_test_set,
     sample_function_values,
-    zero_grads,
 )
 from cgnp.graph import radius_neighborhood
 from cgnp.training import batch_loss, compare_models
 
-from helpers import episode, predict
+from helpers import episode, predict, zero_grads
 
 DESK_PROTOCOL = ProtocolConfig(train_batches=20_000, test_episodes=1_000, master_seed=0)
 KERNEL = EqKernelSpec()
@@ -49,8 +48,8 @@ def randomize_bn(store, rng):
     for state in store.bn.values():
         state.gamma.value[...] = rng.uniform(0.5, 1.5, state.gamma.value.shape)
         state.beta.value[...] = rng.standard_normal(state.beta.value.shape) * 0.3
-        state.running_mean = rng.standard_normal(state.running_mean.shape) * 0.1
-        state.running_var = rng.uniform(0.5, 2.0, state.running_var.shape)
+        state.running_mean[...] = rng.standard_normal(state.running_mean.shape) * 0.1
+        state.running_var[...] = rng.uniform(0.5, 2.0, state.running_var.shape)
 
 
 @pytest.fixture(scope="module")

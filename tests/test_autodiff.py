@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgnp.autodiff import (
+    BN_EPS,
     BatchNormState,
     Parameter,
     Tensor,
@@ -24,7 +25,6 @@ from cgnp.autodiff import (
     slice_cols,
     _block_sums,
 )
-from cgnp.optim import zero_grads
 
 from autodiff_oracle import add, add_rowvec, matmul, reference_backward, reference_batch_norm
 from helpers import assert_grads_match, finite_diff_grad
@@ -136,7 +136,7 @@ def test_bounded_softplus_strictly_increasing_where_representable():
 def test_batch_norm_two_point_column():
     state = BatchNormState("bn", 1)
     out = batch_norm(Tensor([[1.0], [3.0]]), state, train=True)
-    expected = 1.0 / math.sqrt(1.0 + state.eps)  # mean 2, biased var 1
+    expected = 1.0 / math.sqrt(1.0 + BN_EPS)  # mean 2, biased var 1
     np.testing.assert_allclose(out.value, [[-expected], [expected]], rtol=1e-12)
 
 
@@ -147,14 +147,15 @@ def test_batch_norm_constant_column_maps_to_zero():
 
 
 def test_batch_norm_eval_identity():
-    state = BatchNormState("bn", 2, eps=1e-12)
+    # fresh running statistics (mean 0, var 1) leave only the eps in the scale
+    state = BatchNormState("bn", 2)
     x = np.array([[0.3, -1.2], [2.0, 0.7]])
     out = batch_norm(Tensor(x), state, train=False)
-    np.testing.assert_allclose(out.value, x, rtol=1e-9)
+    np.testing.assert_allclose(out.value, x / math.sqrt(1.0 + BN_EPS), rtol=1e-9)
 
 
 def test_batch_norm_updates_running_stats():
-    state = BatchNormState("bn", 1, momentum=0.9)
+    state = BatchNormState("bn", 1)
     batch_norm(Tensor([[1.0], [3.0]]), state, train=True)
     np.testing.assert_allclose(state.running_mean, [[0.9 * 0.0 + 0.1 * 2.0]])
     np.testing.assert_allclose(state.running_var, [[0.9 * 1.0 + 0.1 * 1.0]])
@@ -179,7 +180,7 @@ def test_batch_norm_normalizes_columns(seed, n, d):
     var_b = x.var(axis=0)
     np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-8)
     # output variance is var/(var + eps) exactly; 1e-6 of 1 once var >> eps
-    np.testing.assert_allclose(out.var(axis=0), var_b / (var_b + state.eps), atol=1e-9)
+    np.testing.assert_allclose(out.var(axis=0), var_b / (var_b + BN_EPS), atol=1e-9)
 
 
 def test_batch_norm_unit_variance_for_wide_columns():
@@ -201,7 +202,7 @@ def test_batch_norm_matches_the_mean_var_oracle(seed, n, d, constant_column, tra
     g = rng.standard_normal((n, d))
     states, outs, leaves = [], [], []
     for op in (batch_norm, reference_batch_norm):
-        state = BatchNormState("bn", d, momentum=0.8)
+        state = BatchNormState("bn", d)
         state.gamma.value[...] = np.linspace(0.5, 2.0, d)
         state.beta.value[...] = np.linspace(-1.0, 1.0, d)
         state.running_mean[...] = 0.25

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,71 @@ def test_a_length_scale_at_its_bounds_generates_without_a_warning(tmp_path, caps
     out = tmp_path / "g.jsonl"
     assert main(["generate", "--out", str(out), f"data.length_scale={value}", "data.test_episodes=2"]) == 0
     assert sum(map(len, load_episodes(out))) == 2
+
+
+@pytest.mark.parametrize("value", ["2", "1e300"])
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_a_jitter_past_the_kernel_variance_exits_1_naming_the_key_before_any_work(tmp_path, capsys, command, value):
+    # past the kernel's unit variance the jitter swamps it: 1e300 would give y values near 1e148
+    out = ["--out", str(tmp_path / "g.jsonl")] if command == "generate" else ["--out-dir", str(tmp_path / "run")]
+    assert main([command, *out, f"data.jitter={value}", "train.batches=3", "data.test_episodes=2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: config key data.jitter: jitter must be between 0 and 1, got {float(value)}"
+    ]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_jitter_at_its_bound_generates_without_a_warning(tmp_path, capsys):
+    out = tmp_path / "g.jsonl"
+    assert main(["generate", "--out", str(out), "data.jitter=1", "data.test_episodes=2"]) == 0
+    assert capsys.readouterr().err == ""
+    assert sum(map(len, load_episodes(out))) == 2
+
+
+# a value unlike the default for every config key
+NON_DEFAULT = {
+    "model.kind": "cnp",
+    "model.latent_dim": 9,
+    "model.radius": 0.5,
+    "train.lr": 2e-3,
+    "train.batches": 7,
+    "train.batch_size": 32,
+    "train.eval_every": 3,
+    "seed.master": 1,
+    "seed.init": 1,
+    "data.length_scale": 0.5,
+    "data.jitter": 1e-5,
+    "data.test_episodes": 5,
+}
+
+
+def config_fields(train_cfg: TrainConfig) -> dict[str, object]:
+    """Every field of the model, kernel and protocol configs, and the
+    scalar fields of `train_cfg` itself, by qualified name."""
+    values = {}
+    for part in (train_cfg.model, train_cfg.kernel, train_cfg.protocol, train_cfg):
+        for f in fields(part):
+            if not is_dataclass(getattr(part, f.name)):
+                values[f"{type(part).__name__}.{f.name}"] = getattr(part, f.name)
+    return values
+
+
+def test_every_model_kernel_and_protocol_field_is_set_by_exactly_one_config_key():
+    # a field no key reaches is a knob only code can turn; the protocol's fixed values are constants
+    assert set(NON_DEFAULT) == set(CONFIG_DEFAULTS)
+    default = config_fields(_train_config(CONFIG_DEFAULTS))
+    reached = []
+    for key, value in NON_DEFAULT.items():
+        assert value != CONFIG_DEFAULTS[key], key
+        changed = config_fields(_train_config({**CONFIG_DEFAULTS, key: value}))
+        diff = [name for name in default if changed[name] != default[name]]
+        assert len(diff) == 1, (key, diff)
+        reached += diff
+    assert len(reached) == len(set(reached))  # no field is reached by two keys
+    configs = ("ModelConfig.", "EqKernelSpec.", "ProtocolConfig.")
+    assert {name for name in default if name.startswith(configs)} <= set(reached)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Every exported name resolves: each `cgnp.*` module's `__all__` and every
 name the package `__init__` imports. A stale export left behind when code
 is deleted fails here at once instead of at a user's import. Every
-autodiff op and every graph function also has a caller in another module
-of the package: code that serves only tests belongs in `tests/`."""
+autodiff op and every graph and optim function also has a caller in
+another module of the package: code that serves only tests belongs in
+`tests/`."""
 
 import ast
 import importlib
@@ -69,8 +70,18 @@ def test_every_autodiff_op_has_a_caller_in_the_package():
     assert sorted(set(autodiff.__all__) - used_elsewhere_in_the_package("autodiff")) == []
 
 
+def public_functions(name: str) -> set[str]:
+    module = importlib.import_module(f"cgnp.{name}")
+    return {n for n in module.__all__ if inspect.isfunction(getattr(module, n))}
+
+
 def test_every_graph_function_has_a_caller_in_the_package():
-    graph = importlib.import_module("cgnp.graph")
-    functions = {name for name in graph.__all__ if inspect.isfunction(getattr(graph, name))}
+    functions = public_functions("graph")
     assert functions  # radius_neighborhood and bipartite_conv at least
     assert sorted(functions - used_elsewhere_in_the_package("graph")) == []
+
+
+def test_every_optim_function_has_a_caller_in_the_package():
+    functions = public_functions("optim")
+    assert functions  # adam_step at least
+    assert sorted(functions - used_elsewhere_in_the_package("optim")) == []

@@ -287,8 +287,8 @@ def test_checkpoint_roundtrip_bit_exact_and_stable(tmp_path):
     rng = np.random.default_rng(0)
     store.value[:] = rng.standard_normal(store.value.size)  # not what init_params draws
     for state in store.bn.values():
-        state.running_mean = rng.standard_normal(state.running_mean.shape)
-        state.running_var = rng.uniform(0.5, 2.0, state.running_var.shape)
+        state.running_mean[...] = rng.standard_normal(state.running_mean.shape)
+        state.running_var[...] = rng.uniform(0.5, 2.0, state.running_var.shape)
     path = tmp_path / "checkpoint.json"
     save_checkpoint(path, store, cfg, extra={"train.batches": 20000})
     loaded, loaded_cfg, extra = load_checkpoint(path)

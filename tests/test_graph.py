@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from cgnp.autodiff import Parameter, Tensor, backward, block_mean
 from cgnp.graph import bipartite_conv, radius_neighborhood
-from cgnp.optim import zero_grads
 
 from autodiff_oracle import add, matmul
 from graph_oracle import brute_force_neighbors, edge_list_conv
-from helpers import assert_grads_match
+from helpers import assert_grads_match, zero_grads
 
 
 def neighbor_lists(mask):

@@ -3,7 +3,7 @@ import pytest
 
 from cgnp.autodiff import Parameter, Tensor, backward, block_mean
 from cgnp.formats import load_checkpoint, save_checkpoint
-from cgnp.gp import EpisodeBatch, bucket_episodes
+from cgnp.gp import EpisodeBatch, ProtocolConfig, bucket_episodes
 from cgnp.models import (
     ModelConfig,
     ParameterStore,
@@ -13,7 +13,7 @@ from cgnp.models import (
     forward_tensors,
     init_params,
 )
-from cgnp.training import batch_loss
+from cgnp.training import TrainConfig, batch_loss, train
 
 from helpers import assert_grads_match, episode, predict
 
@@ -34,8 +34,8 @@ def randomize_store(store, rng):
     for state in store.bn.values():
         state.gamma.value[...] = rng.uniform(0.5, 1.5, state.gamma.value.shape)
         state.beta.value[...] = rng.standard_normal(state.beta.value.shape) * 0.3
-        state.running_mean = rng.standard_normal(state.running_mean.shape) * 0.1
-        state.running_var = rng.uniform(0.5, 2.0, state.running_var.shape)
+        state.running_mean[...] = rng.standard_normal(state.running_mean.shape) * 0.1
+        state.running_var[...] = rng.uniform(0.5, 2.0, state.running_var.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -102,35 +102,54 @@ def test_flat_sizes_count_what_init_params_allocates(kind, latent_dim):
     assert flat_sizes(cfg) == (values, bn_width)
 
 
+def assert_views_tile(flat, views):
+    """The (name, shape, array) triples of `views` are views of `flat`, in
+    order, with no gap and no overlap."""
+    base = flat.__array_interface__["data"][0]
+    start = 0
+    for name, shape, view in views:
+        assert view.shape == shape and view.flags.c_contiguous, name
+        assert np.shares_memory(view, flat), name
+        assert view.__array_interface__["data"][0] == base + start * flat.itemsize, name
+        start += view.size
+    assert start == flat.size
+
+
 def assert_views_tile_the_buffers(store, cfg):
-    """Each parameter's value and grad are views of the store's flat
-    buffers, in `_layout` order, with no gap and no overlap."""
+    """Each parameter's value and grad, and each batch-norm layer's running
+    statistics, are views of the store's four flat buffers in `_layout`
+    order."""
     layout = _layout(cfg)
     assert list(store.params) == [name for name, _ in layout]
-    for flat, attr in ((store.value, "value"), (store.grad, "grad")):
-        base = flat.__array_interface__["data"][0]
-        start = 0
-        for name, shape in layout:
-            view = getattr(store[name], attr)
-            assert view.shape == shape and view.flags.c_contiguous, name
-            assert np.shares_memory(view, flat), name
-            assert view.__array_interface__["data"][0] == base + start * flat.itemsize, name
-            start += view.size
-        assert start == flat.size
-    bn_width = sum(state.running_mean.size for state in store.bn.values())
-    assert flat_sizes(cfg) == (store.value.size, bn_width)
+    for attr in ("value", "grad"):
+        assert_views_tile(getattr(store, attr), [(name, shape, getattr(store[name], attr)) for name, shape in layout])
+    layers = [(name.removesuffix(".gamma"), shape) for name, shape in layout if name.endswith(".gamma")]
+    assert list(store.bn) == [layer for layer, _ in layers]
+    for attr in ("running_mean", "running_var"):
+        assert_views_tile(getattr(store, attr), [(layer, shape, getattr(store.bn[layer], attr)) for layer, shape in layers])
+    assert flat_sizes(cfg) == (store.value.size, store.running_mean.size)
 
 
 @pytest.mark.parametrize("latent_dim", [1, 3, 8])
 @pytest.mark.parametrize("kind", ["cnp", "cgnp"])
 def test_parameter_views_tile_the_flat_buffers_in_layout_order(tmp_path, kind, latent_dim):
     cfg = ModelConfig(kind=kind, latent_dim=latent_dim)
-    store = init_params(cfg)
+    assert_views_tile_the_buffers(init_params(cfg), cfg)
+    # train-mode batch norm must update the running statistics in place
+    protocol = ProtocolConfig(batch_size=8, train_batches=3)
+    store, _ = train(TrainConfig(model=cfg, protocol=protocol, eval_every=0, heldout_episodes=0))
     assert_views_tile_the_buffers(store, cfg)
+    assert (store.running_var != 1.0).all()
     save_checkpoint(tmp_path / "c.json", store, cfg)
     loaded, _, _ = load_checkpoint(tmp_path / "c.json")
     assert_views_tile_the_buffers(loaded, cfg)
-    assert np.array_equal(loaded.value, store.value)
+    for attr in ("value", "running_mean", "running_var"):
+        assert np.array_equal(getattr(loaded, attr), getattr(store, attr)), attr
+    if kind == "cgnp":
+        cnp, cnp_cfg = cnp_weights_from_cgnp(loaded, cfg)
+        assert_views_tile_the_buffers(cnp, cnp_cfg)
+        for attr in ("running_mean", "running_var"):
+            assert np.array_equal(getattr(cnp, attr), getattr(store, attr)), attr
 
 
 def test_store_add_rejects_a_duplicate_name():

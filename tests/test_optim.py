@@ -3,8 +3,9 @@ import pytest
 
 from cgnp.autodiff import Parameter
 from cgnp.models import ModelConfig, init_params
-from cgnp.optim import AdamState, adam_step, zero_grads
+from cgnp.optim import AdamState, adam_step
 
+from helpers import zero_grads
 from optim_oracle import DictAdamState, dict_adam_step
 
 

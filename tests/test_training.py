@@ -254,8 +254,8 @@ def test_evaluate_on_a_ragged_set_matches_per_episode_forwards(monkeypatch):
         cfg = ModelConfig(kind=kind, init_seed=4)
         store = init_params(cfg)
         for state in store.bn.values():
-            state.running_mean = rng.standard_normal(state.running_mean.shape) * 0.1
-            state.running_var = rng.uniform(0.5, 2.0, state.running_var.shape)
+            state.running_mean[...] = rng.standard_normal(state.running_mean.shape) * 0.1
+            state.running_var[...] = rng.uniform(0.5, 2.0, state.running_var.shape)
         got = evaluate(store, cfg, bucket_episodes(episodes))
         want = prediction_metrics([predict(ep, store, cfg) for ep in episodes], episodes)
         assert got.episode_count == want.episode_count == 23
