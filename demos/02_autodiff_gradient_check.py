@@ -18,7 +18,12 @@ x = Tensor(rng.standard_normal((n, d_in)))
 y = Tensor(rng.standard_normal((n, 1)))
 w1 = Parameter("w1", rng.standard_normal((d_in, d_hidden)) * 0.6)
 b1 = Parameter("b1", np.zeros((1, d_hidden)))
-bn = BatchNormState("bn", d_hidden)
+bn = BatchNormState(
+    gamma=Parameter("bn.gamma", np.ones((1, d_hidden))),
+    beta=Parameter("bn.beta", np.zeros((1, d_hidden))),
+    running_mean=np.zeros((1, d_hidden)),
+    running_var=np.ones((1, d_hidden)),
+)
 w2 = Parameter("w2", rng.standard_normal((d_hidden, 2)) * 0.6)
 b2 = Parameter("b2", np.zeros((1, 2)))
 params = [w1, b1, bn.gamma, bn.beta, w2, b2]

@@ -16,8 +16,6 @@ base = TrainConfig(
     model=ModelConfig(kind="cnp", latent_dim=8, radius=0.7),
     kernel=kern,
     protocol=proto,
-    eval_every=0,
-    heldout_episodes=0,
 )
 
 test_set = make_test_set(proto, kern)  # shape buckets, shared by every run

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -230,22 +231,22 @@ BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 
 
+@dataclass(eq=False)
 class BatchNormState:
-    """Scale/shift parameters plus running statistics for one layer.
+    """Scale/shift parameters plus running statistics for one layer, all
+    four given by the caller (`models.init_params` passes views into the
+    store's flat buffers).
 
     ``gamma``/``beta`` are trainable (1, d) parameters. The running
     statistics are (1, d) arrays, updated in place in train mode as
-    ``running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch``, so
-    they may be views into a larger buffer (`models.ParameterStore`); the
+    ``running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch``; the
     batch variance is biased (divide by n).
     """
 
-    def __init__(self, name: str, width: int):
-        self.name = name
-        self.gamma = Parameter(f"{name}.gamma", np.ones((1, width)))
-        self.beta = Parameter(f"{name}.beta", np.zeros((1, width)))
-        self.running_mean = np.zeros((1, width))
-        self.running_var = np.ones((1, width))
+    gamma: Parameter
+    beta: Parameter
+    running_mean: np.ndarray
+    running_var: np.ndarray
 
     @property
     def width(self) -> int:

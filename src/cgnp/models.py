@@ -161,11 +161,9 @@ def init_params(cfg: ModelConfig) -> ParameterStore:
             bound = 1.0 / np.sqrt(rows)  # fan-in
             p.value[...] = rng.uniform(-bound, bound, (rows, cols))
         if name.endswith(".bn.beta"):  # gamma came just before
-            layer = name.removesuffix(".beta")
-            state = store.bn[layer] = BatchNormState(layer, cols)
-            state.gamma, state.beta = store[f"{layer}.gamma"], p
-            state.running_mean = store.running_mean[bn_start : bn_start + cols].reshape(1, cols)
-            state.running_var = store.running_var[bn_start : bn_start + cols].reshape(1, cols)
+            layer, stats = name.removesuffix(".beta"), slice(bn_start, bn_start + cols)
+            store.bn[layer] = BatchNormState(store[f"{layer}.gamma"], p, store.running_mean[stats].reshape(1, cols),
+                                             store.running_var[stats].reshape(1, cols))
             bn_start += cols
         start = stop
     return store

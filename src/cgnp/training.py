@@ -5,7 +5,8 @@ NLL) with Adam at a fixed learning rate, drawing a fresh 64-episode batch
 per step; the batch arrives as stacked arrays and goes to the model as is.
 One driver, `_train_group`, steps a group of `Run`s in lockstep over one
 shared batch stream and held-out set: `train` is a group of one, and
-`compare_models` trains each seed's three variants as one group.
+`compare_models` trains each seed's three variants as one group with no
+held-out set, since it reports only the shared test set.
 Evaluation reports the NLL under two normalizations (per target point and
 per episode) plus the MSE of the predictive mean, all over target points
 only; it takes an episode set as shape buckets (`gp.bucket_episodes`),
@@ -59,13 +60,17 @@ class TrainConfig:
     protocol: ProtocolConfig = ProtocolConfig()
     lr: float = 1e-3
     eval_every: int = 1000  # 0 disables periodic held-out evaluation
-    heldout_episodes: int = 64
+    heldout_episodes: int = 64  # 0 disables held-out evaluation
 
     def __post_init__(self):
         if not 0.0 < self.lr < np.inf:
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
-        if not self.eval_every >= 0:
-            raise ValueError(f"eval_every must be non-negative, got {self.eval_every}")
+        for name in ("eval_every", "heldout_episodes"):  # exact type, as in ModelConfig, so a bool fails
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         if self.protocol.batch_size < 2:
             raise ValueError("batch_size must be at least 2 (batch norm needs 2+ rows)")
 
@@ -87,14 +92,16 @@ class TrainReport:
 
 
 class TrainingDivergedError(RuntimeError):
-    """A non-finite training loss or held-out metric; `what` names it."""
+    """A non-finite training loss or metric; `what` names it and `run_name`,
+    if given, prefixes the message."""
 
-    def __init__(self, batch_index: int, what: str, value: float, store: ParameterStore):
+    def __init__(self, batch_index: int, what: str, value: float, store: ParameterStore, run_name=None):
         norms = ", ".join(
             f"{name}={np.linalg.norm(p.value):.3g}" for name, p in store.params.items()
         )
+        prefix = f"{run_name}: " if run_name else ""
         super().__init__(
-            f"non-finite {what} {value} at batch {batch_index}; parameter norms: {norms}"
+            f"{prefix}non-finite {what} {value} at batch {batch_index}; parameter norms: {norms}"
         )
         self.batch_index = batch_index
         self.value = value
@@ -113,80 +120,79 @@ def batch_loss(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig) -> 
 @dataclass
 class Run:
     """A training run part-way through: `report.losses[:next_batch]` are
-    its losses so far and `report.heldout` its records on `heldout_set`."""
+    its losses so far and `report.heldout` its held-out records; `name`,
+    if any, prefixes its divergence errors."""
 
     cfg: TrainConfig
     store: ParameterStore
     adam: AdamState
-    heldout_set: list[EpisodeBatch]
     report: TrainReport
+    name: str | None = None
     next_batch: int = 0
 
 
-def _heldout_metrics(run: Run, b: int) -> Metrics:
-    metrics = evaluate(run.store, run.cfg.model, run.heldout_set)
+def _checked_metrics(run: Run, batches, what: str, b: int) -> Metrics:
+    """`evaluate` of the run on `batches`; a non-finite nll_per_point or mse
+    raises TrainingDivergedError naming `what` and batch `b`."""
+    metrics = evaluate(run.store, run.cfg.model, batches)
     for name in ("nll_per_point", "mse"):  # nll_per_episode scales nll_per_point
-        if not np.isfinite(getattr(metrics, name)):
-            raise TrainingDivergedError(b, f"held-out {name}", getattr(metrics, name), run.store)
+        value = getattr(metrics, name)
+        if not np.isfinite(value):
+            raise TrainingDivergedError(b, f"{what} {name}", value, run.store, run.name)
     return metrics
 
 
 def _train_group(cfgs: list[TrainConfig], names: list[str] | None = None, log=None) -> list[Run]:
     """Train a group of configs that share the first one's protocol, kernel
-    and held-out set size over one batch stream. The held-out set and each
-    batch are made once, and the runs step on them in order, so each run
-    ends as it would trained alone. ``log(batch_index, loss, metrics_or_none)``
-    is called every ``eval_every`` batches and on the final batch. A run's
-    `wall_seconds` is the time of its own work plus an equal share of the
-    rest of the call; a divergence is prefixed with the run's entry in
-    `names`.
+    and held-out set size over one batch stream. The held-out set (if any)
+    and each batch are made once, and the runs step on them in order, so
+    each run ends as it would trained alone. ``log(batch_index, loss,
+    metrics_or_none)`` is called every ``eval_every`` batches and on the
+    final batch. A run's `wall_seconds` is the time of its own work plus an
+    equal share of the rest of the call; a divergence is prefixed with the
+    run's entry in `names`.
     """
     start = time.perf_counter()
     protocol, kernel = cfgs[0].protocol, cfgs[0].kernel
-    n_batches = protocol.train_batches
-    heldout_set = make_heldout_set(protocol, kernel, cfgs[0].heldout_episodes)
+    n_batches, n_heldout = protocol.train_batches, cfgs[0].heldout_episodes
+    heldout_set = make_heldout_set(protocol, kernel, n_heldout) if n_heldout else []
     runs, own = [], [0.0] * len(cfgs)
     for k, cfg in enumerate(cfgs):
         last = time.perf_counter()
         store = init_params(cfg.model)
         report = TrainReport(losses=np.empty(n_batches))
-        runs.append(Run(cfg, store, AdamState(store, lr=cfg.lr), heldout_set, report))
+        runs.append(Run(cfg, store, AdamState(store, lr=cfg.lr), report, names[k] if names else None))
         own[k] += time.perf_counter() - last
-    try:
-        for b in range(n_batches):
-            batch = make_train_batch(protocol, kernel, b)
-            last = time.perf_counter()
-            for k, run in enumerate(runs):
-                loss = batch_loss(batch, run.store, run.cfg.model)
-                loss_value = float(loss.value[0, 0])
-                if not np.isfinite(loss_value):
-                    raise TrainingDivergedError(b, "loss", loss_value, run.store)
-                run.report.losses[b] = loss_value
-                backward(loss)
-                adam_step(run.adam)
-                run.store.grad.fill(0.0)
-                run.next_batch = b + 1
-                eval_every = run.cfg.eval_every
-                if eval_every > 0 and (b % eval_every == 0 or run.next_batch == n_batches):
-                    metrics = _heldout_metrics(run, b) if heldout_set else None
-                    if metrics is not None:
-                        run.report.heldout.append((b, metrics))
-                    if log is not None:
-                        log(b, loss_value, metrics)
-                now = time.perf_counter()
-                own[k] += now - last
-                last = now
-        for k, run in enumerate(runs):  # final metrics: the last periodic evaluation if any
-            last = time.perf_counter()
-            if run.report.heldout:
-                run.report.final_metrics = run.report.heldout[-1][1]
-            elif heldout_set:
-                run.report.final_metrics = _heldout_metrics(run, n_batches - 1)
-            own[k] += time.perf_counter() - last
-    except TrainingDivergedError as exc:  # `k` is the run that raised
-        if names is not None:
-            exc.args = (f"{names[k]}: {exc}",)
-        raise
+    for b in range(n_batches):
+        batch = make_train_batch(protocol, kernel, b)
+        last = time.perf_counter()
+        for k, run in enumerate(runs):
+            loss = batch_loss(batch, run.store, run.cfg.model)
+            loss_value = float(loss.value[0, 0])
+            if not np.isfinite(loss_value):
+                raise TrainingDivergedError(b, "loss", loss_value, run.store, run.name)
+            run.report.losses[b] = loss_value
+            backward(loss)
+            adam_step(run.adam)
+            run.store.grad.fill(0.0)
+            run.next_batch = b + 1
+            eval_every = run.cfg.eval_every
+            if eval_every > 0 and (b % eval_every == 0 or run.next_batch == n_batches):
+                metrics = _checked_metrics(run, heldout_set, "held-out", b) if heldout_set else None
+                if metrics is not None:
+                    run.report.heldout.append((b, metrics))
+                if log is not None:
+                    log(b, loss_value, metrics)
+            now = time.perf_counter()
+            own[k] += now - last
+            last = now
+    for k, run in enumerate(runs):  # final metrics: the last periodic evaluation if any
+        last = time.perf_counter()
+        if run.report.heldout:
+            run.report.final_metrics = run.report.heldout[-1][1]
+        elif heldout_set:
+            run.report.final_metrics = _checked_metrics(run, heldout_set, "held-out", n_batches - 1)
+        own[k] += time.perf_counter() - last
     shared = (time.perf_counter() - start - sum(own)) / len(runs)
     for run, seconds in zip(runs, own):
         run.report.wall_seconds = seconds + shared
@@ -284,7 +290,10 @@ def compare_models(base: TrainConfig, seeds: int, test_set, log=None) -> list[Va
     Seed i uses master_seed + i and init_seed + i, identical across the
     three variants, so per-seed comparisons are paired. Each seed's three
     runs are one `_train_group` in COMPARE_VARIANTS order, so every result
-    equals that of a separate `train` call.
+    equals that of a separate `train` call. The runs make no held-out set,
+    whatever `base` asks, as only the test set is reported; a non-finite
+    training loss, test nll_per_point or test mse raises
+    TrainingDivergedError naming the variant and seed.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -299,12 +308,12 @@ def compare_models(base: TrainConfig, seeds: int, test_set, log=None) -> list[Va
         protocol = replace(base.protocol, master_seed=base.protocol.master_seed + i)
         if log is not None:
             log(f"training seed {i} (master={protocol.master_seed}, init={base.model.init_seed + i})")
-        cfgs = [replace(base, model=replace(model, init_seed=model.init_seed + i), protocol=protocol)
-                for model in variants.values()]
+        cfgs = [replace(base, model=replace(model, init_seed=model.init_seed + i), protocol=protocol,
+                        heldout_episodes=0) for model in variants.values()]
         names = [f"{label} seed {i} (master={protocol.master_seed}, init={cfg.model.init_seed})"
                  for label, cfg in zip(variants, cfgs)]
         for label, run in zip(variants, _train_group(cfgs, names)):
-            metrics = evaluate(run.store, run.cfg.model, test_set)
+            metrics = _checked_metrics(run, test_set, "test", run.next_batch - 1)
             losses = run.report.losses
             seed_runs[label].append(
                 SeedRun(

@@ -3,8 +3,9 @@
 `sequential_compare` trains the three variants one after another, each run
 through `train`, a training group of one with its own batches and held-out
 set. `compare_models` trains each seed's three variants as one group of
-three over a shared batch stream, so matching this oracle proves that a
-group of three equals three groups of one: every `SeedRun` field but
+three over a shared batch stream and no held-out set, so matching this
+oracle proves that a group of three equals three groups of one, and that
+held-out passes leave a run unchanged: every `SeedRun` field but
 `wall_seconds` must come out bit for bit the same. The training step itself
 is held by `test_golden.py` and the compare, plot and eval pins in
 `test_pinned_outputs.py`."""

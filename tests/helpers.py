@@ -1,11 +1,12 @@
 """Shared test utilities: the central finite-difference gradient oracle,
-gradient clearing, one-episode batches and flat predictions."""
+gradient clearing, standalone batch-norm states, one-episode batches and
+flat predictions."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from cgnp.autodiff import Parameter
+from cgnp.autodiff import BatchNormState, Parameter
 from cgnp.gp import EpisodeBatch
 from cgnp.models import forward_tensors
 
@@ -58,6 +59,14 @@ def zero_grads(params) -> None:
     own with one ``store.grad.fill(0.0)``)."""
     for p in params:
         p.grad[...] = 0.0
+
+
+def bn_state(name: str, width: int) -> BatchNormState:
+    """A batch-norm state of its own arrays, as `init_params` starts every
+    layer: gamma ones, beta zeros, running mean 0 and running variance 1."""
+    gamma = Parameter(f"{name}.gamma", np.ones((1, width)))
+    beta = Parameter(f"{name}.beta", np.zeros((1, width)))
+    return BatchNormState(gamma, beta, np.zeros((1, width)), np.ones((1, width)))
 
 
 def episode(x_c, y_c, x_t, y_t) -> EpisodeBatch:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cgnp.autodiff import (
     BN_EPS,
-    BatchNormState,
     Parameter,
     Tensor,
     affine,
@@ -27,7 +26,7 @@ from cgnp.autodiff import (
 )
 
 from autodiff_oracle import add, add_rowvec, matmul, reference_backward, reference_batch_norm
-from helpers import assert_grads_match, finite_diff_grad
+from helpers import assert_grads_match, bn_state, finite_diff_grad
 
 
 # Sums over rows agree with numpy's sum(axis=0) to rounding: over 20,000
@@ -134,28 +133,28 @@ def test_bounded_softplus_strictly_increasing_where_representable():
 
 
 def test_batch_norm_two_point_column():
-    state = BatchNormState("bn", 1)
+    state = bn_state("bn", 1)
     out = batch_norm(Tensor([[1.0], [3.0]]), state, train=True)
     expected = 1.0 / math.sqrt(1.0 + BN_EPS)  # mean 2, biased var 1
     np.testing.assert_allclose(out.value, [[-expected], [expected]], rtol=1e-12)
 
 
 def test_batch_norm_constant_column_maps_to_zero():
-    state = BatchNormState("bn", 1)
+    state = bn_state("bn", 1)
     out = batch_norm(Tensor([[5.0], [5.0]]), state, train=True)
     np.testing.assert_array_equal(out.value, [[0.0], [0.0]])
 
 
 def test_batch_norm_eval_identity():
     # fresh running statistics (mean 0, var 1) leave only the eps in the scale
-    state = BatchNormState("bn", 2)
+    state = bn_state("bn", 2)
     x = np.array([[0.3, -1.2], [2.0, 0.7]])
     out = batch_norm(Tensor(x), state, train=False)
     np.testing.assert_allclose(out.value, x / math.sqrt(1.0 + BN_EPS), rtol=1e-9)
 
 
 def test_batch_norm_updates_running_stats():
-    state = BatchNormState("bn", 1)
+    state = bn_state("bn", 1)
     batch_norm(Tensor([[1.0], [3.0]]), state, train=True)
     np.testing.assert_allclose(state.running_mean, [[0.9 * 0.0 + 0.1 * 2.0]])
     np.testing.assert_allclose(state.running_var, [[0.9 * 1.0 + 0.1 * 1.0]])
@@ -165,7 +164,7 @@ def test_batch_norm_updates_running_stats():
 
 
 def test_batch_norm_degenerate_batch():
-    state = BatchNormState("bn", 1)
+    state = bn_state("bn", 1)
     with pytest.raises(ValueError, match="at least 2 rows"):
         batch_norm(Tensor([[1.0]]), state, train=True)
 
@@ -175,7 +174,7 @@ def test_batch_norm_degenerate_batch():
 def test_batch_norm_normalizes_columns(seed, n, d):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0, d) + rng.uniform(-2, 2, d)
-    state = BatchNormState("bn", d)
+    state = bn_state("bn", d)
     out = batch_norm(Tensor(x), state, train=True).value
     var_b = x.var(axis=0)
     np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-8)
@@ -186,7 +185,7 @@ def test_batch_norm_normalizes_columns(seed, n, d):
 def test_batch_norm_unit_variance_for_wide_columns():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((64, 4)) * 20.0
-    out = batch_norm(Tensor(x), BatchNormState("bn", 4), train=True).value
+    out = batch_norm(Tensor(x), bn_state("bn", 4), train=True).value
     np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-8)
     np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-6)
 
@@ -202,7 +201,7 @@ def test_batch_norm_matches_the_mean_var_oracle(seed, n, d, constant_column, tra
     g = rng.standard_normal((n, d))
     states, outs, leaves = [], [], []
     for op in (batch_norm, reference_batch_norm):
-        state = BatchNormState("bn", d)
+        state = bn_state("bn", d)
         state.gamma.value[...] = np.linspace(0.5, 2.0, d)
         state.beta.value[...] = np.linspace(-1.0, 1.0, d)
         state.running_mean[...] = 0.25
@@ -330,7 +329,7 @@ def test_backward_waits_for_a_consumer_reached_through_a_later_longer_chain():
 def test_ops_are_deterministic():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 4))
-    state1, state2 = BatchNormState("a", 4), BatchNormState("b", 4)
+    state1, state2 = bn_state("a", 4), bn_state("b", 4)
     a = batch_norm(relu(Tensor(x)), state1, train=True).value
     b = batch_norm(relu(Tensor(x)), state2, train=True).value
     assert np.array_equal(a, b)
@@ -381,7 +380,7 @@ def test_fd_bounded_softplus():
 def test_fd_batch_norm_train_and_eval():
     rng = np.random.default_rng(6)
     x = Parameter("x", rng.standard_normal((7, 3)) * 2 + 1)
-    state = BatchNormState("bn", 3)
+    state = bn_state("bn", 3)
     state.gamma.value[...] = rng.uniform(0.5, 2.0, (1, 3))
     state.beta.value[...] = rng.standard_normal((1, 3))
     for train in (True, False):
@@ -499,7 +498,7 @@ def test_fd_random_composed_networks(seed):
         kind = ["relu", "softplus", "bn"][int(rng.integers(3))]
         state = None
         if kind == "bn":
-            state = BatchNormState(f"bn{k}", widths[k + 1])
+            state = bn_state(f"bn{k}", widths[k + 1])
             params += [state.gamma, state.beta]
         layers.append((w, b, kind, state))
     y = rng.standard_normal((n, widths[-1]))

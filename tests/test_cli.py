@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass
@@ -43,6 +44,16 @@ def test_defaults_follow_protocol():
 
 def test_default_run_config_is_the_dataclass_defaults():
     assert _train_config(parse_run_config(None)) == TrainConfig(model=ModelConfig(kind="cgnp"))
+
+
+def test_the_readme_names_every_config_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("Keys and defaults:", 1)[1].split(";", 1)[0]
+    documented = dict(re.findall(r"`([\w.]+)=([^`]*)`", sentence))
+    assert sorted(documented) == sorted(CONFIG_DEFAULTS)
+    for key, default in CONFIG_DEFAULTS.items():  # numbers as numbers: 1e-3 == 0.001
+        text = documented[key]
+        assert (text if isinstance(default, str) else float(text)) == default, key
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -488,7 +499,21 @@ def test_diverged_compare_exits_1_naming_the_variant_and_leaves_no_file(tmp_path
     captured = capsys.readouterr()
     assert captured.out == "training seed 0 (master=0, init=0)\n"
     assert captured.err.startswith(
-        "error: cnp seed 0 (master=0, init=0): non-finite held-out nll_per_point nan at batch 0; "
+        "error: cnp seed 0 (master=0, init=0): non-finite loss nan at batch 1; "
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that diverges it
+def test_a_compare_whose_test_metrics_diverge_exits_1_naming_the_variant_and_leaves_no_file(tmp_path, capsys):
+    # one batch: its loss is finite, and only the test set sees the diverged weights
+    argv = ["compare", "--seeds", "1", "--out", str(tmp_path / "table.csv"),
+            "train.lr=1e308", "train.batches=1", "data.test_episodes=2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "training seed 0 (master=0, init=0)\n"
+    assert captured.err.startswith(
+        "error: cnp seed 0 (master=0, init=0): non-finite test nll_per_point nan at batch 0; "
     )
     assert list(tmp_path.iterdir()) == []
 

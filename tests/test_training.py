@@ -196,6 +196,16 @@ def test_train_config_validation():
             tiny_config(lr=lr)
     with pytest.raises(ValueError, match="eval_every"):
         tiny_config(eval_every=-5)
+    # exact types, as ModelConfig checks them, so a bool is rejected too
+    for name, value, message in [
+        ("heldout_episodes", -5, "heldout_episodes must be non-negative, got -5"),
+        ("heldout_episodes", 2.5, "heldout_episodes must be an int, got 2.5"),
+        ("heldout_episodes", True, "heldout_episodes must be an int, got True"),
+        ("eval_every", 2.0, "eval_every must be an int, got 2.0"),
+        ("eval_every", False, "eval_every must be an int, got False"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tiny_config(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +398,23 @@ def test_a_lockstep_seed_makes_each_batch_once_and_leaves_it_unchanged(monkeypat
     for batch, copies in made:
         for name, copy in zip(FIELDS, copies):
             assert np.array_equal(getattr(batch, name), copy)
+
+
+def test_a_compare_makes_no_heldout_set_and_evaluates_each_run_once_on_the_test_set(monkeypatch):
+    made, evaluated = [], []
+    real_evaluate = training.evaluate
+
+    def recording(store, cfg, batches):
+        evaluated.append([id(batch) for batch in batches])
+        return real_evaluate(store, cfg, batches)
+
+    monkeypatch.setattr(training, "make_heldout_set", lambda *args: made.append(args) or [])
+    monkeypatch.setattr(training, "evaluate", recording)
+    base = tiny_config(batches=6, eval_every=2, heldout_episodes=2)  # asks for held-out metrics
+    test_set = make_test_set(base.protocol, KERNEL)
+    compare_models(base, 2, test_set)
+    assert made == []
+    assert evaluated == [[id(batch) for batch in test_set]] * (3 * 2)
 
 
 def test_loss_drop_windows():
