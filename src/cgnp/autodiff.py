@@ -93,13 +93,14 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named trainable leaf."""
+    """A named trainable leaf; gradients accumulate into `grad`, the given
+    buffer of the value's shape (a view of the store's) or a zeroed one."""
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, value):
+    def __init__(self, name: str, value, grad: np.ndarray | None = None):
         super().__init__(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value) if grad is None else grad
         self.name = name
 
     def __repr__(self) -> str:

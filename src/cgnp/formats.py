@@ -1,26 +1,25 @@
 """On-disk formats: episode JSONL, checkpoint JSON, metrics and table CSV.
 
-Everything is plain text with '.' decimal separators and shortest
-round-trip float encoding, so files diff cleanly and parse back to the
-exact same doubles. All writes go through a temp file plus atomic rename;
-a failed command never leaves a partial file behind. An episode file loads
-as shape buckets (`gp.bucket_episodes`) that remember each line's position,
+All writes go through a temp file plus atomic rename; a failed command
+never leaves a partial file behind. An episode file holds one episode per
+line, a JSON object with the keys `x_c`, `y_c`, `x_t` and `y_t`; each
+value is the padded base64 (RFC 4648 section 4) of the row's little-endian
+float64 bytes, so the doubles come back with their exact bits. It loads as
+shape buckets (`gp.bucket_episodes`) that remember each line's position,
 and saving them writes the lines back in that order; both go one line at a
-time, so neither holds the file's text in memory. A grid file repeats the
-same 400 coordinates on every line, so the saver formats each coordinate
-once: every line takes its x fields' text from one bounded table keyed by
-the double's bits, and its y fields go through the JSON encoder; the bytes
-are those of one `json.dumps(record, separators=(",", ":"))` per line.
-A checkpoint is the model config plus three flat vectors, each a copy of
-one of the store's flat buffers (`models.ParameterStore`): `values` (every
-parameter, row-major, in `models._layout` order) and the batch-norm
-`running_mean` and `running_var` (layer after layer). The config fixes
-each vector's length, so the loader checks lengths before it allocates a
-model.
+time, so neither holds the file's text in memory. Checkpoints and CSVs are
+plain text with '.' decimal separators and shortest round-trip float
+encoding. A checkpoint is the model config plus three flat vectors, each a
+copy of one of the store's flat buffers (`models.ParameterStore`):
+`values` (every parameter, row-major, in `models._layout` order) and the
+batch-norm `running_mean` and `running_var` (layer after layer). The config
+fixes each vector's length, so the loader checks lengths before it
+allocates a model.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -99,50 +98,47 @@ def _unique_keys(pairs: list) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# episodes: one JSON object per line, keys x_c, y_c, x_t, y_t
+# episodes: one JSON object per line, keys x_c, y_c, x_t, y_t, each the
+# base64 of the row's little-endian doubles
 # ---------------------------------------------------------------------------
 
 
 _EPISODE_KEYS = ("x_c", "y_c", "x_t", "y_t")
-_ENCODE = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(..., separators=(",", ":"))
-_X_TEXTS_LIMIT = 2048  # coordinate texts kept by one save: five 400-point grids
 
 
-def _x_text(values: np.ndarray, texts: dict[int, str]) -> str:
-    """The JSON list `values` without its brackets, taking each coordinate's
-    text from `texts`, keyed by the double's bits (so 0.0 and -0.0 differ).
-    On a missing coordinate the JSON encoder formats the whole row, and its
-    texts are added, after emptying `texts` if it would pass `_X_TEXTS_LIMIT`."""
-    keys = values.view(np.int64).tolist()
-    try:
-        return ",".join(map(texts.__getitem__, keys))
-    except KeyError:
-        if len(texts) + len(keys) > _X_TEXTS_LIMIT:
-            texts.clear()
-        text = _ENCODE(values.tolist())[1:-1]
-        texts.update(zip(keys, text.split(",")))
-        return text
-
-
-def episode_line(batch: EpisodeBatch, row: int, x_texts: dict[int, str]) -> str:
-    """Episode `row` of `batch` as the bytes `json.dumps(record, separators=(",", ":"))`
-    writes: the x fields reuse the coordinate texts of `x_texts` (`_x_text`),
-    the y fields go through the JSON encoder."""
-    return (f'{{"x_c":[{_x_text(batch.x_c[row], x_texts)}],"y_c":{_ENCODE(batch.y_c[row].tolist())},'
-            f'"x_t":[{_x_text(batch.x_t[row], x_texts)}],"y_t":{_ENCODE(batch.y_t[row].tolist())}}}')
+def _episode_line(batch: EpisodeBatch, row: int) -> str:
+    record = {name: base64.b64encode(getattr(batch, name)[row].astype("<f8", copy=False).tobytes()).decode()
+              for name in _EPISODE_KEYS}
+    return json.dumps(record, separators=(",", ":"))
 
 
 def save_episodes(path, batches: list[EpisodeBatch]) -> None:
     """One line per episode, at the position its batch's `index` records.
     The positions are checked before any file is created; the lines are
-    then encoded and written one at a time, all through one bounded table
-    of coordinate texts, so each grid point is formatted about once."""
+    then encoded and written one at a time."""
     rows = sorted((position, k, row) for k, batch in enumerate(batches)
                   for row, position in enumerate(batch.index.tolist()))
     if any(position != i for i, (position, _, _) in enumerate(rows)):
         raise ValueError("episode positions must number the rows 0..n-1, each once")
-    x_texts: dict[int, str] = {}
-    atomic_write_text(path, (episode_line(batches[k], row, x_texts) + "\n" for _, k, row in rows))
+    atomic_write_text(path, (_episode_line(batches[k], row) + "\n" for _, k, row in rows))
+
+
+def _doubles(path, value, where: str) -> np.ndarray:
+    """`value` as a float64 array if it is the canonical padded base64 of
+    whole little-endian doubles; otherwise a ValueError naming the file and
+    the entry."""
+    if not isinstance(value, str):
+        raise ValueError(f"{path}: {where} must be a base64 string of little-endian doubles, "
+                         f"got {type(value).__name__}")
+    try:
+        data = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character beyond ASCII
+        raise ValueError(f"{path}: {where} is not base64: {exc}") from exc
+    if base64.b64encode(data) != value.encode("ascii"):
+        raise ValueError(f"{path}: {where} is not canonical base64")
+    if len(data) % 8:
+        raise ValueError(f"{path}: {where} holds {len(data)} bytes, not a whole number of doubles")
+    return np.frombuffer(data, dtype="<f8")
 
 
 def _episode(path, ln: int, line: str) -> EpisodeBatch:
@@ -156,7 +152,7 @@ def _episode(path, ln: int, line: str) -> EpisodeBatch:
     unknown = sorted(set(_entry(path, record, where, _EPISODE_KEYS)) - set(_EPISODE_KEYS))
     if unknown:
         raise ValueError(f"{path}: {where}: unknown keys {unknown}")
-    arrays = [_numbers(path, record[name], f"{where}: {name}")[None] for name in _EPISODE_KEYS]
+    arrays = [_doubles(path, record[name], f"{where}: {name}")[None] for name in _EPISODE_KEYS]
     try:
         return EpisodeBatch(*arrays)
     except ValueError as exc:

@@ -151,8 +151,8 @@ def init_params(cfg: ModelConfig) -> ParameterStore:
     start = bn_start = 0
     for name, (rows, cols) in _layout(cfg):
         stop = start + rows * cols
-        p = store.add(Parameter(name, store.value[start:stop].reshape(rows, cols)))
-        p.grad = store.grad[start:stop].reshape(rows, cols)
+        p = store.add(Parameter(name, store.value[start:stop].reshape(rows, cols),
+                                store.grad[start:stop].reshape(rows, cols)))
         if name.endswith((".b", ".beta")):
             p.value.fill(0.0)
         elif name.endswith(".gamma"):

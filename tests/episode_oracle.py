@@ -1,14 +1,21 @@
-"""Reference episode writer the coordinate-text reuse in
-`formats.save_episodes` is held to.
+"""The decimal JSON-lines episode format that `formats` wrote and read
+before its base64 records, kept as the value oracle for them.
 
-`oracle_episode_text` encodes each line as one `json.dumps` call over the
-episode's four lists, as `save_episodes` did before it formatted each grid
-coordinate once. `save_episodes` must write these bytes exactly, whatever
-the coordinates and however the bucket arrays are laid out in memory."""
+`oracle_episode_text` writes each line as one `json.dumps` over the
+episode's four lists of numbers; `oracle_load_episodes` reads such a file
+back as `formats.load_episodes` did, one `json.loads` per non-blank line,
+shape-bucketed. Shortest round-trip float text parses back to the same
+doubles, so `formats.load_episodes` on the base64 file must give arrays
+bit for bit equal to `oracle_load_episodes` on the decimal file of the same
+episodes."""
 
 from __future__ import annotations
 
 import json
+
+import numpy as np
+
+from cgnp.gp import EpisodeBatch, bucket_episodes
 
 _EPISODE_KEYS = ("x_c", "y_c", "x_t", "y_t")
 
@@ -23,3 +30,10 @@ def oracle_episode_text(batches) -> str:
     rows = sorted((position, k, row) for k, batch in enumerate(batches)
                   for row, position in enumerate(batch.index.tolist()))
     return "".join(oracle_episode_line(batches[k], row) + "\n" for _, k, row in rows)
+
+
+def oracle_load_episodes(path) -> list[EpisodeBatch]:
+    with open(path, "r", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    return bucket_episodes(EpisodeBatch(*(np.array(record[name], dtype=np.float64)[None] for name in _EPISODE_KEYS))
+                           for record in records)

@@ -1,8 +1,11 @@
 """Shared test utilities: the central finite-difference gradient oracle,
-gradient clearing, standalone batch-norm states, one-episode batches and
-flat predictions."""
+gradient clearing, standalone batch-norm states, one-episode batches,
+episode-file records and flat predictions."""
 
 from __future__ import annotations
+
+import base64
+import json
 
 import numpy as np
 
@@ -72,6 +75,22 @@ def bn_state(name: str, width: int) -> BatchNormState:
 def episode(x_c, y_c, x_t, y_t) -> EpisodeBatch:
     """One episode as a batch of one, from four 1-D sequences."""
     return EpisodeBatch(*(np.asarray(a, dtype=np.float64)[None] for a in (x_c, y_c, x_t, y_t)))
+
+
+def b64(values) -> str:
+    """`values` as an episode file holds them: the padded base64 of their
+    little-endian doubles."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def episode_record(x_c, y_c, x_t, y_t) -> dict:
+    """One episode as the JSON object of its episode-file line."""
+    return {"x_c": b64(x_c), "y_c": b64(y_c), "x_t": b64(x_t), "y_t": b64(y_t)}
+
+
+def episode_line(x_c, y_c, x_t, y_t) -> str:
+    """One episode's episode-file line, without its newline."""
+    return json.dumps(episode_record(x_c, y_c, x_t, y_t), separators=(",", ":"))
 
 
 def predict(batch, store, cfg, train=False) -> tuple[np.ndarray, np.ndarray]:

@@ -289,6 +289,13 @@ def test_backward_unreached_leaves_keep_zero_grad():
     np.testing.assert_array_equal(unused.grad, [[0.0]])
 
 
+def test_parameter_accumulates_into_the_gradient_buffer_it_is_given():
+    flat = np.zeros(3)
+    w = Parameter("w", [[3.0]], flat[1:2].reshape(1, 1))
+    backward(matmul(Tensor([[2.0]]), w))
+    np.testing.assert_array_equal(flat, [0.0, 2.0, 0.0])
+
+
 def test_backward_accumulates_through_shared_nodes():
     w = Parameter("w", [[1.5]])
     h = matmul(Tensor([[2.0]]), w)

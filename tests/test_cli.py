@@ -17,6 +17,8 @@ from cgnp.gp import EqKernelSpec, ProtocolConfig, make_test_set
 from cgnp.models import ModelConfig, init_params
 from cgnp.training import TrainConfig
 
+from helpers import episode_line
+
 FAST = [
     "train.batches=40",
     "train.batch_size=8",
@@ -318,6 +320,19 @@ def test_generate_writes_deterministic_episodes(tmp_path, capsys):
     assert file_sha256(out) == first_hash
 
 
+@pytest.mark.parametrize("episodes", [1, 7])
+def test_generate_and_compare_write_one_line_per_episode(tmp_path, episodes):
+    # what counts the episodes of a file by its non-blank lines relies on this
+    generated, table = tmp_path / "g.jsonl", tmp_path / "table.csv"
+    assert main(["generate", "--out", str(generated), f"data.test_episodes={episodes}"]) == 0
+    assert main(["compare", "--seeds", "1", "--out", str(table), "train.batches=2", "train.batch_size=8",
+                 f"data.test_episodes={episodes}"]) == 0
+    for path in (generated, tmp_path / "table_testset.jsonl"):
+        with path.open(encoding="utf-8") as fh:
+            assert sum(1 for line in fh if line.strip()) == episodes
+        assert path.read_bytes().count(b"\n") == episodes  # and no blank line between them
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 # ---------------------------------------------------------------------------
@@ -402,9 +417,9 @@ def test_eval_untrained_fresh_model_near_prior(tmp_path, capsys):
     assert 0.7 <= float(fields["mse"]) <= 1.3
 
 
-SMALL_EPISODE = '{"x_c":[0.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}'
+SMALL_EPISODE = episode_line([0.0], [0.0], [1.0], [1.0])
 # finite, so the loader takes it, but any model's forward overflows on it
-HUGE_EPISODE = '{"x_c":[1e308,-1e308],"y_c":[0.0,0.5],"x_t":[0.0],"y_t":[1.0]}'
+HUGE_EPISODE = episode_line([1e308, -1e308], [0.0, 0.5], [0.0], [1.0])
 
 
 def _checkpoint_and_data(tmp_path, kind: str, lines: list[str]) -> tuple[Path, Path]:
@@ -431,7 +446,7 @@ def test_eval_exits_1_naming_the_episode_whose_metrics_are_not_finite_and_writes
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sums overflow
 def test_eval_exits_1_when_only_the_sums_of_finite_episode_metrics_overflow(tmp_path, capsys):
     # each episode's squared error is 8.1e307; four of them pass the largest double
-    line = '{"x_c":[0.0],"y_c":[0.0],"x_t":[0.5],"y_t":[9e153]}'
+    line = episode_line([0.0], [0.0], [0.5], [9e153])
     checkpoint, data = _checkpoint_and_data(tmp_path, "cnp", [line] * 4)
     out = tmp_path / "metrics.csv"
     assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data), "--out", str(out)]) == 1

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from cgnp.formats import (
-    _X_TEXTS_LIMIT,
     atomic_write_text,
     checkpoint_text,
     comparison_csv,
@@ -32,38 +31,46 @@ from cgnp.gp import (
 from cgnp.models import ModelConfig, init_params
 from cgnp.training import Metrics, SeedRun, VariantResult
 
-from episode_oracle import oracle_episode_text
-from helpers import episode, predict
+from episode_oracle import oracle_episode_text, oracle_load_episodes
+from helpers import b64, episode, episode_line, episode_record, predict
 
 FIELDS = ("x_c", "y_c", "x_t", "y_t")
-GOOD_LINE = '{"x_c":[0.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}'
+GOOD = episode_record([0.0], [0.0], [1.0], [1.0])
+GOOD_LINE = episode_line([0.0], [0.0], [1.0], [1.0])
+# signed zero, the least subnormal, the least normal and the largest finite magnitudes
+EDGE_DOUBLES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _line(**fields) -> str:
+    """GOOD_LINE with some fields' JSON values replaced or added."""
+    return json.dumps({**GOOD, **fields}, separators=(",", ":"))
 
 
 def assert_same_buckets(got, want):
+    """The same buckets bit for bit: the doubles compare as int64, so 0.0 and -0.0 differ."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        for name in (*FIELDS, "index"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        for name in FIELDS:
+            assert np.array_equal(getattr(a, name).view(np.int64), getattr(b, name).view(np.int64)), name
+        assert np.array_equal(a.index, b.index)
 
 
-def assert_same_lines(got: str, want: str) -> None:
-    """`got == want`, compared line by line, since pytest's own diff of a
-    multi-megabyte text takes minutes."""
-    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
-    for n, (a, b) in enumerate(zip(got_lines, want_lines), 1):
-        assert a == b, f"line {n} differs"
-    assert len(got_lines) == len(want_lines)
+def test_episode_line_is_base64_of_little_endian_doubles(tmp_path):
+    path = tmp_path / "e.jsonl"
+    save_episodes(path, [episode([1.0], [0.0], [-0.0], [2.0])])
+    assert path.read_bytes() == b'{"x_c":"AAAAAAAA8D8=","y_c":"AAAAAAAAAAA=","x_t":"AAAAAAAAAIA=","y_t":"AAAAAAAAAEA="}\n'
 
 
 def test_episode_roundtrip_is_exact(tmp_path):
     eps = [make_test_episode(ProtocolConfig(test_episodes=3), EqKernelSpec(), i) for i in range(3)]
     # adversarial float values must survive too
     eps.append(episode([1e-300, 0.1 + 0.2], [-1e300, 5e-324], [np.pi], [2.0 / 3.0]))
+    eps.append(episode(EDGE_DOUBLES, EDGE_DOUBLES[::-1], [0.0, -0.0], [-0.0, 0.0]))
     path = tmp_path / "episodes.jsonl"
     buckets = bucket_episodes(eps)
     save_episodes(path, buckets)
     loaded = load_episodes(path)
-    assert sum(len(b) for b in loaded) == 4
+    assert sum(len(b) for b in loaded) == 5
     assert_same_buckets(loaded, buckets)
 
 
@@ -80,7 +87,7 @@ def test_ragged_episode_file_round_trips_bytes_and_positions(tmp_path):
         for row, position in enumerate(bucket.index):
             record = json.loads(lines[position])
             for name in FIELDS:
-                assert getattr(bucket, name)[row].tolist() == record[name], (position, name)
+                assert record[name] == b64(getattr(bucket, name)[row]), (position, name)
 
 
 def test_save_episodes_rejects_positions_that_are_not_one_each(tmp_path):
@@ -110,33 +117,27 @@ def _relaid(bucket: EpisodeBatch, layout: str) -> EpisodeBatch:
     return EpisodeBatch(*(np.repeat(getattr(bucket, n), 2, axis=1)[:, ::2] for n in FIELDS), index=bucket.index)
 
 
+@pytest.mark.parametrize("layout", ["fortran", "rows reversed", "sliced columns"])
+def test_saved_bytes_do_not_depend_on_how_the_arrays_lie_in_memory(tmp_path, layout):
+    buckets = make_test_set(ProtocolConfig(test_episodes=40), EqKernelSpec())
+    save_episodes(tmp_path / "a.jsonl", buckets)
+    save_episodes(tmp_path / "b.jsonl", [_relaid(b, layout) for b in buckets])
+    assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
+
+
 def _edge_coordinate_episodes() -> list[EpisodeBatch]:
-    """Rows that share their coordinates (so each row after the first takes
-    its texts from the writer's table), with 0.0 and -0.0 in turn in the same
-    column."""
-    zero, negative_zero, *rest = [0.0, -0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, -1e300]
+    """Rows with 0.0 and -0.0 in turn in the same column, beside the
+    extremes of the doubles, in x and in y."""
+    zero, negative_zero, *rest = [0.0, -0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, -1e300, *EDGE_DOUBLES[1:]]
     rows = [[zero, negative_zero, *rest], [negative_zero, zero, *rest[::-1]],
             [zero, zero, *rest], [negative_zero, negative_zero, *rest]]
     x = np.array(rows)
-    y = np.arange(x.size, dtype=np.float64).reshape(x.shape) / 7.0
+    y = x[:, ::-1] / 7.0
     return [EpisodeBatch(x[:, :3], y[:, :3], x[:, 3:], y[:, 3:])]
 
 
-def _grid_and_training_episodes() -> list[EpisodeBatch]:
-    """40 grid episodes and 3 bucketed training batches in one file, their
-    lines shuffled together, so that the training coordinates fill the table
-    of texts past its limit and it is emptied and refilled between grid lines."""
-    grid, training = make_test_set(ProtocolConfig(test_episodes=40), EqKernelSpec()), _training_episodes(3)
-    coordinates = np.concatenate([a.ravel() for b in training for a in (b.x_c, b.x_t)])
-    assert np.unique(coordinates).size > _X_TEXTS_LIMIT
-    positions = np.random.default_rng(0).permutation(40 + sum(map(len, training)))
-    return ([replace(b, index=positions[b.index]) for b in grid]
-            + [replace(b, index=positions[40 + b.index]) for b in training])
-
-
-@pytest.mark.parametrize("case", ["default test set", "edge coordinates", "fortran",
-                                  "rows reversed", "sliced columns", "training", "grid and training"])
-def test_save_episodes_writes_the_bytes_of_one_json_dumps_per_line(tmp_path, case):
+@pytest.mark.parametrize("case", ["default test set", "edge coordinates", "fortran", "training"])
+def test_load_episodes_gives_the_decimal_oracles_doubles_bit_for_bit(tmp_path, case):
     if case == "default test set":
         buckets = make_test_set(ProtocolConfig(), EqKernelSpec())
         assert sum(map(len, buckets)) == 1000
@@ -144,18 +145,19 @@ def test_save_episodes_writes_the_bytes_of_one_json_dumps_per_line(tmp_path, cas
         buckets = _edge_coordinate_episodes()
     elif case == "training":
         buckets = _training_episodes(3)
-    elif case == "grid and training":
-        buckets = _grid_and_training_episodes()
     else:
         buckets = [_relaid(b, case) for b in make_test_set(ProtocolConfig(test_episodes=40), EqKernelSpec())]
-    path = tmp_path / "e.jsonl"
-    save_episodes(path, buckets)
-    assert_same_lines(path.read_bytes().decode(), oracle_episode_text(buckets))
+    binary, decimal = tmp_path / "e.jsonl", tmp_path / "decimal.jsonl"
+    save_episodes(binary, buckets)
+    decimal.write_text(oracle_episode_text(buckets))
+    loaded = load_episodes(binary)
+    assert_same_buckets(loaded, oracle_load_episodes(decimal))
+    assert_same_buckets(loaded, buckets)
 
 
 def test_bad_episode_record_reports_line(tmp_path):
     path = tmp_path / "bad.jsonl"
-    for bad in ('{"x_c":[0.0]}', "[1,2]", '{"x_c":[0.0],"y_c":[0.'):
+    for bad in ('{"x_c":"AAAAAAAAAAA="}', "[1,2]", GOOD_LINE[:-10]):
         path.write_text(GOOD_LINE + "\n" + bad + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: bad episode record on line 2")):
             load_episodes(path)
@@ -168,7 +170,7 @@ def test_lines_end_at_lf_crlf_or_a_lone_cr(tmp_path):
     path.write_bytes(f"{GOOD_LINE}\r\n{GOOD_LINE}\r\n".encode())
     loaded = load_episodes(path)
     assert [b.index.tolist() for b in loaded] == [[0, 1]]
-    for text in ('{\r"x_c":[0.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}\n',
+    for text in ("{\r" + GOOD_LINE[1:] + "\n",
                  f"{GOOD_LINE}\r{GOOD_LINE}\r\n[1,2]\n", f"{GOOD_LINE}\r\n\r\n[1,2]\r"):
         path.write_bytes(text.encode())
         line = 1 if text.startswith("{\r") else 3
@@ -204,36 +206,25 @@ def episodes_200():
 
 
 def _training_episodes(batches: int) -> list[EpisodeBatch]:
-    """`batches` training batches of 64, bucketed: no coordinate repeats."""
+    """`batches` training batches of 64, bucketed."""
     cfg = ProtocolConfig(train_batches=batches)
     return bucket_episodes(make_train_batch(cfg, EqKernelSpec(), i) for i in range(batches))
 
 
-def _with_row_1_as_row_0(bucket: EpisodeBatch) -> EpisodeBatch:
-    """`bucket` with its second row a copy of its first, so that the writer
-    takes that row's texts from its table; every other row's are new."""
-    arrays = [np.array(getattr(bucket, name)) for name in FIELDS]
-    for array in arrays:
-        array[1] = array[0]
-    return EpisodeBatch(*arrays, index=bucket.index)
-
-
 @pytest.fixture(scope="module")
 def training_episodes():
-    buckets = _training_episodes(30)
-    return {"training": buckets, "training, texts shared": [_with_row_1_as_row_0(b) for b in buckets]}
+    return _training_episodes(60)
 
 
-@pytest.mark.parametrize("kind", ["grid", "training", "training, texts shared"])
+@pytest.mark.parametrize("kind", ["grid", "training"])
 def test_save_episodes_writes_within_a_bounded_working_set(tmp_path, episodes_200, training_episodes, kind):
-    # a grid repeats 400 coordinates on every line; training coordinates
-    # never repeat, so a table of their texts would grow with the file
-    episodes = episodes_200 if kind == "grid" else training_episodes[kind]
+    # a grid file has a few hundred long lines, a training file thousands of short ones
+    episodes = episodes_200 if kind == "grid" else training_episodes
     path = tmp_path / "e.jsonl"
     _, peak = _traced_peak(lambda: save_episodes(path, episodes))
     assert path.stat().st_size > 2**20
     assert peak <= 2**20  # a line at a time, not the whole text
-    assert_same_lines(path.read_bytes().decode(), oracle_episode_text(episodes))
+    assert_same_buckets(load_episodes(path), episodes)
 
 
 def test_load_episodes_reads_within_a_bounded_working_set(tmp_path, episodes_200):
@@ -248,35 +239,48 @@ def test_load_episodes_reads_within_a_bounded_working_set(tmp_path, episodes_200
 @pytest.mark.parametrize(
     "bad, message",
     [
-        ('{"x_c":["0.5",1.0],"y_c":[0.0,0.5],"x_t":[1.0],"y_t":[1.0]}', "x_c must be a flat list of numbers"),
-        ('{"x_c":[true,1.0],"y_c":[0.0,0.5],"x_t":[1.0],"y_t":[1.0]}', "x_c must be a flat list of numbers"),
-        ('{"x_c":[0.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0],"bogus":1}', "unknown keys ['bogus']"),
-        ('{"x_c":[[0.0]],"y_c":[[0.0]],"x_t":[1.0],"y_t":[1.0]}', "x_c must be a flat list of numbers"),
-        ('{"x_c":[1e999999],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}', "x_c holds a non-finite value"),
-        ('{"x_c":[' + "9" * 400 + '],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}', "x_c holds a number too large"),
-        ('{"x_c":[],"y_c":[],"x_t":[1.0],"y_t":[1.0]}', "a batch needs non-empty x_c"),
-        ('{"x_c":[0.0,0.5],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}', "a batch needs non-empty x_c, y_c of shape (B, N_c) and x_t, y_t of shape (B, N_t); got x_c (1, 2), y_c (1, 1)"),
-        ('{"x_c":[0.0],"x_c":[5.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}', "repeated key 'x_c'"),
+        (json.dumps({"x_c": [0.0], "y_c": [0.0], "x_t": [1.0], "y_t": [1.0]}),
+         "x_c must be a base64 string of little-endian doubles, got list"),
+        (_line(y_c=0.5), "y_c must be a base64 string of little-endian doubles, got float"),
+        (_line(x_t=True), "x_t must be a base64 string of little-endian doubles, got bool"),
+        (_line(y_t=None), "y_t must be a base64 string of little-endian doubles, got NoneType"),
+        (_line(bogus=1), "unknown keys ['bogus']"),
+        (_line(x_c="AAAA*AAAAAA="), "x_c is not base64: "),
+        (_line(x_c="AAAAAAAAAAé="), "x_c is not base64: "),
+        (_line(y_c="AAAAAAAAAAA"), "y_c is not base64: "),
+        (_line(y_c="AAAAAAAAAAA=\n"), "y_c is not base64: "),
+        (_line(x_t="AAAAAAAAAAB="), "x_t is not canonical base64"),
+        (_line(x_t="AAAAAAAAAAAAAAAAAAAAAB=="), "x_t is not canonical base64"),
+        (_line(y_t="AAAAAAAAAA=="), "y_t holds 7 bytes, not a whole number of doubles"),
+        (_line(y_t="AAAAAAAAAAAAAAAA"), "y_t holds 12 bytes, not a whole number of doubles"),
+        (_line(x_c="", y_c=""), "a batch needs non-empty x_c"),
+        (_line(x_c=b64([0.0, 0.5])), "a batch needs non-empty x_c, y_c of shape (B, N_c) and x_t, y_t of shape (B, N_t); got x_c (1, 2), y_c (1, 1)"),
+        ('{"x_c":"AAAAAAAAFEA=",' + GOOD_LINE[1:], "repeated key 'x_c'"),
     ],
-    ids=["string_value", "bool_value", "extra_key", "nested_list", "overflowing_float",
-         "overflowing_integer", "empty_context", "length_mismatch", "repeated_key"],
+    ids=["decimal_list", "number_field", "bool_field", "null_field", "extra_key", "not_base64", "non_ascii",
+         "missing_padding", "excess_data", "trailing_bits", "trailing_bits_before_two_pads", "seven_bytes",
+         "twelve_bytes", "empty_context", "length_mismatch", "repeated_key"],
 )
-def test_episode_values_that_are_not_numbers_or_keys_are_rejected(tmp_path, bad, message):
-    # strings, booleans, extra or repeated keys and nested lists are not episode data
+def test_episode_fields_that_are_not_base64_doubles_or_keys_are_rejected(tmp_path, bad, message):
+    # a line of the older decimal-list format is rejected like any other field that is not a base64 string
     path = tmp_path / "bad.jsonl"
     path.write_text(f"{GOOD_LINE}\n{bad}\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: bad episode record on line 2: {message}")):
         load_episodes(path)
 
 
-@pytest.mark.parametrize("field, token", [("x_c", "NaN"), ("y_t", "Infinity"), ("x_t", "-Infinity")])
-def test_non_finite_episode_value_reports_file_line_and_field(tmp_path, field, token):
-    good = '{"x_c":[0.0],"y_c":[0.0],"x_t":[1.0],"y_t":[1.0]}'
-    bad = good.replace(f'"{field}":[', f'"{field}":[{token},')
-    bad = bad.replace('"x_c":[0.0]', '"x_c":[0.0,0.5]').replace('"y_c":[0.0]', '"y_c":[0.0,0.5]')
-    bad = bad.replace('"x_t":[1.0]', '"x_t":[1.0,1.5]').replace('"y_t":[1.0]', '"y_t":[1.0,1.5]')
+@pytest.mark.parametrize(
+    "field, bits",
+    [("x_c", 0x7FF8000000000000), ("y_t", 0x7FF0000000000000), ("x_t", 0xFFF0000000000000),
+     ("y_c", 0x7FF0000000000001)],
+    ids=["quiet_nan", "inf", "minus_inf", "signalling_nan"],
+)
+def test_non_finite_episode_value_reports_file_line_and_field(tmp_path, field, bits):
+    fields = {"x_c": [0.0, 0.5], "y_c": [0.0, 0.5], "x_t": [1.0, 1.5], "y_t": [1.0, 1.5]}
+    good = episode_line(*fields.values())
+    fields[field][1] = np.array([bits], dtype=np.uint64).view(np.float64)[0]
     path = tmp_path / "nonfinite.jsonl"
-    path.write_text(f"{good}\n{good}\n{bad}\n")
+    path.write_text(f"{good}\n{good}\n{episode_line(*fields.values())}\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: bad episode record on line 3: {field} holds a non-finite")):
         load_episodes(path)
 
@@ -493,11 +497,12 @@ def test_checkpoint_latent_dim_beyond_its_values_is_rejected_before_allocating(t
 
 
 # every single-byte corruption: each byte replaced by one of these, or doubled
-CORRUPTIONS = [b"", b"0", b"-", b"e", b'"', b"[", b"]", b"{", b"}", b",", b":", b"\xff", b"N", b"9" * 400]
+CORRUPTIONS = [b"", b"0", b"-", b"e", b"A", b"+", b"/", b"=", b'"', b"[", b"]", b"{", b"}", b",", b":",
+               b"\\", b"\xff", b"N", b"9" * 400]
 TWO_EPISODES = (
-    b'{"x_c":[-1.5,0.25],"y_c":[0.5,-2e-3],"x_t":[1.0,-0.75],"y_t":[0.125,1.5]}\n'
-    b'{"x_c":[0.5,-0.3125],"y_c":[-1.25,0.875],"x_t":[1.75,0.0,-1.0],"y_t":[2.5,-0.5,1e+2]}\n'
-)
+    episode_line([-1.5, 0.25], [0.5, -2e-3], [1.0, -0.75], [0.125, 1.5]) + "\n"
+    + episode_line([0.5, -0.3125], [-1.25, 0.875], [1.75, 0.0, -1.0], [2.5, -0.5, 1e+2]) + "\n"
+).encode()
 
 
 def _corruption_violations(path, data: bytes, load) -> list:

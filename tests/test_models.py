@@ -152,6 +152,16 @@ def test_parameter_views_tile_the_flat_buffers_in_layout_order(tmp_path, kind, l
             assert np.array_equal(getattr(cnp, attr), getattr(store, attr)), attr
 
 
+def test_init_params_allocates_no_gradient_beside_the_stores(monkeypatch):
+    # each parameter takes its view of store.grad when it is made
+    def no_zeros_like(*args, **kwargs):
+        raise AssertionError("a gradient buffer was allocated beside the store's")
+
+    monkeypatch.setattr(np, "zeros_like", no_zeros_like)
+    cfg = ModelConfig(kind="cgnp")
+    assert_views_tile_the_buffers(init_params(cfg), cfg)
+
+
 def test_store_add_rejects_a_duplicate_name():
     store = ParameterStore()
     store.add(Parameter("a", [[1.0]]))

@@ -7,11 +7,19 @@ training, evaluation or plotting path that changes a single byte fails here (two
 checked elsewhere). Re-pin only together with a note of why the bytes
 changed.
 
-Last re-pinned when the test grid's kernel came to be factored column by
-column, so that `generate` writes the same bytes at any BLAS thread count
-(grid values moved by at most 4.3e-10), and sums over rows in the tape
-became products with a row of ones (the fitted mu and sigma moved by at
-most 8.4e-11, the eval record by at most 3.9e-11 relative).
+Last re-pinned when episode files became lines of base64 doubles. The
+`generate` digests changed with the bytes and not with the values: written
+in the decimal format that episode files had before, the loaded doubles
+still give the digests that `DECIMAL_GENERATE` keeps, which were the
+`generate` pins until then. The `compare` digests changed only through the
+test set's sha256 in the tables' '#' header; every row below it kept its
+bytes. `PLOT_AND_EVAL` kept its pins.
+
+Re-pinned before that when the test grid's kernel came to be factored
+column by column, so that `generate` writes the same bytes at any BLAS
+thread count (grid values moved by at most 4.3e-10), and sums over rows in
+the tape became products with a row of ones (the fitted mu and sigma moved
+by at most 8.4e-11, the eval record by at most 3.9e-11 relative).
 """
 
 import hashlib
@@ -20,12 +28,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cgnp
 from cgnp.cli import main
+from cgnp.formats import load_episodes
+
+from episode_oracle import oracle_episode_text, oracle_load_episodes
 
 GENERATE = {
+    0: "cb12fc501a70a0567633ed104b14ae96ff997a30d7315e183041ce48b7e0d217",
+    7: "dc04de36e960268f2de709333e6aa97911d3b54844e01b619d89e234fbe4698a",
+}
+# the same files' episodes in the decimal JSON-lines format of `episode_oracle`
+DECIMAL_GENERATE = {
     0: "1e465bc2d3996e171f515911fe7537beb6ed19b71dff7d1c5228e94f581e5367",
     7: "127430fde9f79a7207aa3ffcbf9c285c4b9aaeae58062e11b51a64a1f71f8ef2",
 }
@@ -42,8 +59,8 @@ PLOT_AND_EVAL = {
 }
 # the compare table's header holds the shared test set's digest, so it pins that file too
 COMPARE = {
-    "table.csv": "ff0814b573ee424fe4580f8357912020e304544e54ae531b0ff27a5970ca91f6",
-    "table_seeds.csv": "f2ca55a4e6093d86ae1947cdd6b03b28d23c28df7f841140e5de2719dddf65d4",
+    "table.csv": "764138bd8d992fa7a2c67e1bc212317362048681ece3cd6a921e4396282aa71d",
+    "table_seeds.csv": "2806b7af26d52dd15245fdf5122ec3aa6b9b6e52930684f27f1add11f87b7139",
 }
 TRAIN = ["train.batches=20", "train.batch_size=8", "train.eval_every=0", "seed.init=2"]
 
@@ -60,6 +77,19 @@ def generate(path, seed: int) -> None:
 def test_generate_output_matches_pinned_digest(tmp_path, seed):
     generate(tmp_path / "test.jsonl", seed)
     assert sha256(tmp_path / "test.jsonl") == GENERATE[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(DECIMAL_GENERATE))
+def test_generate_values_are_those_of_the_pinned_decimal_files(tmp_path, seed):
+    generate(tmp_path / "test.jsonl", seed)
+    loaded = load_episodes(tmp_path / "test.jsonl")
+    decimal = tmp_path / "decimal.jsonl"
+    decimal.write_text(oracle_episode_text(loaded))
+    assert sha256(decimal) == DECIMAL_GENERATE[seed]
+    for got, want in zip(loaded, oracle_load_episodes(decimal), strict=True):
+        for name in ("x_c", "y_c", "x_t", "y_t"):  # bit for bit
+            assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)), name
+        assert np.array_equal(got.index, want.index)
 
 
 def test_generate_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
