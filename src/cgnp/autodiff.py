@@ -258,8 +258,9 @@ def batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
     """Normalize each feature column, then scale/shift by gamma/beta.
 
     Train mode uses batch statistics over the rows (and updates the running
-    statistics); eval mode uses the running statistics. The backward rule is
-    exact through the batch statistics in train mode.
+    statistics); eval mode uses the running statistics, folded into one
+    scale ``s = gamma * inv_std`` and one shift ``beta - running_mean * s``.
+    The backward rule is exact through the batch statistics in train mode.
     """
     x = _as_tensor(x)
     n, d = x.value.shape
@@ -275,6 +276,7 @@ def batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
         var = _block_sums(centred * centred) / n  # biased
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = centred * inv_std
+        value = gamma.value * xhat + beta.value
         m = BN_MOMENTUM
         state.running_mean[...] = m * state.running_mean + (1.0 - m) * mean
         state.running_var[...] = m * state.running_var + (1.0 - m) * var
@@ -289,14 +291,17 @@ def batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
 
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
-        xhat = (x.value - state.running_mean) * inv_std
+        mean = state.running_mean.copy()  # a later train-mode call updates the state in place
+        scale = gamma.value * inv_std
+        value = x.value * scale
+        value += beta.value - mean * scale
 
         def vjp(g):
             _accumulate(beta, _block_sums(g))
-            _accumulate(gamma, _block_sums(g * xhat))
-            _accumulate(x, g * (gamma.value * inv_std))
+            _accumulate(gamma, _block_sums(g * ((x.value - mean) * inv_std)))
+            _accumulate(x, g * scale)
 
-    return Tensor(gamma.value * xhat + beta.value, (x, gamma, beta), vjp)
+    return Tensor(value, (x, gamma, beta), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +344,21 @@ def gaussian_nll(y, mu, sigma) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def concat_cols(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.value.shape[0] != b.value.shape[0]:
-        raise ValueError(f"concat_cols row mismatch: {a.shape} vs {b.shape}")
-    da = a.value.shape[1]
+def concat_cols(*blocks) -> Tensor:
+    """The blocks side by side, left to right, as one op; every block has
+    the same number of rows."""
+    blocks = tuple(map(_as_tensor, blocks))
+    values = [t.value for t in blocks]
+    if any(v.shape[0] != values[0].shape[0] for v in values):
+        raise ValueError(f"concat_cols row mismatch: {' vs '.join(str(v.shape) for v in values)}")
 
     def vjp(g):
-        _accumulate(a, g[:, :da])
-        _accumulate(b, g[:, da:])
+        start = 0
+        for t, v in zip(blocks, values):
+            _accumulate(t, g[:, start:start + v.shape[1]])
+            start += v.shape[1]
 
-    return Tensor(np.concatenate([a.value, b.value], axis=1), (a, b), vjp)
+    return Tensor(np.concatenate(values, axis=1), blocks, vjp)
 
 
 def concat_rows(a, b) -> Tensor:

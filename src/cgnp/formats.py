@@ -5,9 +5,9 @@ never leaves a partial file behind. An episode file holds one episode per
 line, a JSON object with the keys `x_c`, `y_c`, `x_t` and `y_t`; each
 value is the padded base64 (RFC 4648 section 4) of the row's little-endian
 float64 bytes, so the doubles come back with their exact bits. It loads as
-shape buckets (`gp.bucket_episodes`) that remember each line's position,
-and saving them writes the lines back in that order; both go one line at a
-time, so neither holds the file's text in memory. Checkpoints and CSVs are
+shape buckets (as `gp.bucket_episodes` makes them) that remember each
+line's position, and saving them writes the lines back in that order; both
+go one line at a time, so neither holds the file's text in memory. Checkpoints and CSVs are
 plain text with '.' decimal separators and shortest round-trip float
 encoding. A checkpoint is the model config plus three flat vectors, each a
 copy of one of the store's flat buffers (`models.ParameterStore`):
@@ -29,7 +29,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .gp import EpisodeBatch, bucket_episodes
+from .gp import EpisodeBatch, _check_shapes
 from .models import ModelConfig, ParameterStore, flat_sizes, init_params
 from .training import Metrics
 
@@ -123,10 +123,10 @@ def save_episodes(path, batches: list[EpisodeBatch]) -> None:
     atomic_write_text(path, (_episode_line(batches[k], row) + "\n" for _, k, row in rows))
 
 
-def _doubles(path, value, where: str) -> np.ndarray:
-    """`value` as a float64 array if it is the canonical padded base64 of
-    whole little-endian doubles; otherwise a ValueError naming the file and
-    the entry."""
+def _doubles(path, value, where: str) -> bytes:
+    """The bytes of `value` if it is the canonical padded base64 of whole
+    little-endian doubles; otherwise a ValueError naming the file and the
+    entry."""
     if not isinstance(value, str):
         raise ValueError(f"{path}: {where} must be a base64 string of little-endian doubles, "
                          f"got {type(value).__name__}")
@@ -134,16 +134,21 @@ def _doubles(path, value, where: str) -> np.ndarray:
         data = base64.b64decode(value, validate=True)
     except ValueError as exc:  # binascii.Error, or a character beyond ASCII
         raise ValueError(f"{path}: {where} is not base64: {exc}") from exc
-    if base64.b64encode(data) != value.encode("ascii"):
+    # the strict decode still takes padding past the last quantum and stray
+    # low bits in it: the length rules out the one, the last quantum the other
+    tail = len(data) % 3 or 3
+    if len(value) != 4 * -(-len(data) // 3) or base64.b64encode(data[-tail:]).decode() != value[-4:]:
         raise ValueError(f"{path}: {where} is not canonical base64")
     if len(data) % 8:
         raise ValueError(f"{path}: {where} holds {len(data)} bytes, not a whole number of doubles")
-    return np.frombuffer(data, dtype="<f8")
+    return data
 
 
-def _episode(path, ln: int, line: str) -> EpisodeBatch:
-    """One line as a batch of one; otherwise a ValueError naming the file,
-    the line and, where there is one, the field."""
+def _episode_fields(path, ln: int, line: str) -> list[bytes]:
+    """Line `ln`'s four fields as little-endian double bytes, in
+    `_EPISODE_KEYS` order, once their shapes make an episode; otherwise a
+    ValueError naming the file, the line and, where there is one, the
+    field."""
     where = f"bad episode record on line {ln}"
     try:
         record = json.loads(line, object_pairs_hook=_unique_keys)
@@ -152,26 +157,54 @@ def _episode(path, ln: int, line: str) -> EpisodeBatch:
     unknown = sorted(set(_entry(path, record, where, _EPISODE_KEYS)) - set(_EPISODE_KEYS))
     if unknown:
         raise ValueError(f"{path}: {where}: unknown keys {unknown}")
-    arrays = [_doubles(path, record[name], f"{where}: {name}")[None] for name in _EPISODE_KEYS]
+    fields = [_doubles(path, record[name], f"{where}: {name}") for name in _EPISODE_KEYS]
     try:
-        return EpisodeBatch(*arrays)
+        _check_shapes(*((1, len(data) // 8) for data in fields))
     except ValueError as exc:
         raise ValueError(f"{path}: {where}: {exc}") from exc
+    return fields
+
+
+def _bucket(path, members: list) -> EpisodeBatch:
+    """The batch of one shape group's (line number, position, fields)
+    members, each field's rows from one buffer of its lines' bytes. A
+    non-finite value gives a ValueError naming the file, the first line
+    in the group that holds one, and its field."""
+    arrays = [np.frombuffer(bytearray().join(fields[k] for _, _, fields in members), dtype="<f8")
+              .reshape(len(members), -1) for k in range(len(_EPISODE_KEYS))]
+    try:
+        return EpisodeBatch(*arrays, index=np.array([position for _, position, _ in members]))
+    except ValueError:  # a non-finite value: the shapes were checked line by line
+        bad = [~np.isfinite(a).all(axis=1) for a in arrays]
+        row = int(np.flatnonzero(np.logical_or.reduce(bad))[0])
+        name = next(n for n, rows in zip(_EPISODE_KEYS, bad) if rows[row])
+        raise ValueError(f"{path}: bad episode record on line {members[row][0]}: "
+                         f"{name} holds a non-finite value (NaN or inf)") from None
 
 
 def load_episodes(path) -> list[EpisodeBatch]:
-    """Every episode of the file, shape-bucketed; index i is line i's
-    episode, counting non-blank lines from 0. The file is parsed one line
-    at a time; "\n", "\r\n" and a lone "\r" each end a line."""
+    """Every episode of the file, shape-bucketed as `gp.bucket_episodes`
+    buckets them; index i is line i's episode, counting non-blank lines
+    from 0. The file is parsed one line at a time; "\n", "\r\n" and a lone
+    "\r" each end a line. Each line's fields are decoded and shape-checked
+    as it is read; each bucket's arrays are built straight from its lines'
+    bytes and checked finite once, after the last line."""
+    groups: dict[tuple[int, int], list] = {}  # (bytes of x_c, of x_t) -> members
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = enumerate(fh, start=1)
-            return bucket_episodes(_episode(path, ln, line) for ln, line in lines if line.strip())
+            lines = ((ln, line) for ln, line in enumerate(fh, start=1) if line.strip())
+            for position, (ln, line) in enumerate(lines):
+                fields = _episode_fields(path, ln, line)
+                groups.setdefault((len(fields[0]), len(fields[2])), []).append((ln, position, fields))
     except UnicodeDecodeError as exc:
         # the streamed decoder counts byte positions from the start of its
         # chunk; read_text raises naming the position in the whole file
         read_text(path)
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+    buckets = []
+    while groups:  # each group's bytes are released once its bucket is built
+        buckets.append(_bucket(path, groups.pop(next(iter(groups)))))
+    return buckets
 
 
 # ---------------------------------------------------------------------------

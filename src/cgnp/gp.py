@@ -78,6 +78,16 @@ class EqKernelSpec:
 _FIELDS = ("x_c", "y_c", "x_t", "y_t")
 
 
+def _check_shapes(x_c, y_c, x_t, y_t) -> None:
+    """Raise unless the four shapes are (B, N_c), (B, N_c), (B, N_t) and
+    (B, N_t), none of B, N_c and N_t zero."""
+    if not (len(x_c) == len(x_t) == 2 and x_c == y_c and x_t == y_t and x_c[0] == x_t[0] and 0 not in x_c + x_t):
+        got = ", ".join(f"{n} {shape}" for n, shape in zip(_FIELDS, (x_c, y_c, x_t, y_t)))
+        raise ValueError(
+            f"a batch needs non-empty x_c, y_c of shape (B, N_c) and x_t, y_t of shape (B, N_t); got {got}"
+        )
+
+
 def _check_finite(record) -> None:
     """Raise naming the first of the four fields that holds NaN or inf."""
     values = np.concatenate([getattr(record, n).ravel() for n in _FIELDS])
@@ -102,19 +112,7 @@ class EpisodeBatch:
     def __post_init__(self):
         for name in _FIELDS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        ok = (
-            self.x_c.ndim == self.x_t.ndim == 2
-            and self.x_c.shape == self.y_c.shape
-            and self.x_t.shape == self.y_t.shape
-            and self.x_c.shape[0] == self.x_t.shape[0]
-            and self.x_c.size > 0
-            and self.x_t.size > 0
-        )
-        if not ok:
-            shapes = ", ".join(f"{n} {getattr(self, n).shape}" for n in _FIELDS)
-            raise ValueError(
-                f"a batch needs non-empty x_c, y_c of shape (B, N_c) and x_t, y_t of shape (B, N_t); got {shapes}"
-            )
+        _check_shapes(*(getattr(self, n).shape for n in _FIELDS))
         _check_finite(self)
         index = np.arange(len(self)) if self.index is None else np.asarray(self.index)
         if index.shape != (len(self),) or index.dtype.kind not in "iu":
@@ -138,9 +136,9 @@ def bucket_episodes(batches) -> list[EpisodeBatch]:
     first appearance, rows in input order within each. A bucket's `index`
     holds each row's position among all input rows, counted from 0.
 
-    `batches` may be a generator (`formats.load_episodes` feeds one line
-    at a time); each shape group's input batches are released as soon as
-    its bucket is built, so at most one group is held twice."""
+    `batches` may be a generator; each shape group's input batches are
+    released as soon as its bucket is built, so at most one group is held
+    twice."""
     groups: dict[tuple[int, int], list[tuple[int, EpisodeBatch]]] = {}
     start = 0
     for batch in batches:

@@ -11,10 +11,14 @@ takes the arithmetic mean of the resulting set.
 A `Neighborhood` is built once per (coords_in, coords_out, radius) and serves
 every layer on those coordinates: a dense 0/1 mask (B, N_out, N_in) for B
 episodes that share (N_in, N_out), with each output's summed relative
-position and neighbor count. The message map is linear, so the mean of the
-messages is the mean of their inputs mapped once: neighbor sums
-(`neighbor_mix`), then the self feature, divided by the message count,
-through one `affine` with w_self stacked under w_nbr.
+position and neighbor count. It is built input-major, as (B, N_in, N_out)
+arrays, so every pass runs along the long output axis and the sums over
+neighbors are products with a row of ones, as every sum over rows in
+`autodiff` is; the mask is the transposed view.
+The message map is linear, so the mean of the messages is the mean of their
+inputs mapped once: neighbor sums (`neighbor_mix`), the relative-position
+sum and the self feature, side by side in one `concat_cols`, divided by the
+message count, through one `affine` with w_self stacked under w_nbr.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from .autodiff import (
     Parameter,
     Tensor,
+    _block_sums,
     affine,
     concat_cols,
     concat_rows,
@@ -42,7 +47,8 @@ __all__ = [
 
 class Neighborhood(NamedTuple):
     """Closed-ball neighborhoods of B episodes; output rows are stacked
-    episode by episode (row b * N_out + o is output node o of episode b)."""
+    episode by episode (row b * N_out + o is output node o of episode b).
+    `mask` is the transposed view of an input-major (B, N_in, N_out) array."""
 
     mask: np.ndarray  # (B, N_out, N_in): 1.0 iff |x_i - x_o| <= radius
     rel: np.ndarray  # (B * N_out, 1): sum of x_i - x_o over the neighbors
@@ -63,11 +69,14 @@ def radius_neighborhood(coords_in, coords_out, radius: float) -> Neighborhood:
         raise ValueError("coordinates must be finite")
     if coords_in.shape[0] != coords_out.shape[0]:
         raise ValueError(f"{coords_in.shape[0]} input episodes vs {coords_out.shape[0]} output episodes")
-    delta = coords_in[:, None, :] - coords_out[:, :, None]
+    # input-major (B, N_in, N_out): each pass runs along the long output
+    # axis, and each sum over the inputs is one product with a row of ones
+    delta = coords_in[:, :, None] - coords_out[:, None, :]
     mask = (np.abs(delta) <= radius).astype(np.float64)
-    # summed relative positions, as masked sums of exact pairwise differences
-    rel = (mask * delta).sum(axis=2).reshape(-1, 1)
-    return Neighborhood(mask, rel, mask.sum(axis=2).ravel())
+    delta *= mask  # masked sums of exact pairwise differences
+    b, n_in, n_out = delta.shape
+    rel = _block_sums(delta.reshape(b * n_in, n_out), b).reshape(-1, 1)
+    return Neighborhood(mask.transpose(0, 2, 1), rel, _block_sums(mask.reshape(b * n_in, n_out), b).ravel())
 
 
 def bipartite_conv(
@@ -81,14 +90,13 @@ def bipartite_conv(
     Feature rows are stacked episode by episode (B * N_in input rows,
     B * N_out output rows); a weight of the wrong height fails in `affine`.
     """
-    inputs = concat_cols(neighbor_mix(feats_in, nbhd.mask), Tensor(nbhd.rel))
-    weights, count = w_nbr, nbhd.count
+    blocks, weights, count = [neighbor_mix(feats_in, nbhd.mask), Tensor(nbhd.rel)], w_nbr, nbhd.count
     if self_term is not None:
         self_feats, w_self = self_term
-        inputs = concat_cols(inputs, self_feats)
+        blocks.append(self_feats)
         weights = concat_rows(weights, w_self)
         count = count + 1.0
     elif np.any(count == 0.0):
         raise ValueError("isolated output node: empty neighborhood and no self term")
 
-    return affine(row_scale(inputs, 1.0 / count), weights, bias)
+    return affine(row_scale(concat_cols(*blocks), 1.0 / count), weights, bias)

@@ -29,7 +29,10 @@ matrix (so train-mode batch norm pools statistics across the whole batch)
 while per-episode blocks keep neighborhoods and pooling episode-local, and
 neighborhoods are built once per coordinate pair: one `Neighborhood` over
 (x_c, x_c) serves all three encoder blocks, one over (x_c, x_t) the decoder.
-A single episode is a batch of one.
+A single episode is a batch of one. The forward is two halves, `encode`
+(encoder blocks and pool) and `decode`; `forward_tensors` runs one after
+the other, and evaluation runs the encoder once per batch and the decoder
+over chunks of its episodes.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ __all__ = [
     "ParameterStore",
     "init_params",
     "flat_sizes",
+    "encode",
+    "decode",
     "forward_tensors",
     "cnp_weights_from_cgnp",
 ]
@@ -182,10 +187,10 @@ def flat_sizes(cfg: ModelConfig) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _encode(x_c, y_c, store, cfg, train):
-    """Context features, one row per context point, episode by episode.
-
-    x_c and y_c are (B, N_c) arrays."""
+def encode(x_c, y_c, store: ParameterStore, cfg: ModelConfig, train: bool):
+    """The encoder half of the forward: context features, one row per
+    context point, episode by episode, and their per-episode mean, one
+    latent row per episode. x_c and y_c are (B, N_c) arrays."""
     h = Tensor(np.column_stack([x_c.ravel(), y_c.ravel()]))
     if cfg.kind == "cgnp":
         nbhd = radius_neighborhood(x_c, x_c, cfg.radius)  # shared by all encoder blocks
@@ -196,25 +201,27 @@ def _encode(x_c, y_c, store, cfg, train):
             z = bipartite_conv(nbhd, h, store[f"enc{k}.w_nbr"], store[f"enc{k}.b"])
         z = batch_norm(z, store.bn[f"enc{k}.bn"], train)
         h = relu(z) if k < ENCODER_DEPTH else z
-    return h
+    return h, block_mean(h, x_c.shape[0])
 
 
-def _decode(x_t, r, h_ctx, x_c, store, cfg, train):
-    """Per-target (mu, sigma) tensors for x_t of shape (B, N_t), given the
-    (B, D) latent rows and the encoded context at x_c of shape (B, N_c)."""
+def decode(x_c, h, r, x_t, store: ParameterStore, cfg: ModelConfig, train: bool):
+    """The decoder half of the forward: per-target (mu, sigma) tensors for
+    x_t of shape (B, N_t), given `encode`'s context features h and latent
+    rows r for the contexts at x_c of shape (B, N_c)."""
     own = concat_cols(Tensor(x_t.reshape(-1, 1)), repeat_rows(r, x_t.shape[1]))
     if cfg.kind == "cnp":
         z = affine(own, store["dec1.w"], store["dec1.b"])
     else:
         nbhd = radius_neighborhood(x_c, x_t, cfg.radius)
-        z = bipartite_conv(nbhd, h_ctx, store["dec1.w_nbr"], store["dec1.b"], (own, store["dec1.w_self"]))
+        z = bipartite_conv(nbhd, h, store["dec1.w_nbr"], store["dec1.b"], (own, store["dec1.w_self"]))
     z = relu(batch_norm(z, store.bn["dec1.bn"], train))
     out = affine(z, store["dec2.w"], store["dec2.b"])
     return slice_cols(out, 0, 1), bounded_softplus(slice_cols(out, 1, 2))
 
 
 def forward_tensors(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig, train: bool):
-    """Differentiable forward over one batch of episodes.
+    """Differentiable forward over one batch of episodes: `encode`, then
+    `decode`.
 
     Returns (mu, sigma) tensors of shape (B * N_t, 1), rows in episode
     order: rows k * N_t .. (k + 1) * N_t - 1 belong to episode k. Episodes
@@ -222,9 +229,8 @@ def forward_tensors(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig
     """
     if not isinstance(batch, EpisodeBatch):
         raise TypeError(f"forward_tensors takes an EpisodeBatch, got {type(batch).__name__}")
-    h = _encode(batch.x_c, batch.y_c, store, cfg, train)
-    r = block_mean(h, len(batch))
-    return _decode(batch.x_t, r, h, batch.x_c, store, cfg, train)
+    h, r = encode(batch.x_c, batch.y_c, store, cfg, train)
+    return decode(batch.x_c, h, r, batch.x_t, store, cfg, train)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ held-out set, since it reports only the shared test set.
 Evaluation reports the NLL under two normalizations (per target point and
 per episode) plus the MSE of the predictive mean, all over target points
 only; it takes an episode set as shape buckets (`gp.bucket_episodes`),
-runs one tapeless forward (`autodiff.no_grad`) per chunk of a bucket, and
-adds each chunk's NLL and squared-error sums to running totals as soon as
-it is computed.
+runs the tapeless (`autodiff.no_grad`) encoder and pool once per bucket and
+the decoder once per chunk of a bucket, and adds each chunk's NLL and
+squared-error sums to running totals as soon as it is computed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .autodiff import Tensor, backward, gaussian_nll, nll_terms, no_grad
 from .gp import EpisodeBatch, EqKernelSpec, ProtocolConfig, make_heldout_set, make_train_batch
-from .models import ModelConfig, ParameterStore, forward_tensors, init_params
+from .models import ModelConfig, ParameterStore, decode, encode, forward_tensors, init_params
 from .optim import AdamState, adam_step
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
 # _train_group stays private, so perfbench's tracer parents train's batch and held-out spans under train
 
 
-# Target rows per stacked evaluation forward: large enough to amortise the
+# Target rows per decoder pass in evaluation: large enough to amortise the
 # per-op overhead, small enough to keep each op's arrays in cache and off
 # the peak resident set. It also fixes the summation order of the metrics.
 EVAL_CHUNK_ROWS = 4096
@@ -212,13 +212,13 @@ def evaluate(store: ParameterStore, cfg: ModelConfig, batches) -> Metrics:
     """Eval-mode metrics of a frozen store over a non-empty episode set,
     given as shape buckets.
 
-    Each bucket runs through stacked forwards of at most EVAL_CHUNK_ROWS
-    target rows (at least one episode); eval-mode batch norm is row-wise,
-    so predictions equal per-episode forwards up to rounding. The forwards
-    build no tape, so each op's intermediates are freed as soon as the next
-    op has used them. Each chunk's NLL and squared-error sums go straight
-    into the totals, so metrics equal per-episode scoring up to summation
-    order.
+    The encoder and the pool run once per bucket; the decoder runs over
+    chunks of at most EVAL_CHUNK_ROWS target rows (at least one episode).
+    Eval-mode batch norm is row-wise, so predictions equal per-episode
+    forwards up to rounding. The forwards build no tape, so each op's
+    intermediates are freed as soon as the next op has used them. Each
+    chunk's NLL and squared-error sums go straight into the totals, so
+    metrics equal per-episode scoring up to summation order.
     """
     batches = list(batches)
     episodes = sum(len(batch) for batch in batches)
@@ -227,12 +227,13 @@ def evaluate(store: ParameterStore, cfg: ModelConfig, batches) -> Metrics:
     total_nll = total_sq = 0.0
     total_points = 0
     for batch in batches:
-        step = max(1, EVAL_CHUNK_ROWS // batch.n_target)
+        h, r = encode(batch.x_c, batch.y_c, store, cfg, train=False)
+        n_c, step = batch.n_context, max(1, EVAL_CHUNK_ROWS // batch.n_target)
         for start in range(0, len(batch), step):
             rows = slice(start, start + step)
-            chunk = EpisodeBatch(batch.x_c[rows], batch.y_c[rows], batch.x_t[rows], batch.y_t[rows])
-            mu, sigma = forward_tensors(chunk, store, cfg, train=False)
-            y = chunk.y_t.reshape(-1, 1)
+            h_rows = Tensor(h.value[start * n_c:(start + step) * n_c])
+            mu, sigma = decode(batch.x_c[rows], h_rows, Tensor(r.value[rows]), batch.x_t[rows], store, cfg, train=False)
+            y = batch.y_t[rows].reshape(-1, 1)
             total_nll += float(nll_terms(y, mu.value, sigma.value).sum())
             total_sq += float(((y - mu.value) ** 2).sum())
             total_points += y.size

@@ -15,9 +15,12 @@ count its nodes, and `backward` must give the same gradients.
 `reference_batch_norm` is the train/eval batch norm written with
 `np.mean`/`np.var`, centring the input twice, and a four-sum train-mode
 backward, as the op was before its statistics were computed in one pass
-and its sums over rows became products with a row of ones.
-`autodiff.batch_norm` must match it exactly where it takes no sum (the
-eval-mode output and input gradient) and to rounding everywhere else.
+and its sums over rows became products with a row of ones. Its eval mode
+is the two-step gamma * ((x - running_mean) * inv_std) + beta the op
+computed before it folded the running statistics into one scale and one
+shift. `autodiff.batch_norm` must match it exactly where it takes no sum
+(the eval-mode input gradient), within four roundings of each term in the
+eval-mode output, and to rounding everywhere else.
 """
 
 from __future__ import annotations

@@ -6,6 +6,10 @@ per edge, summed per output node through a one-hot incidence matrix, plus
 the optional self message, divided by the message count. It runs on one
 episode at a time and builds on the autodiff ops, so gradients can be
 compared too.
+
+`output_major_neighborhood` is the dense builder as it was before it went
+input-major: the (B, N_out, N_in) mask and pairwise differences, with the
+relative positions summed along each output's row.
 """
 
 from __future__ import annotations
@@ -23,6 +27,14 @@ def brute_force_neighbors(coords_in, coords_out, radius):
         [i for i, ci in enumerate(coords_in) if abs(ci - co) <= radius]
         for co in coords_out
     ]
+
+
+def output_major_neighborhood(coords_in, coords_out, radius):
+    """(mask, rel, count) of (B, N_in) and (B, N_out) coordinates, built as
+    (B, N_out, N_in) arrays."""
+    delta = coords_in[:, None, :] - coords_out[:, :, None]
+    mask = (np.abs(delta) <= radius).astype(np.float64)
+    return mask, (mask * delta).sum(axis=2).reshape(-1, 1), mask.sum(axis=2).ravel()
 
 
 def edge_list_conv(coords_in, coords_out, radius, feats_in, w_nbr, bias, self_term=None):

@@ -251,6 +251,7 @@ def test_load_episodes_reads_within_a_bounded_working_set(tmp_path, episodes_200
         (_line(y_c="AAAAAAAAAAA=\n"), "y_c is not base64: "),
         (_line(x_t="AAAAAAAAAAB="), "x_t is not canonical base64"),
         (_line(x_t="AAAAAAAAAAAAAAAAAAAAAB=="), "x_t is not canonical base64"),
+        (_line(y_c=b64([0.0, 0.0, 0.0]) + "=="), "y_c is not canonical base64"),
         (_line(y_t="AAAAAAAAAA=="), "y_t holds 7 bytes, not a whole number of doubles"),
         (_line(y_t="AAAAAAAAAAAAAAAA"), "y_t holds 12 bytes, not a whole number of doubles"),
         (_line(x_c="", y_c=""), "a batch needs non-empty x_c"),
@@ -258,7 +259,8 @@ def test_load_episodes_reads_within_a_bounded_working_set(tmp_path, episodes_200
         ('{"x_c":"AAAAAAAAFEA=",' + GOOD_LINE[1:], "repeated key 'x_c'"),
     ],
     ids=["decimal_list", "number_field", "bool_field", "null_field", "extra_key", "not_base64", "non_ascii",
-         "missing_padding", "excess_data", "trailing_bits", "trailing_bits_before_two_pads", "seven_bytes",
+         "missing_padding", "excess_data", "trailing_bits", "trailing_bits_before_two_pads",
+         "padding_after_a_whole_quantum", "seven_bytes",
          "twelve_bytes", "empty_context", "length_mismatch", "repeated_key"],
 )
 def test_episode_fields_that_are_not_base64_doubles_or_keys_are_rejected(tmp_path, bad, message):
@@ -283,6 +285,25 @@ def test_non_finite_episode_value_reports_file_line_and_field(tmp_path, field, b
     path.write_text(f"{good}\n{good}\n{episode_line(*fields.values())}\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: bad episode record on line 3: {field} holds a non-finite")):
         load_episodes(path)
+
+
+def test_non_finite_value_in_a_later_bucket_reports_its_own_line(tmp_path):
+    # buckets are built after the whole file is read: the line number of a
+    # non-finite value in a middle row of the second bucket survives that,
+    # and blank lines count as lines but not as positions
+    def line(n_t, bad=False):
+        y_t = [1.0] * n_t
+        y_t[-1] = np.inf if bad else y_t[-1]
+        return episode_line([0.0], [0.0], [1.0] * n_t, y_t)
+
+    lines = [line(1), line(2), "", line(1), line(2), line(2, bad=True), line(1), line(2)]
+    path = tmp_path / "nonfinite.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad episode record on line 6: y_t holds a non-finite")):
+        load_episodes(path)
+    lines[5] = line(2)
+    path.write_text("\n".join(lines) + "\n")
+    assert [b.index.tolist() for b in load_episodes(path)] == [[0, 2, 5], [1, 3, 4, 6]]
 
 
 def test_checkpoint_roundtrip_bit_exact_and_stable(tmp_path):

@@ -7,7 +7,7 @@ from cgnp.autodiff import Parameter, Tensor, backward, block_mean
 from cgnp.graph import bipartite_conv, radius_neighborhood
 
 from autodiff_oracle import add, matmul
-from graph_oracle import brute_force_neighbors, edge_list_conv
+from graph_oracle import brute_force_neighbors, edge_list_conv, output_major_neighborhood
 from helpers import assert_grads_match, zero_grads
 
 
@@ -113,6 +113,25 @@ def test_neighborhood_sums_and_counts_match_the_neighbor_lists():
                 assert nbhd.count[row] == len(nbrs)
                 want = sum(ci[b, i] - co[b, o] for i in nbrs)
                 np.testing.assert_allclose(nbhd.rel[row, 0], want, rtol=1e-12, atol=1e-12)
+
+
+def test_input_major_build_matches_the_output_major_oracle():
+    # the mask is a transposed view with the oracle's exact values, the
+    # counts are exact, and rel only sums the same differences in another
+    # order: within 1e-15 of the sum of their magnitudes, as rel itself can
+    # cancel to far below that
+    rng = np.random.default_rng(44)
+    for n_b, n_in, n_out in [(64, 6, 6), (64, 10, 10), (10, 10, 390), (3, 1, 7), (2, 25, 1)]:
+        for radius in (0.0, 0.3, 0.7, 5.0):
+            ci, co = rng.uniform(-2, 2, (n_b, n_in)), rng.uniform(-2, 2, (n_b, n_out))
+            co[:, 0] = ci[:, 0]  # coincident
+            nbhd = radius_neighborhood(ci, co, radius)
+            mask, rel, count = output_major_neighborhood(ci, co, radius)
+            assert nbhd.mask.shape == mask.shape and np.array_equal(nbhd.mask, mask)
+            assert nbhd.mask.transpose(0, 2, 1).flags.c_contiguous  # input-major underneath
+            assert np.array_equal(nbhd.count, count)
+            magnitude = (mask * np.abs(ci[:, None, :] - co[:, :, None])).sum(axis=2).reshape(-1, 1)
+            assert np.all(np.abs(nbhd.rel - rel) <= 1e-15 * magnitude)
 
 
 def test_batched_mask_keeps_episodes_disconnected():

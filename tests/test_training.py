@@ -114,7 +114,7 @@ def test_trained_parameters_stay_in_the_packed_buffers():
 
 @pytest.mark.parametrize(
     "cfg, nodes, ops",
-    [(ModelConfig(kind="cnp"), 40, 19), (ModelConfig(kind="cgnp", radius=0.7), 59, 33)],
+    [(ModelConfig(kind="cnp"), 40, 19), (ModelConfig(kind="cgnp", radius=0.7), 58, 32)],
     ids=["cnp", "cgnp"],
 )
 def test_training_step_tape_size_budget(cfg, nodes, ops):
@@ -305,33 +305,65 @@ def test_evaluate_builds_no_tape_and_leaves_taping_on_when_it_returns_or_raises(
     fresh = step_grads(init_params(cfg))
     assert np.count_nonzero(fresh)
     monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 90)  # 15 episodes of 45 targets: 8 chunks
-    forward, outputs = training.forward_tensors, []
+    outputs = []
 
-    def recording(*args, **kwargs):
-        outputs.extend(forward(*args, **kwargs))
-        return outputs[-2:]
+    def recording(half):
+        def call(*args, **kwargs):
+            outputs.extend(half(*args, **kwargs))
+            return outputs[-2:]
+        return call
 
-    monkeypatch.setattr(training, "forward_tensors", recording)
+    # evaluate's own bindings: batch_loss runs models.forward_tensors, which calls the originals
+    monkeypatch.setattr(training, "encode", recording(training.encode))
+    decode = recording(training.decode)
+    monkeypatch.setattr(training, "decode", decode)
     store = init_params(cfg)
     evaluate(store, cfg, bucket_episodes(grid_episodes(15)))
-    assert len(outputs) == 16
+    assert len(outputs) == 2 + 16  # one bucket's features and latents, then mu and sigma per chunk
     assert all(t._parents == () and t._vjp is None for t in outputs)
-    monkeypatch.setattr(training, "forward_tensors", forward)  # batch_loss calls it too
     assert np.array_equal(step_grads(store), fresh)
 
     def failing(*args, **kwargs):
-        if len(outputs) == 2:
+        if len(outputs) == 4:
             raise RuntimeError("second chunk fails")
-        return recording(*args, **kwargs)
+        return decode(*args, **kwargs)
 
     outputs.clear()
-    monkeypatch.setattr(training, "forward_tensors", failing)
+    monkeypatch.setattr(training, "decode", failing)
     store = init_params(cfg)
     with pytest.raises(RuntimeError, match="second chunk fails"):
         evaluate(store, cfg, bucket_episodes(grid_episodes(15)))
-    assert len(outputs) == 2
-    monkeypatch.setattr(training, "forward_tensors", forward)
+    assert len(outputs) == 4
     assert np.array_equal(step_grads(store), fresh)
+
+
+def test_evaluate_encodes_once_per_bucket_and_decodes_once_per_chunk(monkeypatch):
+    # 20 target rows per chunk: 5 episodes of 9 targets go 2 to a chunk (3
+    # chunks), 4 of 25 one to a chunk (4), 3 of 2 all in one (1)
+    monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 20)
+    rng = np.random.default_rng(12)
+    episodes = []
+    for n_t, count in ((9, 5), (25, 4), (2, 3)):
+        for _ in range(count):
+            xs, ys = rng.uniform(-2, 2, 4 + n_t), rng.standard_normal(4 + n_t)
+            episodes.append(episode(xs[:4], ys[:4], xs[4:], ys[4:]))
+    calls = {"encode": [], "decode": []}
+
+    def counting(half, seen):
+        def call(x_c, *args, **kwargs):
+            seen.append(x_c.shape)
+            return half(x_c, *args, **kwargs)
+        return call
+
+    for name, seen in calls.items():
+        monkeypatch.setattr(training, name, counting(getattr(training, name), seen))
+    for kind in ("cnp", "cgnp"):
+        cfg = ModelConfig(kind=kind)
+        for seen in calls.values():
+            seen.clear()
+        evaluate(init_params(cfg), cfg, bucket_episodes(episodes))
+        assert calls["encode"] == [(5, 4), (4, 4), (3, 4)]  # x_c of each whole bucket
+        assert calls["decode"] == [(2, 4), (2, 4), (1, 4)] + [(1, 4)] * 4 + [(3, 4)]  # x_c of each chunk
 
 
 # ---------------------------------------------------------------------------
