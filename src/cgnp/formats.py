@@ -7,9 +7,9 @@ value is the padded base64 (RFC 4648 section 4) of the row's little-endian
 float64 bytes, so the doubles come back with their exact bits. It loads as
 shape buckets (as `gp.bucket_episodes` makes them) that remember each
 line's position, and saving them writes the lines back in that order; both
-go one line at a time, so neither holds the file's text in memory. Checkpoints and CSVs are
-plain text with '.' decimal separators and shortest round-trip float
-encoding. A checkpoint is the model config plus three flat vectors, each a
+go one line at a time, so neither holds the file's text in memory.
+Checkpoints and CSVs are plain text with '.' decimal separators and
+shortest round-trip float encoding. A checkpoint is the model config plus three flat vectors, each a
 copy of one of the store's flat buffers (`models.ParameterStore`):
 `values` (every parameter, row-major, in `models._layout` order) and the
 batch-norm `running_mean` and `running_var` (layer after layer). The config

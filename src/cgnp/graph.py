@@ -14,11 +14,11 @@ episodes that share (N_in, N_out), with each output's summed relative
 position and neighbor count. It is built input-major, as (B, N_in, N_out)
 arrays, so every pass runs along the long output axis and the sums over
 neighbors are products with a row of ones, as every sum over rows in
-`autodiff` is; the mask is the transposed view.
-The message map is linear, so the mean of the messages is the mean of their
-inputs mapped once: neighbor sums (`neighbor_mix`), the relative-position
-sum and the self feature, side by side in one `concat_cols`, divided by the
-message count, through one `affine` with w_self stacked under w_nbr.
+`autodiff` is; the mask is the transposed view. The message map is linear,
+so the mean of the messages is the mean of their inputs mapped once:
+neighbor sums (`neighbor_mix`), the relative-position sum and the self
+feature, side by side in one `concat_cols`, divided by the message count,
+through one `affine` with w_self stacked under w_nbr.
 """
 
 from __future__ import annotations
