@@ -1,11 +1,13 @@
 """Pinned bytes of the command-line outputs that must not drift.
 
-`cgnp generate` files, one `cgnp plot` fit curve and the two tables of a
-small `cgnp compare` are compared against sha256 digests taken once, and the
-`cgnp eval` record against its text, so a refactor of the episode,
-training, evaluation or plotting path that changes a single byte fails here (two runs merely agreeing with each other is
-checked elsewhere). Re-pin only together with a note of why the bytes
-changed.
+`cgnp generate` files, the three files of a short `cgnp train`, one
+`cgnp plot` fit curve and the two tables of a small `cgnp compare` are
+compared against sha256 digests taken once, and the `cgnp eval` record
+against its text, so a refactor of the episode, training, evaluation or
+plotting path that changes a single byte fails here (two runs merely
+agreeing with each other is checked elsewhere). The train digests pin the
+checkpoint layout and every initial weight draw as well. Re-pin only
+together with a note of why the bytes changed.
 
 Last re-pinned when eval-mode batch norm became one scale and one shift,
 evaluation came to run the encoder once per shape bucket, and radius
@@ -65,6 +67,19 @@ PLOT_AND_EVAL = {
         "nll_per_point=1.4928515614757074 nll_per_episode=587.2131617064695 mse=1.038168141734578 episode_count=40",
     ),
 }
+# per model kind: the digests of the files `cgnp train` writes with TRAIN
+TRAIN_OUTPUTS = {
+    "cgnp": {
+        "checkpoint.json": "986bcb3b5576e3fb2b26190f44354c72f75f8dedbe37c0fb5beb082aa015d134",
+        "loss_curve.csv": "8b8f1837ccf3cd2b32b08d7ac452110af9bd1f92c692d38767155682a9800080",
+        "report.csv": "33d43709a0656ffe52f023f1533143c12ac2b49ccc51f1689ce04325175ec2d8",
+    },
+    "cnp": {
+        "checkpoint.json": "b14476442f615b09fd6ce69efc066b5816f173659275b03612e5a16a52146bdc",
+        "loss_curve.csv": "004c2cd6b5f4128ef39e3f6178e4ed748cc9b55ece503884cd51e50568788f9d",
+        "report.csv": "86e0a27fcf06633dbaac72d65e5972f05bd730a6038137ad294822bc15860528",
+    },
+}
 # the compare table's header holds the shared test set's digest, so it pins that file too
 COMPARE = {
     "table.csv": "206d4329af5ce414ef1052549ebfc8fc4b858732242cc4fcff88a47186c8a0cc",
@@ -113,6 +128,13 @@ def test_generate_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
         )
         digests.append(sha256(out))
     assert digests == [GENERATE[0], GENERATE[0]]
+
+
+@pytest.mark.parametrize("kind", sorted(TRAIN_OUTPUTS))
+def test_train_outputs_match_pinned_digests(tmp_path, kind):
+    run = tmp_path / "run"
+    assert main(["train", "--out-dir", str(run), f"model.kind={kind}"] + TRAIN) == 0
+    assert {path.name: sha256(path) for path in run.iterdir()} == TRAIN_OUTPUTS[kind]
 
 
 @pytest.mark.parametrize("kind", sorted(PLOT_AND_EVAL))
