@@ -29,7 +29,7 @@ for rho in (0.0, 0.3, 0.7, 2.0):
 # 0.0 and 0.5, scalar features 1 and 3, weights summing (feature, dx)
 x_in, x_out = np.array([0.0, 0.5]), np.array([0.2])
 nbhd = radius_neighborhood(x_in, x_out, 0.7)
-out = bipartite_conv(nbhd, Tensor([[1.0], [3.0]]), Parameter("w_nbr", [[1.0], [1.0]]), Parameter("bias", [[0.0]]))
+out = bipartite_conv(nbhd, Tensor([[1.0], [3.0]]), Parameter("w", [[1.0], [1.0]]), Parameter("bias", [[0.0]]))
 print(f"\nconv example: mean of (1 - 0.2) and (3 + 0.3) = {out.value[0, 0]}")
 
 # mean pooling (one block of rows per episode) turns per-node features into

@@ -49,7 +49,6 @@ __all__ = [
     "gaussian_nll",
     "nll_terms",
     "concat_cols",
-    "concat_rows",
     "slice_cols",
     "block_mean",
     "repeat_rows",
@@ -359,19 +358,6 @@ def concat_cols(*blocks) -> Tensor:
             start += v.shape[1]
 
     return Tensor(np.concatenate(values, axis=1), blocks, vjp)
-
-
-def concat_rows(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.value.shape[1] != b.value.shape[1]:
-        raise ValueError(f"concat_rows column mismatch: {a.shape} vs {b.shape}")
-    na = a.value.shape[0]
-
-    def vjp(g):
-        _accumulate(a, g[:na])
-        _accumulate(b, g[na:])
-
-    return Tensor(np.concatenate([a.value, b.value], axis=0), (a, b), vjp)
 
 
 def slice_cols(x, start: int, stop: int) -> Tensor:

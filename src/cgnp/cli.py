@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
+from .autodiff import no_grad
 from .gp import EpisodeBatch, EqKernelSpec, ProtocolConfig, make_test_set
 from .models import ModelConfig, forward_tensors
 from .training import (
@@ -272,8 +273,10 @@ def cmd_plot(args) -> int:
     store, model_cfg, _ = formats.load_checkpoint(args.checkpoint)
     batches = formats.load_episodes(args.data)
     count = sum(map(len, batches))
+    if not count:
+        raise ValueError(f"{args.data}: no episodes to plot")
     if not 0 <= args.index < count:
-        raise ValueError(f"episode index {args.index} outside 0..{count - 1}")
+        raise ValueError(f"{args.data}: episode index {args.index} outside 0..{count - 1}")
     episode = _episode_at(batches, args.index)
 
     # predict at every point of the episode, context points included
@@ -283,7 +286,8 @@ def cmd_plot(args) -> int:
     order = np.argsort(xs, kind="stable")
     xs, ys, is_ctx = xs[order], ys[order], is_ctx[order]
     curve = EpisodeBatch(episode.x_c, episode.y_c, xs[None], ys[None])
-    mu, sigma = forward_tensors(curve, store, model_cfg, train=False)
+    with no_grad():
+        mu, sigma = forward_tensors(curve, store, model_cfg, train=False)
     if not (np.isfinite(mu.value).all() and np.isfinite(sigma.value).all()):
         raise ValueError(f"{args.data}: episode {args.index}: the model's prediction is not finite")
     lines = ["x,y_true,mu,sigma,is_context"]

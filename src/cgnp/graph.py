@@ -17,8 +17,9 @@ neighbors are products with a row of ones, as every sum over rows in
 `autodiff` is; the mask is the transposed view. The message map is linear,
 so the mean of the messages is the mean of their inputs mapped once:
 neighbor sums (`neighbor_mix`), the relative-position sum and the self
-feature, side by side in one `concat_cols`, divided by the message count,
-through one `affine` with w_self stacked under w_nbr.
+feature blocks, side by side in one `concat_cols`, divided by the message
+count, through one `affine` with the layer's one weight, whose rows follow
+those columns.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .autodiff import (
     _block_sums,
     affine,
     concat_cols,
-    concat_rows,
     neighbor_mix,
     row_scale,
 )
@@ -79,24 +79,19 @@ def radius_neighborhood(coords_in, coords_out, radius: float) -> Neighborhood:
     return Neighborhood(mask.transpose(0, 2, 1), rel, _block_sums(mask.reshape(b * n_in, n_out), b).ravel())
 
 
-def bipartite_conv(
-    nbhd: Neighborhood, feats_in: Tensor, w_nbr: Parameter, bias: Parameter, self_term=None
-) -> Tensor:
+def bipartite_conv(nbhd: Neighborhood, feats_in: Tensor, w: Parameter, bias: Parameter, self_feats=()) -> Tensor:
     """Mean over {w_nbr @ concat(f_i, x_i - x_o) + bias} for i in the
-    neighborhood of o, union {w_self @ self_feats[o] + bias} when
-    ``self_term`` is (self_feats, w_self). Gradients flow to the weights,
-    the bias, and the input and self features.
+    neighborhood of o, union {w_self @ concat(*self_feats)[o] + bias} when
+    ``self_feats`` holds the output nodes' own feature blocks. The weight
+    w is w_nbr with w_self stacked under it, its rows following the
+    columns of concat(f_i, x_i - x_o, *self_feats). Gradients flow to the
+    weight, the bias, and the input and self features.
 
     Feature rows are stacked episode by episode (B * N_in input rows,
     B * N_out output rows); a weight of the wrong height fails in `affine`.
     """
-    blocks, weights, count = [neighbor_mix(feats_in, nbhd.mask), Tensor(nbhd.rel)], w_nbr, nbhd.count
-    if self_term is not None:
-        self_feats, w_self = self_term
-        blocks.append(self_feats)
-        weights = concat_rows(weights, w_self)
-        count = count + 1.0
-    elif np.any(count == 0.0):
+    if not self_feats and np.any(nbhd.count == 0.0):
         raise ValueError("isolated output node: empty neighborhood and no self term")
-
-    return affine(row_scale(concat_cols(*blocks), 1.0 / count), weights, bias)
+    count = nbhd.count + 1.0 if self_feats else nbhd.count
+    blocks = concat_cols(neighbor_mix(feats_in, nbhd.mask), Tensor(nbhd.rel), *self_feats)
+    return affine(row_scale(blocks, 1.0 / count), w, bias)

@@ -15,7 +15,9 @@ context. At radius 0 with distinct coordinates the convolutions collapse to
 pointwise affine maps, and `cnp_weights_from_cgnp` maps a CGNP store onto
 the CNP that computes the identical function.
 
-Every parameter's name and shape is stated once, in `_layout`.
+Every block has one weight, `enc{k}.w`, `dec1.w` or `dec2.w` for both
+kinds, whose rows follow the columns of the block's input. Every
+parameter's name and shape is stated once, in `_layout`.
 `init_params` lays the parameters out in that order in two flat buffers,
 ``store.value`` and ``store.grad``, which Adam updates, and the batch-norm
 running statistics, layer after layer, in two more, ``store.running_mean``
@@ -124,29 +126,27 @@ class ParameterStore:
 
 def _layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, int]]]:
     """Every parameter's name and shape, in creation order: block by block,
-    the weights, the bias and (all but dec2) batch-norm gamma and beta.
+    the weight, the bias and (all but dec2) batch-norm gamma and beta.
 
-    The CGNP's weights are the CNP's plus a relative-position row in each
-    encoder weight (w_nbr) and, in dec1, a neighbor weight over encoded
-    context features beside the self term on concat(target x, latent)."""
-    d, cgnp = cfg.latent_dim, cfg.kind == "cgnp"
+    A CGNP weight has the CNP's rows plus a relative-position row under
+    them in each encoder block, and in dec1 the neighbor rows (context
+    features, relative position) above them."""
+    d, extra = cfg.latent_dim, int(cfg.kind == "cgnp")
 
-    def bias_and_bn(block):
-        return [(f"{block}.b", (1, d)), (f"{block}.bn.gamma", (1, d)), (f"{block}.bn.beta", (1, d))]
+    def block(name, d_in):
+        return [(f"{name}.w", (d_in, d)), (f"{name}.b", (1, d)), (f"{name}.bn.gamma", (1, d)),
+                (f"{name}.bn.beta", (1, d))]
 
-    layout = []
-    for k, d_in in enumerate((2, d, d), start=1):
-        weight = (f"enc{k}.w_nbr", (d_in + 1, d)) if cgnp else (f"enc{k}.w", (d_in, d))
-        layout += [weight, *bias_and_bn(f"enc{k}")]
-    layout += [("dec1.w_nbr", (d + 1, d)), ("dec1.w_self", (1 + d, d))] if cgnp else [("dec1.w", (1 + d, d))]
-    return layout + bias_and_bn("dec1") + [("dec2.w", (d, 2)), ("dec2.b", (1, 2))]
+    layout = [p for k, d_in in enumerate((2, d, d), start=1) for p in block(f"enc{k}", d_in + extra)]
+    return layout + block("dec1", (1 + d) * (1 + extra)) + [("dec2.w", (d, 2)), ("dec2.b", (1, 2))]
 
 
 def init_params(cfg: ModelConfig) -> ParameterStore:
     """Fan-in-scaled uniform weights, zero biases, unit batch-norm state.
 
-    Weights are drawn in `_layout` order (enc1..enc3 then dec1, w_nbr
-    before w_self), so a given init_seed always yields bit-identical stores.
+    Weights are drawn in `_layout` order, so a given init_seed always
+    yields bit-identical stores. A weight's fan-in is its row count, but
+    dec1's is one message's, 1 + d, for both kinds.
     """
     rng = derive_rng(cfg.init_seed, DOMAIN_INIT)
     store = ParameterStore()
@@ -163,7 +163,7 @@ def init_params(cfg: ModelConfig) -> ParameterStore:
         elif name.endswith(".gamma"):
             p.value.fill(1.0)
         else:
-            bound = 1.0 / np.sqrt(rows)  # fan-in
+            bound = 1.0 / np.sqrt(1 + cfg.latent_dim if name == "dec1.w" else rows)
             p.value[...] = rng.uniform(-bound, bound, (rows, cols))
         if name.endswith(".bn.beta"):  # gamma came just before
             layer, stats = name.removesuffix(".beta"), slice(bn_start, bn_start + cols)
@@ -195,10 +195,8 @@ def encode(x_c, y_c, store: ParameterStore, cfg: ModelConfig, train: bool):
     if cfg.kind == "cgnp":
         nbhd = radius_neighborhood(x_c, x_c, cfg.radius)  # shared by all encoder blocks
     for k in range(1, ENCODER_DEPTH + 1):
-        if cfg.kind == "cnp":
-            z = affine(h, store[f"enc{k}.w"], store[f"enc{k}.b"])
-        else:
-            z = bipartite_conv(nbhd, h, store[f"enc{k}.w_nbr"], store[f"enc{k}.b"])
+        w, b = store[f"enc{k}.w"], store[f"enc{k}.b"]
+        z = affine(h, w, b) if cfg.kind == "cnp" else bipartite_conv(nbhd, h, w, b)
         z = batch_norm(z, store.bn[f"enc{k}.bn"], train)
         h = relu(z) if k < ENCODER_DEPTH else z
     return h, block_mean(h, x_c.shape[0])
@@ -208,12 +206,12 @@ def decode(x_c, h, r, x_t, store: ParameterStore, cfg: ModelConfig, train: bool)
     """The decoder half of the forward: per-target (mu, sigma) tensors for
     x_t of shape (B, N_t), given `encode`'s context features h and latent
     rows r for the contexts at x_c of shape (B, N_c)."""
-    own = concat_cols(Tensor(x_t.reshape(-1, 1)), repeat_rows(r, x_t.shape[1]))
+    own = (Tensor(x_t.reshape(-1, 1)), repeat_rows(r, x_t.shape[1]))
+    w, b = store["dec1.w"], store["dec1.b"]
     if cfg.kind == "cnp":
-        z = affine(own, store["dec1.w"], store["dec1.b"])
+        z = affine(concat_cols(*own), w, b)
     else:
-        nbhd = radius_neighborhood(x_c, x_t, cfg.radius)
-        z = bipartite_conv(nbhd, h, store["dec1.w_nbr"], store["dec1.b"], (own, store["dec1.w_self"]))
+        z = bipartite_conv(radius_neighborhood(x_c, x_t, cfg.radius), h, w, b, own)
     z = relu(batch_norm(z, store.bn["dec1.bn"], train))
     out = affine(z, store["dec2.w"], store["dec2.b"])
     return slice_cols(out, 0, 1), bounded_softplus(slice_cols(out, 1, 2))
@@ -241,19 +239,20 @@ def forward_tensors(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig
 def cnp_weights_from_cgnp(store: ParameterStore, cfg: ModelConfig) -> tuple[ParameterStore, ModelConfig]:
     """The weight correspondence under which CGNP(radius=0) equals a CNP.
 
-    Encoder blocks drop the relative-position row of w_nbr (that column of
-    the input is identically zero at radius 0); the decoder's first affine
-    map is the CGNP self term (at radius 0 no target coincides with a
-    context, so neighborhoods are empty and the mean reduces to the self
-    message alone). Biases and batch-norm state carry over unchanged.
+    Encoder blocks drop their weight's relative-position row (that column
+    of the input is identically zero at radius 0); dec1 keeps the last
+    1 + d rows of its weight, those of the self term (at radius 0 no target
+    coincides with a context, so neighborhoods are empty and the mean
+    reduces to the self message alone). Biases and batch-norm state carry
+    over unchanged.
     """
     if cfg.kind != "cgnp":
         raise ValueError("expected a cgnp config")
     cnp_cfg = replace(cfg, kind="cnp")
     out = init_params(cnp_cfg)
-    source = {f"enc{k}.w": f"enc{k}.w_nbr" for k in range(1, ENCODER_DEPTH + 1)} | {"dec1.w": "dec1.w_self"}
     for name, p in out.params.items():
-        p.value[...] = store[source.get(name, name)].value[: p.value.shape[0]]  # drops w_nbr's last row
+        rows = store[name].value
+        p.value[...] = rows[-p.value.shape[0]:] if name == "dec1.w" else rows[: p.value.shape[0]]
     out.running_mean[:] = store.running_mean
     out.running_var[:] = store.running_var
     return out, cnp_cfg

@@ -15,7 +15,6 @@ from cgnp.autodiff import (
     block_mean,
     bounded_softplus,
     concat_cols,
-    concat_rows,
     gaussian_nll,
     neighbor_mix,
     relu,
@@ -428,11 +427,7 @@ def test_fd_layout_and_segment_ops():
     b = Parameter("b", rng.standard_normal((6, 3)))
     scales = rng.uniform(0.5, 2.0, 18)
     mask = (rng.uniform(size=(2, 4, 3)) < 0.6) * rng.uniform(0.5, 2.0, (2, 4, 3))
-    c = Parameter("c", rng.standard_normal((4, 3)))
     fd_case(lambda: concat_cols(a, b), [a, b], seed=14)
-    fd_case(lambda: concat_rows(b, c), [b, c], seed=20)
-    with pytest.raises(ValueError, match="concat_rows column mismatch"):
-        concat_rows(a, b)
     fd_case(lambda: slice_cols(b, 1, 3), [b], seed=15)
     fd_case(lambda: repeat_rows(a, 3), [a], seed=16)
     fd_case(lambda: neighbor_mix(b, mask), [b], seed=17)

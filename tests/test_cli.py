@@ -200,7 +200,7 @@ def test_diverged_training_exits_1_and_leaves_no_output_directory(tmp_path, caps
     out_dir = tmp_path / "run"
     assert main(["train", "--out-dir", str(out_dir), "train.lr=1e308", "train.batches=3"]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: non-finite held-out nll_per_point nan at batch 0; parameter norms: enc1.w_nbr=inf, "
+        "error: non-finite held-out nll_per_point nan at batch 0; parameter norms: enc1.w=inf, "
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -688,13 +688,43 @@ def test_plot_exports_fit_curve(trained_dir, tmp_path, capsys):
 def test_plot_index_out_of_range(trained_dir, tmp_path, capsys):
     data = tmp_path / "data.jsonl"
     run_cli("generate", "--out", str(data), "data.test_episodes=2")
+    capsys.readouterr()
     code = run_cli(
         "plot", "--checkpoint", str(trained_dir / "checkpoint.json"),
         "--data", str(data), "--index", "7", "--out", str(tmp_path / "x.csv"),
     )
     assert code == 1
-    assert "index" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"error: {data}: episode index 7 outside 0..1"]
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_plot_on_empty_file_exits_1_naming_it(trained_dir, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code = run_cli(
+        "plot", "--checkpoint", str(trained_dir / "checkpoint.json"),
+        "--data", str(empty), "--index", "0", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {empty}: no episodes to plot"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_plot_predicts_without_building_a_tape(trained_dir, tmp_path, monkeypatch):
+    data = tmp_path / "data.jsonl"
+    save_episodes(data, make_test_set(ProtocolConfig(test_episodes=2), EqKernelSpec()))
+    outputs = []
+
+    def forward(*args, **kwargs):
+        mu, sigma = cgnp.models.forward_tensors(*args, **kwargs)
+        outputs.extend([mu, sigma])
+        return mu, sigma
+
+    monkeypatch.setattr(cli, "forward_tensors", forward)
+    argv = ["plot", "--checkpoint", str(trained_dir / "checkpoint.json"), "--data", str(data),
+            "--index", "1", "--out", str(tmp_path / "fit.csv")]
+    assert main(argv) == 0
+    assert len(outputs) == 2 and all(t._parents == () and t._vjp is None for t in outputs)
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -140,8 +140,8 @@ def test_batched_mask_keeps_episodes_disconnected():
     nbhd = radius_neighborhood(coords, coords, 5.0)
     assert nbhd.mask.shape == (2, 2, 2) and nbhd.mask.sum() == 8  # two complete 2x2 blocks
     feats = Tensor([[1.0], [2.0], [10.0], [20.0]])
-    w_nbr, bias, _ = conv_weights([[1.0], [0.0]])
-    out = bipartite_conv(nbhd, feats, w_nbr, bias)
+    w, bias = conv_weights([[1.0], [0.0]])
+    out = bipartite_conv(nbhd, feats, w, bias)
     np.testing.assert_allclose(out.value, [[1.5], [1.5], [15.0], [15.0]])
 
 
@@ -155,9 +155,9 @@ def test_zero_radius_output_ignores_relative_position_weights():
     feats = Tensor(rng.standard_normal((5, 3)))
     w = rng.standard_normal((4, 2))
     bias = Parameter("bias", rng.standard_normal((1, 2)))
-    base = bipartite_conv(nbhd, feats, Parameter("w_nbr", w.copy()), bias)
+    base = bipartite_conv(nbhd, feats, Parameter("w", w.copy()), bias)
     w[-1, :] = 1e6  # arbitrary change to the delta row
-    changed = bipartite_conv(nbhd, feats, Parameter("w_nbr", w), bias)
+    changed = bipartite_conv(nbhd, feats, Parameter("w", w), bias)
     np.testing.assert_array_equal(base.value, changed.value)
 
 
@@ -167,25 +167,25 @@ def test_zero_radius_output_ignores_relative_position_weights():
 
 
 def conv_weights(w_nbr, w_self=None, bias=None):
-    """Parameters (w_nbr, bias, w_self) of one layer; w_self is None when
-    the layer has no self term."""
-    bias = bias if bias is not None else np.zeros((1, np.asarray(w_nbr).shape[1]))
-    w_self = None if w_self is None else Parameter("w_self", w_self)
-    return Parameter("w_nbr", w_nbr), Parameter("bias", bias), w_self
+    """Parameters (w, bias) of one layer: w is w_nbr with w_self, when the
+    layer has a self term, stacked under it."""
+    w = np.asarray(w_nbr, dtype=np.float64) if w_self is None else np.vstack([w_nbr, w_self])
+    bias = bias if bias is not None else np.zeros((1, w.shape[1]))
+    return Parameter("w", w), Parameter("bias", bias)
 
 
 def conv(coords_in, coords_out, radius, feats, self_feats, weights):
-    """The dense conv on one episode, building the neighborhood from the coordinates."""
-    w_nbr, bias, w_self = weights
-    self_term = None if w_self is None else (self_feats, w_self)
-    return bipartite_conv(radius_neighborhood(coords_in, coords_out, radius), feats, w_nbr, bias, self_term)
+    """The dense conv on one episode, building the neighborhood from the
+    coordinates; self_feats is a tuple of blocks, empty for no self term."""
+    w, bias = weights
+    return bipartite_conv(radius_neighborhood(coords_in, coords_out, radius), feats, w, bias, self_feats)
 
 
 def test_conv_hand_example():
     # neighbors at 0.0 and 0.5 of an output node at 0.2, scalar features 1 and 3,
     # weights summing feature and relative position: mean(0.8, 3.3) = 2.05
     weights = conv_weights([[1.0], [1.0]])
-    out = conv([0.0, 0.5], [0.2], 0.7, Tensor([[1.0], [3.0]]), None, weights)
+    out = conv([0.0, 0.5], [0.2], 0.7, Tensor([[1.0], [3.0]]), (), weights)
     np.testing.assert_allclose(out.value, [[2.05]])
 
 
@@ -194,15 +194,15 @@ def test_conv_singleton_at_same_coordinate_is_affine():
     w = rng.standard_normal((4, 3))
     b = rng.standard_normal((1, 3))
     f = rng.standard_normal((1, 3))
-    out = conv([0.3], [0.3], 0.0, Tensor(f), None, conv_weights(w, bias=b))
+    out = conv([0.3], [0.3], 0.0, Tensor(f), (), conv_weights(w, bias=b))
     np.testing.assert_allclose(out.value, f @ w[:-1] + b, atol=1e-12)
 
 
 def test_conv_mean_is_idempotent_for_identical_messages():
     # two neighbors with identical features and identical relative positions
     w = np.array([[1.0, -2.0], [0.5, 0.5]])
-    single = conv([0.1], [0.1], 0.5, Tensor([[2.0]]), None, conv_weights(w))
-    double = conv([0.1, 0.1], [0.1], 0.5, Tensor([[2.0], [2.0]]), None, conv_weights(w))
+    single = conv([0.1], [0.1], 0.5, Tensor([[2.0]]), (), conv_weights(w))
+    double = conv([0.1, 0.1], [0.1], 0.5, Tensor([[2.0], [2.0]]), (), conv_weights(w))
     np.testing.assert_allclose(double.value, single.value, atol=1e-14)
 
 
@@ -211,26 +211,26 @@ def test_conv_self_term_and_empty_neighborhood():
         np.ones((3, 2)), w_self=np.full((2, 2), 2.0), bias=np.array([[0.5, 0.5]])
     )
     # no neighbors in range: the mean of the self message alone, 1*2 + 1*2 + bias
-    out = conv([-1.5], [1.5], 0.7, Tensor([[1.0, 1.0]]), Tensor([[1.0, 1.0]]), weights)
+    out = conv([-1.5], [1.5], 0.7, Tensor([[1.0, 1.0]]), (Tensor([[1.0, 1.0]]),), weights)
     np.testing.assert_allclose(out.value, [[4.5, 4.5]])
     # self features of the wrong width or row count are rejected by the ops
     with pytest.raises(ValueError, match="dimension mismatch"):
-        conv([-1.5], [1.5], 0.7, Tensor([[1.0, 1.0]]), Tensor([[1.0, 1.0, 1.0]]), weights)
+        conv([-1.5], [1.5], 0.7, Tensor([[1.0, 1.0]]), (Tensor([[1.0, 1.0, 1.0]]),), weights)
     with pytest.raises(ValueError, match="row mismatch"):
-        conv([-1.5], [1.5], 0.7, Tensor([[1.0, 1.0]]), Tensor(np.ones((2, 2))), weights)
-    # so is a w_nbr that does not match the feature width + relative position
+        conv([-1.5], [1.5], 0.7, Tensor([[1.0, 1.0]]), (Tensor(np.ones((2, 2))),), weights)
+    # so is a weight that does not match the feature width + relative position
     with pytest.raises(ValueError, match="dimension mismatch"):
-        conv([-1.5], [1.5], 0.7, Tensor([[1.0]]), Tensor([[1.0, 1.0]]), weights)
+        conv([-1.5], [1.5], 0.7, Tensor([[1.0]]), (Tensor([[1.0, 1.0]]),), weights)
 
 
 def test_conv_isolated_node_without_self_term_raises():
     with pytest.raises(ValueError, match="isolated"):
-        conv([-1.5], [1.5], 0.7, Tensor([[1.0, 1.0]]), None, conv_weights(np.ones((3, 2))))
+        conv([-1.5], [1.5], 0.7, Tensor([[1.0, 1.0]]), (), conv_weights(np.ones((3, 2))))
 
 
 def test_conv_self_term_augments_the_mean():
     weights = conv_weights([[2.0], [0.0]], w_self=[[4.0]])
-    out = conv([0.0], [0.0], 0.5, Tensor([[1.0]]), Tensor([[1.0]]), weights)
+    out = conv([0.0], [0.0], 0.5, Tensor([[1.0]]), (Tensor([[1.0]]),), weights)
     np.testing.assert_allclose(out.value, [[(2.0 + 4.0) / 2.0]])
 
 
@@ -239,9 +239,9 @@ def test_conv_permutation_of_inputs_is_invariant():
     ci, co = rng.uniform(-2, 2, 10), rng.uniform(-2, 2, 6)
     feats = rng.standard_normal((10, 3))
     weights = conv_weights(rng.standard_normal((4, 2)), bias=rng.standard_normal((1, 2)))
-    base = conv(ci, co, 1.0, Tensor(feats), None, weights)
+    base = conv(ci, co, 1.0, Tensor(feats), (), weights)
     perm = rng.permutation(10)
-    swapped = conv(ci[perm], co, 1.0, Tensor(feats[perm]), None, weights)
+    swapped = conv(ci[perm], co, 1.0, Tensor(feats[perm]), (), weights)
     np.testing.assert_allclose(swapped.value, base.value, rtol=1e-9)
 
 
@@ -250,21 +250,44 @@ def test_conv_gradients_match_finite_differences():
     ci, co = rng.uniform(-1, 1, (2, 6)), rng.uniform(-1, 1, (2, 4))
     nbhd = radius_neighborhood(ci, co, 0.9)
     feats = Parameter("feats", rng.standard_normal((12, 3)))
-    self_feats = Parameter("self", rng.standard_normal((8, 2)))
-    w_nbr, bias, w_self = conv_weights(
+    self_feats = (Parameter("self_x", rng.standard_normal((8, 1))), Parameter("self_r", rng.standard_normal((8, 2))))
+    w, bias = conv_weights(
         rng.standard_normal((4, 2)),
-        w_self=rng.standard_normal((2, 2)),
+        w_self=rng.standard_normal((3, 2)),
         bias=rng.standard_normal((1, 2)),
     )
     left = Tensor(rng.standard_normal((1, 8)))
     right = Tensor(rng.standard_normal((2, 1)))
 
     def build_loss():
-        out = bipartite_conv(nbhd, feats, w_nbr, bias, (self_feats, w_self))
+        out = bipartite_conv(nbhd, feats, w, bias, self_feats)
         return matmul(matmul(left, out), right)
 
-    leaves = [feats, self_feats, w_nbr, w_self, bias]
+    leaves = [feats, *self_feats, w, bias]
     assert_grads_match(lambda: float(build_loss().value[0, 0]), build_loss, leaves)
+
+
+def test_conv_self_features_as_blocks_or_one_block_are_bit_identical():
+    # the decoder passes its self features as two blocks (target x and the
+    # repeated latent); their concatenation as one block must give the same
+    # bits, forward and backward
+    rng = np.random.default_rng(8)
+    nbhd = radius_neighborhood(rng.uniform(-1, 1, (3, 5)), rng.uniform(-1, 1, (3, 7)), 0.6)
+    feats = Parameter("feats", rng.standard_normal((15, 4)))
+    w, bias = conv_weights(rng.standard_normal((5, 3)), w_self=rng.standard_normal((6, 3)),
+                           bias=rng.standard_normal((1, 3)))
+    blocks = [Parameter(f"self{k}", rng.standard_normal((21, width))) for k, width in enumerate((1, 2, 3))]
+    whole = Parameter("self", np.concatenate([b.value for b in blocks], axis=1))
+    left, right = Tensor(rng.standard_normal((1, 21))), Tensor(rng.standard_normal((3, 1)))
+    results = []
+    for self_feats in (tuple(blocks), (whole,)):
+        zero_grads([feats, w, bias, *self_feats])
+        out = bipartite_conv(nbhd, feats, w, bias, self_feats)
+        backward(matmul(matmul(left, out), right))
+        results.append((out.value.copy(), feats.grad.copy(), w.grad.copy(), bias.grad.copy(),
+                        np.concatenate([b.grad for b in self_feats], axis=1)))
+    for got, want in zip(*results, strict=True):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.25, 0.7, 10.0])
@@ -273,7 +296,9 @@ def test_dense_conv_matches_edge_list_oracle(radius, with_self):
     # values and gradients of the batched dense conv against the per-episode
     # edge-list oracle at 1e-12, on a dyadic grid so that exact ties
     # |x_i - x_o| = radius occur; radius 10 covers the whole domain. Without
-    # a self term, draws with an empty neighborhood must raise instead.
+    # a self term, draws with an empty neighborhood must raise instead. The
+    # oracle keeps w_nbr and w_self apart: it is fed the two row blocks of
+    # the stacked weight, and their gradients stacked are the weight's.
     rng = np.random.default_rng(int(radius * 100) + with_self)
     d_in, d_out, d_self = 3, 4, 2
     compared = 0
@@ -286,16 +311,17 @@ def test_dense_conv_matches_edge_list_oracle(radius, with_self):
         co[:, 0] = ci[:, 0] + radius  # a tie in every episode, exact for dyadic radii
         feats = Parameter("feats", rng.standard_normal((n_b * n_in, d_in)))
         self_feats = Parameter("self", rng.standard_normal((n_b * n_out, d_self)))
-        w_nbr, bias, w_self = conv_weights(
+        w, bias = conv_weights(
             rng.standard_normal((d_in + 1, d_out)),
             w_self=rng.standard_normal((d_self, d_out)) if with_self else None,
             bias=rng.standard_normal((1, d_out)),
         )
-        leaves = [feats, w_nbr, bias] + ([self_feats, w_self] if with_self else [])
+        w_nbr, w_self = Parameter("w_nbr", w.value[: d_in + 1]), Parameter("w_self", w.value[d_in + 1:])
+        selves = (self_feats,) if with_self else ()
         left = rng.standard_normal((1, n_b * n_out))
         right = Tensor(rng.standard_normal((d_out, 1)))
 
-        def gradients(loss):
+        def gradients(loss, leaves):
             zero_grads(leaves)
             backward(loss)
             return [leaf.grad.copy() for leaf in leaves]
@@ -303,10 +329,10 @@ def test_dense_conv_matches_edge_list_oracle(radius, with_self):
         nbhd = radius_neighborhood(ci, co, radius)
         if not with_self and not nbhd.mask.sum(axis=2).all():
             with pytest.raises(ValueError, match="isolated"):
-                bipartite_conv(nbhd, feats, w_nbr, bias)
+                bipartite_conv(nbhd, feats, w, bias)
             continue
-        dense = bipartite_conv(nbhd, feats, w_nbr, bias, (self_feats, w_self) if with_self else None)
-        dense_grads = gradients(matmul(matmul(Tensor(left), dense), right))
+        dense = bipartite_conv(nbhd, feats, w, bias, selves)
+        dense_grads = gradients(matmul(matmul(Tensor(left), dense), right), [feats, w, bias, *selves])
 
         blocks, loss = [], None
         for b in range(n_b):
@@ -320,8 +346,12 @@ def test_dense_conv_matches_edge_list_oracle(radius, with_self):
             blocks.append(block.value)
             loss = term if loss is None else add(loss, term)
         np.testing.assert_allclose(dense.value, np.concatenate(blocks), rtol=1e-12, atol=1e-12)
-        for leaf, got, want in zip(leaves, dense_grads, gradients(loss)):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=leaf.name)
+        g_feats, g_nbr, g_self, g_bias, g_selves = gradients(loss, [feats, w_nbr, w_self, bias, self_feats])
+        oracle_grads = [g_feats, np.vstack([g_nbr, g_self]) if with_self else g_nbr, g_bias]
+        oracle_grads += [g_selves] if with_self else []
+        names = ["feats", "w", "bias", "self"][: len(oracle_grads)]
+        for name, got, want in zip(names, dense_grads, oracle_grads, strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
         compared += 1
     assert compared >= 5
 

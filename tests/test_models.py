@@ -61,14 +61,22 @@ def test_cnp_layer_widths():
     assert "dec2.bn" not in store.bn
 
 
-def test_cgnp_widths_add_relative_position_column():
+def test_cgnp_widths_add_relative_position_and_neighbor_rows():
     store = init_params(CGNP)
-    assert store["enc1.w_nbr"].value.shape == (3, 8)
-    assert store["enc2.w_nbr"].value.shape == (9, 8)
-    assert store["enc3.w_nbr"].value.shape == (9, 8)
-    assert store["dec1.w_nbr"].value.shape == (9, 8)
-    assert store["dec1.w_self"].value.shape == (9, 8)
+    assert store["enc1.w"].value.shape == (3, 8)
+    assert store["enc2.w"].value.shape == (9, 8)
+    assert store["enc3.w"].value.shape == (9, 8)
+    assert store["dec1.w"].value.shape == (18, 8)  # neighbor rows over the self term's
     assert store["dec2.w"].value.shape == (8, 2)
+
+
+def test_both_kinds_share_parameter_names_and_the_dec1_fan_in():
+    cnp, cgnp = init_params(CNP), init_params(CGNP)
+    assert list(cnp.params) == list(cgnp.params)
+    assert list(cnp.bn) == list(cgnp.bn)
+    bound = 1.0 / np.sqrt(1 + CNP.latent_dim)  # one message's fan-in, for both kinds
+    for rows in (cnp["dec1.w"].value, cgnp["dec1.w"].value[:9], cgnp["dec1.w"].value[9:]):
+        assert bound / np.sqrt(2) < np.abs(rows).max() <= bound  # not the stacked height's bound
 
 
 def test_init_seed_changes_weights():
