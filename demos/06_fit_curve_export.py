@@ -15,6 +15,7 @@ from cgnp import (
     ProtocolConfig,
     TrainConfig,
     forward_tensors,
+    gaussian_head,
     make_test_episode,
     train,
 )
@@ -38,8 +39,8 @@ order = np.argsort(xs)
 xs, ys, is_ctx = xs[order], ys[order], is_ctx[order]
 
 # predict at every grid point: same context, all 400 points as targets
-mu, sigma = forward_tensors(EpisodeBatch(ep.x_c, ep.y_c, xs[None], ys[None]), store, cfg.model, train=False)
-mu, sigma = mu.value.ravel(), sigma.value.ravel()
+head = forward_tensors(EpisodeBatch(ep.x_c, ep.y_c, xs[None], ys[None]), store, cfg.model, train=False)
+mu, sigma = (column.ravel() for column in gaussian_head(head.value))
 
 with open("fit_curve.csv", "w", encoding="utf-8") as fh:
     fh.write("x,y_true,mu,sigma,is_context\n")

@@ -9,7 +9,7 @@ from .autodiff import (
     affine,
     backward,
     batch_norm,
-    bounded_softplus,
+    gaussian_head,
     gaussian_nll,
     relu,
 )

@@ -2,11 +2,12 @@
 
 Everything the models train with lives here: a small taped ``Tensor`` type,
 the layer primitives (affine, one taped op for x @ w + b and the only linear
-map; relu; batch norm; the bounded-softplus scale head), the layout and
-per-episode pooling ops, ``neighbor_mix`` (the batched mask-times-features
-product behind the graph convolution), and the Gaussian negative
-log-likelihood. Values are strictly 2-D float64 arrays; row vectors
-(biases, batch-norm scale/shift) have shape ``(1, d)``.
+map; relu; batch norm), the layout and per-episode pooling ops,
+``neighbor_mix`` (the batched mask-times-features product behind the graph
+convolution), and the decoder's (n, 2) Gaussian head, which
+`gaussian_head` maps to (mu, sigma) and `gaussian_nll` scores as one op.
+Values are strictly 2-D float64 arrays; row vectors (biases, batch-norm
+scale/shift) have shape ``(1, d)``.
 
 Every sum over rows (bias and batch-norm gradients, batch statistics, the
 per-episode pool and its backward) goes through ``_block_sums``: one
@@ -44,12 +45,11 @@ __all__ = [
     "no_grad",
     "affine",
     "relu",
-    "bounded_softplus",
     "batch_norm",
+    "gaussian_head",
     "gaussian_nll",
     "nll_terms",
     "concat_cols",
-    "slice_cols",
     "block_mean",
     "repeat_rows",
     "neighbor_mix",
@@ -207,21 +207,6 @@ def relu(x) -> Tensor:
     return Tensor(np.maximum(x.value, 0.0), (x,), vjp)
 
 
-def bounded_softplus(s) -> Tensor:
-    """Scale head 0.1 + 0.9 * ln(1 + exp(s)), overflow-safe for large |s|.
-
-    Output is >= 0.1 for every finite input and strictly increasing in s,
-    which keeps predicted standard deviations off zero.
-    """
-    s = _as_tensor(s)
-
-    def vjp(g):
-        sig = 0.5 * (1.0 + np.tanh(0.5 * s.value))  # overflow-safe sigmoid
-        _accumulate(s, g * (0.9 * sig))
-
-    return Tensor(0.1 + 0.9 * np.logaddexp(0.0, s.value), (s,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # batch normalization
 # ---------------------------------------------------------------------------
@@ -308,34 +293,40 @@ def batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def gaussian_head(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, sigma), each (n, 1), of an (n, 2) head: column 0, and the
+    overflow-safe 0.1 + 0.9 * ln(1 + exp(s)) of column 1, >= 0.1 for finite s."""
+    return values[:, 0:1], 0.1 + 0.9 * np.logaddexp(0.0, values[:, 1:2])
+
+
 def nll_terms(y: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Per-point Gaussian NLL 0.5*ln(2*pi*sigma^2) + (y - mu)^2 / (2*sigma^2),
     value-level (no tape)."""
     return 0.5 * np.log(2.0 * np.pi * sigma**2) + (y - mu) ** 2 / (2.0 * sigma**2)
 
 
-def gaussian_nll(y, mu, sigma) -> Tensor:
-    """Mean over entries of `nll_terms`, as a (1, 1) scalar tensor.
-
-    Raises on any non-positive sigma.
-    """
-    y, mu, sigma = _as_tensor(y), _as_tensor(mu), _as_tensor(sigma)
-    if not (y.shape == mu.shape == sigma.shape):
-        raise ValueError(f"nll shape mismatch: y {y.shape}, mu {mu.shape}, sigma {sigma.shape}")
-    sv = sigma.value
-    if np.any(sv <= 0.0):
-        raise ValueError("gaussian_nll requires strictly positive sigma")
-    resid = y.value - mu.value
-    terms = nll_terms(y.value, mu.value, sv)
+def gaussian_nll(y: np.ndarray, head) -> Tensor:
+    """Mean over rows of `nll_terms` of the constant (n, 1) targets y under
+    `gaussian_head` of the (n, 2) head, as a (1, 1) scalar tensor; backward
+    sends the head one (n, 2) gradient, column 1 through the softplus link."""
+    head = _as_tensor(head)
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (head.value.shape[0], 1) or head.value.shape[1] != 2:
+        raise ValueError(f"nll shape mismatch: y {y.shape}, head {head.shape}")
+    mu, sv = gaussian_head(head.value)
+    resid = y - mu
+    terms = nll_terms(y, mu, sv)
     count = terms.size
 
     def vjp(g):
         scale = g[0, 0] / count
-        _accumulate(mu, scale * (-resid / sv**2))
-        _accumulate(y, scale * (resid / sv**2))
-        _accumulate(sigma, scale * (1.0 / sv - resid**2 / sv**3))
+        sig = 0.5 * (1.0 + np.tanh(0.5 * head.value[:, 1:2]))  # overflow-safe sigmoid
+        grad = np.empty_like(head.value)
+        grad[:, 0:1] = scale * (-resid / sv**2)
+        grad[:, 1:2] = scale * (1.0 / sv - resid**2 / sv**3) * (0.9 * sig)
+        _accumulate(head, grad)
 
-    return Tensor([[terms.mean()]], (y, mu, sigma), vjp)
+    return Tensor([[terms.mean()]], (head,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +349,6 @@ def concat_cols(*blocks) -> Tensor:
             start += v.shape[1]
 
     return Tensor(np.concatenate(values, axis=1), blocks, vjp)
-
-
-def slice_cols(x, start: int, stop: int) -> Tensor:
-    x = _as_tensor(x)
-
-    def vjp(g):
-        full = np.zeros_like(x.value)
-        full[:, start:stop] = g
-        _accumulate(x, full)
-
-    return Tensor(x.value[:, start:stop], (x,), vjp)
 
 
 def block_mean(x, blocks: int) -> Tensor:

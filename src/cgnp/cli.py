@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .autodiff import no_grad
+from .autodiff import gaussian_head, no_grad
 from .gp import EpisodeBatch, EqKernelSpec, ProtocolConfig, make_test_set
 from .models import ModelConfig, forward_tensors
 from .training import (
@@ -287,11 +287,11 @@ def cmd_plot(args) -> int:
     xs, ys, is_ctx = xs[order], ys[order], is_ctx[order]
     curve = EpisodeBatch(episode.x_c, episode.y_c, xs[None], ys[None])
     with no_grad():
-        mu, sigma = forward_tensors(curve, store, model_cfg, train=False)
-    if not (np.isfinite(mu.value).all() and np.isfinite(sigma.value).all()):
+        mu, sigma = gaussian_head(forward_tensors(curve, store, model_cfg, train=False).value)
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
         raise ValueError(f"{args.data}: episode {args.index}: the model's prediction is not finite")
     lines = ["x,y_true,mu,sigma,is_context"]
-    for x, y, m, s, flag in zip(xs, ys, mu.value.ravel(), sigma.value.ravel(), is_ctx):
+    for x, y, m, s, flag in zip(xs, ys, mu.ravel(), sigma.ravel(), is_ctx):
         lines.append(f"{float(x)!r},{float(y)!r},{float(m)!r},{float(s)!r},{flag}")
     formats.atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {xs.size} rows to {args.out}")

@@ -165,6 +165,9 @@ class ProtocolConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "train_batches", "test_episodes", "master_seed"):
+            if type(getattr(self, name)) is not int:  # exact type, as in ModelConfig, so a bool fails
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.train_batches < 1:

@@ -3,10 +3,11 @@
 Both models share the same skeleton: a 3-block encoder maps each context
 point to a D-dimensional feature, a mean pool reduces those features to one
 latent row per episode, and a 2-block decoder turns concat(target x, latent)
-into a per-target (mu, sigma). Blocks are affine maps for the CNP and
-radius-graph convolutions for the CGNP; batch norm is applied to each block
-output before the ReLU (blocks enc1, enc2, dec1 — enc3 gets batch norm but
-no ReLU, and dec2 is a plain affine head).
+into a per-target Gaussian head: one (n, 2) tensor of means and pre-link
+scales, which `autodiff.gaussian_head` maps to (mu, sigma). Blocks are
+affine maps for the CNP and radius-graph convolutions for the CGNP; batch
+norm is applied to each block output before the ReLU (blocks enc1, enc2,
+dec1 — enc3 gets batch norm but no ReLU, and dec2 is a plain affine head).
 
 The CGNP decoder's first block always carries a self term on
 concat(target x, latent): targets have no y value to message with, and the
@@ -50,11 +51,9 @@ from .autodiff import (
     affine,
     batch_norm,
     block_mean,
-    bounded_softplus,
     concat_cols,
     relu,
     repeat_rows,
-    slice_cols,
 )
 from .gp import EpisodeBatch
 from .graph import bipartite_conv, radius_neighborhood
@@ -203,9 +202,10 @@ def encode(x_c, y_c, store: ParameterStore, cfg: ModelConfig, train: bool):
 
 
 def decode(x_c, h, r, x_t, store: ParameterStore, cfg: ModelConfig, train: bool):
-    """The decoder half of the forward: per-target (mu, sigma) tensors for
-    x_t of shape (B, N_t), given `encode`'s context features h and latent
-    rows r for the contexts at x_c of shape (B, N_c)."""
+    """The decoder half of the forward: the (B * N_t, 2) head tensor, a mean
+    and a pre-link scale per target, for x_t of shape (B, N_t), given
+    `encode`'s context features h and latent rows r for the contexts at x_c
+    of shape (B, N_c)."""
     own = (Tensor(x_t.reshape(-1, 1)), repeat_rows(r, x_t.shape[1]))
     w, b = store["dec1.w"], store["dec1.b"]
     if cfg.kind == "cnp":
@@ -213,15 +213,14 @@ def decode(x_c, h, r, x_t, store: ParameterStore, cfg: ModelConfig, train: bool)
     else:
         z = bipartite_conv(radius_neighborhood(x_c, x_t, cfg.radius), h, w, b, own)
     z = relu(batch_norm(z, store.bn["dec1.bn"], train))
-    out = affine(z, store["dec2.w"], store["dec2.b"])
-    return slice_cols(out, 0, 1), bounded_softplus(slice_cols(out, 1, 2))
+    return affine(z, store["dec2.w"], store["dec2.b"])
 
 
 def forward_tensors(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig, train: bool):
     """Differentiable forward over one batch of episodes: `encode`, then
     `decode`.
 
-    Returns (mu, sigma) tensors of shape (B * N_t, 1), rows in episode
+    Returns the (B * N_t, 2) head tensor (see `decode`), rows in episode
     order: rows k * N_t .. (k + 1) * N_t - 1 belong to episode k. Episodes
     of different shapes go in separate batches (see `gp.bucket_episodes`).
     """

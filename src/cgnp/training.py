@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor, backward, gaussian_nll, nll_terms, no_grad
+from .autodiff import Tensor, backward, gaussian_head, gaussian_nll, nll_terms, no_grad
 from .gp import EpisodeBatch, EqKernelSpec, ProtocolConfig, make_heldout_set, make_train_batch
 from .models import ModelConfig, ParameterStore, decode, encode, forward_tensors, init_params
 from .optim import AdamState, adam_step
@@ -63,6 +63,8 @@ class TrainConfig:
     heldout_episodes: int = 64  # 0 disables held-out evaluation
 
     def __post_init__(self):
+        if type(self.lr) not in (int, float):  # exact types, as in ModelConfig, so a bool fails
+            raise ValueError(f"lr must be an int or float, got {self.lr!r}")
         if not 0.0 < self.lr < np.inf:
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         for name in ("eval_every", "heldout_episodes"):  # exact type, as in ModelConfig, so a bool fails
@@ -113,8 +115,7 @@ def batch_loss(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig) -> 
     Episodes in a batch share N_t, so the flat mean over all stacked target
     points equals the mean over episodes of each episode's per-target mean.
     """
-    mu, sigma = forward_tensors(batch, store, cfg, train=True)
-    return gaussian_nll(batch.y_t.reshape(-1, 1), mu, sigma)
+    return gaussian_nll(batch.y_t.reshape(-1, 1), forward_tensors(batch, store, cfg, train=True))
 
 
 @dataclass
@@ -232,10 +233,11 @@ def evaluate(store: ParameterStore, cfg: ModelConfig, batches) -> Metrics:
         for start in range(0, len(batch), step):
             rows = slice(start, start + step)
             h_rows = Tensor(h.value[start * n_c:(start + step) * n_c])
-            mu, sigma = decode(batch.x_c[rows], h_rows, Tensor(r.value[rows]), batch.x_t[rows], store, cfg, train=False)
+            out = decode(batch.x_c[rows], h_rows, Tensor(r.value[rows]), batch.x_t[rows], store, cfg, train=False)
+            mu, sigma = gaussian_head(out.value)
             y = batch.y_t[rows].reshape(-1, 1)
-            total_nll += float(nll_terms(y, mu.value, sigma.value).sum())
-            total_sq += float(((y - mu.value) ** 2).sum())
+            total_nll += float(nll_terms(y, mu, sigma).sum())
+            total_sq += float(((y - mu) ** 2).sum())
             total_points += y.size
     return Metrics(
         nll_per_point=total_nll / total_points,

@@ -21,13 +21,19 @@ computed before it folded the running statistics into one scale and one
 shift. `autodiff.batch_norm` must match it exactly where it takes no sum
 (the eval-mode input gradient), within four roundings of each term in the
 eval-mode output, and to rounding everywhere else.
+
+`slice_cols`, `bounded_softplus` and the three-input `gaussian_nll` are the
+decoder head and its loss as four taped ops, as they were before the head
+became one (n, 2) tensor scored by one `autodiff.gaussian_nll`:
+``gaussian_nll(y, slice_cols(out, 0, 1), bounded_softplus(slice_cols(out, 1, 2)))``
+must give the same loss and the same gradient of ``out``, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cgnp.autodiff import BN_EPS, BN_MOMENTUM, BatchNormState, Tensor, _accumulate, _as_tensor
+from cgnp.autodiff import BN_EPS, BN_MOMENTUM, BatchNormState, Tensor, _accumulate, _as_tensor, nll_terms
 
 
 def topo_order(root: Tensor) -> list[Tensor]:
@@ -128,3 +134,53 @@ def add_rowvec(x, b) -> Tensor:
         _accumulate(b, g.sum(axis=0, keepdims=True))
 
     return Tensor(x.value + b.value, (x, b), vjp)
+
+
+def slice_cols(x, start: int, stop: int) -> Tensor:
+    x = _as_tensor(x)
+
+    def vjp(g):
+        full = np.zeros_like(x.value)
+        full[:, start:stop] = g
+        _accumulate(x, full)
+
+    return Tensor(x.value[:, start:stop], (x,), vjp)
+
+
+def bounded_softplus(s) -> Tensor:
+    """Scale head 0.1 + 0.9 * ln(1 + exp(s)), overflow-safe for large |s|.
+
+    Output is >= 0.1 for every finite input and strictly increasing in s,
+    which keeps predicted standard deviations off zero.
+    """
+    s = _as_tensor(s)
+
+    def vjp(g):
+        sig = 0.5 * (1.0 + np.tanh(0.5 * s.value))  # overflow-safe sigmoid
+        _accumulate(s, g * (0.9 * sig))
+
+    return Tensor(0.1 + 0.9 * np.logaddexp(0.0, s.value), (s,), vjp)
+
+
+def gaussian_nll(y, mu, sigma) -> Tensor:
+    """Mean over entries of `nll_terms`, as a (1, 1) scalar tensor.
+
+    Raises on any non-positive sigma.
+    """
+    y, mu, sigma = _as_tensor(y), _as_tensor(mu), _as_tensor(sigma)
+    if not (y.shape == mu.shape == sigma.shape):
+        raise ValueError(f"nll shape mismatch: y {y.shape}, mu {mu.shape}, sigma {sigma.shape}")
+    sv = sigma.value
+    if np.any(sv <= 0.0):
+        raise ValueError("gaussian_nll requires strictly positive sigma")
+    resid = y.value - mu.value
+    terms = nll_terms(y.value, mu.value, sv)
+    count = terms.size
+
+    def vjp(g):
+        scale = g[0, 0] / count
+        _accumulate(mu, scale * (-resid / sv**2))
+        _accumulate(y, scale * (resid / sv**2))
+        _accumulate(sigma, scale * (1.0 / sv - resid**2 / sv**3))
+
+    return Tensor([[terms.mean()]], (y, mu, sigma), vjp)

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from cgnp.autodiff import BatchNormState, Parameter
+from cgnp.autodiff import BatchNormState, Parameter, gaussian_head
 from cgnp.gp import EpisodeBatch
 from cgnp.models import forward_tensors
 
@@ -95,5 +95,5 @@ def episode_line(x_c, y_c, x_t, y_t) -> str:
 
 def predict(batch, store, cfg, train=False) -> tuple[np.ndarray, np.ndarray]:
     """A forward's (mu, sigma) as flat arrays, targets in episode order."""
-    mu, sigma = forward_tensors(batch, store, cfg, train)
-    return mu.value.ravel(), sigma.value.ravel()
+    mu, sigma = gaussian_head(forward_tensors(batch, store, cfg, train).value)
+    return mu.ravel(), sigma.ravel()

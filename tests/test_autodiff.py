@@ -13,18 +13,26 @@ from cgnp.autodiff import (
     backward,
     batch_norm,
     block_mean,
-    bounded_softplus,
     concat_cols,
+    gaussian_head,
     gaussian_nll,
     neighbor_mix,
     relu,
     repeat_rows,
     row_scale,
-    slice_cols,
     _block_sums,
 )
 
-from autodiff_oracle import add, add_rowvec, matmul, reference_backward, reference_batch_norm
+import autodiff_oracle
+from autodiff_oracle import (
+    add,
+    add_rowvec,
+    bounded_softplus,
+    matmul,
+    reference_backward,
+    reference_batch_norm,
+    slice_cols,
+)
 from helpers import assert_grads_match, bn_state, finite_diff_grad
 
 
@@ -42,7 +50,7 @@ def scalarize(t, rng):
 
 
 # ---------------------------------------------------------------------------
-# affine / relu / bounded_softplus values
+# affine / relu values
 # ---------------------------------------------------------------------------
 
 
@@ -97,33 +105,65 @@ def test_relu_values_and_subgradient_at_zero():
     np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
 
-def test_bounded_softplus_values():
-    out = bounded_softplus(Tensor([[0.0, -40.0, 40.0]]))
-    np.testing.assert_allclose(out.value[0, 0], 0.1 + 0.9 * math.log(2.0), rtol=1e-14)
-    assert out.value[0, 1] == 0.1  # underflows to the floor in double precision
-    np.testing.assert_allclose(out.value[0, 2], 0.1 + 0.9 * 40.0, rtol=1e-14)
+# ---------------------------------------------------------------------------
+# the Gaussian head: sigma = 0.1 + 0.9 softplus(s) of column 1
+# ---------------------------------------------------------------------------
 
 
-def test_bounded_softplus_overflow_safe():
-    out = bounded_softplus(Tensor([[-1e6, 1e6]]))
-    assert np.all(np.isfinite(out.value))
-    assert out.value[0, 0] == 0.1
-    np.testing.assert_allclose(out.value[0, 1], 0.1 + 0.9e6)
+def head_sigma(s) -> np.ndarray:
+    """`gaussian_head`'s sigma for the scale column s, as a flat array."""
+    s = np.asarray(s, dtype=np.float64)
+    return gaussian_head(np.column_stack([np.zeros_like(s), s]))[1][:, 0]
+
+
+def test_gaussian_head_splits_the_mean_column_off():
+    mu, sigma = gaussian_head(np.array([[1.5, 0.0], [-2.0, 40.0]]))
+    np.testing.assert_array_equal(mu, [[1.5], [-2.0]])
+    assert sigma.shape == (2, 1)
+
+
+def test_gaussian_head_sigma_values():
+    out = head_sigma([0.0, -40.0, 40.0])
+    np.testing.assert_allclose(out[0], 0.1 + 0.9 * math.log(2.0), rtol=1e-14)
+    assert out[1] == 0.1  # underflows to the floor in double precision
+    np.testing.assert_allclose(out[2], 0.1 + 0.9 * 40.0, rtol=1e-14)
+
+
+def test_gaussian_head_sigma_overflow_safe():
+    out = head_sigma([-1e6, 1e6])
+    assert np.all(np.isfinite(out))
+    assert out[0] == 0.1
+    np.testing.assert_allclose(out[1], 0.1 + 0.9e6)
 
 
 @settings(deadline=None)
 @given(st.lists(st.floats(-708, 708), min_size=1, max_size=20))
-def test_bounded_softplus_floor_and_monotone(values):
-    out = bounded_softplus(Tensor([sorted(values)])).value[0]
+def test_gaussian_head_sigma_floor_and_monotone(values):
+    out = head_sigma(sorted(values))
     assert np.all(out >= 0.1)
     assert np.all(np.diff(out) >= 0.0)
 
 
-def test_bounded_softplus_strictly_increasing_where_representable():
+def test_gaussian_head_sigma_strictly_increasing_where_representable():
     # below about -34 the softplus term drops under half an ulp of 0.1
-    grid = np.linspace(-30.0, 30.0, 121)
-    out = bounded_softplus(Tensor([grid])).value[0]
+    out = head_sigma(np.linspace(-30.0, 30.0, 121))
     assert np.all(np.diff(out) > 0.0)
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+@example([-1e308, -1e6, 0.0, 1e6, 1e308])
+def test_sigma_floor_holds_and_the_nll_gradient_stays_finite_for_any_finite_scale(scales):
+    # no finite head reaches a sigma below 0.1, so gaussian_nll needs no
+    # sigma > 0 check. At |s| near 1e308 sigma**2 and sigma**3 overflow to
+    # inf inside the rule, which only sends their terms to 0.
+    s = np.array(scales)
+    assert np.all(np.isfinite(head_sigma(s))) and np.all(head_sigma(s) >= 0.1)
+    rng = np.random.default_rng(len(scales))
+    head = Parameter("head", np.column_stack([rng.standard_normal(s.size), s]))
+    with np.errstate(over="ignore"):
+        backward(gaussian_nll(rng.standard_normal((s.size, 1)), head))
+    assert np.all(np.isfinite(head.grad))
 
 
 # ---------------------------------------------------------------------------
@@ -246,33 +286,55 @@ def test_batch_norm_matches_the_mean_var_oracle(seed, n, d, constant_column, tra
 # ---------------------------------------------------------------------------
 
 
+# the scale column that gives sigma = 1: softplus(s) = 1
+UNIT_SCALE = math.log(math.e - 1.0)
+
+
 def test_gaussian_nll_standard_values():
-    val = gaussian_nll(Tensor([[0.0]]), Tensor([[0.0]]), Tensor([[1.0]])).value[0, 0]
+    head = Tensor([[0.0, UNIT_SCALE]])
+    val = gaussian_nll([[0.0]], head).value[0, 0]
     np.testing.assert_allclose(val, 0.5 * math.log(2.0 * math.pi), rtol=1e-14)
-    val = gaussian_nll(Tensor([[1.0]]), Tensor([[0.0]]), Tensor([[1.0]])).value[0, 0]
+    val = gaussian_nll([[1.0]], head).value[0, 0]
     np.testing.assert_allclose(val, 0.5 * math.log(2.0 * math.pi) + 0.5, rtol=1e-14)
 
 
 def test_gaussian_nll_zero_grad_at_mean():
-    mu = Parameter("mu", [[1.7], [-0.4]])
-    backward(gaussian_nll(Tensor(mu.value.copy()), mu, Tensor([[0.5], [2.0]])))
-    np.testing.assert_array_equal(mu.grad, 0.0)
+    head = Parameter("head", [[1.7, -0.3], [-0.4, 2.0]])
+    backward(gaussian_nll(head.value[:, :1].copy(), head))
+    np.testing.assert_array_equal(head.grad[:, 0], 0.0)
 
 
 def test_gaussian_nll_minimized_at_mean():
-    y = Tensor([[0.3]])
-    sigma = Tensor([[0.8]])
     for offset, sign in ((0.1, 1.0), (-0.1, -1.0)):
-        mu = Parameter("mu", [[0.3 + offset]])
-        backward(gaussian_nll(y, mu, sigma))
-        assert np.sign(mu.grad[0, 0]) == sign
+        head = Parameter("head", [[0.3 + offset, 0.5]])
+        backward(gaussian_nll([[0.3]], head))
+        assert np.sign(head.grad[0, 0]) == sign
 
 
-def test_gaussian_nll_rejects_nonpositive_sigma():
-    with pytest.raises(ValueError, match="positive sigma"):
-        gaussian_nll(Tensor([[0.0]]), Tensor([[0.0]]), Tensor([[0.0]]))
-    with pytest.raises(ValueError, match="positive sigma"):
-        gaussian_nll(Tensor([[0.0]]), Tensor([[0.0]]), Tensor([[-1.0]]))
+def test_gaussian_nll_rejects_a_head_that_is_not_two_columns_per_target():
+    for y, head in (([[0.0]], [[0.0]]), ([[0.0]], [[0.0, 0.0, 0.0]]), ([[0.0], [1.0]], [[0.0, 0.0]]),
+                    ([[0.0, 1.0]], [[0.0, 0.0]])):
+        with pytest.raises(ValueError, match="nll shape mismatch"):
+            gaussian_nll(y, Tensor(head))
+
+
+def old_head_loss(y, out):
+    """The head and its loss as the four taped ops they were."""
+    return autodiff_oracle.gaussian_nll(Tensor(y), slice_cols(out, 0, 1), bounded_softplus(slice_cols(out, 1, 2)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gaussian_nll_equals_the_four_op_composition_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    values = rng.standard_normal((n, 2)) * [1.0, 10.0 ** (seed % 3)]  # scales up to the softplus tails
+    y = rng.standard_normal((n, 1))
+    new, old = Parameter("new", values), Parameter("old", values.copy())
+    loss, ref = gaussian_nll(y, new), old_head_loss(y, old)
+    assert np.array_equal(loss.value, ref.value)
+    backward(loss)
+    backward(ref)
+    assert np.array_equal(new.grad, old.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +452,6 @@ def test_fd_relu_away_from_kink():
     fd_case(lambda: relu(x), [x], seed=11)
 
 
-def test_fd_bounded_softplus():
-    x = Parameter("x", np.random.default_rng(5).standard_normal((3, 4)) * 3)
-    fd_case(lambda: bounded_softplus(x), [x], seed=12)
-
-
 def test_fd_batch_norm_train_and_eval():
     rng = np.random.default_rng(6)
     x = Parameter("x", rng.standard_normal((7, 3)) * 2 + 1)
@@ -411,14 +468,18 @@ def test_fd_batch_norm_train_and_eval():
 
 def test_fd_gaussian_nll():
     rng = np.random.default_rng(7)
-    y = Tensor(rng.standard_normal((5, 1)))
-    mu = Parameter("mu", rng.standard_normal((5, 1)))
-    raw = Parameter("raw", rng.standard_normal((5, 1)))
+    y = rng.standard_normal((5, 1))
+    head = Parameter("head", rng.standard_normal((5, 2)) * [1.0, 3.0])
 
     def build_loss():
-        return gaussian_nll(y, mu, bounded_softplus(raw))
+        return gaussian_nll(y, head)
 
-    assert_grads_match(lambda: float(build_loss().value[0, 0]), build_loss, [mu, raw])
+    assert_grads_match(lambda: float(build_loss().value[0, 0]), build_loss, [head])
+
+
+def test_fd_oracle_bounded_softplus():
+    x = Parameter("x", np.random.default_rng(5).standard_normal((3, 4)) * 3)
+    fd_case(lambda: bounded_softplus(x), [x], seed=12)
 
 
 def test_fd_layout_and_segment_ops():
@@ -497,10 +558,11 @@ def test_intermediate_gradients_are_allocated_on_first_use():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_random_composed_networks(seed):
-    """Random affine/bn/relu/softplus stacks up to depth 5 against the oracle."""
+    """Random affine/bn/relu/softplus stacks up to depth 5, the last layer
+    two wide and scored as a Gaussian head, against the oracle."""
     rng = np.random.default_rng(100 + seed)
     depth = seed % 5 + 1
-    widths = [3] + [int(rng.integers(2, 6)) for _ in range(depth)]
+    widths = [3] + [int(rng.integers(2, 6)) for _ in range(depth - 1)] + [2]
     n = 6
     x0 = rng.standard_normal((n, widths[0]))
     params = []
@@ -515,7 +577,7 @@ def test_fd_random_composed_networks(seed):
             state = bn_state(f"bn{k}", widths[k + 1])
             params += [state.gamma, state.beta]
         layers.append((w, b, kind, state))
-    y = rng.standard_normal((n, widths[-1]))
+    y = rng.standard_normal((n, 1))
 
     def build_loss():
         h = Tensor(x0)
@@ -527,7 +589,7 @@ def test_fd_random_composed_networks(seed):
                 h = bounded_softplus(h)
             else:
                 h = batch_norm(h, state, train=True)
-        return gaussian_nll(Tensor(y), h, bounded_softplus(h))
+        return gaussian_nll(y, h)
 
     loss_fn = lambda: float(build_loss().value[0, 0])
     assert_grads_match(loss_fn, build_loss, params)

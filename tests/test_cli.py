@@ -716,15 +716,14 @@ def test_plot_predicts_without_building_a_tape(trained_dir, tmp_path, monkeypatc
     outputs = []
 
     def forward(*args, **kwargs):
-        mu, sigma = cgnp.models.forward_tensors(*args, **kwargs)
-        outputs.extend([mu, sigma])
-        return mu, sigma
+        outputs.append(cgnp.models.forward_tensors(*args, **kwargs))
+        return outputs[-1]
 
     monkeypatch.setattr(cli, "forward_tensors", forward)
     argv = ["plot", "--checkpoint", str(trained_dir / "checkpoint.json"), "--data", str(data),
             "--index", "1", "--out", str(tmp_path / "fit.csv")]
     assert main(argv) == 0
-    assert len(outputs) == 2 and all(t._parents == () and t._vjp is None for t in outputs)
+    assert len(outputs) == 1 and outputs[0]._parents == () and outputs[0]._vjp is None
 
 
 def test_console_entry_point_runs(tmp_path):

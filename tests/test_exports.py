@@ -3,12 +3,14 @@ name the package `__init__` imports. A stale export left behind when code
 is deleted fails here at once instead of at a user's import. Every
 autodiff op and every graph and optim function also has a caller in
 another module of the package: code that serves only tests belongs in
-`tests/`."""
+`tests/`. README's `cgnp.autodiff` bullet names every autodiff function,
+and nothing that module lacks."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,18 @@ def test_every_optim_function_has_a_caller_in_the_package():
     functions = public_functions("optim")
     assert functions  # adam_step at least
     assert sorted(functions - used_elsewhere_in_the_package("optim")) == []
+
+
+def readme_bullet(module: str) -> str:
+    """README's top-level bullet on `module`, up to the next bullet."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    match = re.search(rf"^- `{re.escape(module)}` .*?(?=^- |^#|\Z)", text, re.M | re.S)
+    assert match, module
+    return match.group(0)
+
+
+def test_readme_autodiff_bullet_names_every_function_and_only_real_ones():
+    autodiff = importlib.import_module("cgnp.autodiff")
+    quoted = set(re.findall(r"`([A-Za-z_]\w*)`", readme_bullet("cgnp.autodiff")))
+    assert sorted(public_functions("autodiff") - quoted) == []
+    assert sorted(n for n in quoted if not hasattr(autodiff, n)) == []

@@ -89,6 +89,15 @@ def test_protocol_validation():
         ProtocolConfig(test_episodes=-1)
 
 
+@pytest.mark.parametrize("name", ["batch_size", "train_batches", "test_episodes", "master_seed"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "3", None])
+def test_protocol_rejects_a_field_that_is_not_an_int(name, value):
+    # exact type, as in ModelConfig: a float seed would train as its int()
+    # and a bool would pass as 0 or 1
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+        ProtocolConfig(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # cholesky
 # ---------------------------------------------------------------------------

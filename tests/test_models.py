@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cgnp.autodiff import Parameter, Tensor, backward, block_mean
+from cgnp.autodiff import Parameter, Tensor, backward, block_mean, gaussian_head
 from cgnp.formats import load_checkpoint, save_checkpoint
 from cgnp.gp import EpisodeBatch, ProtocolConfig, bucket_episodes
 from cgnp.models import (
@@ -195,10 +195,10 @@ def test_stacked_forward_is_invariant_to_context_permutation():
         store = init_params(cfg)
         randomize_store(store, rng)
         for train in (True, False):
-            mu, sigma = forward_tensors(batch, store, cfg, train)
-            mu_p, sigma_p = forward_tensors(shuffled, store, cfg, train)
-            np.testing.assert_allclose(mu_p.value, mu.value, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(sigma_p.value, sigma.value, rtol=1e-9, atol=1e-12)
+            mu, sigma = gaussian_head(forward_tensors(batch, store, cfg, train).value)
+            mu_p, sigma_p = gaussian_head(forward_tensors(shuffled, store, cfg, train).value)
+            np.testing.assert_allclose(mu_p, mu, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(sigma_p, sigma, rtol=1e-9, atol=1e-12)
 
 
 def test_single_context_encoders_coincide_for_any_radius():
@@ -284,13 +284,13 @@ def test_stacked_forward_matches_per_episode_in_eval_mode():
             store = init_params(cfg)
             randomize_store(store, rng)
             (batch,) = bucket_episodes(episodes)
-            mu, sigma = forward_tensors(batch, store, cfg, train=False)
-            assert mu.value.shape == sigma.value.shape == (5 * n_t, 1)
+            mu, sigma = gaussian_head(forward_tensors(batch, store, cfg, train=False).value)
+            assert mu.shape == sigma.shape == (5 * n_t, 1)
             for i, ep in enumerate(episodes):
                 single_mu, single_sigma = predict(ep, store, cfg)
                 rows = slice(i * n_t, (i + 1) * n_t)
-                np.testing.assert_allclose(mu.value[rows, 0], single_mu, rtol=1e-12)
-                np.testing.assert_allclose(sigma.value[rows, 0], single_sigma, rtol=1e-12)
+                np.testing.assert_allclose(mu[rows, 0], single_mu, rtol=1e-12)
+                np.testing.assert_allclose(sigma[rows, 0], single_sigma, rtol=1e-12)
 
 
 def test_stacked_forward_rejects_mixed_shapes():
