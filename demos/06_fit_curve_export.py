@@ -19,6 +19,7 @@ from cgnp import (
     make_test_episode,
     train,
 )
+from cgnp.autodiff import no_grad
 
 cfg = TrainConfig(
     model=ModelConfig(kind="cgnp", latent_dim=8, radius=0.7),
@@ -38,8 +39,10 @@ is_ctx = np.concatenate([np.ones(ep.n_context, int), np.zeros(ep.n_target, int)]
 order = np.argsort(xs)
 xs, ys, is_ctx = xs[order], ys[order], is_ctx[order]
 
-# predict at every grid point: same context, all 400 points as targets
-head = forward_tensors(EpisodeBatch(ep.x_c, ep.y_c, xs[None], ys[None]), store, cfg.model, train=False)
+# predict at every grid point: same context, all 400 points as targets; no
+# gradient is taken, so no tape is built
+with no_grad():
+    head = forward_tensors(EpisodeBatch(ep.x_c, ep.y_c, xs[None], ys[None]), store, cfg.model, train=False)
 mu, sigma = (column.ravel() for column in gaussian_head(head.value))
 
 with open("fit_curve.csv", "w", encoding="utf-8") as fh:

@@ -3,9 +3,9 @@
 Everything the models train with lives here: a small taped ``Tensor`` type,
 the layer primitives (affine, one taped op for x @ w + b and the only linear
 map; relu; batch norm), the layout and per-episode pooling ops,
-``neighbor_mix`` (the batched mask-times-features product behind the graph
-convolution), and the decoder's (n, 2) Gaussian head, which
-`gaussian_head` maps to (mu, sigma) and `gaussian_nll` scores as one op.
+``neighbor_mean`` (the graph convolution's mean of message inputs over a
+batched neighbor mask, as one op), and the decoder's (n, 2) Gaussian head,
+which `gaussian_head` maps to (mu, sigma) and `gaussian_nll` scores as one op.
 Values are strictly 2-D float64 arrays; row vectors (biases, batch-norm
 scale/shift) have shape ``(1, d)``.
 
@@ -52,8 +52,7 @@ __all__ = [
     "concat_cols",
     "block_mean",
     "repeat_rows",
-    "neighbor_mix",
-    "row_scale",
+    "neighbor_mean",
 ]
 
 
@@ -380,34 +379,36 @@ def repeat_rows(x, times: int) -> Tensor:
     return Tensor(np.repeat(x.value, times, axis=0), (x,), vjp)
 
 
-def neighbor_mix(x, mask) -> Tensor:
-    """Per-episode mask products: x holds B blocks of N_in rows, mask has
-    shape (B, N_out, N_in), and output block b is mask[b] @ x_b, so row o of
-    block b sums the rows of x_b that mask[b, o] selects (weighted by the
-    mask entries). The mask is a constant; backward is mask[b]^T @ g_b."""
-    x = _as_tensor(x)
-    mask = np.asarray(mask, dtype=np.float64)
+def neighbor_mean(x, mask, rel, count, self_feats=()) -> Tensor:
+    """The mean of each output node's message inputs, as one op: x holds B
+    blocks of N_in rows, mask has shape (B, N_out, N_in), and row o of
+    block b is concat(mask[b] @ x_b, rel, *self_feats) / count, row by
+    row. mask, rel and count are constants; backward sends mask[b]^T @ g_b
+    of the scaled gradient's first columns to x and each self block its own."""
+    x, selfs = _as_tensor(x), tuple(map(_as_tensor, self_feats))
+    mask, rel = np.asarray(mask, dtype=np.float64), np.asarray(rel, dtype=np.float64)
     if mask.ndim != 3:
-        raise ValueError(f"neighbor_mix needs a (B, N_out, N_in) mask, got shape {mask.shape}")
+        raise ValueError(f"neighbor_mean needs a (B, N_out, N_in) mask, got shape {mask.shape}")
     b, n_out, n_in = mask.shape
     d = x.value.shape[1]
     if x.value.shape[0] != b * n_in:
-        raise ValueError(f"neighbor_mix expects {b} x {n_in} input rows, got {x.value.shape[0]}")
+        raise ValueError(f"neighbor_mean expects {b} x {n_in} input rows, got {x.value.shape[0]}")
+    rows, blocks, count = b * n_out, [rel, *(t.value for t in selfs)], np.asarray(count, dtype=np.float64)
+    if count.shape != (rows,) or any(v.ndim != 2 or v.shape[0] != rows for v in blocks):
+        shapes = ", ".join(str(v.shape) for v in (*blocks, count))
+        raise ValueError(f"neighbor_mean row mismatch: {rows} rows of rel, self features and count expected, "
+                         f"got {shapes}")
+    scale = (1.0 / count)[:, None]
+    value = np.concatenate([(mask @ x.value.reshape(b, n_in, d)).reshape(rows, d), *blocks], axis=1)
+    value *= scale  # in place on the fresh concatenation
 
     def vjp(g):
-        _accumulate(x, (mask.transpose(0, 2, 1) @ g.reshape(b, n_out, d)).reshape(b * n_in, d))
+        g = g * scale
+        gx = np.ascontiguousarray(g[:, :d]).reshape(b, n_out, d)  # a strided view sums in another order
+        _accumulate(x, (mask.transpose(0, 2, 1) @ gx).reshape(b * n_in, d))
+        start = d + rel.shape[1]
+        for t in selfs:
+            _accumulate(t, g[:, start:start + t.value.shape[1]])
+            start += t.value.shape[1]
 
-    return Tensor((mask @ x.value.reshape(b, n_in, d)).reshape(b * n_out, d), (x,), vjp)
-
-
-def row_scale(x, scale) -> Tensor:
-    """Multiply row i by the constant scale[i] (no gradient for the scales)."""
-    x = _as_tensor(x)
-    scale = np.asarray(scale, dtype=np.float64)
-    if scale.shape != (x.value.shape[0],):
-        raise ValueError("row_scale needs one factor per row")
-
-    def vjp(g):
-        _accumulate(x, g * scale[:, None])
-
-    return Tensor(x.value * scale[:, None], (x,), vjp)
+    return Tensor(value, (x, *selfs), vjp)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -147,14 +148,20 @@ def _episode_at(batches: list[EpisodeBatch], position: int) -> EpisodeBatch:
                         batch.x_t[row : row + 1], batch.y_t[row : row + 1])
 
 
-def _check_out(option: str, given: Path, files: list[Path] | None = None, make_dirs: bool = False) -> None:
+def _check_out(option: str, given: Path, files: list[Path] | None = None, make_dirs: bool = False,
+               inputs: dict[str, str | None] | None = None) -> None:
     """Reject, before any work, a `given` path whose output `files` (by
-    default `given` itself) cannot be written: one is a directory, or their
-    directory lies under a file or, unless the command makes it, does not exist."""
+    default `given` itself) cannot be written: one is a directory or is the
+    same file as one of the command's `inputs` (option: path, None when not
+    given), or their directory lies under a file or, unless the command
+    makes it, does not exist."""
     files = files or [given]
     for path in files:
         if path.is_dir():
             raise ValueError(f"{option} {given}: {path} is a directory")
+        for in_option, in_path in (inputs or {}).items():
+            if in_path and path.exists() and os.path.exists(in_path) and os.path.samefile(path, in_path):
+                raise ValueError(f"{option} {given}: {path} would overwrite the {in_option} file {in_path}")
     directory = files[0].parent
     existing = next(p for p in (directory, *directory.parents) if p.exists())
     if not existing.is_dir():
@@ -170,7 +177,7 @@ def _check_out(option: str, given: Path, files: list[Path] | None = None, make_d
 
 def cmd_generate(args) -> int:
     train_cfg = _train_config(parse_run_config(args.config, args.overrides))
-    _check_out("--out", Path(args.out))
+    _check_out("--out", Path(args.out), inputs={"--config": args.config})
     batches = make_test_set(train_cfg.protocol, train_cfg.kernel)
     formats.save_episodes(args.out, batches)
     print(f"wrote {sum(map(len, batches))} episodes to {args.out}")
@@ -183,7 +190,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     # checked before training; the directory is made only after it
     _check_out("--out-dir", out_dir, [out_dir / n for n in ("checkpoint.json", "report.csv", "loss_curve.csv")],
-               make_dirs=True)
+               make_dirs=True, inputs={"--config": args.config})
 
     def log(batch_index, loss, metrics):
         print(f"batch={batch_index} loss={loss:.6f}", flush=True)
@@ -213,7 +220,7 @@ def cmd_eval(args) -> int:
     store, model_cfg, _ = formats.load_checkpoint(args.checkpoint)
     # after the checkpoint, so that a missing one is named rather than its default --out
     out = Path(args.out or Path(args.checkpoint).with_suffix(".metrics.csv"))
-    _check_out("--out", out)
+    _check_out("--out", out, inputs={"--checkpoint": args.checkpoint, "--data": args.data})
     batches = formats.load_episodes(args.data)
     if not batches:
         raise ValueError(f"{args.data}: no episodes to evaluate")
@@ -242,7 +249,7 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     seeds_path = out.with_name(out.stem + "_seeds.csv")
     test_path = out.with_name(out.stem + "_testset.jsonl")
-    _check_out("--out", out, [out, seeds_path, test_path], make_dirs=True)
+    _check_out("--out", out, [out, seeds_path, test_path], make_dirs=True, inputs={"--config": args.config})
     made = [d for d in (out.parent, *out.parent.parents) if not d.exists()]  # deepest first
     out.parent.mkdir(parents=True, exist_ok=True)
     batches = make_test_set(train_cfg.protocol, train_cfg.kernel)
@@ -269,7 +276,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    _check_out("--out", Path(args.out))
+    _check_out("--out", Path(args.out), inputs={"--checkpoint": args.checkpoint, "--data": args.data})
     store, model_cfg, _ = formats.load_checkpoint(args.checkpoint)
     batches = formats.load_episodes(args.data)
     count = sum(map(len, batches))

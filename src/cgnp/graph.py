@@ -15,11 +15,11 @@ position and neighbor count. It is built input-major, as (B, N_in, N_out)
 arrays, so every pass runs along the long output axis and the sums over
 neighbors are products with a row of ones, as every sum over rows in
 `autodiff` is; the mask is the transposed view. The message map is linear,
-so the mean of the messages is the mean of their inputs mapped once:
-neighbor sums (`neighbor_mix`), the relative-position sum and the self
-feature blocks, side by side in one `concat_cols`, divided by the message
-count, through one `affine` with the layer's one weight, whose rows follow
-those columns.
+so the mean of the messages is the mean of their inputs mapped once: one
+`neighbor_mean` puts the neighbor feature sums, the relative-position sum
+and the self feature blocks side by side, divided by the message count,
+and one `affine` with the layer's one weight, whose rows follow those
+columns, maps them.
 """
 
 from __future__ import annotations
@@ -28,15 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import (
-    Parameter,
-    Tensor,
-    _block_sums,
-    affine,
-    concat_cols,
-    neighbor_mix,
-    row_scale,
-)
+from .autodiff import Parameter, Tensor, _block_sums, affine, neighbor_mean
 
 __all__ = [
     "Neighborhood",
@@ -93,5 +85,4 @@ def bipartite_conv(nbhd: Neighborhood, feats_in: Tensor, w: Parameter, bias: Par
     if not self_feats and np.any(nbhd.count == 0.0):
         raise ValueError("isolated output node: empty neighborhood and no self term")
     count = nbhd.count + 1.0 if self_feats else nbhd.count
-    blocks = concat_cols(neighbor_mix(feats_in, nbhd.mask), Tensor(nbhd.rel), *self_feats)
-    return affine(row_scale(blocks, 1.0 / count), w, bias)
+    return affine(neighbor_mean(feats_in, nbhd.mask, nbhd.rel, count, self_feats), w, bias)

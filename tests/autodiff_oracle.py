@@ -27,6 +27,13 @@ decoder head and its loss as four taped ops, as they were before the head
 became one (n, 2) tensor scored by one `autodiff.gaussian_nll`:
 ``gaussian_nll(y, slice_cols(out, 0, 1), bounded_softplus(slice_cols(out, 1, 2)))``
 must give the same loss and the same gradient of ``out``, bit for bit.
+
+`neighbor_mix` and `row_scale` are the graph convolution's message mean
+as it was taped before it became one `autodiff.neighbor_mean`:
+``row_scale(concat_cols(neighbor_mix(x, mask), Tensor(rel), *self_feats), 1 / count)``
+must give the same value and the same gradients of x and of each self
+block, bit for bit. The edge-list convolution in `graph_oracle.py` uses
+`row_scale` for its mean too.
 """
 
 from __future__ import annotations
@@ -184,3 +191,36 @@ def gaussian_nll(y, mu, sigma) -> Tensor:
         _accumulate(sigma, scale * (1.0 / sv - resid**2 / sv**3))
 
     return Tensor([[terms.mean()]], (y, mu, sigma), vjp)
+
+
+def neighbor_mix(x, mask) -> Tensor:
+    """Per-episode mask products: x holds B blocks of N_in rows, mask has
+    shape (B, N_out, N_in), and output block b is mask[b] @ x_b, so row o of
+    block b sums the rows of x_b that mask[b, o] selects (weighted by the
+    mask entries). The mask is a constant; backward is mask[b]^T @ g_b."""
+    x = _as_tensor(x)
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.ndim != 3:
+        raise ValueError(f"neighbor_mix needs a (B, N_out, N_in) mask, got shape {mask.shape}")
+    b, n_out, n_in = mask.shape
+    d = x.value.shape[1]
+    if x.value.shape[0] != b * n_in:
+        raise ValueError(f"neighbor_mix expects {b} x {n_in} input rows, got {x.value.shape[0]}")
+
+    def vjp(g):
+        _accumulate(x, (mask.transpose(0, 2, 1) @ g.reshape(b, n_out, d)).reshape(b * n_in, d))
+
+    return Tensor((mask @ x.value.reshape(b, n_in, d)).reshape(b * n_out, d), (x,), vjp)
+
+
+def row_scale(x, scale) -> Tensor:
+    """Multiply row i by the constant scale[i] (no gradient for the scales)."""
+    x = _as_tensor(x)
+    scale = np.asarray(scale, dtype=np.float64)
+    if scale.shape != (x.value.shape[0],):
+        raise ValueError("row_scale needs one factor per row")
+
+    def vjp(g):
+        _accumulate(x, g * scale[:, None])
+
+    return Tensor(x.value * scale[:, None], (x,), vjp)

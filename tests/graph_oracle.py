@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from cgnp.autodiff import Tensor, concat_cols, row_scale
+from cgnp.autodiff import Tensor, concat_cols
 
-from autodiff_oracle import add, add_rowvec, matmul
+from autodiff_oracle import add, add_rowvec, matmul, row_scale
 
 
 def brute_force_neighbors(coords_in, coords_out, radius):

@@ -16,10 +16,9 @@ from cgnp.autodiff import (
     concat_cols,
     gaussian_head,
     gaussian_nll,
-    neighbor_mix,
+    neighbor_mean,
     relu,
     repeat_rows,
-    row_scale,
     _block_sums,
 )
 
@@ -29,8 +28,10 @@ from autodiff_oracle import (
     add_rowvec,
     bounded_softplus,
     matmul,
+    neighbor_mix,
     reference_backward,
     reference_batch_norm,
+    row_scale,
     slice_cols,
 )
 from helpers import assert_grads_match, bn_state, finite_diff_grad
@@ -494,6 +495,10 @@ def test_fd_layout_and_segment_ops():
     fd_case(lambda: neighbor_mix(b, mask), [b], seed=17)
     fd_case(lambda: block_mean(b, 3), [b], seed=18)
     fd_case(lambda: row_scale(repeat_rows(b, 3), scales), [b], seed=19)
+    # two episodes of four output rows, with two self blocks beside the sums
+    rel, count = rng.standard_normal((8, 1)), rng.uniform(0.5, 4.0, 8)
+    s1, s2 = Parameter("s1", rng.standard_normal((8, 2))), Parameter("s2", rng.standard_normal((8, 1)))
+    fd_case(lambda: neighbor_mean(b, mask, rel, count, (s1, s2)), [b, s1, s2], seed=20)
 
 
 @settings(deadline=None, max_examples=60)
@@ -540,6 +545,79 @@ def test_segment_ops_values():
         neighbor_mix(x, np.ones((3, 1, 2)))
     with pytest.raises(ValueError, match="mask"):
         neighbor_mix(x, np.ones((4, 2)))
+
+
+def test_neighbor_mean_values():
+    # two episodes of two input rows and three outputs, one self block; the
+    # counts are free constants, powers of two here so every quotient is exact
+    x = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    mask = np.array([[[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]])
+    rel = np.array([[2.0], [1.0], [0.0], [2.0], [0.0], [4.0]])
+    own = Tensor([[6.0], [2.0], [5.0], [4.0], [3.0], [8.0]])
+    np.testing.assert_array_equal(
+        neighbor_mean(x, mask, rel, np.array([2.0, 2.0, 1.0, 2.0, 1.0, 4.0]), (own,)).value,
+        [[2.0, 3.0, 1.0, 3.0], [1.5, 2.0, 0.5, 1.0], [0.0, 0.0, 0.0, 5.0],
+         [2.5, 3.0, 1.0, 2.0], [0.0, 0.0, 0.0, 3.0], [3.0, 3.5, 1.0, 2.0]],
+    )
+
+
+NEIGHBOR_MEAN_ROWS = "row mismatch: 6 rows of rel, self features and count expected"
+
+
+@pytest.mark.parametrize(
+    "x_rows, mask_shape, rel_shape, count_shape, self_rows, match",
+    [
+        (4, (6, 2), (6, 1), (6,), (), "mask"),
+        (5, (2, 3, 2), (6, 1), (6,), (), "input rows"),
+        (4, (2, 3, 2), (5, 1), (6,), (), NEIGHBOR_MEAN_ROWS),
+        (4, (2, 3, 2), (6,), (6,), (), NEIGHBOR_MEAN_ROWS),
+        (4, (2, 3, 2), (6, 1), (5,), (), NEIGHBOR_MEAN_ROWS),
+        (4, (2, 3, 2), (6, 1), (6, 1), (), NEIGHBOR_MEAN_ROWS),
+        (4, (2, 3, 2), (6, 1), (6,), (6, 5), NEIGHBOR_MEAN_ROWS),
+    ],
+    ids=["mask-rank", "input-rows", "rel-rows", "rel-rank", "count-rows", "count-rank", "self-rows"],
+)
+def test_neighbor_mean_rejects_mismatched_shapes(x_rows, mask_shape, rel_shape, count_shape, self_rows, match):
+    selfs = tuple(Tensor(np.zeros((n, 1))) for n in self_rows)
+    with pytest.raises(ValueError, match=match):
+        neighbor_mean(Tensor(np.zeros((x_rows, 2))), np.ones(mask_shape), np.zeros(rel_shape), np.ones(count_shape),
+                      selfs)
+
+
+def old_neighbor_mean(x, mask, rel, count, self_feats):
+    """The convolution's message mean as three taped ops and a rel leaf."""
+    return row_scale(concat_cols(neighbor_mix(x, mask), Tensor(rel), *self_feats), 1.0 / count)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 9), st.integers(1, 12), st.integers(1, 9),
+       st.integers(0, 2))
+@example(seed=0, b=16, n_in=20, n_out=50, d=8, n_self=2)  # decoder shapes: x_t and the latent beside the sums
+@example(seed=1, b=16, n_in=20, n_out=20, d=8, n_self=0)  # encoder shapes
+def test_neighbor_mean_equals_the_three_op_composition_bit_for_bit(seed, b, n_in, n_out, d, n_self):
+    rng = np.random.default_rng(seed)
+    draw = rng.uniform(size=(b, n_in, n_out))
+    mask = (draw < rng.uniform()).astype(np.float64)
+    if n_self:
+        mask[:, :, 0] = 0.0  # output 0 of each episode has only its self message
+    else:
+        mask[draw == draw.min(axis=1, keepdims=True)] = 1.0  # every output has a neighbor
+    mask = mask.transpose(0, 2, 1)  # the transposed input-major view, as radius_neighborhood builds it
+    count = mask.sum(axis=2).ravel() + (1.0 if n_self else 0.0)
+    rel = rng.standard_normal((b * n_out, 1))
+    x_value = rng.standard_normal((b * n_in, d))
+    self_values = [rng.standard_normal((b * n_out, width)) for width in (1, int(rng.integers(1, 9)))[:n_self]]
+    g = rng.standard_normal((b * n_out, d + 1 + sum(v.shape[1] for v in self_values)))
+    results = []
+    for op in (neighbor_mean, old_neighbor_mean):
+        x, selfs = Tensor(x_value), tuple(map(Tensor, self_values))
+        out = op(x, mask, rel, count, selfs)
+        reference_backward(out, g)
+        results.append((out.value, x.grad, *(t.grad for t in selfs)))
+    new, old = results
+    assert len(new) == 2 + n_self
+    for got, want in zip(new, old):
+        assert np.array_equal(got, want)
 
 
 def test_intermediate_gradients_are_allocated_on_first_use():

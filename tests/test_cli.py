@@ -634,6 +634,60 @@ def test_plot_rejects_an_unwritable_out_before_predicting(trained_dir, tmp_path,
     _assert_rejected_out_before_any_work(tmp_path, capsys, out, problem, before)
 
 
+# (command, the input its output lands on, how the output names that file)
+SAME_FILE = [
+    ("eval", "--checkpoint", "same"),
+    ("eval", "--data", "dot"),
+    ("eval", "--checkpoint", "symlink"),
+    ("plot", "--data", "same"),
+    ("plot", "--checkpoint", "dot"),
+    ("plot", "--data", "symlink"),
+    ("generate", "--config", "same"),
+    ("generate", "--config", "symlink"),
+    ("train", "--config", "same"),
+    ("compare", "--config", "same"),
+]
+
+
+@pytest.mark.parametrize("command, option, spelling", SAME_FILE, ids=["-".join(case) for case in SAME_FILE])
+def test_an_output_that_is_one_of_the_commands_inputs_exits_1_naming_both_before_any_work(
+    trained_dir, tmp_path, capsys, monkeypatch, command, option, spelling
+):
+    monkeypatch.chdir(tmp_path)
+    # train and compare write more than one file: the config sits where the last one would go
+    config_name = {"train": "loss_curve.csv", "compare": "table_testset.jsonl"}.get(command, "run.cfg")
+    inputs = {"--checkpoint": tmp_path / "c.json", "--data": tmp_path / "t.jsonl", "--config": tmp_path / config_name}
+    inputs["--checkpoint"].write_bytes((trained_dir / "checkpoint.json").read_bytes())
+    save_episodes(inputs["--data"], make_test_set(ProtocolConfig(test_episodes=2), EqKernelSpec()))
+    inputs["--config"].write_text("train.batches = 3\n")
+    target = inputs[option]
+    out = {"same": str(target), "dot": f"./{target.name}", "symlink": str(tmp_path / "link")}[spelling]
+    if spelling == "symlink":
+        (tmp_path / "link").symlink_to(target)
+    written = Path(out)  # the file the command would write; it prints without the ./
+    out_option = "--out"
+    if command in ("eval", "plot"):
+        argv = [command, "--checkpoint", str(inputs["--checkpoint"]), "--data", str(inputs["--data"])]
+        argv += ["--index", "0"] if command == "plot" else []
+    else:
+        argv = [command, "--config", str(inputs["--config"])]
+        if command == "train":
+            out_option, out = "--out-dir", str(tmp_path)
+        elif command == "compare":
+            out = str(tmp_path / "table.csv")
+    argv += [out_option, out]
+    for name in ("evaluate", "forward_tensors", "make_test_set", "train", "compare_models"):
+        monkeypatch.setattr(cli, name, lambda *_, **__: pytest.fail("worked before checking the output"))
+    before = {path: path.read_bytes() for path in sorted(tmp_path.iterdir())}
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {out_option} {Path(out)}: {written} would overwrite the {option} file {target}"
+    ]
+    assert captured.out == ""
+    assert {path: path.read_bytes() for path in sorted(tmp_path.iterdir())} == before
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_compare_rejects_fewer_than_one_seed_before_training_or_writing(tmp_path, capsys, seeds):
     out = tmp_path / "table.csv"

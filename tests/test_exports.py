@@ -4,7 +4,8 @@ is deleted fails here at once instead of at a user's import. Every
 autodiff op and every graph and optim function also has a caller in
 another module of the package: code that serves only tests belongs in
 `tests/`. README's `cgnp.autodiff` bullet names every autodiff function,
-and nothing that module lacks."""
+and nothing that module lacks. Every autodiff op that returns a `Tensor`
+has a finite-difference case in `tests/test_autodiff.py`."""
 
 import ast
 import importlib
@@ -102,3 +103,31 @@ def test_readme_autodiff_bullet_names_every_function_and_only_real_ones():
     quoted = set(re.findall(r"`([A-Za-z_]\w*)`", readme_bullet("cgnp.autodiff")))
     assert sorted(public_functions("autodiff") - quoted) == []
     assert sorted(n for n in quoted if not hasattr(autodiff, n)) == []
+
+
+def test_every_tape_op_has_a_finite_difference_case():
+    """Each function in `autodiff.__all__` annotated ``-> Tensor`` is called,
+    by the name `test_autodiff.py` imports it under from `cgnp.autodiff`,
+    inside some `test_fd_*` function there: an op without one has a
+    gradient rule nothing checks."""
+    autodiff = importlib.import_module("cgnp.autodiff")
+    ops = {
+        n for n in public_functions("autodiff")
+        if getattr(autodiff, n).__annotations__.get("return") in ("Tensor", autodiff.Tensor)
+    }
+    tree = ast.parse((Path(__file__).parent / "test_autodiff.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "cgnp.autodiff"
+        for alias in node.names
+    }
+    called = {
+        imported[node.func.id]
+        for test in tree.body
+        if isinstance(test, ast.FunctionDef) and test.name.startswith("test_fd_")
+        for node in ast.walk(test)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in imported
+    }
+    assert {"affine", "gaussian_nll"} <= ops
+    assert sorted(ops - called) == []

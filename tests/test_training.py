@@ -114,7 +114,7 @@ def test_trained_parameters_stay_in_the_packed_buffers():
 
 @pytest.mark.parametrize(
     "cfg, nodes, ops",
-    [(ModelConfig(kind="cnp"), 36, 16), (ModelConfig(kind="cgnp", radius=0.7), 51, 27)],
+    [(ModelConfig(kind="cnp"), 36, 16), (ModelConfig(kind="cgnp", radius=0.7), 39, 19)],
     ids=["cnp", "cgnp"],
 )
 def test_training_step_tape_size_budget(cfg, nodes, ops):
