@@ -1,22 +1,22 @@
 """Build a small network with the autodiff kernel and verify its gradients.
 
-Every layer op registers an exact backward rule. Here we stack
-affine -> batch norm -> relu -> affine into a two-column Gaussian head (a
-mean and a pre-link scale per row, sigma = 0.1 + 0.9 softplus of the
-scale), score it with the Gaussian NLL, and compare every analytic gradient
-entry against central finite differences.
+Every layer op registers an exact backward rule. Here we stack one hidden
+`block` (affine -> batch norm -> relu, as one op) and an affine map into a
+two-column Gaussian head (a mean and a pre-link scale per row, sigma =
+0.1 + 0.9 softplus of the scale), score it with the Gaussian NLL, and
+compare every analytic gradient entry against central finite differences.
 """
 
 import numpy as np
 
-from cgnp import BatchNormState, Parameter, Tensor, backward
-from cgnp.autodiff import affine, batch_norm, gaussian_nll, relu
+from cgnp import BatchNormState, Parameter, backward
+from cgnp.autodiff import affine, block, gaussian_nll
 
 rng = np.random.default_rng(1)
 n, d_in, d_hidden = 12, 3, 6
 
-x = Tensor(rng.standard_normal((n, d_in)))
-y = rng.standard_normal((n, 1))  # targets are constants
+x = rng.standard_normal((n, d_in))  # inputs and targets are constants: raw arrays
+y = rng.standard_normal((n, 1))
 w1 = Parameter("w1", rng.standard_normal((d_in, d_hidden)) * 0.6)
 b1 = Parameter("b1", np.zeros((1, d_hidden)))
 bn = BatchNormState(
@@ -31,7 +31,7 @@ params = [w1, b1, bn.gamma, bn.beta, w2, b2]
 
 
 def loss_tensor():
-    h = relu(batch_norm(affine(x, w1, b1), bn, train=True))
+    h = block(x, w1, b1, bn, train=True)
     return gaussian_nll(y, affine(h, w2, b2))
 
 

@@ -5,13 +5,15 @@ they are within distance rho; `radius_neighborhood` stores it as a dense
 0/1 mask with one row per output point, next to each output point's summed
 relative position and neighbor count. The convolution averages, per output
 node, a learned map of each neighbor's feature concatenated with its
-relative position. At rho = 0 a node only sees itself and the convolution
-collapses to a plain affine map.
+relative position: `bipartite_conv` takes the mean of the inputs, and the
+layer's affine map (`affine` here, inside `block` in the models) maps it.
+At rho = 0 a node only sees itself and the convolution collapses to a
+plain affine map.
 """
 
 import numpy as np
 
-from cgnp import Parameter, Tensor, bipartite_conv, radius_neighborhood
+from cgnp import Parameter, Tensor, affine, bipartite_conv, radius_neighborhood
 from cgnp.autodiff import block_mean
 
 coords_in = np.array([-1.6, -0.9, -0.2, 0.0, 0.5, 1.4])
@@ -29,7 +31,7 @@ for rho in (0.0, 0.3, 0.7, 2.0):
 # 0.0 and 0.5, scalar features 1 and 3, weights summing (feature, dx)
 x_in, x_out = np.array([0.0, 0.5]), np.array([0.2])
 nbhd = radius_neighborhood(x_in, x_out, 0.7)
-out = bipartite_conv(nbhd, Tensor([[1.0], [3.0]]), Parameter("w", [[1.0], [1.0]]), Parameter("bias", [[0.0]]))
+out = affine(bipartite_conv(nbhd, Tensor([[1.0], [3.0]])), Parameter("w", [[1.0], [1.0]]), Parameter("bias", [[0.0]]))
 print(f"\nconv example: mean of (1 - 0.2) and (3 + 0.3) = {out.value[0, 0]}")
 
 # mean pooling (one block of rows per episode) turns per-node features into

@@ -8,10 +8,9 @@ from .autodiff import (
     Tensor,
     affine,
     backward,
-    batch_norm,
+    block,
     gaussian_head,
     gaussian_nll,
-    relu,
 )
 from .gp import (
     EpisodeBatch,

@@ -1,13 +1,19 @@
 """Reverse-mode autodiff over dense float64 matrices.
 
 Everything the models train with lives here: a small taped ``Tensor`` type,
-the layer primitives (affine, one taped op for x @ w + b and the only linear
-map; relu; batch norm), the layout and per-episode pooling ops,
-``neighbor_mean`` (the graph convolution's mean of message inputs over a
-batched neighbor mask, as one op), and the decoder's (n, 2) Gaussian head,
-which `gaussian_head` maps to (mu, sigma) and `gaussian_nll` scores as one op.
+the layer ops (``affine``, x @ w + b, and ``block``, a whole hidden layer:
+that map, batch norm and a ReLU; each one taped op), the layout and
+per-episode pooling ops, ``neighbor_mean`` (the graph convolution's mean of
+message inputs over a batched neighbor mask, as one op), and the decoder's
+(n, 2) Gaussian head, which `gaussian_head` maps to (mu, sigma) and
+`gaussian_nll` scores as one op.
 Values are strictly 2-D float64 arrays; row vectors (biases, batch-norm
 scale/shift) have shape ``(1, d)``.
+
+A raw array, not a ``Tensor``, given as an input of ``affine``, ``block``,
+``concat_cols`` or ``neighbor_mean`` is a constant: it is no node of the
+tape, and no gradient is computed for it or accumulated into it. The
+models pass their episode data so.
 
 Every sum over rows (bias and batch-norm gradients, batch statistics, the
 per-episode pool and its backward) goes through ``_block_sums``: one
@@ -44,8 +50,7 @@ __all__ = [
     "backward",
     "no_grad",
     "affine",
-    "relu",
-    "batch_norm",
+    "block",
     "gaussian_head",
     "gaussian_nll",
     "nll_terms",
@@ -79,7 +84,10 @@ class Tensor:
             raise ValueError(f"tensors are 2-D matrices, got shape {arr.shape}")
         self.value = arr
         self.grad = None
-        self._parents, self._vjp = (_parents, _vjp) if _taping.get() else ((), None)
+        if _taping.get():  # constants among the inputs are no nodes
+            self._parents, self._vjp = tuple(p for p in _parents if isinstance(p, Tensor)), _vjp
+        else:
+            self._parents, self._vjp = (), None
         self._seq = next(_creation)  # larger than every parent's
 
     @property
@@ -122,8 +130,16 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t.grad, allocating the buffer on the first gradient."""
+def _value(x) -> np.ndarray:
+    """An op input's value; a raw array is a constant, checked as a Tensor's value is."""
+    return _as_tensor(x).value
+
+
+def _accumulate(t, g: np.ndarray) -> None:
+    """Add g into t.grad, allocating the buffer on the first gradient; a
+    constant takes none."""
+    if not isinstance(t, Tensor):
+        return
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)  # a copy: g may be shared
     else:
@@ -169,45 +185,7 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
-# ---------------------------------------------------------------------------
-
-
-def affine(x, w, b) -> Tensor:
-    """x @ w + b, the linear map inside every layer, as one op."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.value.shape[1] != w.value.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {x.shape} @ {w.shape}")
-    if b.value.shape != (1, w.value.shape[1]):
-        raise ValueError(f"row vector shape {b.shape} does not match {(x.shape[0], w.shape[1])}")
-    value = x.value @ w.value
-    value += b.value  # in place: no second (n, d) array allocated and freed per call
-
-    def vjp(g):
-        _accumulate(x, g @ w.value.T)
-        _accumulate(w, x.value.T @ g)
-        _accumulate(b, _block_sums(g))
-
-    return Tensor(value, (x, w, b), vjp)
-
-
-# ---------------------------------------------------------------------------
-# nonlinearities
-# ---------------------------------------------------------------------------
-
-
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-
-    def vjp(g):
-        # subgradient at exactly 0 is 0 (deterministic tie-break)
-        _accumulate(x, g * (x.value > 0.0))
-
-    return Tensor(np.maximum(x.value, 0.0), (x,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# batch normalization
+# layers
 # ---------------------------------------------------------------------------
 
 
@@ -237,16 +215,40 @@ class BatchNormState:
         return self.gamma.value.shape[1]
 
 
-def batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
-    """Normalize each feature column, then scale/shift by gamma/beta.
+def _affine(x, w, b):
+    """x @ w + b of the inputs' values, checked for shape, and the rule
+    that routes its gradient g back to them."""
+    xv, wv, bv = _value(x), _value(w), _value(b)
+    if xv.shape[1] != wv.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {xv.shape} @ {wv.shape}")
+    if bv.shape != (1, wv.shape[1]):
+        raise ValueError(f"row vector shape {bv.shape} does not match {(xv.shape[0], wv.shape[1])}")
+    value = xv @ wv
+    value += bv  # in place: no second (n, d) array allocated and freed per call
 
-    Train mode uses batch statistics over the rows (and updates the running
-    statistics); eval mode uses the running statistics, folded into one
-    scale ``s = gamma * inv_std`` and one shift ``beta - running_mean * s``.
-    The backward rule is exact through the batch statistics in train mode.
-    """
-    x = _as_tensor(x)
-    n, d = x.value.shape
+    def vjp(g):
+        if isinstance(x, Tensor):  # no product for a constant
+            _accumulate(x, g @ wv.T)
+        _accumulate(w, xv.T @ g)
+        _accumulate(b, _block_sums(g))
+
+    return value, vjp
+
+
+def affine(x, w, b) -> Tensor:
+    """x @ w + b, the linear map of every layer, as one op."""
+    value, vjp = _affine(x, w, b)
+    return Tensor(value, (x, w, b), vjp)
+
+
+def block(x, w, b, state: BatchNormState, train: bool, relu: bool = True) -> Tensor:
+    """One hidden layer, relu(batch_norm(x @ w + b)), as one op; no ReLU
+    when ``relu`` is False. Batch norm uses the rows' statistics in train
+    mode (and updates the running ones), and in eval mode the running ones
+    folded into one scale ``s = gamma * inv_std`` and one shift
+    ``beta - running_mean * s``. The ReLU's subgradient at 0 is 0."""
+    z, affine_vjp = _affine(x, w, b)
+    n, d = z.shape
     if d != state.width:
         raise ValueError(f"batch norm width mismatch: input {d}, state {state.width}")
     gamma, beta = state.gamma, state.beta
@@ -254,8 +256,8 @@ def batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
     if train:
         if n < 2:
             raise ValueError(f"batch norm needs at least 2 rows in train mode, got {n}")
-        mean = _block_sums(x.value) / n
-        centred = x.value - mean
+        mean = _block_sums(z) / n
+        centred = z - mean
         var = _block_sums(centred * centred) / n  # biased
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = centred * inv_std
@@ -263,28 +265,32 @@ def batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
         m = BN_MOMENTUM
         state.running_mean[...] = m * state.running_mean + (1.0 - m) * mean
         state.running_var[...] = m * state.running_var + (1.0 - m) * var
-
-        def vjp(g):
-            # gamma is constant per column, so the sums of g and g * xhat
-            # serve beta, gamma and x alike
-            gsum, gxhat = _block_sums(g), _block_sums(g * xhat)
-            _accumulate(beta, gsum)
-            _accumulate(gamma, gxhat)
-            _accumulate(x, (gamma.value * inv_std / n) * (n * g - gsum - xhat * gxhat))
-
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         mean = state.running_mean.copy()  # a later train-mode call updates the state in place
         scale = gamma.value * inv_std
-        value = x.value * scale
+        value = z * scale
         value += beta.value - mean * scale
+    if relu:
+        np.maximum(value, 0.0, out=value)  # in place on the fresh batch-norm output
 
-        def vjp(g):
+    def vjp(g):
+        if relu:
+            g = g * (value > 0.0)  # > 0 after the ReLU iff > 0 before it
+        if train:
+            # gamma is constant per column, so the sums of g and g * xhat
+            # serve beta, gamma and the affine map alike
+            gsum, gxhat = _block_sums(g), _block_sums(g * xhat)
+            _accumulate(beta, gsum)
+            _accumulate(gamma, gxhat)
+            g = (gamma.value * inv_std / n) * (n * g - gsum - xhat * gxhat)
+        else:
             _accumulate(beta, _block_sums(g))
-            _accumulate(gamma, _block_sums(g * ((x.value - mean) * inv_std)))
-            _accumulate(x, g * scale)
+            _accumulate(gamma, _block_sums(g * ((z - mean) * inv_std)))
+            g = g * scale
+        affine_vjp(g)
 
-    return Tensor(value, (x, gamma, beta), vjp)
+    return Tensor(value, (x, w, b, gamma, beta), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +342,7 @@ def gaussian_nll(y: np.ndarray, head) -> Tensor:
 def concat_cols(*blocks) -> Tensor:
     """The blocks side by side, left to right, as one op; every block has
     the same number of rows."""
-    blocks = tuple(map(_as_tensor, blocks))
-    values = [t.value for t in blocks]
+    values = [_value(t) for t in blocks]
     if any(v.shape[0] != values[0].shape[0] for v in values):
         raise ValueError(f"concat_cols row mismatch: {' vs '.join(str(v.shape) for v in values)}")
 
@@ -385,30 +390,31 @@ def neighbor_mean(x, mask, rel, count, self_feats=()) -> Tensor:
     block b is concat(mask[b] @ x_b, rel, *self_feats) / count, row by
     row. mask, rel and count are constants; backward sends mask[b]^T @ g_b
     of the scaled gradient's first columns to x and each self block its own."""
-    x, selfs = _as_tensor(x), tuple(map(_as_tensor, self_feats))
+    xv, self_values = _value(x), [_value(t) for t in self_feats]
     mask, rel = np.asarray(mask, dtype=np.float64), np.asarray(rel, dtype=np.float64)
     if mask.ndim != 3:
         raise ValueError(f"neighbor_mean needs a (B, N_out, N_in) mask, got shape {mask.shape}")
     b, n_out, n_in = mask.shape
-    d = x.value.shape[1]
-    if x.value.shape[0] != b * n_in:
-        raise ValueError(f"neighbor_mean expects {b} x {n_in} input rows, got {x.value.shape[0]}")
-    rows, blocks, count = b * n_out, [rel, *(t.value for t in selfs)], np.asarray(count, dtype=np.float64)
+    d = xv.shape[1]
+    if xv.shape[0] != b * n_in:
+        raise ValueError(f"neighbor_mean expects {b} x {n_in} input rows, got {xv.shape[0]}")
+    rows, blocks, count = b * n_out, [rel, *self_values], np.asarray(count, dtype=np.float64)
     if count.shape != (rows,) or any(v.ndim != 2 or v.shape[0] != rows for v in blocks):
         shapes = ", ".join(str(v.shape) for v in (*blocks, count))
         raise ValueError(f"neighbor_mean row mismatch: {rows} rows of rel, self features and count expected, "
                          f"got {shapes}")
     scale = (1.0 / count)[:, None]
-    value = np.concatenate([(mask @ x.value.reshape(b, n_in, d)).reshape(rows, d), *blocks], axis=1)
+    value = np.concatenate([(mask @ xv.reshape(b, n_in, d)).reshape(rows, d), *blocks], axis=1)
     value *= scale  # in place on the fresh concatenation
 
     def vjp(g):
         g = g * scale
-        gx = np.ascontiguousarray(g[:, :d]).reshape(b, n_out, d)  # a strided view sums in another order
-        _accumulate(x, (mask.transpose(0, 2, 1) @ gx).reshape(b * n_in, d))
+        if isinstance(x, Tensor):
+            gx = np.ascontiguousarray(g[:, :d]).reshape(b, n_out, d)  # a strided view sums in another order
+            _accumulate(x, (mask.transpose(0, 2, 1) @ gx).reshape(b * n_in, d))
         start = d + rel.shape[1]
-        for t in selfs:
-            _accumulate(t, g[:, start:start + t.value.shape[1]])
-            start += t.value.shape[1]
+        for t, v in zip(self_feats, self_values):
+            _accumulate(t, g[:, start:start + v.shape[1]])
+            start += v.shape[1]
 
-    return Tensor(value, (x, *selfs), vjp)
+    return Tensor(value, (x, *self_feats), vjp)

@@ -15,11 +15,11 @@ position and neighbor count. It is built input-major, as (B, N_in, N_out)
 arrays, so every pass runs along the long output axis and the sums over
 neighbors are products with a row of ones, as every sum over rows in
 `autodiff` is; the mask is the transposed view. The message map is linear,
-so the mean of the messages is the mean of their inputs mapped once: one
-`neighbor_mean` puts the neighbor feature sums, the relative-position sum
-and the self feature blocks side by side, divided by the message count,
-and one `affine` with the layer's one weight, whose rows follow those
-columns, maps them.
+so the mean of the messages is the mean of their inputs mapped once:
+`bipartite_conv` is one `neighbor_mean`, which puts the neighbor feature
+sums, the relative-position sum and the self feature blocks side by side,
+divided by the message count, and the layer's `autodiff.block` maps it
+with its one weight, whose rows follow those columns.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, _block_sums, affine, neighbor_mean
+from .autodiff import Tensor, _block_sums, neighbor_mean
 
 __all__ = [
     "Neighborhood",
@@ -71,18 +71,18 @@ def radius_neighborhood(coords_in, coords_out, radius: float) -> Neighborhood:
     return Neighborhood(mask.transpose(0, 2, 1), rel, _block_sums(mask.reshape(b * n_in, n_out), b).ravel())
 
 
-def bipartite_conv(nbhd: Neighborhood, feats_in: Tensor, w: Parameter, bias: Parameter, self_feats=()) -> Tensor:
-    """Mean over {w_nbr @ concat(f_i, x_i - x_o) + bias} for i in the
-    neighborhood of o, union {w_self @ concat(*self_feats)[o] + bias} when
-    ``self_feats`` holds the output nodes' own feature blocks. The weight
-    w is w_nbr with w_self stacked under it, its rows following the
-    columns of concat(f_i, x_i - x_o, *self_feats). Gradients flow to the
-    weight, the bias, and the input and self features.
+def bipartite_conv(nbhd: Neighborhood, feats_in, self_feats=()) -> Tensor:
+    """The input of a convolution layer, whose one weight, w_nbr with
+    w_self stacked under it, and bias map it to the mean over
+    {w_nbr @ concat(f_i, x_i - x_o) + bias} for i in the neighborhood of o,
+    union {w_self @ concat(*self_feats)[o] + bias} when ``self_feats`` holds
+    the output nodes' own feature blocks. Gradients flow to the input and
+    self features that are Tensors.
 
     Feature rows are stacked episode by episode (B * N_in input rows,
-    B * N_out output rows); a weight of the wrong height fails in `affine`.
+    B * N_out output rows).
     """
     if not self_feats and np.any(nbhd.count == 0.0):
         raise ValueError("isolated output node: empty neighborhood and no self term")
     count = nbhd.count + 1.0 if self_feats else nbhd.count
-    return affine(neighbor_mean(feats_in, nbhd.mask, nbhd.rel, count, self_feats), w, bias)
+    return neighbor_mean(feats_in, nbhd.mask, nbhd.rel, count, self_feats)

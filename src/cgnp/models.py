@@ -4,10 +4,12 @@ Both models share the same skeleton: a 3-block encoder maps each context
 point to a D-dimensional feature, a mean pool reduces those features to one
 latent row per episode, and a 2-block decoder turns concat(target x, latent)
 into a per-target Gaussian head: one (n, 2) tensor of means and pre-link
-scales, which `autodiff.gaussian_head` maps to (mu, sigma). Blocks are
-affine maps for the CNP and radius-graph convolutions for the CGNP; batch
-norm is applied to each block output before the ReLU (blocks enc1, enc2,
-dec1 — enc3 gets batch norm but no ReLU, and dec2 is a plain affine head).
+scales, which `autodiff.gaussian_head` maps to (mu, sigma). Every hidden
+block (enc1-3, dec1) is one `autodiff.block`: an affine map, batch norm and
+a ReLU (none for enc3); dec2 is a plain `affine` head. The two kinds differ
+only in a block's input: the features themselves for the CNP, and their
+radius-graph message mean (`graph.bipartite_conv`) for the CGNP. The
+episode data enter as raw arrays, constants that take no gradient.
 
 The CGNP decoder's first block always carries a self term on
 concat(target x, latent): targets have no y value to message with, and the
@@ -44,17 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import (
-    BatchNormState,
-    Parameter,
-    Tensor,
-    affine,
-    batch_norm,
-    block_mean,
-    concat_cols,
-    relu,
-    repeat_rows,
-)
+from .autodiff import BatchNormState, Parameter, affine, block, block_mean, concat_cols, repeat_rows
 from .gp import EpisodeBatch
 from .graph import bipartite_conv, radius_neighborhood
 from .seeds import DOMAIN_INIT, derive_rng
@@ -190,14 +182,12 @@ def encode(x_c, y_c, store: ParameterStore, cfg: ModelConfig, train: bool):
     """The encoder half of the forward: context features, one row per
     context point, episode by episode, and their per-episode mean, one
     latent row per episode. x_c and y_c are (B, N_c) arrays."""
-    h = Tensor(np.column_stack([x_c.ravel(), y_c.ravel()]))
+    h = np.column_stack([x_c.ravel(), y_c.ravel()])
     if cfg.kind == "cgnp":
         nbhd = radius_neighborhood(x_c, x_c, cfg.radius)  # shared by all encoder blocks
     for k in range(1, ENCODER_DEPTH + 1):
-        w, b = store[f"enc{k}.w"], store[f"enc{k}.b"]
-        z = affine(h, w, b) if cfg.kind == "cnp" else bipartite_conv(nbhd, h, w, b)
-        z = batch_norm(z, store.bn[f"enc{k}.bn"], train)
-        h = relu(z) if k < ENCODER_DEPTH else z
+        z = h if cfg.kind == "cnp" else bipartite_conv(nbhd, h)
+        h = block(z, store[f"enc{k}.w"], store[f"enc{k}.b"], store.bn[f"enc{k}.bn"], train, relu=k < ENCODER_DEPTH)
     return h, block_mean(h, x_c.shape[0])
 
 
@@ -206,14 +196,13 @@ def decode(x_c, h, r, x_t, store: ParameterStore, cfg: ModelConfig, train: bool)
     and a pre-link scale per target, for x_t of shape (B, N_t), given
     `encode`'s context features h and latent rows r for the contexts at x_c
     of shape (B, N_c)."""
-    own = (Tensor(x_t.reshape(-1, 1)), repeat_rows(r, x_t.shape[1]))
-    w, b = store["dec1.w"], store["dec1.b"]
+    own = (x_t.reshape(-1, 1), repeat_rows(r, x_t.shape[1]))
     if cfg.kind == "cnp":
-        z = affine(concat_cols(*own), w, b)
+        z = concat_cols(*own)
     else:
-        z = bipartite_conv(radius_neighborhood(x_c, x_t, cfg.radius), h, w, b, own)
-    z = relu(batch_norm(z, store.bn["dec1.bn"], train))
-    return affine(z, store["dec2.w"], store["dec2.b"])
+        z = bipartite_conv(radius_neighborhood(x_c, x_t, cfg.radius), h, own)
+    h = block(z, store["dec1.w"], store["dec1.b"], store.bn["dec1.bn"], train)
+    return affine(h, store["dec2.w"], store["dec2.b"])
 
 
 def forward_tensors(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig, train: bool):

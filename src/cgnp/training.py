@@ -52,6 +52,10 @@ EVAL_CHUNK_ROWS = 4096
 # Batches averaged at each end of a loss curve by `loss_drop`.
 LOSS_WINDOW = 1000
 
+# Floating-point errors numpy does not report in training and test
+# evaluation: every non-finite value there ends in TrainingDivergedError.
+QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -94,16 +98,18 @@ class TrainReport:
 
 
 class TrainingDivergedError(RuntimeError):
-    """A non-finite training loss or metric; `what` names it and `run_name`,
-    if given, prefixes the message."""
+    """A non-finite training loss or metric of `run`; `what` names it, the
+    run's name, if any, prefixes the message, and its parameter norms and
+    step size end it."""
 
-    def __init__(self, batch_index: int, what: str, value: float, store: ParameterStore, run_name=None):
+    def __init__(self, run: Run, batch_index: int, what: str, value: float):
         norms = ", ".join(
-            f"{name}={np.linalg.norm(p.value):.3g}" for name, p in store.params.items()
+            f"{name}={np.linalg.norm(p.value):.3g}" for name, p in run.store.params.items()
         )
-        prefix = f"{run_name}: " if run_name else ""
+        prefix = f"{run.name}: " if run.name else ""
         super().__init__(
-            f"{prefix}non-finite {what} {value} at batch {batch_index}; parameter norms: {norms}"
+            f"{prefix}non-finite {what} {value} at batch {batch_index}; parameter norms: {norms}; "
+            f"train.lr={run.cfg.lr}"
         )
         self.batch_index = batch_index
         self.value = value
@@ -139,7 +145,7 @@ def _checked_metrics(run: Run, batches, what: str, b: int) -> Metrics:
     for name in ("nll_per_point", "mse"):  # nll_per_episode scales nll_per_point
         value = getattr(metrics, name)
         if not np.isfinite(value):
-            raise TrainingDivergedError(b, f"{what} {name}", value, run.store, run.name)
+            raise TrainingDivergedError(run, b, f"{what} {name}", value)
     return metrics
 
 
@@ -164,36 +170,37 @@ def _train_group(cfgs: list[TrainConfig], names: list[str] | None = None, log=No
         report = TrainReport(losses=np.empty(n_batches))
         runs.append(Run(cfg, store, AdamState(store, lr=cfg.lr), report, names[k] if names else None))
         own[k] += time.perf_counter() - last
-    for b in range(n_batches):
-        batch = make_train_batch(protocol, kernel, b)
-        last = time.perf_counter()
-        for k, run in enumerate(runs):
-            loss = batch_loss(batch, run.store, run.cfg.model)
-            loss_value = float(loss.value[0, 0])
-            if not np.isfinite(loss_value):
-                raise TrainingDivergedError(b, "loss", loss_value, run.store, run.name)
-            run.report.losses[b] = loss_value
-            backward(loss)
-            adam_step(run.adam)
-            run.store.grad.fill(0.0)
-            run.next_batch = b + 1
-            eval_every = run.cfg.eval_every
-            if eval_every > 0 and (b % eval_every == 0 or run.next_batch == n_batches):
-                metrics = _checked_metrics(run, heldout_set, "held-out", b) if heldout_set else None
-                if metrics is not None:
-                    run.report.heldout.append((b, metrics))
-                if log is not None:
-                    log(b, loss_value, metrics)
-            now = time.perf_counter()
-            own[k] += now - last
-            last = now
-    for k, run in enumerate(runs):  # final metrics: the last periodic evaluation if any
-        last = time.perf_counter()
-        if run.report.heldout:
-            run.report.final_metrics = run.report.heldout[-1][1]
-        elif heldout_set:
-            run.report.final_metrics = _checked_metrics(run, heldout_set, "held-out", n_batches - 1)
-        own[k] += time.perf_counter() - last
+    with np.errstate(**QUIET):  # a non-finite value ends in TrainingDivergedError, not in numpy warnings
+        for b in range(n_batches):
+            batch = make_train_batch(protocol, kernel, b)
+            last = time.perf_counter()
+            for k, run in enumerate(runs):
+                loss = batch_loss(batch, run.store, run.cfg.model)
+                loss_value = float(loss.value[0, 0])
+                if not np.isfinite(loss_value):
+                    raise TrainingDivergedError(run, b, "loss", loss_value)
+                run.report.losses[b] = loss_value
+                backward(loss)
+                adam_step(run.adam)
+                run.store.grad.fill(0.0)
+                run.next_batch = b + 1
+                eval_every = run.cfg.eval_every
+                if eval_every > 0 and (b % eval_every == 0 or run.next_batch == n_batches):
+                    metrics = _checked_metrics(run, heldout_set, "held-out", b) if heldout_set else None
+                    if metrics is not None:
+                        run.report.heldout.append((b, metrics))
+                    if log is not None:
+                        log(b, loss_value, metrics)
+                now = time.perf_counter()
+                own[k] += now - last
+                last = now
+        for k, run in enumerate(runs):  # final metrics: the last periodic evaluation if any
+            last = time.perf_counter()
+            if run.report.heldout:
+                run.report.final_metrics = run.report.heldout[-1][1]
+            elif heldout_set:
+                run.report.final_metrics = _checked_metrics(run, heldout_set, "held-out", n_batches - 1)
+            own[k] += time.perf_counter() - last
     shared = (time.perf_counter() - start - sum(own)) / len(runs)
     for run, seconds in zip(runs, own):
         run.report.wall_seconds = seconds + shared
@@ -232,8 +239,8 @@ def evaluate(store: ParameterStore, cfg: ModelConfig, batches) -> Metrics:
         n_c, step = batch.n_context, max(1, EVAL_CHUNK_ROWS // batch.n_target)
         for start in range(0, len(batch), step):
             rows = slice(start, start + step)
-            h_rows = Tensor(h.value[start * n_c:(start + step) * n_c])
-            out = decode(batch.x_c[rows], h_rows, Tensor(r.value[rows]), batch.x_t[rows], store, cfg, train=False)
+            h_rows = h.value[start * n_c:(start + step) * n_c]
+            out = decode(batch.x_c[rows], h_rows, r.value[rows], batch.x_t[rows], store, cfg, train=False)
             mu, sigma = gaussian_head(out.value)
             y = batch.y_t[rows].reshape(-1, 1)
             total_nll += float(nll_terms(y, mu, sigma).sum())
@@ -316,7 +323,8 @@ def compare_models(base: TrainConfig, seeds: int, test_set, log=None) -> list[Va
         names = [f"{label} seed {i} (master={protocol.master_seed}, init={cfg.model.init_seed})"
                  for label, cfg in zip(variants, cfgs)]
         for label, run in zip(variants, _train_group(cfgs, names)):
-            metrics = _checked_metrics(run, test_set, "test", run.next_batch - 1)
+            with np.errstate(**QUIET):
+                metrics = _checked_metrics(run, test_set, "test", run.next_batch - 1)
             losses = run.report.losses
             seed_runs[label].append(
                 SeedRun(

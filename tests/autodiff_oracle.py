@@ -12,14 +12,20 @@ reachable from the output, parents before children, with an `id()` seen
 set, then each op's rule in the reverse of that order. The tape-size pins
 count its nodes, and `backward` must give the same gradients.
 
+`relu` and `batch_norm` are the layer's nonlinearity and normalization as
+the two taped ops they were before a hidden layer became one
+`autodiff.block`: ``relu(batch_norm(affine(x, w, b), state, train))``, or
+the same without the `relu`, must give the same value, running statistics
+and gradients as `block`, bit for bit.
+
 `reference_batch_norm` is the train/eval batch norm written with
 `np.mean`/`np.var`, centring the input twice, and a four-sum train-mode
 backward, as the op was before its statistics were computed in one pass
 and its sums over rows became products with a row of ones. Its eval mode
 is the two-step gamma * ((x - running_mean) * inv_std) + beta the op
 computed before it folded the running statistics into one scale and one
-shift. `autodiff.batch_norm` must match it exactly where it takes no sum
-(the eval-mode input gradient), within four roundings of each term in the
+shift. `batch_norm` must match it exactly where it takes no sum (the
+eval-mode input gradient), within four roundings of each term in the
 eval-mode output, and to rounding everywhere else.
 
 `slice_cols`, `bounded_softplus` and the three-input `gaussian_nll` are the
@@ -40,7 +46,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from cgnp.autodiff import BN_EPS, BN_MOMENTUM, BatchNormState, Tensor, _accumulate, _as_tensor, nll_terms
+from cgnp.autodiff import (
+    BN_EPS,
+    BN_MOMENTUM,
+    BatchNormState,
+    Tensor,
+    _accumulate,
+    _as_tensor,
+    _block_sums,
+    nll_terms,
+)
 
 
 def topo_order(root: Tensor) -> list[Tensor]:
@@ -69,6 +84,66 @@ def reference_backward(out: Tensor, g=None) -> None:
     for node in reversed(topo_order(out)):
         if node._vjp is not None:
             node._vjp(node.grad)
+
+
+def relu(x) -> Tensor:
+    x = _as_tensor(x)
+
+    def vjp(g):
+        # subgradient at exactly 0 is 0 (deterministic tie-break)
+        _accumulate(x, g * (x.value > 0.0))
+
+    return Tensor(np.maximum(x.value, 0.0), (x,), vjp)
+
+
+def batch_norm(x, state: BatchNormState, train: bool) -> Tensor:
+    """Normalize each feature column, then scale/shift by gamma/beta.
+
+    Train mode uses batch statistics over the rows (and updates the running
+    statistics); eval mode uses the running statistics, folded into one
+    scale ``s = gamma * inv_std`` and one shift ``beta - running_mean * s``.
+    The backward rule is exact through the batch statistics in train mode.
+    """
+    x = _as_tensor(x)
+    n, d = x.value.shape
+    if d != state.width:
+        raise ValueError(f"batch norm width mismatch: input {d}, state {state.width}")
+    gamma, beta = state.gamma, state.beta
+
+    if train:
+        if n < 2:
+            raise ValueError(f"batch norm needs at least 2 rows in train mode, got {n}")
+        mean = _block_sums(x.value) / n
+        centred = x.value - mean
+        var = _block_sums(centred * centred) / n  # biased
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = centred * inv_std
+        value = gamma.value * xhat + beta.value
+        m = BN_MOMENTUM
+        state.running_mean[...] = m * state.running_mean + (1.0 - m) * mean
+        state.running_var[...] = m * state.running_var + (1.0 - m) * var
+
+        def vjp(g):
+            # gamma is constant per column, so the sums of g and g * xhat
+            # serve beta, gamma and x alike
+            gsum, gxhat = _block_sums(g), _block_sums(g * xhat)
+            _accumulate(beta, gsum)
+            _accumulate(gamma, gxhat)
+            _accumulate(x, (gamma.value * inv_std / n) * (n * g - gsum - xhat * gxhat))
+
+    else:
+        inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
+        mean = state.running_mean.copy()  # a later train-mode call updates the state in place
+        scale = gamma.value * inv_std
+        value = x.value * scale
+        value += beta.value - mean * scale
+
+        def vjp(g):
+            _accumulate(beta, _block_sums(g))
+            _accumulate(gamma, _block_sums(g * ((x.value - mean) * inv_std)))
+            _accumulate(x, g * scale)
+
+    return Tensor(value, (x, gamma, beta), vjp)
 
 
 def reference_batch_norm(x, state: BatchNormState, train: bool) -> Tensor:

@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from cgnp.autodiff import (
     BN_EPS,
+    BatchNormState,
     Parameter,
     Tensor,
     affine,
     backward,
-    batch_norm,
+    block,
     block_mean,
     concat_cols,
     gaussian_head,
     gaussian_nll,
     neighbor_mean,
-    relu,
     repeat_rows,
     _block_sums,
 )
@@ -26,11 +26,13 @@ import autodiff_oracle
 from autodiff_oracle import (
     add,
     add_rowvec,
+    batch_norm,
     bounded_softplus,
     matmul,
     neighbor_mix,
     reference_backward,
     reference_batch_norm,
+    relu,
     row_scale,
     slice_cols,
 )
@@ -283,6 +285,85 @@ def test_batch_norm_matches_the_mean_var_oracle(seed, n, d, constant_column, tra
 
 
 # ---------------------------------------------------------------------------
+# block: a whole hidden layer as one op
+# ---------------------------------------------------------------------------
+
+
+def layer_inputs(rng, n, d_in, d_out):
+    """Values of x, w, b, gamma, beta and the two running statistics of one
+    layer, drawn so that every part of the rules is exercised."""
+    return (rng.standard_normal((n, d_in)) * 2.0, rng.standard_normal((d_in, d_out)),
+            rng.standard_normal((1, d_out)), rng.uniform(0.5, 2.0, (1, d_out)), rng.standard_normal((1, d_out)),
+            rng.standard_normal((1, d_out)), rng.uniform(0.5, 2.0, (1, d_out)))
+
+
+def layer_leaves(values):
+    """Fresh parameters x, w, b and a batch-norm state of their own from
+    `layer_inputs` values."""
+    x, w, b, gamma, beta, running_mean, running_var = (v.copy() for v in values)
+    state = BatchNormState(Parameter("gamma", gamma), Parameter("beta", beta), running_mean, running_var)
+    return Parameter("x", x), Parameter("w", w), Parameter("b", b), state
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 9), st.integers(1, 9), st.booleans(),
+       st.booleans(), st.booleans())
+@example(seed=0, n=2, d_in=1, d_out=1, train=True, with_relu=True, taped_x=True)
+@example(seed=1, n=64, d_in=3, d_out=8, train=False, with_relu=False, taped_x=False)
+def test_block_equals_relu_of_batch_norm_of_affine_bit_for_bit(seed, n, d_in, d_out, train, with_relu, taped_x):
+    rng = np.random.default_rng(seed)
+    values = layer_inputs(rng, n, d_in, d_out)
+    g = rng.standard_normal((n, d_out))
+    x, w, b, state = layer_leaves(values)
+    ref_x, ref_w, ref_b, ref_state = layer_leaves(values)
+    out = block(x if taped_x else x.value, w, b, state, train, relu=with_relu)
+    ref = batch_norm(affine(ref_x, ref_w, ref_b), ref_state, train)
+    ref = relu(ref) if with_relu else ref
+    # one taped node; a raw-array x is a constant, no node of the tape
+    assert out._parents == ((x,) if taped_x else ()) + (w, b, state.gamma, state.beta)
+    assert np.array_equal(out.value, ref.value)
+    assert np.array_equal(state.running_mean, ref_state.running_mean)
+    assert np.array_equal(state.running_var, ref_state.running_var)
+    reference_backward(out, g)
+    reference_backward(ref, g)
+    pairs = [(w, ref_w), (b, ref_b), (state.gamma, ref_state.gamma), (state.beta, ref_state.beta)]
+    for p, q in pairs + ([(x, ref_x)] if taped_x else []):
+        assert np.array_equal(p.grad, q.grad), p.name
+    if not taped_x:
+        assert np.array_equal(x.grad, np.zeros((n, d_in)))  # the constant got no gradient
+
+
+def test_fd_block():
+    rng = np.random.default_rng(22)
+    x, w, b, state = layer_leaves(layer_inputs(rng, 7, 3, 4))
+    for train in (True, False):
+        pre = block(x, w, b, state, train, relu=False).value
+        # away from the kink, so the stencil never crosses it, and on both sides of it
+        assert np.abs(pre).min() > 0.05 and (pre < 0.0).any() and (pre > 0.0).any()
+        for with_relu in (True, False):
+            fd_case(lambda: block(x, w, b, state, train, relu=with_relu), [x, w, b, state.gamma, state.beta],
+                    seed=23)
+
+
+@pytest.mark.parametrize(
+    "x_shape, w_shape, b_shape, width, match",
+    [
+        ((3, 2), (3, 4), (1, 4), 4, r"matmul dimension mismatch: \(3, 2\) @ \(3, 4\)"),
+        ((3, 2), (2, 4), (1, 3), 4, r"row vector shape \(1, 3\) does not match \(3, 4\)"),
+        ((3, 2), (2, 4), (1, 4), 5, "batch norm width mismatch: input 4, state 5"),
+        ((1, 2), (2, 4), (1, 4), 4, "batch norm needs at least 2 rows in train mode, got 1"),
+    ],
+    ids=["matmul", "bias-row", "bn-width", "one-row"],
+)
+def test_block_rejects_mismatched_shapes(x_shape, w_shape, b_shape, width, match):
+    args = Tensor(np.ones(x_shape)), Parameter("w", np.ones(w_shape)), Parameter("b", np.zeros(b_shape))
+    with pytest.raises(ValueError, match=match):
+        block(*args, bn_state("bn", width), train=True)
+    if x_shape[0] == 1:  # eval mode normalizes a single row
+        assert block(*args, bn_state("bn", width), train=False).shape == (1, 4)
+
+
+# ---------------------------------------------------------------------------
 # gaussian nll
 # ---------------------------------------------------------------------------
 
@@ -409,10 +490,10 @@ def test_backward_waits_for_a_consumer_reached_through_a_later_longer_chain():
 
 def test_ops_are_deterministic():
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((6, 4))
-    state1, state2 = bn_state("a", 4), bn_state("b", 4)
-    a = batch_norm(relu(Tensor(x)), state1, train=True).value
-    b = batch_norm(relu(Tensor(x)), state2, train=True).value
+    x, w, bias = rng.standard_normal((6, 4)), Tensor(rng.standard_normal((4, 3))), Tensor(np.zeros((1, 3)))
+    state1, state2 = bn_state("a", 3), bn_state("b", 3)
+    a = block(x, w, bias, state1, train=True).value
+    b = block(x, w, bias, state2, train=True).value
     assert np.array_equal(a, b)
 
 
@@ -636,8 +717,9 @@ def test_intermediate_gradients_are_allocated_on_first_use():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_random_composed_networks(seed):
-    """Random affine/bn/relu/softplus stacks up to depth 5, the last layer
-    two wide and scored as a Gaussian head, against the oracle."""
+    """Random affine/relu/softplus stacks and affine + batch norm blocks up
+    to depth 5, the last layer two wide and scored as a Gaussian head,
+    against the oracle."""
     rng = np.random.default_rng(100 + seed)
     depth = seed % 5 + 1
     widths = [3] + [int(rng.integers(2, 6)) for _ in range(depth - 1)] + [2]
@@ -660,13 +742,12 @@ def test_fd_random_composed_networks(seed):
     def build_loss():
         h = Tensor(x0)
         for w, b, kind, state in layers:
-            h = affine(h, w, b)
-            if kind == "relu":
-                h = relu(h)
-            elif kind == "softplus":
-                h = bounded_softplus(h)
+            if kind == "bn":
+                h = block(h, w, b, state, train=True, relu=False)
+            elif kind == "relu":
+                h = relu(affine(h, w, b))
             else:
-                h = batch_norm(h, state, train=True)
+                h = bounded_softplus(affine(h, w, b))
         return gaussian_nll(y, h)
 
     loss_fn = lambda: float(build_loss().value[0, 0])

@@ -3,12 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgnp.autodiff import Parameter, Tensor, backward, block_mean
+from cgnp.autodiff import Parameter, Tensor, affine, backward, block_mean
 from cgnp.graph import bipartite_conv, radius_neighborhood
 
 from autodiff_oracle import add, matmul
 from graph_oracle import brute_force_neighbors, edge_list_conv, output_major_neighborhood
 from helpers import assert_grads_match, zero_grads
+
+
+def conv_layer(nbhd, feats, w, bias, self_feats=()):
+    """A convolution layer before its batch norm: the message mean of
+    `bipartite_conv` mapped by the layer's weight and bias."""
+    return affine(bipartite_conv(nbhd, feats, self_feats), w, bias)
 
 
 def neighbor_lists(mask):
@@ -141,7 +147,7 @@ def test_batched_mask_keeps_episodes_disconnected():
     assert nbhd.mask.shape == (2, 2, 2) and nbhd.mask.sum() == 8  # two complete 2x2 blocks
     feats = Tensor([[1.0], [2.0], [10.0], [20.0]])
     w, bias = conv_weights([[1.0], [0.0]])
-    out = bipartite_conv(nbhd, feats, w, bias)
+    out = conv_layer(nbhd, feats, w, bias)
     np.testing.assert_allclose(out.value, [[1.5], [1.5], [15.0], [15.0]])
 
 
@@ -155,9 +161,9 @@ def test_zero_radius_output_ignores_relative_position_weights():
     feats = Tensor(rng.standard_normal((5, 3)))
     w = rng.standard_normal((4, 2))
     bias = Parameter("bias", rng.standard_normal((1, 2)))
-    base = bipartite_conv(nbhd, feats, Parameter("w", w.copy()), bias)
+    base = conv_layer(nbhd, feats, Parameter("w", w.copy()), bias)
     w[-1, :] = 1e6  # arbitrary change to the delta row
-    changed = bipartite_conv(nbhd, feats, Parameter("w", w), bias)
+    changed = conv_layer(nbhd, feats, Parameter("w", w), bias)
     np.testing.assert_array_equal(base.value, changed.value)
 
 
@@ -178,7 +184,7 @@ def conv(coords_in, coords_out, radius, feats, self_feats, weights):
     """The dense conv on one episode, building the neighborhood from the
     coordinates; self_feats is a tuple of blocks, empty for no self term."""
     w, bias = weights
-    return bipartite_conv(radius_neighborhood(coords_in, coords_out, radius), feats, w, bias, self_feats)
+    return conv_layer(radius_neighborhood(coords_in, coords_out, radius), feats, w, bias, self_feats)
 
 
 def test_conv_hand_example():
@@ -260,7 +266,7 @@ def test_conv_gradients_match_finite_differences():
     right = Tensor(rng.standard_normal((2, 1)))
 
     def build_loss():
-        out = bipartite_conv(nbhd, feats, w, bias, self_feats)
+        out = conv_layer(nbhd, feats, w, bias, self_feats)
         return matmul(matmul(left, out), right)
 
     leaves = [feats, *self_feats, w, bias]
@@ -282,7 +288,7 @@ def test_conv_self_features_as_blocks_or_one_block_are_bit_identical():
     results = []
     for self_feats in (tuple(blocks), (whole,)):
         zero_grads([feats, w, bias, *self_feats])
-        out = bipartite_conv(nbhd, feats, w, bias, self_feats)
+        out = conv_layer(nbhd, feats, w, bias, self_feats)
         backward(matmul(matmul(left, out), right))
         results.append((out.value.copy(), feats.grad.copy(), w.grad.copy(), bias.grad.copy(),
                         np.concatenate([b.grad for b in self_feats], axis=1)))
@@ -329,9 +335,9 @@ def test_dense_conv_matches_edge_list_oracle(radius, with_self):
         nbhd = radius_neighborhood(ci, co, radius)
         if not with_self and not nbhd.mask.sum(axis=2).all():
             with pytest.raises(ValueError, match="isolated"):
-                bipartite_conv(nbhd, feats, w, bias)
+                conv_layer(nbhd, feats, w, bias)
             continue
-        dense = bipartite_conv(nbhd, feats, w, bias, selves)
+        dense = conv_layer(nbhd, feats, w, bias, selves)
         dense_grads = gradients(matmul(matmul(Tensor(left), dense), right), [feats, w, bias, *selves])
 
         blocks, loss = [], None

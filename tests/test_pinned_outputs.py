@@ -5,7 +5,8 @@
 compared against sha256 digests taken once, and the `cgnp eval` record
 against its text, so a refactor of the episode, training, evaluation or
 plotting path that changes a single byte fails here (two runs merely
-agreeing with each other is checked elsewhere). The train digests pin the
+agreeing with each other is checked elsewhere). `generate`, `train` and
+`compare` must write those bytes at one and at two OpenBLAS threads. The train digests pin the
 checkpoint layout and every initial weight draw as well. Re-pin only
 together with a note of why the bytes changed.
 
@@ -86,6 +87,8 @@ COMPARE = {
     "table_seeds.csv": "f610b58f05323c0f9162dae0c31a5011a8851944c8f00dcfaa6a992cdc2b77da",
 }
 TRAIN = ["train.batches=20", "train.batch_size=8", "train.eval_every=0", "seed.init=2"]
+COMPARE_ARGS = ["--seeds", "2", "train.batches=30", "train.batch_size=8", "train.eval_every=10",
+                "data.test_episodes=5"]
 
 
 def sha256(path) -> str:
@@ -115,19 +118,37 @@ def test_generate_values_are_those_of_the_pinned_decimal_files(tmp_path, seed):
         assert np.array_equal(got.index, want.index)
 
 
-def test_generate_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+def cli_at_blas_threads(threads: str, *argv: str) -> None:
+    """`cgnp *argv` in a child interpreter that runs OpenBLAS on `threads` threads."""
     src = str(Path(cgnp.__file__).resolve().parents[1])  # the child imports the package under test
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
+    subprocess.run([sys.executable, "-m", "cgnp", *argv], env=env, check=True, capture_output=True, timeout=300)
+
+
+def test_generate_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
     digests = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.jsonl"
-        env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
-        subprocess.run(
-            [sys.executable, "-m", "cgnp", "generate", "--out", str(out), "data.test_episodes=40", "seed.master=0"],
-            env=env, check=True, capture_output=True, timeout=120,
-        )
+        cli_at_blas_threads(threads, "generate", "--out", str(out), "data.test_episodes=40", "seed.master=0")
         digests.append(sha256(out))
     assert digests == [GENERATE[0], GENERATE[0]]
+
+
+@pytest.mark.parametrize("kind", sorted(TRAIN_OUTPUTS))
+def test_train_writes_the_pinned_bytes_at_one_and_two_blas_threads(tmp_path, kind):
+    for threads in ("1", "2"):
+        run = tmp_path / f"threads{threads}"
+        cli_at_blas_threads(threads, "train", "--out-dir", str(run), f"model.kind={kind}", *TRAIN)
+        assert {path.name: sha256(path) for path in run.iterdir()} == TRAIN_OUTPUTS[kind], threads
+
+
+def test_compare_writes_the_pinned_bytes_at_one_and_two_blas_threads(tmp_path):
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        cli_at_blas_threads(threads, "compare", "--out", str(out / "table.csv"), *COMPARE_ARGS)
+        assert {name: sha256(out / name) for name in COMPARE} == COMPARE, threads
 
 
 @pytest.mark.parametrize("kind", sorted(TRAIN_OUTPUTS))
@@ -154,7 +175,5 @@ def test_plot_and_eval_outputs_match_pinned_digests(tmp_path, capsys, kind):
 
 
 def test_compare_tables_match_pinned_digests(tmp_path):
-    argv = ["compare", "--seeds", "2", "--out", str(tmp_path / "table.csv"), "train.batches=30",
-            "train.batch_size=8", "train.eval_every=10", "data.test_episodes=5"]
-    assert main(argv) == 0
+    assert main(["compare", "--out", str(tmp_path / "table.csv"), *COMPARE_ARGS]) == 0
     assert {name: sha256(tmp_path / name) for name in COMPARE} == COMPARE
