@@ -13,7 +13,9 @@ scale/shift) have shape ``(1, d)``.
 A raw array, not a ``Tensor``, given as an input of ``affine``, ``block``,
 ``concat_cols`` or ``neighbor_mean`` is a constant: it is no node of the
 tape, and no gradient is computed for it or accumulated into it. The
-models pass their episode data so.
+models pass their episode data so. ``concat_cols`` and ``neighbor_mean``
+of constants alone return their value, a constant too, so that no op of
+the tape lacks a ``Tensor`` input.
 
 Every sum over rows (bias and batch-norm gradients, batch statistics, the
 per-episode pool and its backward) goes through ``_block_sums``: one
@@ -133,6 +135,12 @@ def _as_tensor(x) -> Tensor:
 def _value(x) -> np.ndarray:
     """An op input's value; a raw array is a constant, checked as a Tensor's value is."""
     return _as_tensor(x).value
+
+
+def _op(value: np.ndarray, inputs, vjp):
+    """An op's output: a node of the tape, or, when no input is a Tensor,
+    the value alone, a constant."""
+    return Tensor(value, inputs, vjp) if any(isinstance(t, Tensor) for t in inputs) else value
 
 
 def _accumulate(t, g: np.ndarray) -> None:
@@ -339,9 +347,9 @@ def gaussian_nll(y: np.ndarray, head) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def concat_cols(*blocks) -> Tensor:
-    """The blocks side by side, left to right, as one op; every block has
-    the same number of rows."""
+def concat_cols(*blocks) -> Tensor | np.ndarray:
+    """The blocks side by side, left to right, as one op (a constant array
+    if every block is one); every block has the same number of rows."""
     values = [_value(t) for t in blocks]
     if any(v.shape[0] != values[0].shape[0] for v in values):
         raise ValueError(f"concat_cols row mismatch: {' vs '.join(str(v.shape) for v in values)}")
@@ -352,7 +360,7 @@ def concat_cols(*blocks) -> Tensor:
             _accumulate(t, g[:, start:start + v.shape[1]])
             start += v.shape[1]
 
-    return Tensor(np.concatenate(values, axis=1), blocks, vjp)
+    return _op(np.concatenate(values, axis=1), blocks, vjp)
 
 
 def block_mean(x, blocks: int) -> Tensor:
@@ -384,12 +392,13 @@ def repeat_rows(x, times: int) -> Tensor:
     return Tensor(np.repeat(x.value, times, axis=0), (x,), vjp)
 
 
-def neighbor_mean(x, mask, rel, count, self_feats=()) -> Tensor:
+def neighbor_mean(x, mask, rel, count, self_feats=()) -> Tensor | np.ndarray:
     """The mean of each output node's message inputs, as one op: x holds B
     blocks of N_in rows, mask has shape (B, N_out, N_in), and row o of
     block b is concat(mask[b] @ x_b, rel, *self_feats) / count, row by
-    row. mask, rel and count are constants; backward sends mask[b]^T @ g_b
-    of the scaled gradient's first columns to x and each self block its own."""
+    row. mask, rel and count are constants, and so is the result (an array)
+    if x and every self block are; backward sends mask[b]^T @ g_b of the
+    scaled gradient's first columns to x and each self block its own."""
     xv, self_values = _value(x), [_value(t) for t in self_feats]
     mask, rel = np.asarray(mask, dtype=np.float64), np.asarray(rel, dtype=np.float64)
     if mask.ndim != 3:
@@ -417,4 +426,4 @@ def neighbor_mean(x, mask, rel, count, self_feats=()) -> Tensor:
             _accumulate(t, g[:, start:start + v.shape[1]])
             start += v.shape[1]
 
-    return Tensor(value, (x, *self_feats), vjp)
+    return _op(value, (x, *self_feats), vjp)

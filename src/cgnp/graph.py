@@ -71,13 +71,14 @@ def radius_neighborhood(coords_in, coords_out, radius: float) -> Neighborhood:
     return Neighborhood(mask.transpose(0, 2, 1), rel, _block_sums(mask.reshape(b * n_in, n_out), b).ravel())
 
 
-def bipartite_conv(nbhd: Neighborhood, feats_in, self_feats=()) -> Tensor:
+def bipartite_conv(nbhd: Neighborhood, feats_in, self_feats=()) -> Tensor | np.ndarray:
     """The input of a convolution layer, whose one weight, w_nbr with
     w_self stacked under it, and bias map it to the mean over
     {w_nbr @ concat(f_i, x_i - x_o) + bias} for i in the neighborhood of o,
     union {w_self @ concat(*self_feats)[o] + bias} when ``self_feats`` holds
     the output nodes' own feature blocks. Gradients flow to the input and
-    self features that are Tensors.
+    self features that are Tensors; with none, the result is a constant
+    array.
 
     Feature rows are stacked episode by episode (B * N_in input rows,
     B * N_out output rows).

@@ -11,14 +11,22 @@ Evaluation reports the NLL under two normalizations (per target point and
 per episode) plus the MSE of the predictive mean, all over target points
 only; it takes an episode set as shape buckets (`gp.bucket_episodes`),
 runs the tapeless (`autodiff.no_grad`) encoder and pool once per bucket and
-the decoder once per chunk of a bucket, and adds each chunk's NLL and
-squared-error sums to running totals as soon as it is computed.
+the decoder once per chunk of a bucket. The buckets are independent, so the
+caller and helper threads on the process's other cores score them, and the
+chunks' NLL and squared-error sums are added up afterwards in bucket order,
+then chunk order: the metrics do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import os
+import queue
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +54,9 @@ __all__ = [
 
 # Target rows per decoder pass in evaluation: large enough to amortise the
 # per-op overhead, small enough to keep each op's arrays in cache and off
-# the peak resident set. It also fixes the summation order of the metrics.
+# the peak resident set. It also fixes the summation order of the metrics,
+# and an evaluation takes a helper thread per EVAL_CHUNK_ROWS target rows
+# at most, since a smaller share costs more to hand over than it saves.
 EVAL_CHUNK_ROWS = 4096
 
 # Batches averaged at each end of a loss curve by `loss_drop`.
@@ -215,18 +225,75 @@ def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
     return run.store, run.report
 
 
+def _bucket_sums(store: ParameterStore, cfg: ModelConfig, batch: EpisodeBatch) -> list[tuple[float, float, int]]:
+    """(NLL sum, squared-error sum, target count) of each decoder chunk of
+    one shape bucket, in chunk order: the encoder and the pool run once,
+    the decoder over chunks of at most EVAL_CHUNK_ROWS target rows (at
+    least one episode)."""
+    h, r = encode(batch.x_c, batch.y_c, store, cfg, train=False)
+    n_c, step = batch.n_context, max(1, EVAL_CHUNK_ROWS // batch.n_target)
+    sums = []
+    for start in range(0, len(batch), step):
+        rows = slice(start, start + step)
+        h_rows = h.value[start * n_c:(start + step) * n_c]
+        out = decode(batch.x_c[rows], h_rows, r.value[rows], batch.x_t[rows], store, cfg, train=False)
+        mu, sigma = gaussian_head(out.value)
+        y = batch.y_t[rows].reshape(-1, 1)
+        sums.append((float(nll_terms(y, mu, sigma).sum()), float(((y - mu) ** 2).sum()), y.size))
+    return sums
+
+
+def _each_bucket(score, batches: list) -> list:
+    """``[score(batch) for batch in batches]``, scored by the caller and up
+    to one helper thread per other usable core, but no more threads than
+    buckets or than EVAL_CHUNK_ROWS chunks of target rows. All take buckets
+    from one queue; each helper runs in its own copy of the caller's
+    context, so `no_grad` and `np.errstate` hold there too. An error in any
+    bucket empties the queue, so the others stop after their current
+    bucket, and is raised here."""
+    rows = sum(batch.y_t.size for batch in batches)
+    helpers = min(len(batches), len(os.sched_getaffinity(0)), rows // EVAL_CHUNK_ROWS) - 1
+    todo = queue.SimpleQueue()
+    for k in range(len(batches)):
+        todo.put(k)
+    results = [None] * len(batches)
+
+    def drain():
+        try:
+            while True:
+                k = todo.get_nowait()
+                results[k] = score(batches[k])
+        except queue.Empty:
+            return
+        except BaseException:
+            with contextlib.suppress(queue.Empty):
+                while True:
+                    todo.get_nowait()  # the other threads stop after their current bucket
+            raise
+
+    if helpers < 1:
+        drain()
+        return results
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(helpers)]
+        drain()
+        for future in futures:
+            future.result()  # re-raises a helper's error
+    return results
+
+
 @no_grad()
 def evaluate(store: ParameterStore, cfg: ModelConfig, batches) -> Metrics:
     """Eval-mode metrics of a frozen store over a non-empty episode set,
     given as shape buckets.
 
-    The encoder and the pool run once per bucket; the decoder runs over
-    chunks of at most EVAL_CHUNK_ROWS target rows (at least one episode).
-    Eval-mode batch norm is row-wise, so predictions equal per-episode
-    forwards up to rounding. The forwards build no tape, so each op's
-    intermediates are freed as soon as the next op has used them. Each
-    chunk's NLL and squared-error sums go straight into the totals, so
-    metrics equal per-episode scoring up to summation order.
+    Each bucket is one `_bucket_sums`, scored on the caller's thread or a
+    helper's (`_each_bucket`). Eval-mode batch norm is row-wise, so
+    predictions equal per-episode forwards up to rounding. The forwards
+    build no tape, so each op's intermediates are freed as soon as the
+    next op has used them. The chunk sums go into the totals in bucket
+    order, then chunk order, so the metrics have the same bits at any
+    thread count and equal per-episode scoring up to summation order.
     """
     batches = list(batches)
     episodes = sum(len(batch) for batch in batches)
@@ -234,18 +301,11 @@ def evaluate(store: ParameterStore, cfg: ModelConfig, batches) -> Metrics:
         raise ValueError("need at least one episode to evaluate")
     total_nll = total_sq = 0.0
     total_points = 0
-    for batch in batches:
-        h, r = encode(batch.x_c, batch.y_c, store, cfg, train=False)
-        n_c, step = batch.n_context, max(1, EVAL_CHUNK_ROWS // batch.n_target)
-        for start in range(0, len(batch), step):
-            rows = slice(start, start + step)
-            h_rows = h.value[start * n_c:(start + step) * n_c]
-            out = decode(batch.x_c[rows], h_rows, r.value[rows], batch.x_t[rows], store, cfg, train=False)
-            mu, sigma = gaussian_head(out.value)
-            y = batch.y_t[rows].reshape(-1, 1)
-            total_nll += float(nll_terms(y, mu, sigma).sum())
-            total_sq += float(((y - mu) ** 2).sum())
-            total_points += y.size
+    for sums in _each_bucket(partial(_bucket_sums, store, cfg), batches):
+        for nll, sq, points in sums:
+            total_nll += nll
+            total_sq += sq
+            total_points += points
     return Metrics(
         nll_per_point=total_nll / total_points,
         nll_per_episode=total_nll / episodes,

@@ -642,6 +642,16 @@ def test_neighbor_mean_values():
     )
 
 
+def test_an_op_of_constants_alone_is_a_constant():
+    x, mask, rel, count = np.array([[1.0], [3.0]]), np.ones((1, 2, 2)), np.zeros((2, 1)), np.full(2, 2.0)
+    out = neighbor_mean(x, mask, rel, count)
+    assert type(out) is np.ndarray and np.array_equal(out, [[2.0, 0.0], [2.0, 0.0]])
+    assert type(concat_cols(x, x)) is np.ndarray and np.array_equal(concat_cols(x, x), np.hstack([x, x]))
+    own = Tensor([[5.0], [7.0]])  # one Tensor input makes a node of the tape
+    assert isinstance(neighbor_mean(x, mask, rel, count, (own,)), Tensor)
+    assert isinstance(concat_cols(x, own), Tensor)
+
+
 NEIGHBOR_MEAN_ROWS = "row mismatch: 6 rows of rel, self features and count expected"
 
 

@@ -6,7 +6,9 @@ compared against sha256 digests taken once, and the `cgnp eval` record
 against its text, so a refactor of the episode, training, evaluation or
 plotting path that changes a single byte fails here (two runs merely
 agreeing with each other is checked elsewhere). `generate`, `train` and
-`compare` must write those bytes at one and at two OpenBLAS threads. The train digests pin the
+`compare` must write those bytes at one and at two OpenBLAS threads, and
+`train`, `eval` and `compare` on one core and on all of them, as evaluation
+scores shape buckets on a thread per core. The train digests pin the
 checkpoint layout and every initial weight draw as well. Re-pin only
 together with a note of why the bytes changed.
 
@@ -118,12 +120,24 @@ def test_generate_values_are_those_of_the_pinned_decimal_files(tmp_path, seed):
         assert np.array_equal(got.index, want.index)
 
 
-def cli_at_blas_threads(threads: str, *argv: str) -> None:
-    """`cgnp *argv` in a child interpreter that runs OpenBLAS on `threads` threads."""
+def child_cli(*argv: str, blas_threads: str | None = None, one_core: bool = False) -> str:
+    """The standard output of `cgnp *argv` in a child interpreter that runs
+    OpenBLAS on `blas_threads` threads if given, and that first pins itself
+    to one of its cores if `one_core` (evaluation then takes no helper thread)."""
     src = str(Path(cgnp.__file__).resolve().parents[1])  # the child imports the package under test
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
-    subprocess.run([sys.executable, "-m", "cgnp", *argv], env=env, check=True, capture_output=True, timeout=300)
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " if one_core else ""
+    code = f"import os, sys; {pin}from cgnp.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, capture_output=True,
+                          text=True, timeout=300).stdout
+
+
+def cli_at_blas_threads(threads: str, *argv: str) -> None:
+    """`cgnp *argv` in a child interpreter that runs OpenBLAS on `threads` threads."""
+    child_cli(*argv, blas_threads=threads)
 
 
 def test_generate_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
@@ -149,6 +163,32 @@ def test_compare_writes_the_pinned_bytes_at_one_and_two_blas_threads(tmp_path):
         out.mkdir()
         cli_at_blas_threads(threads, "compare", "--out", str(out / "table.csv"), *COMPARE_ARGS)
         assert {name: sha256(out / name) for name in COMPARE} == COMPARE, threads
+
+
+@pytest.mark.parametrize("kind", sorted(TRAIN_OUTPUTS))
+def test_train_and_eval_write_the_pins_on_one_core_and_on_all_cores(tmp_path, kind):
+    # evaluation scores shape buckets on helper threads, one per other core:
+    # the 64-episode held-out set of `train` and the 40-episode file of `eval`
+    # engage one on two cores and none on one
+    data = tmp_path / "test.jsonl"
+    generate(data, 7)
+    for one_core in (True, False):
+        run = tmp_path / f"one_core{one_core}"
+        child_cli("train", "--out-dir", str(run), f"model.kind={kind}", *TRAIN, one_core=one_core)
+        assert {path.name: sha256(path) for path in run.iterdir()} == TRAIN_OUTPUTS[kind], one_core
+        out = child_cli("eval", "--checkpoint", str(run / "checkpoint.json"), "--data", str(data),
+                        "--out", str(tmp_path / f"m{one_core}.csv"), one_core=one_core)
+        assert out.splitlines()[0] == PLOT_AND_EVAL[kind][1], one_core
+
+
+def test_compare_writes_the_pins_on_one_core_and_on_all_cores(tmp_path):
+    # its 5-episode test set is under two chunks of target rows, so the size
+    # rule keeps its scoring on the caller alone at any core count
+    for one_core in (True, False):
+        out = tmp_path / f"one_core{one_core}"
+        out.mkdir()
+        child_cli("compare", "--out", str(out / "table.csv"), *COMPARE_ARGS, one_core=one_core)
+        assert {name: sha256(out / name) for name in COMPARE} == COMPARE, one_core
 
 
 @pytest.mark.parametrize("kind", sorted(TRAIN_OUTPUTS))

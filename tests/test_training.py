@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +32,7 @@ from cgnp.training import (
 from autodiff_oracle import reference_backward, topo_order
 from compare_oracle import sequential_compare
 from helpers import episode, predict
-from metrics_oracle import prediction_metrics
+from metrics_oracle import prediction_metrics, sequential_evaluate
 
 KERNEL = EqKernelSpec()
 FIELDS = ("x_c", "y_c", "x_t", "y_t", "index")
@@ -114,7 +116,7 @@ def test_trained_parameters_stay_in_the_packed_buffers():
 
 @pytest.mark.parametrize(
     "cfg, nodes, ops",
-    [(ModelConfig(kind="cnp"), 27, 9), (ModelConfig(kind="cgnp", radius=0.7), 30, 12)],
+    [(ModelConfig(kind="cnp"), 27, 9), (ModelConfig(kind="cgnp", radius=0.7), 29, 11)],
     ids=["cnp", "cgnp"],
 )
 def test_training_step_tape_size_budget(cfg, nodes, ops):
@@ -131,9 +133,12 @@ def test_no_data_leaf_of_a_training_step_holds_a_gradient(cfg):
     store = init_params(cfg)
     loss = batch_loss(make_train_batch(ProtocolConfig(), KERNEL, 0), store, cfg)
     backward(loss)
-    leaves = [node for node in topo_order(loss) if node._vjp is None]
+    order = topo_order(loss)
+    leaves = [node for node in order if node._vjp is None]
     assert {id(p) for p in leaves if isinstance(p, Parameter)} == {id(p) for p in store.parameters()}
     assert [node.shape for node in leaves if not isinstance(node, Parameter) and node.grad is not None] == []
+    # an op of constants alone is a constant too, no op node without Tensor parents
+    assert [node.shape for node in order if node._vjp is not None and not node._parents] == []
 
 
 @pytest.mark.parametrize(
@@ -355,7 +360,8 @@ def test_evaluate_builds_no_tape_and_leaves_taping_on_when_it_returns_or_raises(
 
 def test_evaluate_encodes_once_per_bucket_and_decodes_once_per_chunk(monkeypatch):
     # 20 target rows per chunk: 5 episodes of 9 targets go 2 to a chunk (3
-    # chunks), 4 of 25 one to a chunk (4), 3 of 2 all in one (1)
+    # chunks), 4 of 25 one to a chunk (4), 3 of 2 all in one (1). Buckets
+    # may be scored on several threads, so the order holds within a bucket.
     monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 20)
     rng = np.random.default_rng(12)
     episodes = []
@@ -363,23 +369,183 @@ def test_evaluate_encodes_once_per_bucket_and_decodes_once_per_chunk(monkeypatch
         for _ in range(count):
             xs, ys = rng.uniform(-2, 2, 4 + n_t), rng.standard_normal(4 + n_t)
             episodes.append(episode(xs[:4], ys[:4], xs[4:], ys[4:]))
-    calls = {"encode": [], "decode": []}
+    encoded, decoded = [], {}
+    real_encode, real_decode = training.encode, training.decode
 
-    def counting(half, seen):
-        def call(x_c, *args, **kwargs):
-            seen.append(x_c.shape)
-            return half(x_c, *args, **kwargs)
-        return call
+    def encode(x_c, *args, **kwargs):
+        encoded.append(x_c.shape)
+        return real_encode(x_c, *args, **kwargs)
 
-    for name, seen in calls.items():
-        monkeypatch.setattr(training, name, counting(getattr(training, name), seen))
+    def decode(x_c, h, r, x_t, *args, **kwargs):
+        decoded.setdefault(x_t.shape[1], []).append(x_c.shape)  # a bucket's chunks, by N_t
+        return real_decode(x_c, h, r, x_t, *args, **kwargs)
+
+    monkeypatch.setattr(training, "encode", encode)
+    monkeypatch.setattr(training, "decode", decode)
     for kind in ("cnp", "cgnp"):
         cfg = ModelConfig(kind=kind)
-        for seen in calls.values():
-            seen.clear()
+        encoded.clear()
+        decoded.clear()
         evaluate(init_params(cfg), cfg, bucket_episodes(episodes))
-        assert calls["encode"] == [(5, 4), (4, 4), (3, 4)]  # x_c of each whole bucket
-        assert calls["decode"] == [(2, 4), (2, 4), (1, 4)] + [(1, 4)] * 4 + [(3, 4)]  # x_c of each chunk
+        assert sorted(encoded) == [(3, 4), (4, 4), (5, 4)]  # x_c of each whole bucket, once
+        assert decoded == {9: [(2, 4), (2, 4), (1, 4)], 25: [(1, 4)] * 4, 2: [(3, 4)]}  # x_c of each chunk
+
+
+def ragged_buckets(count=23, seed=11):
+    """Episodes of several (N_c, N_t) shapes, interleaved, as shape buckets."""
+    rng = np.random.default_rng(seed)
+    episodes = []
+    for k in range(count):
+        n_c, n_t = 3 + k % 3, (2, 9, 25)[k % 4 % 3]
+        xs, ys = rng.uniform(-2, 2, n_c + n_t), rng.standard_normal(n_c + n_t)
+        episodes.append(episode(xs[:n_c], ys[:n_c], xs[n_c:], ys[n_c:]))
+    return bucket_episodes(episodes)
+
+
+def cores(monkeypatch, n):
+    """Make the process's usable cores appear to be n."""
+    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def spy_helpers(monkeypatch):
+    """The helper counts of the thread pools `evaluate` starts, in order."""
+    started, real = [], training.ThreadPoolExecutor
+
+    def pool(max_workers):
+        started.append(max_workers)
+        return real(max_workers)
+
+    monkeypatch.setattr(training, "ThreadPoolExecutor", pool)
+    return started
+
+
+@pytest.mark.parametrize("n_cores, helpers", [(1, []), (2, [1]), (4, [3])])
+@pytest.mark.parametrize("kind", ["cnp", "cgnp"])
+def test_evaluate_has_the_sequential_bits_at_any_core_count(monkeypatch, kind, n_cores, helpers):
+    monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 20)  # 9 buckets of 226 target rows in all
+    buckets = ragged_buckets()
+    cfg = ModelConfig(kind=kind, init_seed=4)
+    store = init_params(cfg)
+    rng = np.random.default_rng(5)
+    for state in store.bn.values():
+        state.running_mean[...] = rng.standard_normal(state.running_mean.shape) * 0.1
+        state.running_var[...] = rng.uniform(0.5, 2.0, state.running_var.shape)
+    want = sequential_evaluate(store, cfg, buckets)
+    cores(monkeypatch, n_cores)
+    started = spy_helpers(monkeypatch)
+    for _ in range(3):  # threads interleave differently from call to call
+        got = evaluate(store, cfg, buckets)
+        assert got.episode_count == want.episode_count == 23
+        for name in ("nll_per_point", "nll_per_episode", "mse"):
+            assert float.hex(getattr(got, name)) == float.hex(getattr(want, name)), name
+    assert started == helpers * 3
+
+
+def test_evaluate_takes_no_more_threads_than_buckets_or_chunks(monkeypatch):
+    cores(monkeypatch, 8)
+    started = spy_helpers(monkeypatch)
+    cfg = ModelConfig(kind="cnp")
+    store, buckets = init_params(cfg), ragged_buckets()  # 226 target rows in 9 buckets
+    for chunk_rows, helpers in ((227, []), (113, [1]), (75, [2]), (1, [7])):
+        monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", chunk_rows)
+        started.clear()
+        evaluate(store, cfg, buckets)
+        assert started == helpers, chunk_rows
+    started.clear()
+    evaluate(store, cfg, buckets[:3])  # 76 target rows
+    assert started == [2]
+
+
+def test_every_bucket_is_scored_once_with_more_threads_than_cores(monkeypatch):
+    monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 1)
+    cores(monkeypatch, 8)  # 7 helpers on any machine
+    started = spy_helpers(monkeypatch)
+    buckets = ragged_buckets(60, seed=3)
+    cfg = ModelConfig(kind="cnp")
+    store = init_params(cfg)
+    want = sequential_evaluate(store, cfg, buckets)
+    encoded, real_encode = [], training.encode
+
+    def encode(x_c, y_c, *args, **kwargs):
+        encoded.append(id(x_c))  # each bucket's own array; list.append is atomic
+        return real_encode(x_c, y_c, *args, **kwargs)
+
+    monkeypatch.setattr(training, "encode", encode)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for _ in range(5):
+            encoded.clear()
+            got = evaluate(store, cfg, buckets)
+            assert sorted(encoded) == sorted(id(b.x_c) for b in buckets)  # each bucket once
+            assert tuple(map(float.hex, (got.nll_per_point, got.mse))) == tuple(
+                map(float.hex, (want.nll_per_point, want.mse)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert started == [7] * 5
+
+
+def test_a_helper_thread_inherits_no_grad_and_errstate_and_its_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 10)
+    cores(monkeypatch, 2)
+    buckets = ragged_buckets()[:2]  # 26 target rows: one helper
+    barrier, seen = threading.Barrier(2, timeout=30), {}
+    real_decode = training.decode
+
+    def decode(*args, **kwargs):
+        if threading.get_ident() not in seen:  # each thread's first chunk waits for the other thread
+            barrier.wait()  # so the caller and the helper score one bucket each
+        out = real_decode(*args, **kwargs)
+        seen[threading.get_ident()] = (np.geterr()["over"], out._parents, out._vjp)
+        if threading.current_thread() is not threading.main_thread():
+            np.exp(np.full(1, 1000.0))  # overflows in the helper's bucket only
+        return out
+
+    monkeypatch.setattr(training, "decode", decode)
+    cfg = ModelConfig(kind="cgnp")
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            evaluate(init_params(cfg), cfg, buckets)
+    assert len(seen) == 2
+    assert all(record == ("raise", (), None) for record in seen.values())  # no tape on either thread
+    assert np.geterr()["over"] != "raise"
+
+
+def test_an_overflowing_bucket_raises_in_the_caller_under_errstate(monkeypatch):
+    monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 20)
+    cores(monkeypatch, 2)
+    buckets = ragged_buckets()
+    buckets[-1].y_t[...] = 1e200  # its squared errors overflow
+    cfg = ModelConfig(kind="cnp")
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            evaluate(init_params(cfg), cfg, buckets)
+
+
+@pytest.mark.parametrize("failing", [0, 4, 8])
+def test_a_failing_chunk_in_any_bucket_propagates_and_leaves_taping_on(monkeypatch, failing):
+    monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 20)
+    cores(monkeypatch, 4)
+    buckets = ragged_buckets()
+    scored, real_decode = [], training.decode
+
+    def decode(x_c, h, r, x_t, *args, **kwargs):
+        bucket = next(k for k, b in enumerate(buckets) if b.x_t.shape[1] == x_t.shape[1]
+                      and b.x_c.shape[1] == x_c.shape[1])
+        scored.append(bucket)
+        if bucket == failing:
+            raise RuntimeError(f"bucket {bucket} fails")
+        return real_decode(x_c, h, r, x_t, *args, **kwargs)
+
+    monkeypatch.setattr(training, "decode", decode)
+    cfg = ModelConfig(kind="cgnp")
+    store, threads = init_params(cfg), threading.active_count()
+    with pytest.raises(RuntimeError, match=f"bucket {failing} fails"):
+        evaluate(store, cfg, buckets)
+    assert scored.count(failing) == 1  # its first chunk raised
+    assert threading.active_count() == threads  # every helper has ended
+    loss = batch_loss(make_train_batch(ProtocolConfig(batch_size=8), KERNEL, 0), store, cfg)
+    assert loss._parents and loss._vjp is not None  # taping is on again
 
 
 # ---------------------------------------------------------------------------
