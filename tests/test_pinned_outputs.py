@@ -135,16 +135,11 @@ def child_cli(*argv: str, blas_threads: str | None = None, one_core: bool = Fals
                           text=True, timeout=300).stdout
 
 
-def cli_at_blas_threads(threads: str, *argv: str) -> None:
-    """`cgnp *argv` in a child interpreter that runs OpenBLAS on `threads` threads."""
-    child_cli(*argv, blas_threads=threads)
-
-
 def test_generate_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
     digests = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.jsonl"
-        cli_at_blas_threads(threads, "generate", "--out", str(out), "data.test_episodes=40", "seed.master=0")
+        child_cli("generate", "--out", str(out), "data.test_episodes=40", "seed.master=0", blas_threads=threads)
         digests.append(sha256(out))
     assert digests == [GENERATE[0], GENERATE[0]]
 
@@ -153,7 +148,7 @@ def test_generate_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
 def test_train_writes_the_pinned_bytes_at_one_and_two_blas_threads(tmp_path, kind):
     for threads in ("1", "2"):
         run = tmp_path / f"threads{threads}"
-        cli_at_blas_threads(threads, "train", "--out-dir", str(run), f"model.kind={kind}", *TRAIN)
+        child_cli("train", "--out-dir", str(run), f"model.kind={kind}", *TRAIN, blas_threads=threads)
         assert {path.name: sha256(path) for path in run.iterdir()} == TRAIN_OUTPUTS[kind], threads
 
 
@@ -161,7 +156,7 @@ def test_compare_writes_the_pinned_bytes_at_one_and_two_blas_threads(tmp_path):
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         out.mkdir()
-        cli_at_blas_threads(threads, "compare", "--out", str(out / "table.csv"), *COMPARE_ARGS)
+        child_cli("compare", "--out", str(out / "table.csv"), *COMPARE_ARGS, blas_threads=threads)
         assert {name: sha256(out / name) for name in COMPARE} == COMPARE, threads
 
 
