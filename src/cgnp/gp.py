@@ -191,17 +191,10 @@ def eq_kernel(x1, x2, spec: EqKernelSpec):
 
 def kernel_matrix(xs, spec: EqKernelSpec) -> np.ndarray:
     """Symmetric kernel matrix with spec.jitter added to the diagonal, one
-    (n, n) matrix per row of n points for xs of shape (..., n). It is built
-    in place in the one array of differences, from `eq_kernel`'s
-    expressions in their order, so it has their bits."""
+    (n, n) matrix per row of n points for xs of shape (..., n)."""
     xs = np.asarray(xs, dtype=np.float64)
-    k = xs[..., :, None] - xs[..., None, :]
-    np.square(k, out=k)
-    np.negative(k, out=k)
-    k /= 2.0 * spec.length_scale**2
-    np.exp(k, out=k)
-    k += spec.jitter * np.eye(xs.shape[-1])
-    return k
+    k = eq_kernel(xs[..., :, None], xs[..., None, :], spec)
+    return k + spec.jitter * np.eye(xs.shape[-1])
 
 
 def cholesky(k: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import os
-import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -54,10 +53,17 @@ __all__ = [
 
 # Target rows per decoder pass in evaluation: large enough to amortise the
 # per-op overhead, small enough to keep each op's arrays in cache and off
-# the peak resident set. It also fixes the summation order of the metrics,
-# and an evaluation takes a helper thread per EVAL_CHUNK_ROWS target rows
-# at most, since a smaller share costs more to hand over than it saves.
+# the peak resident set. It also fixes the summation order of the metrics.
 EVAL_CHUNK_ROWS = 4096
+
+# Decoder chunks per evaluation thread at least: a thread pays only over
+# enough work. On a 2-core VM, two threads scored 64 and 100 test episodes
+# (10 and 13 chunks) 4-40% slower than one, broke even near 16-19 chunks,
+# and were 13-25% faster at 30 chunks and 21-37% at 104 (1000 episodes).
+EVAL_CHUNKS_PER_THREAD = 12
+
+# The CPU quota of the process's cgroup (v2), as "<quota> <period>" or "max <period>".
+CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 # Batches averaged at each end of a loss curve by `loss_drop`.
 LOSS_WINDOW = 1000
@@ -243,43 +249,35 @@ def _bucket_sums(store: ParameterStore, cfg: ModelConfig, batch: EpisodeBatch) -
     return sums
 
 
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    keeps one, else every CPU, capped by a cgroup v2 CPU quota if one is set."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with contextlib.suppress(OSError, ValueError):
+        with open(CGROUP_CPU_MAX) as f:
+            quota, period = f.read().split()
+        if quota != "max":
+            cores = min(cores, max(1, int(quota) // int(period)))
+    return cores
+
+
 def _each_bucket(score, batches: list) -> list:
-    """``[score(batch) for batch in batches]``, scored by the caller and up
-    to one helper thread per other usable core, but no more threads than
-    buckets or than EVAL_CHUNK_ROWS chunks of target rows. All take buckets
-    from one queue; each helper runs in its own copy of the caller's
-    context, so `no_grad` and `np.errstate` hold there too. An error in any
-    bucket empties the queue, so the others stop after their current
-    bucket, and is raised here."""
-    rows = sum(batch.y_t.size for batch in batches)
-    helpers = min(len(batches), len(os.sched_getaffinity(0)), rows // EVAL_CHUNK_ROWS) - 1
-    todo = queue.SimpleQueue()
-    for k in range(len(batches)):
-        todo.put(k)
-    results = [None] * len(batches)
-
-    def drain():
+    """``[score(batch) for batch in batches]``, on up to one thread per
+    usable core, but no more than buckets or than EVAL_CHUNKS_PER_THREAD
+    decoder chunks per thread. Each thread runs in its own copy of the
+    caller's context, so `no_grad` and `np.errstate` hold there too. An
+    error in any bucket cancels the buckets not yet started and is raised."""
+    chunks = sum(-(-len(batch) // max(1, EVAL_CHUNK_ROWS // batch.n_target)) for batch in batches)
+    threads = min(len(batches), _usable_cores(), chunks // EVAL_CHUNKS_PER_THREAD)
+    if threads < 2:
+        return [score(batch) for batch in batches]
+    with ThreadPoolExecutor(threads) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, score, batch) for batch in batches]
         try:
-            while True:
-                k = todo.get_nowait()
-                results[k] = score(batches[k])
-        except queue.Empty:
-            return
+            return [future.result() for future in futures]
         except BaseException:
-            with contextlib.suppress(queue.Empty):
-                while True:
-                    todo.get_nowait()  # the other threads stop after their current bucket
+            pool.shutdown(cancel_futures=True)
             raise
-
-    if helpers < 1:
-        drain()
-        return results
-    with ThreadPoolExecutor(helpers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(helpers)]
-        drain()
-        for future in futures:
-            future.result()  # re-raises a helper's error
-    return results
 
 
 @no_grad()

@@ -7,8 +7,8 @@ against its text, so a refactor of the episode, training, evaluation or
 plotting path that changes a single byte fails here (two runs merely
 agreeing with each other is checked elsewhere). `generate`, `train` and
 `compare` must write those bytes at one and at two OpenBLAS threads, and
-`train`, `eval` and `compare` on one core and on all of them, as evaluation
-scores shape buckets on a thread per core. The train digests pin the
+`eval` and `compare` of a set large enough for several evaluation threads
+the same bytes on one core and on all of them. The train digests pin the
 checkpoint layout and every initial weight draw as well. Re-pin only
 together with a note of why the bytes changed.
 
@@ -46,9 +46,10 @@ import pytest
 
 import cgnp
 from cgnp.cli import main
-from cgnp.formats import load_episodes
+from cgnp.formats import load_checkpoint, load_episodes
 
 from episode_oracle import oracle_episode_text, oracle_load_episodes
+from metrics_oracle import sequential_evaluate
 
 GENERATE = {
     0: "cb12fc501a70a0567633ed104b14ae96ff997a30d7315e183041ce48b7e0d217",
@@ -123,7 +124,7 @@ def test_generate_values_are_those_of_the_pinned_decimal_files(tmp_path, seed):
 def child_cli(*argv: str, blas_threads: str | None = None, one_core: bool = False) -> str:
     """The standard output of `cgnp *argv` in a child interpreter that runs
     OpenBLAS on `blas_threads` threads if given, and that first pins itself
-    to one of its cores if `one_core` (evaluation then takes no helper thread)."""
+    to one of its cores if `one_core` (evaluation then runs on one thread)."""
     src = str(Path(cgnp.__file__).resolve().parents[1])  # the child imports the package under test
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": pythonpath}
@@ -160,30 +161,29 @@ def test_compare_writes_the_pinned_bytes_at_one_and_two_blas_threads(tmp_path):
         assert {name: sha256(out / name) for name in COMPARE} == COMPARE, threads
 
 
-@pytest.mark.parametrize("kind", sorted(TRAIN_OUTPUTS))
-def test_train_and_eval_write_the_pins_on_one_core_and_on_all_cores(tmp_path, kind):
-    # evaluation scores shape buckets on helper threads, one per other core:
-    # the 64-episode held-out set of `train` and the 40-episode file of `eval`
-    # engage one on two cores and none on one
-    data = tmp_path / "test.jsonl"
-    generate(data, 7)
+def test_eval_and_compare_write_the_same_bytes_on_one_core_and_on_all_cores(tmp_path):
+    # 250 test episodes make 28-30 decoder chunks, enough for two evaluation
+    # threads on two cores or more; the pinned sets above are too small for
+    # a second thread at any core count, and so is `train`'s held-out set
+    assert main(["train", "--out-dir", str(tmp_path / "run"), "model.kind=cgnp", *TRAIN]) == 0
+    checkpoint, data = tmp_path / "run" / "checkpoint.json", tmp_path / "test.jsonl"
+    assert main(["generate", "--out", str(data), "data.test_episodes=250", "seed.master=7"]) == 0
+    store, cfg, _ = load_checkpoint(checkpoint)
+    m = sequential_evaluate(store, cfg, load_episodes(data))
+    want = (f"nll_per_point={m.nll_per_point!r} nll_per_episode={m.nll_per_episode!r} "
+            f"mse={m.mse!r} episode_count={m.episode_count}")
+    compare_args = [arg for arg in COMPARE_ARGS if not arg.startswith("data.test_episodes=")]
+    tables = []
     for one_core in (True, False):
-        run = tmp_path / f"one_core{one_core}"
-        child_cli("train", "--out-dir", str(run), f"model.kind={kind}", *TRAIN, one_core=one_core)
-        assert {path.name: sha256(path) for path in run.iterdir()} == TRAIN_OUTPUTS[kind], one_core
-        out = child_cli("eval", "--checkpoint", str(run / "checkpoint.json"), "--data", str(data),
+        out = child_cli("eval", "--checkpoint", str(checkpoint), "--data", str(data),
                         "--out", str(tmp_path / f"m{one_core}.csv"), one_core=one_core)
-        assert out.splitlines()[0] == PLOT_AND_EVAL[kind][1], one_core
-
-
-def test_compare_writes_the_pins_on_one_core_and_on_all_cores(tmp_path):
-    # its 5-episode test set is under two chunks of target rows, so the size
-    # rule keeps its scoring on the caller alone at any core count
-    for one_core in (True, False):
-        out = tmp_path / f"one_core{one_core}"
-        out.mkdir()
-        child_cli("compare", "--out", str(out / "table.csv"), *COMPARE_ARGS, one_core=one_core)
-        assert {name: sha256(out / name) for name in COMPARE} == COMPARE, one_core
+        assert out.splitlines()[0] == want, one_core  # the sequential oracle's bits
+        table = tmp_path / f"one_core{one_core}" / "table.csv"
+        table.parent.mkdir()
+        child_cli("compare", "--out", str(table), *compare_args, "data.test_episodes=250", one_core=one_core)
+        tables.append({name: sha256(table.parent / name) for name in COMPARE})
+    assert sha256(tmp_path / "mTrue.csv") == sha256(tmp_path / "mFalse.csv")
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("kind", sorted(TRAIN_OUTPUTS))

@@ -402,13 +402,15 @@ def ragged_buckets(count=23, seed=11):
     return bucket_episodes(episodes)
 
 
-def cores(monkeypatch, n):
-    """Make the process's usable cores appear to be n."""
-    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(n)))
+def cores(monkeypatch, n, chunks_per_thread=1):
+    """Make the process's usable cores appear to be n, and a thread worth
+    starting from `chunks_per_thread` decoder chunks on."""
+    monkeypatch.setattr(training, "_usable_cores", lambda: n)
+    monkeypatch.setattr(training, "EVAL_CHUNKS_PER_THREAD", chunks_per_thread)
 
 
-def spy_helpers(monkeypatch):
-    """The helper counts of the thread pools `evaluate` starts, in order."""
+def spy_threads(monkeypatch):
+    """The thread counts of the pools `evaluate` starts, in order."""
     started, real = [], training.ThreadPoolExecutor
 
     def pool(max_workers):
@@ -419,47 +421,84 @@ def spy_helpers(monkeypatch):
     return started
 
 
-@pytest.mark.parametrize("n_cores, helpers", [(1, []), (2, [1]), (4, [3])])
-@pytest.mark.parametrize("kind", ["cnp", "cgnp"])
-def test_evaluate_has_the_sequential_bits_at_any_core_count(monkeypatch, kind, n_cores, helpers):
-    monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 20)  # 9 buckets of 226 target rows in all
-    buckets = ragged_buckets()
-    cfg = ModelConfig(kind=kind, init_seed=4)
+def store_with_running_stats(cfg):
     store = init_params(cfg)
     rng = np.random.default_rng(5)
     for state in store.bn.values():
         state.running_mean[...] = rng.standard_normal(state.running_mean.shape) * 0.1
         state.running_var[...] = rng.uniform(0.5, 2.0, state.running_var.shape)
+    return store
+
+
+def assert_same_bits(got, want):
+    assert got.episode_count == want.episode_count
+    for name in ("nll_per_point", "nll_per_episode", "mse"):
+        assert float.hex(getattr(got, name)) == float.hex(getattr(want, name)), name
+
+
+@pytest.mark.parametrize("n_cores, threads", [(1, []), (2, [2]), (4, [4])])
+@pytest.mark.parametrize("kind", ["cnp", "cgnp"])
+def test_evaluate_has_the_sequential_bits_at_any_core_count(monkeypatch, kind, n_cores, threads):
+    monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 20)  # 9 buckets, 12 chunks
+    buckets = ragged_buckets()
+    cfg = ModelConfig(kind=kind, init_seed=4)
+    store = store_with_running_stats(cfg)
     want = sequential_evaluate(store, cfg, buckets)
     cores(monkeypatch, n_cores)
-    started = spy_helpers(monkeypatch)
+    started = spy_threads(monkeypatch)
     for _ in range(3):  # threads interleave differently from call to call
-        got = evaluate(store, cfg, buckets)
-        assert got.episode_count == want.episode_count == 23
-        for name in ("nll_per_point", "nll_per_episode", "mse"):
-            assert float.hex(getattr(got, name)) == float.hex(getattr(want, name)), name
-    assert started == helpers * 3
+        assert_same_bits(evaluate(store, cfg, buckets), want)
+    assert started == threads * 3
 
 
-def test_evaluate_takes_no_more_threads_than_buckets_or_chunks(monkeypatch):
-    cores(monkeypatch, 8)
-    started = spy_helpers(monkeypatch)
+def test_evaluate_takes_no_more_threads_than_cores_buckets_or_chunks_allow(monkeypatch):
+    monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 20)
+    started = spy_threads(monkeypatch)
     cfg = ModelConfig(kind="cnp")
-    store, buckets = init_params(cfg), ragged_buckets()  # 226 target rows in 9 buckets
-    for chunk_rows, helpers in ((227, []), (113, [1]), (75, [2]), (1, [7])):
-        monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", chunk_rows)
+    store, buckets = init_params(cfg), ragged_buckets()  # 9 buckets, 12 chunks
+    for chunks_per_thread, threads in ((13, []), (7, []), (6, [2]), (4, [3]), (1, [8])):
+        cores(monkeypatch, 8, chunks_per_thread)
         started.clear()
         evaluate(store, cfg, buckets)
-        assert started == helpers, chunk_rows
+        assert started == threads, chunks_per_thread
     started.clear()
-    evaluate(store, cfg, buckets[:3])  # 76 target rows
+    evaluate(store, cfg, buckets[:3])  # 4 chunks in 3 buckets
+    assert started == [3]
+
+
+def test_usable_cores_fall_back_to_the_cpu_count_and_keep_to_a_cgroup_quota(monkeypatch, tmp_path):
+    cpu_max = tmp_path / "cpu.max"
+    monkeypatch.setattr(training, "CGROUP_CPU_MAX", str(cpu_max))  # absent: no quota
+    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    monkeypatch.setattr(training.os, "cpu_count", lambda: 8)
+    assert training._usable_cores() == 6
+    monkeypatch.delattr(training.os, "sched_getaffinity")  # as on platforms that keep no affinity set
+    assert training._usable_cores() == 8
+    for text, want in (("max 100000\n", 8), ("250000 100000\n", 2), ("50000 100000\n", 1), ("garbled\n", 8)):
+        cpu_max.write_text(text)
+        assert training._usable_cores() == want, text
+    cpu_max.unlink()
+    monkeypatch.setattr(training.os, "cpu_count", lambda: None)
+    assert training._usable_cores() == 1
+
+
+def test_evaluate_keeps_the_sequential_bits_without_an_affinity_set(monkeypatch, tmp_path):
+    monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 20)
+    monkeypatch.setattr(training, "EVAL_CHUNKS_PER_THREAD", 1)
+    monkeypatch.setattr(training, "CGROUP_CPU_MAX", str(tmp_path / "cpu.max"))
+    monkeypatch.delattr(training.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(training.os, "cpu_count", lambda: 2)
+    started = spy_threads(monkeypatch)
+    cfg = ModelConfig(kind="cgnp")
+    store, buckets = store_with_running_stats(cfg), ragged_buckets()
+    assert_same_bits(evaluate(store, cfg, buckets), sequential_evaluate(store, cfg, buckets))
     assert started == [2]
 
 
 def test_every_bucket_is_scored_once_with_more_threads_than_cores(monkeypatch):
     monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 1)
-    cores(monkeypatch, 8)  # 7 helpers on any machine
-    started = spy_helpers(monkeypatch)
+    cores(monkeypatch, 8)  # 8 threads on any machine
+    started = spy_threads(monkeypatch)
     buckets = ragged_buckets(60, seed=3)
     cfg = ModelConfig(kind="cnp")
     store = init_params(cfg)
@@ -478,27 +517,26 @@ def test_every_bucket_is_scored_once_with_more_threads_than_cores(monkeypatch):
             encoded.clear()
             got = evaluate(store, cfg, buckets)
             assert sorted(encoded) == sorted(id(b.x_c) for b in buckets)  # each bucket once
-            assert tuple(map(float.hex, (got.nll_per_point, got.mse))) == tuple(
-                map(float.hex, (want.nll_per_point, want.mse)))
+            assert_same_bits(got, want)
     finally:
         sys.setswitchinterval(interval)
-    assert started == [7] * 5
+    assert started == [8] * 5
 
 
-def test_a_helper_thread_inherits_no_grad_and_errstate_and_its_error_reaches_the_caller(monkeypatch):
+def test_each_thread_inherits_no_grad_and_errstate_and_an_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 10)
     cores(monkeypatch, 2)
-    buckets = ragged_buckets()[:2]  # 26 target rows: one helper
+    buckets = ragged_buckets()[:2]  # 3 chunks in 2 buckets: 2 threads
     barrier, seen = threading.Barrier(2, timeout=30), {}
     real_decode = training.decode
 
-    def decode(*args, **kwargs):
+    def decode(x_c, h, r, x_t, *args, **kwargs):
         if threading.get_ident() not in seen:  # each thread's first chunk waits for the other thread
-            barrier.wait()  # so the caller and the helper score one bucket each
-        out = real_decode(*args, **kwargs)
+            barrier.wait()  # so the two threads score one bucket each
+        out = real_decode(x_c, h, r, x_t, *args, **kwargs)
         seen[threading.get_ident()] = (np.geterr()["over"], out._parents, out._vjp)
-        if threading.current_thread() is not threading.main_thread():
-            np.exp(np.full(1, 1000.0))  # overflows in the helper's bucket only
+        if x_t.shape == buckets[1].x_t[:1].shape:
+            np.exp(np.full(1, 1000.0))  # overflows in the second bucket only
         return out
 
     monkeypatch.setattr(training, "decode", decode)
@@ -506,7 +544,7 @@ def test_a_helper_thread_inherits_no_grad_and_errstate_and_its_error_reaches_the
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
             evaluate(init_params(cfg), cfg, buckets)
-    assert len(seen) == 2
+    assert len(seen) == 2 and threading.get_ident() not in seen
     assert all(record == ("raise", (), None) for record in seen.values())  # no tape on either thread
     assert np.geterr()["over"] != "raise"
 
@@ -543,7 +581,7 @@ def test_a_failing_chunk_in_any_bucket_propagates_and_leaves_taping_on(monkeypat
     with pytest.raises(RuntimeError, match=f"bucket {failing} fails"):
         evaluate(store, cfg, buckets)
     assert scored.count(failing) == 1  # its first chunk raised
-    assert threading.active_count() == threads  # every helper has ended
+    assert threading.active_count() == threads  # every thread of the pool has ended
     loss = batch_loss(make_train_batch(ProtocolConfig(batch_size=8), KERNEL, 0), store, cfg)
     assert loss._parents and loss._vjp is not None  # taping is on again
 
