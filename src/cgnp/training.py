@@ -11,10 +11,10 @@ Evaluation reports the NLL under two normalizations (per target point and
 per episode) plus the MSE of the predictive mean, all over target points
 only; it takes an episode set as shape buckets (`gp.bucket_episodes`),
 runs the tapeless (`autodiff.no_grad`) encoder and pool once per bucket and
-the decoder once per chunk of a bucket. The buckets are independent, so the
-caller and helper threads on the process's other cores score them, and the
-chunks' NLL and squared-error sums are added up afterwards in bucket order,
-then chunk order: the metrics do not depend on the thread count.
+the decoder once per chunk of a bucket. The buckets are independent, so a
+set of enough chunks is scored on a thread per usable core, and the chunks'
+NLL and squared-error sums are added up afterwards in bucket order, then
+chunk order: the metrics do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import contextlib
 import contextvars
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -231,13 +230,18 @@ def train(cfg: TrainConfig, log=None) -> tuple[ParameterStore, TrainReport]:
     return run.store, run.report
 
 
+def _chunk_episodes(batch: EpisodeBatch) -> int:
+    """Episodes per decoder chunk of a bucket: at most EVAL_CHUNK_ROWS
+    target rows, at least one episode."""
+    return max(1, EVAL_CHUNK_ROWS // batch.n_target)
+
+
 def _bucket_sums(store: ParameterStore, cfg: ModelConfig, batch: EpisodeBatch) -> list[tuple[float, float, int]]:
     """(NLL sum, squared-error sum, target count) of each decoder chunk of
     one shape bucket, in chunk order: the encoder and the pool run once,
-    the decoder over chunks of at most EVAL_CHUNK_ROWS target rows (at
-    least one episode)."""
+    the decoder once per chunk."""
     h, r = encode(batch.x_c, batch.y_c, store, cfg, train=False)
-    n_c, step = batch.n_context, max(1, EVAL_CHUNK_ROWS // batch.n_target)
+    n_c, step = batch.n_context, _chunk_episodes(batch)
     sums = []
     for start in range(0, len(batch), step):
         rows = slice(start, start + step)
@@ -264,17 +268,26 @@ def _usable_cores() -> int:
 def _each_bucket(score, batches: list) -> list:
     """``[score(batch) for batch in batches]``, on up to one thread per
     usable core, but no more than buckets or than EVAL_CHUNKS_PER_THREAD
-    decoder chunks per thread. Each thread runs in its own copy of the
-    caller's context, so `no_grad` and `np.errstate` hold there too. An
-    error in any bucket cancels the buckets not yet started and is raised."""
-    chunks = sum(-(-len(batch) // max(1, EVAL_CHUNK_ROWS // batch.n_target)) for batch in batches)
+    decoder chunks per thread. The caller is one of the threads: helpers
+    take buckets from the front and the caller from the back, each one
+    that is not yet started, so the caller's malloc arena, warm from
+    loading, holds one of the working sets. Each helper runs in its own
+    copy of the caller's context, so `no_grad` and `np.errstate` hold
+    there too. An error in any bucket is raised, and the buckets not yet
+    started then are cancelled."""
+    chunks = sum(-(-len(batch) // _chunk_episodes(batch)) for batch in batches)
     threads = min(len(batches), _usable_cores(), chunks // EVAL_CHUNKS_PER_THREAD)
     if threads < 2:
         return [score(batch) for batch in batches]
-    with ThreadPoolExecutor(threads) as pool:
+    # imported on first use: it brings in `logging`, about 0.6 MiB resident
+    # that a process which never starts a pool need not hold
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads - 1) as pool:
         futures = [pool.submit(contextvars.copy_context().run, score, batch) for batch in batches]
         try:
-            return [future.result() for future in futures]
+            mine = {k: score(batches[k]) for k in reversed(range(len(batches))) if futures[k].cancel()}
+            return [mine[k] if k in mine else future.result() for k, future in enumerate(futures)]
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -285,8 +298,8 @@ def evaluate(store: ParameterStore, cfg: ModelConfig, batches) -> Metrics:
     """Eval-mode metrics of a frozen store over a non-empty episode set,
     given as shape buckets.
 
-    Each bucket is one `_bucket_sums`, scored on the caller's thread or a
-    helper's (`_each_bucket`). Eval-mode batch norm is row-wise, so
+    Each bucket is one `_bucket_sums`, run by `_each_bucket` on the
+    caller's thread or a pool's. Eval-mode batch norm is row-wise, so
     predictions equal per-episode forwards up to rounding. The forwards
     build no tape, so each op's intermediates are freed as soon as the
     next op has used them. The chunk sums go into the totals in bucket

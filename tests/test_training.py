@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import sys
@@ -409,15 +410,16 @@ def cores(monkeypatch, n, chunks_per_thread=1):
     monkeypatch.setattr(training, "EVAL_CHUNKS_PER_THREAD", chunks_per_thread)
 
 
-def spy_threads(monkeypatch):
-    """The thread counts of the pools `evaluate` starts, in order."""
-    started, real = [], training.ThreadPoolExecutor
+def spy_helpers(monkeypatch):
+    """The helper thread counts of the pools `evaluate` starts, in order;
+    the caller is one more thread."""
+    started, real = [], concurrent.futures.ThreadPoolExecutor
 
     def pool(max_workers):
         started.append(max_workers)
         return real(max_workers)
 
-    monkeypatch.setattr(training, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
     return started
 
 
@@ -436,34 +438,34 @@ def assert_same_bits(got, want):
         assert float.hex(getattr(got, name)) == float.hex(getattr(want, name)), name
 
 
-@pytest.mark.parametrize("n_cores, threads", [(1, []), (2, [2]), (4, [4])])
+@pytest.mark.parametrize("n_cores, helpers", [(1, []), (2, [1]), (4, [3])])
 @pytest.mark.parametrize("kind", ["cnp", "cgnp"])
-def test_evaluate_has_the_sequential_bits_at_any_core_count(monkeypatch, kind, n_cores, threads):
+def test_evaluate_has_the_sequential_bits_at_any_core_count(monkeypatch, kind, n_cores, helpers):
     monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 20)  # 9 buckets, 12 chunks
     buckets = ragged_buckets()
     cfg = ModelConfig(kind=kind, init_seed=4)
     store = store_with_running_stats(cfg)
     want = sequential_evaluate(store, cfg, buckets)
     cores(monkeypatch, n_cores)
-    started = spy_threads(monkeypatch)
+    started = spy_helpers(monkeypatch)
     for _ in range(3):  # threads interleave differently from call to call
         assert_same_bits(evaluate(store, cfg, buckets), want)
-    assert started == threads * 3
+    assert started == helpers * 3
 
 
 def test_evaluate_takes_no_more_threads_than_cores_buckets_or_chunks_allow(monkeypatch):
     monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 20)
-    started = spy_threads(monkeypatch)
+    started = spy_helpers(monkeypatch)
     cfg = ModelConfig(kind="cnp")
     store, buckets = init_params(cfg), ragged_buckets()  # 9 buckets, 12 chunks
-    for chunks_per_thread, threads in ((13, []), (7, []), (6, [2]), (4, [3]), (1, [8])):
+    for chunks_per_thread, helpers in ((13, []), (7, []), (6, [1]), (4, [2]), (1, [7])):
         cores(monkeypatch, 8, chunks_per_thread)
         started.clear()
         evaluate(store, cfg, buckets)
-        assert started == threads, chunks_per_thread
+        assert started == helpers, chunks_per_thread
     started.clear()
     evaluate(store, cfg, buckets[:3])  # 4 chunks in 3 buckets
-    assert started == [3]
+    assert started == [2]
 
 
 def test_usable_cores_fall_back_to_the_cpu_count_and_keep_to_a_cgroup_quota(monkeypatch, tmp_path):
@@ -488,17 +490,17 @@ def test_evaluate_keeps_the_sequential_bits_without_an_affinity_set(monkeypatch,
     monkeypatch.setattr(training, "CGROUP_CPU_MAX", str(tmp_path / "cpu.max"))
     monkeypatch.delattr(training.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(training.os, "cpu_count", lambda: 2)
-    started = spy_threads(monkeypatch)
+    started = spy_helpers(monkeypatch)
     cfg = ModelConfig(kind="cgnp")
     store, buckets = store_with_running_stats(cfg), ragged_buckets()
     assert_same_bits(evaluate(store, cfg, buckets), sequential_evaluate(store, cfg, buckets))
-    assert started == [2]
+    assert started == [1]
 
 
 def test_every_bucket_is_scored_once_with_more_threads_than_cores(monkeypatch):
     monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 1)
-    cores(monkeypatch, 8)  # 8 threads on any machine
-    started = spy_threads(monkeypatch)
+    cores(monkeypatch, 8)  # 7 helpers on any machine
+    started = spy_helpers(monkeypatch)
     buckets = ragged_buckets(60, seed=3)
     cfg = ModelConfig(kind="cnp")
     store = init_params(cfg)
@@ -520,23 +522,23 @@ def test_every_bucket_is_scored_once_with_more_threads_than_cores(monkeypatch):
             assert_same_bits(got, want)
     finally:
         sys.setswitchinterval(interval)
-    assert started == [8] * 5
+    assert started == [7] * 5
 
 
-def test_each_thread_inherits_no_grad_and_errstate_and_an_error_reaches_the_caller(monkeypatch):
+def test_a_helper_thread_inherits_no_grad_and_errstate_and_its_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 10)
     cores(monkeypatch, 2)
-    buckets = ragged_buckets()[:2]  # 3 chunks in 2 buckets: 2 threads
+    buckets = ragged_buckets()[:2]  # 3 chunks in 2 buckets: one helper
     barrier, seen = threading.Barrier(2, timeout=30), {}
     real_decode = training.decode
 
     def decode(x_c, h, r, x_t, *args, **kwargs):
         if threading.get_ident() not in seen:  # each thread's first chunk waits for the other thread
-            barrier.wait()  # so the two threads score one bucket each
+            barrier.wait()  # so the helper scores the first bucket and the caller the last
         out = real_decode(x_c, h, r, x_t, *args, **kwargs)
         seen[threading.get_ident()] = (np.geterr()["over"], out._parents, out._vjp)
-        if x_t.shape == buckets[1].x_t[:1].shape:
-            np.exp(np.full(1, 1000.0))  # overflows in the second bucket only
+        if x_t.shape[1] == buckets[0].n_target:
+            np.exp(np.full(1, 1000.0))  # overflows in the helper's bucket only
         return out
 
     monkeypatch.setattr(training, "decode", decode)
@@ -544,7 +546,7 @@ def test_each_thread_inherits_no_grad_and_errstate_and_an_error_reaches_the_call
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
             evaluate(init_params(cfg), cfg, buckets)
-    assert len(seen) == 2 and threading.get_ident() not in seen
+    assert len(seen) == 2 and threading.get_ident() in seen
     assert all(record == ("raise", (), None) for record in seen.values())  # no tape on either thread
     assert np.geterr()["over"] != "raise"
 
