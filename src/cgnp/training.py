@@ -279,7 +279,7 @@ def _each_bucket(score, batches: list) -> list:
     threads = min(len(batches), _usable_cores(), chunks // EVAL_CHUNKS_PER_THREAD)
     if threads < 2:
         return [score(batch) for batch in batches]
-    # imported on first use: it brings in `logging`, about 0.6 MiB resident
+    # imported on first use: it brings in `logging`, about 0.5 MiB resident
     # that a process which never starts a pool need not hold
     from concurrent.futures import ThreadPoolExecutor
 
