@@ -11,49 +11,44 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import formats
 from .autodiff import gaussian_head, no_grad
-from .gp import EpisodeBatch, EqKernelSpec, ProtocolConfig, make_test_set
+from .gp import EpisodeBatch, make_test_set
 from .models import ModelConfig, forward_tensors
-from .training import (
-    Metrics,
-    TrainConfig,
-    compare_models,
-    evaluate,
-    train,
-)
+from .training import QUIET, Metrics, TrainConfig, compare_models, evaluate, train
 
 __all__ = ["main", "parse_run_config", "CONFIG_DEFAULTS"]
 
 # every default but the model kind is the config dataclasses' own
 _DEFAULT = TrainConfig(model=ModelConfig(kind="cgnp"))
-CONFIG_DEFAULTS: dict[str, object] = {
-    "model.kind": _DEFAULT.model.kind,
-    "model.latent_dim": _DEFAULT.model.latent_dim,
-    "model.radius": _DEFAULT.model.radius,
-    "train.lr": _DEFAULT.lr,
-    "train.batches": _DEFAULT.protocol.train_batches,
-    "train.batch_size": _DEFAULT.protocol.batch_size,
-    "train.eval_every": _DEFAULT.eval_every,
-    "seed.master": _DEFAULT.protocol.master_seed,
-    "seed.init": _DEFAULT.model.init_seed,
-    "data.length_scale": _DEFAULT.kernel.length_scale,
-    "data.jitter": _DEFAULT.kernel.jitter,
-    "data.test_episodes": _DEFAULT.protocol.test_episodes,
-}
 
-# upper bounds on the keys that size an allocation, so that an oversized
-# value is rejected naming the key rather than failing inside numpy
-CONFIG_MAXIMA = {
-    "model.latent_dim": 512,
-    "train.batches": 10**7,
-    "train.batch_size": 4096,
-    "data.test_episodes": 10**5,
+# config key -> (the part of TrainConfig it sets, "" for TrainConfig's own
+# fields; the field it sets there; an upper bound if it sizes an allocation,
+# so that an oversized value is rejected naming the key rather than failing
+# inside numpy). The order is that of a checkpoint's `extra`.
+_KEYS = {
+    "model.kind": ("model", "kind", None),
+    "model.latent_dim": ("model", "latent_dim", 512),
+    "model.radius": ("model", "radius", None),
+    "train.lr": ("", "lr", None),
+    "train.batches": ("protocol", "train_batches", 10**7),
+    "train.batch_size": ("protocol", "batch_size", 4096),
+    "train.eval_every": ("", "eval_every", None),
+    "seed.master": ("protocol", "master_seed", None),
+    "seed.init": ("model", "init_seed", None),
+    "data.length_scale": ("kernel", "length_scale", None),
+    "data.jitter": ("kernel", "jitter", None),
+    "data.test_episodes": ("protocol", "test_episodes", 10**5),
 }
+CONFIG_DEFAULTS: dict[str, object] = {
+    key: getattr(getattr(_DEFAULT, part) if part else _DEFAULT, name) for key, (part, name, _) in _KEYS.items()
+}
+CONFIG_MAXIMA = {key: bound for key, (_, _, bound) in _KEYS.items() if bound is not None}
 
 
 def _coerce(key: str, raw: str):
@@ -109,23 +104,12 @@ def _config_echo(cfg: dict) -> str:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        model=ModelConfig(
-            kind=cfg["model.kind"],
-            latent_dim=cfg["model.latent_dim"],
-            radius=cfg["model.radius"],
-            init_seed=cfg["seed.init"],
-        ),
-        kernel=EqKernelSpec(length_scale=cfg["data.length_scale"], jitter=cfg["data.jitter"]),
-        protocol=ProtocolConfig(
-            batch_size=cfg["train.batch_size"],
-            train_batches=cfg["train.batches"],
-            test_episodes=cfg["data.test_episodes"],
-            master_seed=cfg["seed.master"],
-        ),
-        lr=cfg["train.lr"],
-        eval_every=cfg["train.eval_every"],
-    )
+    """The TrainConfig whose fields the config keys set, the rest at their defaults."""
+    changes: dict[str, dict] = {"model": {}, "kernel": {}, "protocol": {}, "": {}}
+    for key, (part, name, _) in _KEYS.items():
+        changes[part][name] = cfg[key]
+    parts = {part: replace(getattr(_DEFAULT, part), **values) for part, values in changes.items() if part}
+    return replace(_DEFAULT, **parts, **changes[""])
 
 
 def _print_metrics(metrics: Metrics) -> None:
@@ -203,7 +187,7 @@ def cmd_train(args) -> int:
 
     store, report = train(train_cfg, log=log)
     out_dir.mkdir(parents=True, exist_ok=True)  # only once there is something to write
-    formats.save_checkpoint(out_dir / "checkpoint.json", store, train_cfg.model, extra=dict(cfg))
+    formats.save_checkpoint(out_dir / "checkpoint.json", store, extra=dict(cfg))
     if report.final_metrics is not None:
         header = f"train report config: {_config_echo(cfg)}"
         formats.atomic_write_text(
@@ -217,17 +201,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    store, model_cfg, _ = formats.load_checkpoint(args.checkpoint)
+    store, _ = formats.load_checkpoint(args.checkpoint)
     # after the checkpoint, so that a missing one is named rather than its default --out
     out = Path(args.out or Path(args.checkpoint).with_suffix(".metrics.csv"))
     _check_out("--out", out, inputs={"--checkpoint": args.checkpoint, "--data": args.data})
     batches = formats.load_episodes(args.data)
     if not batches:
         raise ValueError(f"{args.data}: no episodes to evaluate")
-    metrics = evaluate(store, model_cfg, batches)
+    metrics = evaluate(store, batches)
     if not _finite(metrics):  # only then look for the episode, so that a good run pays nothing
         bad = next((i for i in range(metrics.episode_count)
-                    if not _finite(evaluate(store, model_cfg, [_episode_at(batches, i)]))), None)
+                    if not _finite(evaluate(store, [_episode_at(batches, i)]))), None)
         where = "summed over its episodes, " if bad is None else f"episode {bad}: "
         raise ValueError(f"{args.data}: {where}the model's metrics are not finite")
     _print_metrics(metrics)
@@ -277,7 +261,7 @@ def cmd_compare(args) -> int:
 
 def cmd_plot(args) -> int:
     _check_out("--out", Path(args.out), inputs={"--checkpoint": args.checkpoint, "--data": args.data})
-    store, model_cfg, _ = formats.load_checkpoint(args.checkpoint)
+    store, _ = formats.load_checkpoint(args.checkpoint)
     batches = formats.load_episodes(args.data)
     count = sum(map(len, batches))
     if not count:
@@ -294,7 +278,7 @@ def cmd_plot(args) -> int:
     xs, ys, is_ctx = xs[order], ys[order], is_ctx[order]
     curve = EpisodeBatch(episode.x_c, episode.y_c, xs[None], ys[None])
     with no_grad():
-        mu, sigma = gaussian_head(forward_tensors(curve, store, model_cfg, train=False).value)
+        mu, sigma = gaussian_head(forward_tensors(curve, store, train=False).value)
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
         raise ValueError(f"{args.data}: episode {args.index}: the model's prediction is not finite")
     lines = ["x,y_true,mu,sigma,is_context"]
@@ -363,7 +347,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a model's non-finite output ends in a clean error, not in numpy warnings (train and
+        # compare quiet their own); generate stays loud, so that an overflow making data shows
+        with np.errstate(**(QUIET if args.command in ("eval", "plot") else {})):
+            return args.func(args)
     except Exception as exc:  # uniform nonzero exit with a clean message
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,8 +9,8 @@ shape buckets (as `gp.bucket_episodes` makes them) that remember each
 line's position, and saving them writes the lines back in that order; both
 go one line at a time, so neither holds the file's text in memory.
 Checkpoints and CSVs are plain text with '.' decimal separators and
-shortest round-trip float encoding. A checkpoint is the model config plus three flat vectors, each a
-copy of one of the store's flat buffers (`models.ParameterStore`):
+shortest round-trip float encoding. A checkpoint is the store's model config plus three flat vectors,
+each a copy of one of the store's flat buffers (`models.ParameterStore`):
 `values` (every parameter, row-major, in `models._layout` order) and the
 batch-norm `running_mean` and `running_var` (layer after layer). The config
 fixes each vector's length, so the loader checks lengths before it
@@ -212,9 +212,9 @@ def load_episodes(path) -> list[EpisodeBatch]:
 # ---------------------------------------------------------------------------
 
 
-def checkpoint_text(store: ParameterStore, cfg: ModelConfig, extra: dict | None = None) -> str:
+def checkpoint_text(store: ParameterStore, extra: dict | None = None) -> str:
     doc = {
-        "model": asdict(cfg),
+        "model": asdict(store.cfg),
         "values": store.value.tolist(),
         "running_mean": store.running_mean.tolist(),
         "running_var": store.running_var.tolist(),
@@ -223,8 +223,8 @@ def checkpoint_text(store: ParameterStore, cfg: ModelConfig, extra: dict | None 
     return json.dumps(doc, indent=1) + "\n"
 
 
-def save_checkpoint(path, store: ParameterStore, cfg: ModelConfig, extra: dict | None = None) -> None:
-    atomic_write_text(path, checkpoint_text(store, cfg, extra))
+def save_checkpoint(path, store: ParameterStore, extra: dict | None = None) -> None:
+    atomic_write_text(path, checkpoint_text(store, extra))
 
 
 def _entry(path, value, where: str, keys=()) -> dict:
@@ -249,8 +249,9 @@ def _numbers(path, value, where: str) -> np.ndarray:
         raise ValueError(f"{path}: {where} holds a number too large for a double") from exc
 
 
-def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
-    """Read a checkpoint, rejecting any entry the model cannot use as is:
+def load_checkpoint(path) -> tuple[ParameterStore, dict]:
+    """Read a checkpoint as its store, under its model config, and its
+    `extra`, rejecting any entry the model cannot use as is:
     bytes that are not UTF-8, text that is not a JSON object, repeated,
     missing or unknown keys, an `extra` that is not a JSON object, a model
     config `ModelConfig` rejects, vectors that are not flat lists of numbers
@@ -292,7 +293,7 @@ def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, dict]:
     store.value[:] = vectors["values"]
     store.running_mean[:] = vectors["running_mean"]
     store.running_var[:] = vectors["running_var"]
-    return store, cfg, extra
+    return store, extra
 
 
 # ---------------------------------------------------------------------------
@@ -304,46 +305,33 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _table(header: str, columns: str, rows) -> str:
+    """The '#' header line, the column line, then one line per row of cells."""
+    return "\n".join([f"# {header}", columns, *(",".join(row) for row in rows)]) + "\n"
+
+
+def _rho(result) -> str:
+    return "" if result.radius is None else _fmt(result.radius)
+
+
 def metrics_csv(metrics: Metrics, header: str) -> str:
-    return (
-        f"# {header}\n"
-        "nll_per_point,nll_per_episode,mse,episode_count\n"
-        f"{_fmt(metrics.nll_per_point)},{_fmt(metrics.nll_per_episode)},"
-        f"{_fmt(metrics.mse)},{metrics.episode_count}\n"
-    )
+    m = metrics
+    return _table(header, "nll_per_point,nll_per_episode,mse,episode_count",
+                  [[_fmt(m.nll_per_point), _fmt(m.nll_per_episode), _fmt(m.mse), str(m.episode_count)]])
 
 
 def comparison_csv(results, header: str) -> str:
     """Summary table, one row per model; std columns are zero for one seed."""
-    lines = [
-        f"# {header}",
-        "model,rho,nll_per_point,nll_per_episode,mse,"
-        "nll_per_point_std,nll_per_episode_std,mse_std",
-    ]
+    rows = []
     for res in results:
-        nll_p = res.mean_std("nll_per_point")
-        nll_e = res.mean_std("nll_per_episode")
-        mse = res.mean_std("mse")
-        rho = "" if res.radius is None else _fmt(res.radius)
-        lines.append(
-            f"{res.kind},{rho},{_fmt(nll_p[0])},{_fmt(nll_e[0])},{_fmt(mse[0])},"
-            f"{_fmt(nll_p[1])},{_fmt(nll_e[1])},{_fmt(mse[1])}"
-        )
-    return "\n".join(lines) + "\n"
+        means, stds = zip(*map(res.mean_std, ("nll_per_point", "nll_per_episode", "mse")))
+        rows.append([res.kind, _rho(res), *map(_fmt, means + stds)])
+    columns = "model,rho,nll_per_point,nll_per_episode,mse,nll_per_point_std,nll_per_episode_std,mse_std"
+    return _table(header, columns, rows)
 
 
 def per_seed_csv(results, header: str) -> str:
-    lines = [
-        f"# {header}",
-        "model,rho,master_seed,init_seed,nll_per_point,nll_per_episode,mse,loss_drop",
-    ]
-    for res in results:
-        rho = "" if res.radius is None else _fmt(res.radius)
-        for run in res.runs:
-            m = run.metrics
-            lines.append(
-                f"{res.kind},{rho},{run.master_seed},{run.init_seed},"
-                f"{_fmt(m.nll_per_point)},{_fmt(m.nll_per_episode)},{_fmt(m.mse)},"
-                f"{_fmt(run.loss_drop)}"
-            )
-    return "\n".join(lines) + "\n"
+    rows = ([res.kind, _rho(res), str(run.master_seed), str(run.init_seed), _fmt(run.metrics.nll_per_point),
+             _fmt(run.metrics.nll_per_episode), _fmt(run.metrics.mse), _fmt(run.loss_drop)]
+            for res in results for run in res.runs)
+    return _table(header, "model,rho,master_seed,init_seed,nll_per_point,nll_per_episode,mse,loss_drop", rows)

@@ -21,7 +21,9 @@ the CNP that computes the identical function.
 Every block has one weight, `enc{k}.w`, `dec1.w` or `dec2.w` for both
 kinds, whose rows follow the columns of the block's input. Every
 parameter's name and shape is stated once, in `_layout`.
-`init_params` lays the parameters out in that order in two flat buffers,
+`init_params(cfg)` keeps `cfg` on the store (``store.cfg``), so the
+forward, evaluation and checkpoints take the store alone, and lays the
+parameters out in `_layout` order in two flat buffers,
 ``store.value`` and ``store.grad``, which Adam updates, and the batch-norm
 running statistics, layer after layer, in two more, ``store.running_mean``
 and ``store.running_var``; every parameter and statistic is a view into
@@ -90,13 +92,15 @@ class ModelConfig:
 
 
 class ParameterStore:
-    """Named parameter leaves plus per-layer batch-norm state. Every
+    """Named parameter leaves plus per-layer batch-norm state, under the
+    model config `cfg` that gives them their meaning. Every
     parameter's ``.value``/``.grad`` is a view into the store's flat
     ``value``/``grad`` buffers, and every layer's ``running_mean``/
     ``running_var`` a view into its flat ``running_mean``/``running_var``,
     all four laid out by `init_params` in `_layout` order."""
 
-    def __init__(self):
+    def __init__(self, cfg: ModelConfig):
+        self.cfg = cfg
         self.params: dict[str, Parameter] = {}
         self.bn: dict[str, BatchNormState] = {}
         self.value, self.grad = np.zeros(0), np.zeros(0)
@@ -140,7 +144,7 @@ def init_params(cfg: ModelConfig) -> ParameterStore:
     dec1's is one message's, 1 + d, for both kinds.
     """
     rng = derive_rng(cfg.init_seed, DOMAIN_INIT)
-    store = ParameterStore()
+    store = ParameterStore(cfg)
     n_values, bn_width = flat_sizes(cfg)
     store.value, store.grad = np.empty(n_values), np.zeros(n_values)
     store.running_mean, store.running_var = np.zeros(bn_width), np.ones(bn_width)
@@ -178,10 +182,11 @@ def flat_sizes(cfg: ModelConfig) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def encode(x_c, y_c, store: ParameterStore, cfg: ModelConfig, train: bool):
+def encode(x_c, y_c, store: ParameterStore, train: bool):
     """The encoder half of the forward: context features, one row per
     context point, episode by episode, and their per-episode mean, one
     latent row per episode. x_c and y_c are (B, N_c) arrays."""
+    cfg = store.cfg
     h = np.column_stack([x_c.ravel(), y_c.ravel()])
     if cfg.kind == "cgnp":
         nbhd = radius_neighborhood(x_c, x_c, cfg.radius)  # shared by all encoder blocks
@@ -191,21 +196,21 @@ def encode(x_c, y_c, store: ParameterStore, cfg: ModelConfig, train: bool):
     return h, block_mean(h, x_c.shape[0])
 
 
-def decode(x_c, h, r, x_t, store: ParameterStore, cfg: ModelConfig, train: bool):
+def decode(x_c, h, r, x_t, store: ParameterStore, train: bool):
     """The decoder half of the forward: the (B * N_t, 2) head tensor, a mean
     and a pre-link scale per target, for x_t of shape (B, N_t), given
     `encode`'s context features h and latent rows r for the contexts at x_c
     of shape (B, N_c)."""
     own = (x_t.reshape(-1, 1), repeat_rows(r, x_t.shape[1]))
-    if cfg.kind == "cnp":
+    if store.cfg.kind == "cnp":
         z = concat_cols(*own)
     else:
-        z = bipartite_conv(radius_neighborhood(x_c, x_t, cfg.radius), h, own)
+        z = bipartite_conv(radius_neighborhood(x_c, x_t, store.cfg.radius), h, own)
     h = block(z, store["dec1.w"], store["dec1.b"], store.bn["dec1.bn"], train)
     return affine(h, store["dec2.w"], store["dec2.b"])
 
 
-def forward_tensors(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig, train: bool):
+def forward_tensors(batch: EpisodeBatch, store: ParameterStore, train: bool):
     """Differentiable forward over one batch of episodes: `encode`, then
     `decode`.
 
@@ -215,8 +220,8 @@ def forward_tensors(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig
     """
     if not isinstance(batch, EpisodeBatch):
         raise TypeError(f"forward_tensors takes an EpisodeBatch, got {type(batch).__name__}")
-    h, r = encode(batch.x_c, batch.y_c, store, cfg, train)
-    return decode(batch.x_c, h, r, batch.x_t, store, cfg, train)
+    h, r = encode(batch.x_c, batch.y_c, store, train)
+    return decode(batch.x_c, h, r, batch.x_t, store, train)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +229,9 @@ def forward_tensors(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig
 # ---------------------------------------------------------------------------
 
 
-def cnp_weights_from_cgnp(store: ParameterStore, cfg: ModelConfig) -> tuple[ParameterStore, ModelConfig]:
-    """The weight correspondence under which CGNP(radius=0) equals a CNP.
+def cnp_weights_from_cgnp(store: ParameterStore) -> ParameterStore:
+    """The weight correspondence under which CGNP(radius=0) equals a CNP:
+    the CNP store, under the CGNP store's config with kind "cnp".
 
     Encoder blocks drop their weight's relative-position row (that column
     of the input is identically zero at radius 0); dec1 keeps the last
@@ -234,13 +240,12 @@ def cnp_weights_from_cgnp(store: ParameterStore, cfg: ModelConfig) -> tuple[Para
     reduces to the self message alone). Biases and batch-norm state carry
     over unchanged.
     """
-    if cfg.kind != "cgnp":
-        raise ValueError("expected a cgnp config")
-    cnp_cfg = replace(cfg, kind="cnp")
-    out = init_params(cnp_cfg)
+    if store.cfg.kind != "cgnp":
+        raise ValueError("expected a cgnp store")
+    out = init_params(replace(store.cfg, kind="cnp"))
     for name, p in out.params.items():
         rows = store[name].value
         p.value[...] = rows[-p.value.shape[0]:] if name == "dec1.w" else rows[: p.value.shape[0]]
     out.running_mean[:] = store.running_mean
     out.running_var[:] = store.running_var
-    return out, cnp_cfg
+    return out

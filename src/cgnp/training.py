@@ -130,13 +130,13 @@ class TrainingDivergedError(RuntimeError):
         self.value = value
 
 
-def batch_loss(batch: EpisodeBatch, store: ParameterStore, cfg: ModelConfig) -> Tensor:
+def batch_loss(batch: EpisodeBatch, store: ParameterStore) -> Tensor:
     """NLL of one training batch as a differentiable scalar.
 
     Episodes in a batch share N_t, so the flat mean over all stacked target
     points equals the mean over episodes of each episode's per-target mean.
     """
-    return gaussian_nll(batch.y_t.reshape(-1, 1), forward_tensors(batch, store, cfg, train=True))
+    return gaussian_nll(batch.y_t.reshape(-1, 1), forward_tensors(batch, store, train=True))
 
 
 @dataclass
@@ -156,7 +156,7 @@ class Run:
 def _checked_metrics(run: Run, batches, what: str, b: int) -> Metrics:
     """`evaluate` of the run on `batches`; a non-finite nll_per_point or mse
     raises TrainingDivergedError naming `what` and batch `b`."""
-    metrics = evaluate(run.store, run.cfg.model, batches)
+    metrics = evaluate(run.store, batches)
     for name in ("nll_per_point", "mse"):  # nll_per_episode scales nll_per_point
         value = getattr(metrics, name)
         if not np.isfinite(value):
@@ -190,7 +190,7 @@ def _train_group(cfgs: list[TrainConfig], names: list[str] | None = None, log=No
             batch = make_train_batch(protocol, kernel, b)
             last = time.perf_counter()
             for k, run in enumerate(runs):
-                loss = batch_loss(batch, run.store, run.cfg.model)
+                loss = batch_loss(batch, run.store)
                 loss_value = float(loss.value[0, 0])
                 if not np.isfinite(loss_value):
                     raise TrainingDivergedError(run, b, "loss", loss_value)
@@ -236,17 +236,17 @@ def _chunk_episodes(batch: EpisodeBatch) -> int:
     return max(1, EVAL_CHUNK_ROWS // batch.n_target)
 
 
-def _bucket_sums(store: ParameterStore, cfg: ModelConfig, batch: EpisodeBatch) -> list[tuple[float, float, int]]:
+def _bucket_sums(store: ParameterStore, batch: EpisodeBatch) -> list[tuple[float, float, int]]:
     """(NLL sum, squared-error sum, target count) of each decoder chunk of
     one shape bucket, in chunk order: the encoder and the pool run once,
     the decoder once per chunk."""
-    h, r = encode(batch.x_c, batch.y_c, store, cfg, train=False)
+    h, r = encode(batch.x_c, batch.y_c, store, train=False)
     n_c, step = batch.n_context, _chunk_episodes(batch)
     sums = []
     for start in range(0, len(batch), step):
         rows = slice(start, start + step)
         h_rows = h.value[start * n_c:(start + step) * n_c]
-        out = decode(batch.x_c[rows], h_rows, r.value[rows], batch.x_t[rows], store, cfg, train=False)
+        out = decode(batch.x_c[rows], h_rows, r.value[rows], batch.x_t[rows], store, train=False)
         mu, sigma = gaussian_head(out.value)
         y = batch.y_t[rows].reshape(-1, 1)
         sums.append((float(nll_terms(y, mu, sigma).sum()), float(((y - mu) ** 2).sum()), y.size))
@@ -294,7 +294,7 @@ def _each_bucket(score, batches: list) -> list:
 
 
 @no_grad()
-def evaluate(store: ParameterStore, cfg: ModelConfig, batches) -> Metrics:
+def evaluate(store: ParameterStore, batches) -> Metrics:
     """Eval-mode metrics of a frozen store over a non-empty episode set,
     given as shape buckets.
 
@@ -312,7 +312,7 @@ def evaluate(store: ParameterStore, cfg: ModelConfig, batches) -> Metrics:
         raise ValueError("need at least one episode to evaluate")
     total_nll = total_sq = 0.0
     total_points = 0
-    for sums in _each_bucket(partial(_bucket_sums, store, cfg), batches):
+    for sums in _each_bucket(partial(_bucket_sums, store), batches):
         for nll, sq, points in sums:
             total_nll += nll
             total_sq += sq

@@ -43,7 +43,7 @@ def sequential_compare(base: TrainConfig, seeds: int, test_set) -> list[VariantR
                 protocol=replace(base.protocol, master_seed=base.protocol.master_seed + i),
             )
             store, report = train(cfg)
-            metrics = evaluate(store, cfg.model, test_set)
+            metrics = evaluate(store, test_set)
             runs.append(
                 SeedRun(
                     master_seed=cfg.protocol.master_seed,

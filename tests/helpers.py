@@ -93,7 +93,7 @@ def episode_line(x_c, y_c, x_t, y_t) -> str:
     return json.dumps(episode_record(x_c, y_c, x_t, y_t), separators=(",", ":"))
 
 
-def predict(batch, store, cfg, train=False) -> tuple[np.ndarray, np.ndarray]:
+def predict(batch, store, train=False) -> tuple[np.ndarray, np.ndarray]:
     """A forward's (mu, sigma) as flat arrays, targets in episode order."""
-    mu, sigma = gaussian_head(forward_tensors(batch, store, cfg, train).value)
+    mu, sigma = gaussian_head(forward_tensors(batch, store, train).value)
     return mu.ravel(), sigma.ravel()

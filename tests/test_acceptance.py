@@ -123,12 +123,12 @@ def test_criterion_4_radius_zero_equivalence():
     cfg = ModelConfig(kind="cgnp", latent_dim=8, radius=0.0, init_seed=5)
     store = init_params(cfg)
     randomize_bn(store, rng)
-    cnp_store, cnp_cfg = cnp_weights_from_cgnp(store, cfg)
+    cnp_store = cnp_weights_from_cgnp(store)
     worst = 0.0
     for _ in range(100):
         ep = random_episode(rng)
-        mu_a, sigma_a = predict(ep, store, cfg)
-        mu_b, sigma_b = predict(ep, cnp_store, cnp_cfg)
+        mu_a, sigma_a = predict(ep, store)
+        mu_b, sigma_b = predict(ep, cnp_store)
         np.testing.assert_allclose(mu_a, mu_b, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(sigma_a, sigma_b, rtol=1e-9, atol=1e-12)
         denom = np.maximum(np.abs(mu_b), 1e-12)
@@ -155,7 +155,7 @@ def test_criterion_5_gradient_suite():
         params = store.parameters()
         for batch in episodes:
             zero_grads(params)
-            backward(batch_loss(batch, store, cfg))
+            backward(batch_loss(batch, store))
             analytic = {p.name: p.grad.copy() for p in params}
             zero_grads(params)
             for p in params:
@@ -164,9 +164,9 @@ def test_criterion_5_gradient_suite():
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + h
-                    up = float(batch_loss(batch, store, cfg).value[0, 0])
+                    up = float(batch_loss(batch, store).value[0, 0])
                     flat[i] = orig - h
-                    down = float(batch_loss(batch, store, cfg).value[0, 0])
+                    down = float(batch_loss(batch, store).value[0, 0])
                     flat[i] = orig
                     fd[i] = (up - down) / (2.0 * h)
                 np.testing.assert_allclose(
@@ -244,8 +244,8 @@ def test_criterion_8_permutation_invariance():
         for _ in range(25):
             ep = random_episode(rng)
             perm = rng.permutation(ep.n_context)
-            mu, sigma = predict(ep, store, cfg)
-            mu_p, sigma_p = predict(EpisodeBatch(ep.x_c[:, perm], ep.y_c[:, perm], ep.x_t, ep.y_t), store, cfg)
+            mu, sigma = predict(ep, store)
+            mu_p, sigma_p = predict(EpisodeBatch(ep.x_c[:, perm], ep.y_c[:, perm], ep.x_t, ep.y_t), store)
             np.testing.assert_allclose(mu_p, mu, rtol=1e-6, atol=1e-9)
             np.testing.assert_allclose(sigma_p, sigma, rtol=1e-6, atol=1e-9)
             rel = np.max(np.abs(mu_p - mu) / np.maximum(np.abs(mu), 1e-9))
@@ -270,7 +270,7 @@ def test_criterion_8_sigma_floor_on_100k_predictions():
                 n_t = int(rng.integers(300, 500))
                 xs = rng.uniform(-2, 2, 5 + n_t)
                 ep = episode(xs[:5], rng.standard_normal(5) * scale, xs[5:], np.zeros(n_t))
-                _, sigma = predict(ep, store, cfg)
+                _, sigma = predict(ep, store)
                 total += sigma.size
                 minimum = min(minimum, float(sigma.min()))
                 assert np.all(sigma >= 0.1)

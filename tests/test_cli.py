@@ -426,12 +426,11 @@ HUGE_EPISODE = episode_line([1e308, -1e308], [0.0, 0.5], [0.0], [1.0])
 def _checkpoint_and_data(tmp_path, kind: str, lines: list[str]) -> tuple[Path, Path]:
     cfg = ModelConfig(kind=kind)
     checkpoint, data = tmp_path / "checkpoint.json", tmp_path / "data.jsonl"
-    save_checkpoint(checkpoint, init_params(cfg), cfg)
+    save_checkpoint(checkpoint, init_params(cfg))
     data.write_text("".join(line + "\n" for line in lines))
     return checkpoint, data
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that makes the metrics non-finite
 @pytest.mark.parametrize("kind", ["cnp", "cgnp"])  # cnp's metrics are inf, cgnp's nan
 def test_eval_exits_1_naming_the_episode_whose_metrics_are_not_finite_and_writes_nothing(tmp_path, capsys, kind):
     # the blank line is not counted: the huge episode is episode 1, as --index counts it
@@ -444,7 +443,6 @@ def test_eval_exits_1_naming_the_episode_whose_metrics_are_not_finite_and_writes
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sums overflow
 def test_eval_exits_1_when_only_the_sums_of_finite_episode_metrics_overflow(tmp_path, capsys):
     # each episode's squared error is 8.1e307; four of them pass the largest double
     line = episode_line([0.0], [0.0], [0.5], [9e153])
@@ -457,7 +455,6 @@ def test_eval_exits_1_when_only_the_sums_of_finite_episode_metrics_overflow(tmp_
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_plot_exits_1_naming_the_episode_whose_prediction_is_not_finite_and_writes_nothing(tmp_path, capsys):
     checkpoint, data = _checkpoint_and_data(tmp_path, "cgnp", [SMALL_EPISODE, HUGE_EPISODE])
     out = tmp_path / "fit.csv"
@@ -702,7 +699,7 @@ def test_undecodable_input_file_exits_1_naming_it_and_writes_nothing(tmp_path, c
     cfg = ModelConfig(kind="cnp")
     files = {name: tmp_path / name for name in ("config", "checkpoint", "episodes")}
     files["config"].write_text("train.batches = 3\n")
-    save_checkpoint(files["checkpoint"], init_params(cfg), cfg)
+    save_checkpoint(files["checkpoint"], init_params(cfg))
     save_episodes(files["episodes"], make_test_set(ProtocolConfig(test_episodes=2), EqKernelSpec()))
     files[bad].write_bytes(b"\xff" + files[bad].read_bytes())
     before = sorted(tmp_path.iterdir())

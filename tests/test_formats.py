@@ -315,9 +315,9 @@ def test_checkpoint_roundtrip_bit_exact_and_stable(tmp_path):
         state.running_mean[...] = rng.standard_normal(state.running_mean.shape)
         state.running_var[...] = rng.uniform(0.5, 2.0, state.running_var.shape)
     path = tmp_path / "checkpoint.json"
-    save_checkpoint(path, store, cfg, extra={"train.batches": 20000})
-    loaded, loaded_cfg, extra = load_checkpoint(path)
-    assert loaded_cfg == cfg
+    save_checkpoint(path, store, extra={"train.batches": 20000})
+    loaded, extra = load_checkpoint(path)
+    assert loaded.cfg == cfg
     assert extra == {"train.batches": 20000}
     for name, p in store.params.items():
         assert np.array_equal(p.value, loaded.params[name].value)
@@ -325,14 +325,14 @@ def test_checkpoint_roundtrip_bit_exact_and_stable(tmp_path):
         assert np.array_equal(state.running_mean, loaded.bn[name].running_mean)
         assert np.array_equal(state.running_var, loaded.bn[name].running_var)
     # serialize -> parse -> serialize is byte-identical
-    assert checkpoint_text(loaded, loaded_cfg, extra) == path.read_text()
+    assert checkpoint_text(loaded, extra) == path.read_text()
 
 
 def test_checkpoint_loads_into_the_parameter_buffers_in_place(tmp_path, monkeypatch):
     import cgnp.formats as formats
 
     cfg = ModelConfig(kind="cgnp", init_seed=4)
-    save_checkpoint(tmp_path / "c.json", init_params(cfg), cfg)
+    save_checkpoint(tmp_path / "c.json", init_params(cfg))
     built = []
 
     def other_init(model_cfg):
@@ -341,7 +341,7 @@ def test_checkpoint_loads_into_the_parameter_buffers_in_place(tmp_path, monkeypa
         return store
 
     monkeypatch.setattr(formats, "init_params", other_init)
-    loaded, _, _ = load_checkpoint(tmp_path / "c.json")
+    loaded, _ = load_checkpoint(tmp_path / "c.json")
     ((store, buffer),) = built
     assert loaded is store and loaded.value is buffer
     want = init_params(cfg)
@@ -354,10 +354,10 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     cfg = ModelConfig(kind="cnp", init_seed=5)
     store = init_params(cfg)
     ep = make_test_episode(ProtocolConfig(test_episodes=1), EqKernelSpec(), 0)
-    mu, sigma = predict(ep, store, cfg)
-    save_checkpoint(tmp_path / "c.json", store, cfg)
-    loaded, loaded_cfg, _ = load_checkpoint(tmp_path / "c.json")
-    mu_after, sigma_after = predict(ep, loaded, loaded_cfg)
+    mu, sigma = predict(ep, store)
+    save_checkpoint(tmp_path / "c.json", store)
+    loaded, _ = load_checkpoint(tmp_path / "c.json")
+    mu_after, sigma_after = predict(ep, loaded)
     assert np.array_equal(mu, mu_after)
     assert np.array_equal(sigma, sigma_after)
 
@@ -483,7 +483,7 @@ def test_bad_checkpoint_is_rejected_naming_file_and_entry(tmp_path, capsys, edit
 
     cfg = ModelConfig(kind="cnp", init_seed=0)
     path = tmp_path / "c.json"
-    save_checkpoint(path, init_params(cfg), cfg)
+    save_checkpoint(path, init_params(cfg))
     doc = json.loads(path.read_text())
     text = edit(doc) or json.dumps(doc)
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -503,7 +503,7 @@ def test_checkpoint_latent_dim_beyond_its_values_is_rejected_before_allocating(t
 
     cfg = ModelConfig(kind="cnp", latent_dim=1)
     path = tmp_path / "c.json"
-    save_checkpoint(path, init_params(cfg), cfg)
+    save_checkpoint(path, init_params(cfg))
     doc = json.loads(path.read_text())
     doc["model"]["latent_dim"] = latent_dim
     path.write_text(json.dumps(doc))
@@ -543,7 +543,7 @@ def _corruption_violations(path, data: bytes, load) -> list:
 
 def test_every_single_byte_corruption_loads_or_is_rejected_naming_the_file(tmp_path):
     cfg = ModelConfig(kind="cnp", latent_dim=1)
-    checkpoint = checkpoint_text(init_params(cfg), cfg).encode()
+    checkpoint = checkpoint_text(init_params(cfg)).encode()
     (tmp_path / "e.jsonl").write_bytes(TWO_EPISODES)
     assert sum(map(len, load_episodes(tmp_path / "e.jsonl"))) == 2
     assert _corruption_violations(tmp_path / "c.json", checkpoint, load_checkpoint) == []

@@ -148,14 +148,14 @@ def test_parameter_views_tile_the_flat_buffers_in_layout_order(tmp_path, kind, l
     store, _ = train(TrainConfig(model=cfg, protocol=protocol, eval_every=0, heldout_episodes=0))
     assert_views_tile_the_buffers(store, cfg)
     assert (store.running_var != 1.0).all()
-    save_checkpoint(tmp_path / "c.json", store, cfg)
-    loaded, _, _ = load_checkpoint(tmp_path / "c.json")
+    save_checkpoint(tmp_path / "c.json", store)
+    loaded, _ = load_checkpoint(tmp_path / "c.json")
     assert_views_tile_the_buffers(loaded, cfg)
     for attr in ("value", "running_mean", "running_var"):
         assert np.array_equal(getattr(loaded, attr), getattr(store, attr)), attr
     if kind == "cgnp":
-        cnp, cnp_cfg = cnp_weights_from_cgnp(loaded, cfg)
-        assert_views_tile_the_buffers(cnp, cnp_cfg)
+        cnp = cnp_weights_from_cgnp(loaded)
+        assert_views_tile_the_buffers(cnp, cnp.cfg)
         for attr in ("running_mean", "running_var"):
             assert np.array_equal(getattr(cnp, attr), getattr(store, attr)), attr
 
@@ -171,7 +171,7 @@ def test_init_params_allocates_no_gradient_beside_the_stores(monkeypatch):
 
 
 def test_store_add_rejects_a_duplicate_name():
-    store = ParameterStore()
+    store = ParameterStore(CGNP)
     store.add(Parameter("a", [[1.0]]))
     with pytest.raises(ValueError, match="duplicate parameter 'a'"):
         store.add(Parameter("a", [[2.0]]))
@@ -195,8 +195,8 @@ def test_stacked_forward_is_invariant_to_context_permutation():
         store = init_params(cfg)
         randomize_store(store, rng)
         for train in (True, False):
-            mu, sigma = gaussian_head(forward_tensors(batch, store, cfg, train).value)
-            mu_p, sigma_p = gaussian_head(forward_tensors(shuffled, store, cfg, train).value)
+            mu, sigma = gaussian_head(forward_tensors(batch, store, train).value)
+            mu_p, sigma_p = gaussian_head(forward_tensors(shuffled, store, train).value)
             np.testing.assert_allclose(mu_p, mu, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(sigma_p, sigma, rtol=1e-9, atol=1e-12)
 
@@ -210,10 +210,10 @@ def test_single_context_encoders_coincide_for_any_radius():
         cgnp = ModelConfig(kind="cgnp", latent_dim=8, radius=radius, init_seed=4)
         store = init_params(cgnp)
         randomize_store(store, rng)
-        cnp_store, cnp_cfg = cnp_weights_from_cgnp(store, cgnp)
+        cnp_store = cnp_weights_from_cgnp(store)
         far = [0.3 - radius - 0.5, 0.3 + radius + 0.25]
         ep = episode([0.3], [-1.1], far, [0.0, 0.0])
-        (mu_a, sigma_a), (mu_b, sigma_b) = predict(ep, store, cgnp), predict(ep, cnp_store, cnp_cfg)
+        (mu_a, sigma_a), (mu_b, sigma_b) = predict(ep, store), predict(ep, cnp_store)
         np.testing.assert_allclose(mu_a, mu_b, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(sigma_a, sigma_b, rtol=1e-9, atol=1e-12)
 
@@ -239,7 +239,7 @@ def test_sigma_floor_at_a_far_target():
     # contexts far to the left; the target at 2.0 has an empty radius ball
     x_c = rng.uniform(-2, -1, 5)
     y_c = rng.standard_normal(5)
-    mu, sigma = predict(episode(x_c, y_c, [2.0, -1.5], [0.0, 0.0]), store, CGNP)
+    mu, sigma = predict(episode(x_c, y_c, [2.0, -1.5], [0.0, 0.0]), store)
     assert mu.shape == sigma.shape == (2,)
     assert np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))
     assert np.all(sigma >= 0.1)
@@ -256,7 +256,7 @@ def test_forward_shapes_across_protocol_sizes():
         store = init_params(cfg)
         for n_c, n_t in ((1, 1), (1, 399), (10, 390), (37, 113), (400, 400)):
             ep = random_episode(rng, n_c=n_c, n_t=n_t)
-            mu, sigma = predict(ep, store, cfg)
+            mu, sigma = predict(ep, store)
             assert mu.shape == (n_t,) and sigma.shape == (n_t,)
             assert np.all(sigma >= 0.1)
 
@@ -267,10 +267,10 @@ def test_forward_is_invariant_to_context_permutation():
         store = init_params(cfg)
         randomize_store(store, rng)
         ep = random_episode(rng, n_c=9, n_t=14)
-        mu, sigma = predict(ep, store, cfg)
+        mu, sigma = predict(ep, store)
         perm = rng.permutation(9)
         mu_p, sigma_p = predict(
-            EpisodeBatch(ep.x_c[:, perm], ep.y_c[:, perm], ep.x_t, ep.y_t), store, cfg
+            EpisodeBatch(ep.x_c[:, perm], ep.y_c[:, perm], ep.x_t, ep.y_t), store
         )
         np.testing.assert_allclose(mu_p, mu, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(sigma_p, sigma, rtol=1e-6, atol=1e-9)
@@ -284,10 +284,10 @@ def test_stacked_forward_matches_per_episode_in_eval_mode():
             store = init_params(cfg)
             randomize_store(store, rng)
             (batch,) = bucket_episodes(episodes)
-            mu, sigma = gaussian_head(forward_tensors(batch, store, cfg, train=False).value)
+            mu, sigma = gaussian_head(forward_tensors(batch, store, train=False).value)
             assert mu.shape == sigma.shape == (5 * n_t, 1)
             for i, ep in enumerate(episodes):
-                single_mu, single_sigma = predict(ep, store, cfg)
+                single_mu, single_sigma = predict(ep, store)
                 rows = slice(i * n_t, (i + 1) * n_t)
                 np.testing.assert_allclose(mu[rows, 0], single_mu, rtol=1e-12)
                 np.testing.assert_allclose(sigma[rows, 0], single_sigma, rtol=1e-12)
@@ -302,7 +302,7 @@ def test_stacked_forward_rejects_mixed_shapes():
         EpisodeBatch(x_c, y_c, x_t, y_t)
     assert [(b.n_target, b.index.tolist()) for b in bucket_episodes(episodes)] == [(4, [0]), (5, [1])]
     with pytest.raises(TypeError, match="EpisodeBatch"):
-        forward_tensors(x_c, init_params(CGNP), CGNP, train=False)
+        forward_tensors(x_c, init_params(CGNP), train=False)
 
 
 def test_radius_zero_equals_cnp_on_100_random_episodes():
@@ -310,11 +310,11 @@ def test_radius_zero_equals_cnp_on_100_random_episodes():
     cgnp = ModelConfig(kind="cgnp", latent_dim=8, radius=0.0, init_seed=11)
     store = init_params(cgnp)
     randomize_store(store, rng)
-    cnp_store, cnp_cfg = cnp_weights_from_cgnp(store, cgnp)
+    cnp_store = cnp_weights_from_cgnp(store)
     for _ in range(100):
         ep = random_episode(rng)
-        mu_a, sigma_a = predict(ep, store, cgnp)
-        mu_b, sigma_b = predict(ep, cnp_store, cnp_cfg)
+        mu_a, sigma_a = predict(ep, store)
+        mu_b, sigma_b = predict(ep, cnp_store)
         np.testing.assert_allclose(mu_a, mu_b, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(sigma_a, sigma_b, rtol=1e-9, atol=1e-12)
 
@@ -323,10 +323,10 @@ def test_radius_zero_equivalence_holds_in_train_mode():
     rng = np.random.default_rng(9)
     cgnp = ModelConfig(kind="cgnp", latent_dim=8, radius=0.0, init_seed=12)
     store = init_params(cgnp)
-    cnp_store, cnp_cfg = cnp_weights_from_cgnp(store, cgnp)
+    cnp_store = cnp_weights_from_cgnp(store)
     ep = random_episode(rng, n_c=6, n_t=5)
-    mu_a, sigma_a = predict(ep, store, cgnp, train=True)
-    mu_b, sigma_b = predict(ep, cnp_store, cnp_cfg, train=True)
+    mu_a, sigma_a = predict(ep, store, train=True)
+    mu_b, sigma_b = predict(ep, cnp_store, train=True)
     np.testing.assert_allclose(mu_a, mu_b, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(sigma_a, sigma_b, rtol=1e-9, atol=1e-12)
 
@@ -337,7 +337,7 @@ def test_every_parameter_reaches_the_loss():
     (batch,) = bucket_episodes((ep, random_episode(rng, n_c=6, n_t=5)))
     for cfg in (CNP, CGNP):
         store = init_params(cfg)
-        loss = batch_loss(batch, store, cfg)
+        loss = batch_loss(batch, store)
         backward(loss)
         for name, p in store.params.items():
             assert np.any(p.grad != 0.0), f"{name} received no gradient"
@@ -354,7 +354,7 @@ def test_end_to_end_gradients_match_finite_differences(kind):
     batch = random_episode(rng, n_c=5, n_t=4)
 
     def build_loss():
-        return batch_loss(batch, store, cfg)
+        return batch_loss(batch, store)
 
     assert_grads_match(
         lambda: float(build_loss().value[0, 0]), build_loss, store.parameters()

@@ -168,8 +168,8 @@ def test_eval_and_compare_write_the_same_bytes_on_one_core_and_on_all_cores(tmp_
     assert main(["train", "--out-dir", str(tmp_path / "run"), "model.kind=cgnp", *TRAIN]) == 0
     checkpoint, data = tmp_path / "run" / "checkpoint.json", tmp_path / "test.jsonl"
     assert main(["generate", "--out", str(data), "data.test_episodes=250", "seed.master=7"]) == 0
-    store, cfg, _ = load_checkpoint(checkpoint)
-    m = sequential_evaluate(store, cfg, load_episodes(data))
+    store, _ = load_checkpoint(checkpoint)
+    m = sequential_evaluate(store, load_episodes(data))
     want = (f"nll_per_point={m.nll_per_point!r} nll_per_episode={m.nll_per_episode!r} "
             f"mse={m.mse!r} episode_count={m.episode_count}")
     compare_args = [arg for arg in COMPARE_ARGS if not arg.startswith("data.test_episodes=")]

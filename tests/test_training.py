@@ -74,9 +74,9 @@ def test_duplicating_episodes_leaves_loss_unchanged():
     batch = make_train_batch(ProtocolConfig(batch_size=4), KERNEL, 0)
     cfg = ModelConfig(kind="cnp")
     store = init_params(cfg)
-    base = float(batch_loss(batch, store, cfg).value[0, 0])
+    base = float(batch_loss(batch, store).value[0, 0])
     doubled = EpisodeBatch(*(np.concatenate([a, a]) for a in (batch.x_c, batch.y_c, batch.x_t, batch.y_t)))
-    dup = float(batch_loss(doubled, store, cfg).value[0, 0])
+    dup = float(batch_loss(doubled, store).value[0, 0])
     assert abs(dup - base) <= 1e-12
 
 
@@ -86,7 +86,7 @@ def test_loss_finite_at_initialization_for_100_batches():
         cfg = ModelConfig(kind=kind, init_seed=1)
         store = init_params(cfg)
         for b in range(100):
-            loss = batch_loss(make_train_batch(proto, KERNEL, b), store, cfg)
+            loss = batch_loss(make_train_batch(proto, KERNEL, b), store)
             assert np.isfinite(loss.value[0, 0])
 
 
@@ -122,7 +122,7 @@ def test_trained_parameters_stay_in_the_packed_buffers():
 )
 def test_training_step_tape_size_budget(cfg, nodes, ops):
     # pinned: a change to the tape size re-pins these, with a note in CHANGES.md
-    order = topo_order(batch_loss(make_train_batch(ProtocolConfig(), KERNEL, 0), init_params(cfg), cfg))
+    order = topo_order(batch_loss(make_train_batch(ProtocolConfig(), KERNEL, 0), init_params(cfg)))
     assert (len(order), sum(node._vjp is not None for node in order)) == (nodes, ops)
 
 
@@ -132,7 +132,7 @@ def test_training_step_tape_size_budget(cfg, nodes, ops):
 def test_no_data_leaf_of_a_training_step_holds_a_gradient(cfg):
     # the episode data enter the tape as raw arrays, constants that take no gradient
     store = init_params(cfg)
-    loss = batch_loss(make_train_batch(ProtocolConfig(), KERNEL, 0), store, cfg)
+    loss = batch_loss(make_train_batch(ProtocolConfig(), KERNEL, 0), store)
     backward(loss)
     order = topo_order(loss)
     leaves = [node for node in order if node._vjp is None]
@@ -148,8 +148,8 @@ def test_no_data_leaf_of_a_training_step_holds_a_gradient(cfg):
 def test_backward_gradients_equal_the_depth_first_oracle_on_a_training_batch(cfg):
     batch = make_train_batch(ProtocolConfig(), KERNEL, 0)
     store, ref_store = init_params(cfg), init_params(cfg)
-    backward(batch_loss(batch, store, cfg))
-    reference_backward(batch_loss(batch, ref_store, cfg))
+    backward(batch_loss(batch, store))
+    reference_backward(batch_loss(batch, ref_store))
     for p, q in zip(store.parameters(), ref_store.parameters()):
         assert p.name == q.name and np.array_equal(p.grad, q.grad), p.name
 
@@ -253,7 +253,7 @@ def test_trivial_predictor_matches_prior_baseline():
     store = init_params(cfg)
     store["dec2.w"].value[...] = 0.0
     store["dec2.b"].value[...] = [[0.0, math.log(math.e - 1.0)]]
-    m = evaluate(store, cfg, episodes)
+    m = evaluate(store, episodes)
     np.testing.assert_allclose(m.mse, 1.0, atol=0.05)
     np.testing.assert_allclose(m.nll_per_point, 0.5 * math.log(2 * math.pi) + 0.5, atol=0.05)
     assert m.episode_count == 300
@@ -263,8 +263,8 @@ def test_metrics_invariant_to_episode_order():
     episodes = grid_episodes(20)
     cfg = ModelConfig(kind="cnp", init_seed=2)
     store = init_params(cfg)
-    a = evaluate(store, cfg, bucket_episodes(episodes))
-    b = evaluate(store, cfg, bucket_episodes(episodes[::-1]))
+    a = evaluate(store, bucket_episodes(episodes))
+    b = evaluate(store, bucket_episodes(episodes[::-1]))
     np.testing.assert_allclose(a.nll_per_point, b.nll_per_point, rtol=1e-9)
     np.testing.assert_allclose(a.mse, b.mse, rtol=1e-9)
     assert a.episode_count == b.episode_count == 20
@@ -287,8 +287,8 @@ def test_evaluate_on_a_ragged_set_matches_per_episode_forwards(monkeypatch):
         for state in store.bn.values():
             state.running_mean[...] = rng.standard_normal(state.running_mean.shape) * 0.1
             state.running_var[...] = rng.uniform(0.5, 2.0, state.running_var.shape)
-        got = evaluate(store, cfg, bucket_episodes(episodes))
-        want = prediction_metrics([predict(ep, store, cfg) for ep in episodes], episodes)
+        got = evaluate(store, bucket_episodes(episodes))
+        want = prediction_metrics([predict(ep, store) for ep in episodes], episodes)
         assert got.episode_count == want.episode_count == 23
         for name in ("nll_per_point", "nll_per_episode", "mse"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, err_msg=name)
@@ -298,7 +298,7 @@ def test_nll_normalizations_are_consistent():
     episodes = grid_episodes(15)
     cfg = ModelConfig(kind="cnp", init_seed=2)
     store = init_params(cfg)
-    m = evaluate(store, cfg, bucket_episodes(episodes))
+    m = evaluate(store, bucket_episodes(episodes))
     mean_targets = np.mean([ep.n_target for ep in episodes])
     np.testing.assert_allclose(m.nll_per_episode, m.nll_per_point * mean_targets, rtol=1e-12)
 
@@ -311,7 +311,7 @@ def test_nll_terms_formula():
 def test_evaluate_rejects_an_empty_episode_set():
     cfg = ModelConfig(kind="cnp")
     with pytest.raises(ValueError, match="at least one episode"):
-        evaluate(init_params(cfg), cfg, [])
+        evaluate(init_params(cfg), [])
 
 
 @pytest.mark.parametrize("kind", ["cnp", "cgnp"])
@@ -320,7 +320,7 @@ def test_evaluate_builds_no_tape_and_leaves_taping_on_when_it_returns_or_raises(
     train_batch = make_train_batch(ProtocolConfig(batch_size=8), KERNEL, 0)
 
     def step_grads(store):
-        backward(batch_loss(train_batch, store, cfg))
+        backward(batch_loss(train_batch, store))
         return store.grad.copy()
 
     fresh = step_grads(init_params(cfg))
@@ -340,7 +340,7 @@ def test_evaluate_builds_no_tape_and_leaves_taping_on_when_it_returns_or_raises(
     decode = recording(training.decode)
     monkeypatch.setattr(training, "decode", decode)
     store = init_params(cfg)
-    evaluate(store, cfg, bucket_episodes(grid_episodes(15)))
+    evaluate(store, bucket_episodes(grid_episodes(15)))
     assert len(outputs) == 2 + 8  # one bucket's features and latents, then one head per chunk
     assert all(t._parents == () and t._vjp is None for t in outputs)
     assert np.array_equal(step_grads(store), fresh)
@@ -354,7 +354,7 @@ def test_evaluate_builds_no_tape_and_leaves_taping_on_when_it_returns_or_raises(
     monkeypatch.setattr(training, "decode", failing)
     store = init_params(cfg)
     with pytest.raises(RuntimeError, match="second chunk fails"):
-        evaluate(store, cfg, bucket_episodes(grid_episodes(15)))
+        evaluate(store, bucket_episodes(grid_episodes(15)))
     assert len(outputs) == 3
     assert np.array_equal(step_grads(store), fresh)
 
@@ -387,7 +387,7 @@ def test_evaluate_encodes_once_per_bucket_and_decodes_once_per_chunk(monkeypatch
         cfg = ModelConfig(kind=kind)
         encoded.clear()
         decoded.clear()
-        evaluate(init_params(cfg), cfg, bucket_episodes(episodes))
+        evaluate(init_params(cfg), bucket_episodes(episodes))
         assert sorted(encoded) == [(3, 4), (4, 4), (5, 4)]  # x_c of each whole bucket, once
         assert decoded == {9: [(2, 4), (2, 4), (1, 4)], 25: [(1, 4)] * 4, 2: [(3, 4)]}  # x_c of each chunk
 
@@ -445,11 +445,11 @@ def test_evaluate_has_the_sequential_bits_at_any_core_count(monkeypatch, kind, n
     buckets = ragged_buckets()
     cfg = ModelConfig(kind=kind, init_seed=4)
     store = store_with_running_stats(cfg)
-    want = sequential_evaluate(store, cfg, buckets)
+    want = sequential_evaluate(store, buckets)
     cores(monkeypatch, n_cores)
     started = spy_helpers(monkeypatch)
     for _ in range(3):  # threads interleave differently from call to call
-        assert_same_bits(evaluate(store, cfg, buckets), want)
+        assert_same_bits(evaluate(store, buckets), want)
     assert started == helpers * 3
 
 
@@ -461,10 +461,10 @@ def test_evaluate_takes_no_more_threads_than_cores_buckets_or_chunks_allow(monke
     for chunks_per_thread, helpers in ((13, []), (7, []), (6, [1]), (4, [2]), (1, [7])):
         cores(monkeypatch, 8, chunks_per_thread)
         started.clear()
-        evaluate(store, cfg, buckets)
+        evaluate(store, buckets)
         assert started == helpers, chunks_per_thread
     started.clear()
-    evaluate(store, cfg, buckets[:3])  # 4 chunks in 3 buckets
+    evaluate(store, buckets[:3])  # 4 chunks in 3 buckets
     assert started == [2]
 
 
@@ -493,7 +493,7 @@ def test_evaluate_keeps_the_sequential_bits_without_an_affinity_set(monkeypatch,
     started = spy_helpers(monkeypatch)
     cfg = ModelConfig(kind="cgnp")
     store, buckets = store_with_running_stats(cfg), ragged_buckets()
-    assert_same_bits(evaluate(store, cfg, buckets), sequential_evaluate(store, cfg, buckets))
+    assert_same_bits(evaluate(store, buckets), sequential_evaluate(store, buckets))
     assert started == [1]
 
 
@@ -504,7 +504,7 @@ def test_every_bucket_is_scored_once_with_more_threads_than_cores(monkeypatch):
     buckets = ragged_buckets(60, seed=3)
     cfg = ModelConfig(kind="cnp")
     store = init_params(cfg)
-    want = sequential_evaluate(store, cfg, buckets)
+    want = sequential_evaluate(store, buckets)
     encoded, real_encode = [], training.encode
 
     def encode(x_c, y_c, *args, **kwargs):
@@ -517,7 +517,7 @@ def test_every_bucket_is_scored_once_with_more_threads_than_cores(monkeypatch):
     try:
         for _ in range(5):
             encoded.clear()
-            got = evaluate(store, cfg, buckets)
+            got = evaluate(store, buckets)
             assert sorted(encoded) == sorted(id(b.x_c) for b in buckets)  # each bucket once
             assert_same_bits(got, want)
     finally:
@@ -545,7 +545,7 @@ def test_a_helper_thread_inherits_no_grad_and_errstate_and_its_error_reaches_the
     cfg = ModelConfig(kind="cgnp")
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
-            evaluate(init_params(cfg), cfg, buckets)
+            evaluate(init_params(cfg), buckets)
     assert len(seen) == 2 and threading.get_ident() in seen
     assert all(record == ("raise", (), None) for record in seen.values())  # no tape on either thread
     assert np.geterr()["over"] != "raise"
@@ -559,7 +559,7 @@ def test_an_overflowing_bucket_raises_in_the_caller_under_errstate(monkeypatch):
     cfg = ModelConfig(kind="cnp")
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
-            evaluate(init_params(cfg), cfg, buckets)
+            evaluate(init_params(cfg), buckets)
 
 
 @pytest.mark.parametrize("failing", [0, 4, 8])
@@ -581,10 +581,10 @@ def test_a_failing_chunk_in_any_bucket_propagates_and_leaves_taping_on(monkeypat
     cfg = ModelConfig(kind="cgnp")
     store, threads = init_params(cfg), threading.active_count()
     with pytest.raises(RuntimeError, match=f"bucket {failing} fails"):
-        evaluate(store, cfg, buckets)
+        evaluate(store, buckets)
     assert scored.count(failing) == 1  # its first chunk raised
     assert threading.active_count() == threads  # every thread of the pool has ended
-    loss = batch_loss(make_train_batch(ProtocolConfig(batch_size=8), KERNEL, 0), store, cfg)
+    loss = batch_loss(make_train_batch(ProtocolConfig(batch_size=8), KERNEL, 0), store)
     assert loss._parents and loss._vjp is not None  # taping is on again
 
 
@@ -621,8 +621,9 @@ def test_lockstep_compare_equals_the_sequential_oracle_bitwise(seeds, batches, b
 def test_compare_names_the_diverged_variant_and_seed(monkeypatch):
     real_batch_loss = training.batch_loss
 
-    def diverging(batch, store, cfg):  # cgnp(0.7), the middle run, diverges at batch 1 of seed 1
-        loss = real_batch_loss(batch, store, cfg)
+    def diverging(batch, store):  # cgnp(0.7), the middle run, diverges at batch 1 of seed 1
+        loss = real_batch_loss(batch, store)
+        cfg = store.cfg
         if cfg.kind == "cgnp" and cfg.radius > 0 and cfg.init_seed == 4 and len(seen) == 5 + 2:
             loss.value[...] = np.nan
         return loss
@@ -658,9 +659,9 @@ def test_a_compare_makes_no_heldout_set_and_evaluates_each_run_once_on_the_test_
     made, evaluated = [], []
     real_evaluate = training.evaluate
 
-    def recording(store, cfg, batches):
+    def recording(store, batches):
         evaluated.append([id(batch) for batch in batches])
-        return real_evaluate(store, cfg, batches)
+        return real_evaluate(store, batches)
 
     monkeypatch.setattr(training, "make_heldout_set", lambda *args: made.append(args) or [])
     monkeypatch.setattr(training, "evaluate", recording)
