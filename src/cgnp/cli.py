@@ -8,6 +8,7 @@ missing keys take the documented defaults below.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -346,10 +347,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # a model's non-finite output ends in a clean error, not in numpy warnings (train and
+    # compare quiet their own); generate stays loud, so that an overflow making data shows
+    quiet = np.errstate(**QUIET) if args.command in ("eval", "plot") else contextlib.nullcontext()
     try:
-        # a model's non-finite output ends in a clean error, not in numpy warnings (train and
-        # compare quiet their own); generate stays loud, so that an overflow making data shows
-        with np.errstate(**(QUIET if args.command in ("eval", "plot") else {})):
+        with quiet:
             return args.func(args)
     except Exception as exc:  # uniform nonzero exit with a clean message
         print(f"error: {exc}", file=sys.stderr)

@@ -315,9 +315,9 @@ def _rho(result) -> str:
 
 
 def metrics_csv(metrics: Metrics, header: str) -> str:
-    m = metrics
+    values = (metrics.nll_per_point, metrics.nll_per_episode, metrics.mse)
     return _table(header, "nll_per_point,nll_per_episode,mse,episode_count",
-                  [[_fmt(m.nll_per_point), _fmt(m.nll_per_episode), _fmt(m.mse), str(m.episode_count)]])
+                  [[*map(_fmt, values), str(metrics.episode_count)]])
 
 
 def comparison_csv(results, header: str) -> str:
