@@ -20,7 +20,7 @@ TINY = ["train.batches=3", "train.batch_size=4", "data.test_episodes=5"]
 def test_the_benchmark_commands_exit_0_traced_and_every_span_closes(tmp_path, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from metrics import LAYERS, MEASURES, layer_metrics
-    from tracer import Tracer
+    from tracer import RAISED, Tracer
 
     data = tmp_path / "test.jsonl"
     kinds = ("cnp", "cgnp")
@@ -40,7 +40,7 @@ def test_the_benchmark_commands_exit_0_traced_and_every_span_closes(tmp_path, mo
         tracer.restore()
     assert codes == [0] * len(commands), capsys.readouterr().err
     assert None not in tracer.spans
-    assert not any(span[4] for span in tracer.spans)  # no traced call raised
+    assert not any(span[RAISED] for span in tracer.spans)
     metrics, _ = layer_metrics(tracer.spans, 1.0)
     # a number read by each kind of measure hook
     assert metrics["autodiff.output_mb_per_step"] > 0
