@@ -29,27 +29,25 @@ __all__ = ["main", "parse_run_config", "CONFIG_DEFAULTS"]
 _DEFAULT = TrainConfig(model=ModelConfig(kind="cgnp"))
 
 # config key -> (the part of TrainConfig it sets, "" for TrainConfig's own
-# fields; the field it sets there; an upper bound if it sizes an allocation,
-# so that an oversized value is rejected naming the key rather than failing
-# inside numpy). The order is that of a checkpoint's `extra`.
+# fields; the field it sets there), whose dataclass checks its value. The
+# order is that of a checkpoint's `extra`.
 _KEYS = {
-    "model.kind": ("model", "kind", None),
-    "model.latent_dim": ("model", "latent_dim", 512),
-    "model.radius": ("model", "radius", None),
-    "train.lr": ("", "lr", None),
-    "train.batches": ("protocol", "train_batches", 10**7),
-    "train.batch_size": ("protocol", "batch_size", 4096),
-    "train.eval_every": ("", "eval_every", None),
-    "seed.master": ("protocol", "master_seed", None),
-    "seed.init": ("model", "init_seed", None),
-    "data.length_scale": ("kernel", "length_scale", None),
-    "data.jitter": ("kernel", "jitter", None),
-    "data.test_episodes": ("protocol", "test_episodes", 10**5),
+    "model.kind": ("model", "kind"),
+    "model.latent_dim": ("model", "latent_dim"),
+    "model.radius": ("model", "radius"),
+    "train.lr": ("", "lr"),
+    "train.batches": ("protocol", "train_batches"),
+    "train.batch_size": ("protocol", "batch_size"),
+    "train.eval_every": ("", "eval_every"),
+    "seed.master": ("protocol", "master_seed"),
+    "seed.init": ("model", "init_seed"),
+    "data.length_scale": ("kernel", "length_scale"),
+    "data.jitter": ("kernel", "jitter"),
+    "data.test_episodes": ("protocol", "test_episodes"),
 }
 CONFIG_DEFAULTS: dict[str, object] = {
-    key: getattr(getattr(_DEFAULT, part) if part else _DEFAULT, name) for key, (part, name, _) in _KEYS.items()
+    key: getattr(getattr(_DEFAULT, part) if part else _DEFAULT, name) for key, (part, name) in _KEYS.items()
 }
-CONFIG_MAXIMA = {key: bound for key, (_, _, bound) in _KEYS.items() if bound is not None}
 
 
 def _coerce(key: str, raw: str):
@@ -60,10 +58,8 @@ def _coerce(key: str, raw: str):
         value = type(default)(raw)
     except ValueError as exc:
         raise ValueError(f"config key {key}: cannot parse {raw!r}: {exc}") from exc
-    if not math.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):  # an int of any size goes on to its bounds
         raise ValueError(f"config key {key}: must be finite, got {value}")
-    if key in CONFIG_MAXIMA and value > CONFIG_MAXIMA[key]:
-        raise ValueError(f"config key {key}: must be at most {CONFIG_MAXIMA[key]}, got {value}")
     return value
 
 
@@ -107,7 +103,7 @@ def _config_echo(cfg: dict) -> str:
 def _train_config(cfg: dict) -> TrainConfig:
     """The TrainConfig whose fields the config keys set, the rest at their defaults."""
     changes: dict[str, dict] = {"model": {}, "kernel": {}, "protocol": {}, "": {}}
-    for key, (part, name, _) in _KEYS.items():
+    for key, (part, name) in _KEYS.items():
         changes[part][name] = cfg[key]
     parts = {part: replace(getattr(_DEFAULT, part), **values) for part, values in changes.items() if part}
     return replace(_DEFAULT, **parts, **changes[""])

@@ -57,6 +57,22 @@ N_TARGET = (2, 10)  # inclusive, training only
 TEST_GRID = 400
 
 
+def _check_field(obj, name: str, types: tuple[type, ...], low=None, high=None) -> None:
+    """Raise a ValueError naming field `name` of config `obj` unless its
+    value's type is exactly one of `types`, so that a bool fails where an
+    int is asked for, and it lies in [low, high] (`high` only with `low`);
+    NaN fails either bound."""
+    value = getattr(obj, name)
+    if type(value) not in types:
+        raise ValueError(f"{name} must be an {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    if low is not None and not (value >= low and (high is None or value <= high)):
+        if high is not None:
+            rule = f"between {low} and {high}"
+        else:
+            rule = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
 @dataclass(frozen=True)
 class EqKernelSpec:
     """Unit-variance exponentiated quadratic kernel k(x, x') = exp(-(x-x')^2 / (2 l^2)),
@@ -68,11 +84,9 @@ class EqKernelSpec:
     def __post_init__(self):
         # eq_kernel divides (x-x')^2 by 2 l^2: within these bounds that is a positive double
         # and the quotient finite for |x - x'| up to 1e4; past them it underflows or overflows
-        if not 1e-150 <= self.length_scale <= 1e150:  # NaN fails every check here
-            raise ValueError(f"length_scale must be between 1e-150 and 1e150, got {self.length_scale}")
+        _check_field(self, "length_scale", (int, float), 1e-150, 1e150)
         # a diagonal stabiliser never needs to reach the kernel's unit variance
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be between 0 and 1, got {self.jitter}")
+        _check_field(self, "jitter", (int, float), 0, 1)
 
 
 _FIELDS = ("x_c", "y_c", "x_t", "y_t")
@@ -165,17 +179,11 @@ class ProtocolConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "train_batches", "test_episodes", "master_seed"):
-            if type(getattr(self, name)) is not int:  # exact type, as in ModelConfig, so a bool fails
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.train_batches < 1:
-            raise ValueError(f"train_batches must be at least 1, got {self.train_batches}")
-        if self.test_episodes < 0:
-            raise ValueError(f"test_episodes must be non-negative, got {self.test_episodes}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
+        # batch norm needs 2+ rows; the upper bounds cap what a run allocates
+        _check_field(self, "batch_size", (int,), 2, 4096)
+        _check_field(self, "train_batches", (int,), 1, 10**7)
+        _check_field(self, "test_episodes", (int,), 0, 10**5)
+        _check_field(self, "master_seed", (int,), 0)
 
 
 # ---------------------------------------------------------------------------

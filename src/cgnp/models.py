@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import BatchNormState, Parameter, affine, block, block_mean, concat_cols, repeat_rows
-from .gp import EpisodeBatch
+from .gp import EpisodeBatch, _check_field
 from .graph import bipartite_conv, radius_neighborhood
 from .seeds import DOMAIN_INIT, derive_rng
 
@@ -78,17 +78,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in ("cnp", "cgnp"):
             raise ValueError(f"kind must be 'cnp' or 'cgnp', got {self.kind!r}")
-        # exact types, so that a bool (an int subclass) is rejected too
-        for name, types in (("latent_dim", (int,)), ("init_seed", (int,)), ("radius", (int, float))):
-            if type(getattr(self, name)) not in types:
-                kinds = " or ".join(t.__name__ for t in types)
-                raise ValueError(f"{name} must be an {kinds}, got {getattr(self, name)!r}")
-        if self.latent_dim < 1:
-            raise ValueError(f"latent_dim must be at least 1, got {self.latent_dim}")
-        if not self.radius >= 0.0:  # NaN fails too
-            raise ValueError(f"radius must be non-negative, got {self.radius}")
-        if self.init_seed < 0:
-            raise ValueError(f"init_seed must be non-negative, got {self.init_seed}")
+        _check_field(self, "latent_dim", (int,), 1, 512)  # the upper bound caps what a model allocates
+        _check_field(self, "radius", (int, float), 0)
+        _check_field(self, "init_seed", (int,), 0)
 
 
 class ParameterStore:

@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .autodiff import Tensor, backward, gaussian_head, gaussian_nll, nll_terms, no_grad
-from .gp import EpisodeBatch, EqKernelSpec, ProtocolConfig, make_heldout_set, make_train_batch
+from .gp import EpisodeBatch, EqKernelSpec, ProtocolConfig, _check_field, make_heldout_set, make_train_batch
 from .models import ModelConfig, ParameterStore, decode, encode, forward_tensors, init_params
 from .optim import AdamState, adam_step
 
@@ -82,18 +82,11 @@ class TrainConfig:
     heldout_episodes: int = 64  # 0 disables held-out evaluation
 
     def __post_init__(self):
-        if type(self.lr) not in (int, float):  # exact types, as in ModelConfig, so a bool fails
-            raise ValueError(f"lr must be an int or float, got {self.lr!r}")
+        _check_field(self, "lr", (int, float))
         if not 0.0 < self.lr < np.inf:
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
-        for name in ("eval_every", "heldout_episodes"):  # exact type, as in ModelConfig, so a bool fails
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-        if self.protocol.batch_size < 2:
-            raise ValueError("batch_size must be at least 2 (batch norm needs 2+ rows)")
+        _check_field(self, "eval_every", (int,), 0)
+        _check_field(self, "heldout_episodes", (int,), 0)
 
 
 @dataclass(frozen=True)
@@ -170,9 +163,9 @@ def _train_group(cfgs: list[TrainConfig], names: list[str] | None = None, log=No
     and each batch are made once, and the runs step on them in order, so
     each run ends as it would trained alone. ``log(batch_index, loss,
     metrics_or_none)`` is called every ``eval_every`` batches and on the
-    final batch. A run's `wall_seconds` is the time of its own work plus an
-    equal share of the rest of the call; a divergence is prefixed with the
-    run's entry in `names`.
+    final batch, and never if ``eval_every`` is 0. A run's `wall_seconds`
+    is the time of its own work plus an equal share of the rest of the
+    call; a divergence is prefixed with the run's entry in `names`.
     """
     start = time.perf_counter()
     protocol, kernel = cfgs[0].protocol, cfgs[0].kernel

@@ -11,7 +11,7 @@ import pytest
 
 import cgnp
 from cgnp import cli
-from cgnp.cli import CONFIG_DEFAULTS, CONFIG_MAXIMA, _train_config, main, parse_run_config
+from cgnp.cli import CONFIG_DEFAULTS, _train_config, main, parse_run_config
 from cgnp.formats import file_sha256, load_checkpoint, load_episodes, save_checkpoint, save_episodes
 from cgnp.gp import EqKernelSpec, ProtocolConfig, make_test_set
 from cgnp.models import ModelConfig, init_params
@@ -48,9 +48,18 @@ def test_default_run_config_is_the_dataclass_defaults():
     assert _train_config(parse_run_config(None)) == TrainConfig(model=ModelConfig(kind="cgnp"))
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+# the upper bounds README states, as in "`train.batches` ≤ 10^7"
+README_MAXIMA = {
+    key: int(base) ** int(power or 1)
+    for key, base, power in re.findall(
+        r"`([\w.]+)` ≤\s+(\d+)(?:\^(\d+))?", README.split("bounded above:", 1)[1].split("(", 1)[0]
+    )
+}
+
+
 def test_the_readme_names_every_config_key_with_its_default():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    sentence = readme.split("Keys and defaults:", 1)[1].split(";", 1)[0]
+    sentence = README.split("Keys and defaults:", 1)[1].split(";", 1)[0]
     documented = dict(re.findall(r"`([\w.]+)=([^`]*)`", sentence))
     assert sorted(documented) == sorted(CONFIG_DEFAULTS)
     for key, default in CONFIG_DEFAULTS.items():  # numbers as numbers: 1e-3 == 0.001
@@ -88,7 +97,7 @@ def test_bad_value_and_kind_rejected():
         ("train.lr=inf", "config key train.lr: must be finite, got inf"),
         ("data.length_scale=nan", "config key data.length_scale: must be finite, got nan"),
         ("train.eval_every=-5", "config key train.eval_every: eval_every must be non-negative, got -5"),
-        ("train.batches=0", "config key train.batches: train_batches must be at least 1, got 0"),
+        ("train.batches=0", "config key train.batches: train_batches must be between 1 and 10000000, got 0"),
         ("seed.master=-1", "config key seed.master: master_seed must be non-negative, got -1"),
         ("seed.init=-1", "config key seed.init: init_seed must be non-negative, got -1"),
     ],
@@ -129,11 +138,11 @@ def test_a_later_value_replaces_an_earlier_bad_one(tmp_path, capsys, config, ove
     "config, overrides, message",
     [
         (None, ["train.batch_size=4", "train.batch_size=1000000000000"],
-         "config key train.batch_size: must be at most 4096, got 1000000000000"),
+         "config key train.batch_size: batch_size must be between 2 and 4096, got 1000000000000"),
         ("train.batch_size = 4\n", ["train.batch_size=abc"],
          "config key train.batch_size: cannot parse 'abc'"),
         ("train.batch_size = 4\n", ["train.batch_size=0"],
-         "config key train.batch_size: batch_size must be at least 1"),
+         "config key train.batch_size: batch_size must be between 2 and 4096, got 0"),
         (None, ["train.bogus=1", "train.batch_size=4"], "unknown config key 'train.bogus'"),
         ("train.bogus = 1\n", ["train.bogus=2"], "unknown config key 'train.bogus'"),
     ],
@@ -154,26 +163,34 @@ def test_a_bad_last_value_or_an_unknown_key_exits_1_naming_it(tmp_path, capsys, 
     assert sorted(tmp_path.iterdir()) == before
 
 
-@pytest.mark.parametrize("key", list(CONFIG_MAXIMA))
+@pytest.mark.parametrize("key", ["model.latent_dim", "train.batches", "train.batch_size", "data.test_episodes"])
 def test_oversized_value_exits_1_naming_the_key_before_allocating(tmp_path, monkeypatch, capsys, key):
-    import cgnp.cli as cli
+    reached = []
 
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("an oversized value reached allocation")
+    def allocation(*args, **kwargs):  # where a run would allocate: stop there
+        reached.append(args[0])
+        raise RuntimeError("reached allocation")
 
-    monkeypatch.setattr(cli, "train", no_allocation)
-    monkeypatch.setattr(cli, "make_test_set", no_allocation)
-    bound = CONFIG_MAXIMA[key]
+    monkeypatch.setattr(cli, "train", allocation)
+    monkeypatch.setattr(cli, "make_test_set", allocation)
+    bound = README_MAXIMA[key]
+    name = cli._KEYS[key][1]
     assert parse_run_config(None, [f"{key}={bound}"])[key] == bound
     for argv in (["train", "--out-dir", str(tmp_path / "run")], ["generate", "--out", str(tmp_path / "t.jsonl")]):
+        assert main([*argv, f"{key}={bound}"]) == 1  # the bound itself gets as far as allocation
+        assert capsys.readouterr().err == "error: reached allocation\n"
         assert main([*argv, f"{key}={bound + 1}"]) == 1
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"error: config key {key}: must be at most {bound}, got {bound + 1}"]
+        expected = f"error: config key {re.escape(key)}: {name} must be between \\d+ and {bound}, got {bound + 1}\n"
+        assert re.fullmatch(expected, captured.err)
         assert captured.out == ""
+    assert len(reached) == 2
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "", "abc"])
+@pytest.mark.parametrize(
+    "value", ["nan", "inf", "-inf", "0", "-1", "", "abc", pytest.param("1" + "0" * 400, id="401_digits")]
+)
 @pytest.mark.parametrize("key", list(CONFIG_DEFAULTS))
 def test_every_config_key_takes_a_boundary_value_or_rejects_it_naming_the_key(
     tmp_path, monkeypatch, capsys, key, value
@@ -226,7 +243,7 @@ def test_a_length_scale_that_breaks_the_kernel_exits_1_naming_the_key_before_any
     assert main([command, *out, f"data.length_scale={value}", "train.batches=3", "data.test_episodes=2"]) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        f"error: config key data.length_scale: length_scale must be between 1e-150 and 1e150, got {float(value)}"
+        f"error: config key data.length_scale: length_scale must be between 1e-150 and 1e+150, got {float(value)}"
     ]
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []

@@ -497,7 +497,7 @@ def test_bad_checkpoint_is_rejected_naming_file_and_entry(tmp_path, capsys, edit
     assert not out.exists()
 
 
-@pytest.mark.parametrize("latent_dim", [10**74, 10**5], ids=["75_digits", "1e5"])
+@pytest.mark.parametrize("latent_dim", [10**74, 10**5, 513, 512], ids=["75_digits", "1e5", "513", "512"])
 def test_checkpoint_latent_dim_beyond_its_values_is_rejected_before_allocating(tmp_path, monkeypatch, latent_dim):
     import cgnp.formats as formats
 
@@ -512,8 +512,12 @@ def test_checkpoint_latent_dim_beyond_its_values_is_rejected_before_allocating(t
         raise AssertionError("init_params ran before the lengths were checked")
 
     monkeypatch.setattr(formats, "init_params", no_init)
-    implied = formats.flat_sizes(replace(cfg, latent_dim=latent_dim))[0]
-    with pytest.raises(ValueError, match=re.escape(f"{path}: values holds 22 numbers, the model config implies {implied}")):
+    if latent_dim <= 512:  # a model config as such, whose values are too few
+        implied = formats.flat_sizes(replace(cfg, latent_dim=latent_dim))[0]
+        message = f"{path}: values holds 22 numbers, the model config implies {implied}"
+    else:
+        message = f"{path}: bad model config: latent_dim must be between 1 and 512, got {latent_dim}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_checkpoint(path)
 
 

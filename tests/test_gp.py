@@ -1,4 +1,6 @@
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from cgnp.gp import (
     make_train_batch,
     sample_function_values,
 )
+from cgnp.models import ModelConfig
 from cgnp.seeds import DOMAIN_TRAIN, derive_rng
+from cgnp.training import TrainConfig
 
 from helpers import episode
 
@@ -87,15 +91,43 @@ def test_protocol_validation():
         ProtocolConfig(train_batches=0)
     with pytest.raises(ValueError, match="test_episodes"):
         ProtocolConfig(test_episodes=-1)
+    # batch norm needs two rows; the upper bounds are the ones README states for the config keys
+    for name, bad, good in [("batch_size", 1, 2), ("batch_size", 4097, 4096), ("train_batches", 10**7 + 1, 10**7),
+                            ("test_episodes", 10**5 + 1, 10**5)]:
+        assert getattr(ProtocolConfig(**{name: good}), name) == good
+        with pytest.raises(ValueError, match=f"^{name} must be between \\d+ and \\d+, got {bad}$"):
+            ProtocolConfig(**{name: bad})
 
 
-@pytest.mark.parametrize("name", ["batch_size", "train_batches", "test_episodes", "master_seed"])
-@pytest.mark.parametrize("value", [1.5, 2.0, True, "3", None])
+# every numeric field of the four config dataclasses: how to build the config, and the types it takes
+NUMERIC_FIELDS = {
+    "batch_size": (ProtocolConfig, "int"),
+    "train_batches": (ProtocolConfig, "int"),
+    "test_episodes": (ProtocolConfig, "int"),
+    "master_seed": (ProtocolConfig, "int"),
+    "length_scale": (EqKernelSpec, "int or float"),
+    "jitter": (EqKernelSpec, "int or float"),
+    "latent_dim": (partial(ModelConfig, kind="cnp"), "int"),
+    "radius": (partial(ModelConfig, kind="cgnp"), "int or float"),
+    "init_seed": (partial(ModelConfig, kind="cnp"), "int"),
+    "lr": (partial(TrainConfig, model=ModelConfig(kind="cnp")), "int or float"),
+    "eval_every": (partial(TrainConfig, model=ModelConfig(kind="cnp")), "int"),
+    "heldout_episodes": (partial(TrainConfig, model=ModelConfig(kind="cnp")), "int"),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=f"{value}-{name}")
+    for value in (1.5, 2.0, True, "3", None)
+    for name, (_, types) in NUMERIC_FIELDS.items()
+    if types == "int" or not isinstance(value, float)
+])
 def test_protocol_rejects_a_field_that_is_not_an_int(name, value):
-    # exact type, as in ModelConfig: a float seed would train as its int()
-    # and a bool would pass as 0 or 1
-    with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
-        ProtocolConfig(**{name: value})
+    # exact types, in every config dataclass: a float seed would train as
+    # its int(), a bool would pass as 0 or 1, and a str would fail naming no field
+    make, types = NUMERIC_FIELDS[name]
+    with pytest.raises(ValueError, match=f"^{name} must be an {types}, got {re.escape(repr(value))}$"):
+        make(**{name: value})
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,9 @@ def test_config_validation():
         ModelConfig(kind="gp")
     with pytest.raises(ValueError, match="latent_dim"):
         ModelConfig(kind="cnp", latent_dim=0)
+    assert ModelConfig(kind="cnp", latent_dim=512).latent_dim == 512
+    with pytest.raises(ValueError, match="^latent_dim must be between 1 and 512, got 513$"):
+        ModelConfig(kind="cnp", latent_dim=513)
     with pytest.raises(ValueError, match="radius"):
         ModelConfig(kind="cgnp", radius=-0.5)
     with pytest.raises(ValueError, match="radius"):
