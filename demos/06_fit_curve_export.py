@@ -40,9 +40,10 @@ order = np.argsort(xs)
 xs, ys, is_ctx = xs[order], ys[order], is_ctx[order]
 
 # predict at every grid point: same context, all 400 points as targets; no
-# gradient is taken, so no tape is built
+# gradient is taken, so no tape is built, and batch norm uses its running
+# statistics
 with no_grad():
-    head = forward_tensors(EpisodeBatch(ep.x_c, ep.y_c, xs[None], ys[None]), store, train=False)
+    head = forward_tensors(EpisodeBatch(ep.x_c, ep.y_c, xs[None], ys[None]), store)
 mu, sigma = (column.ravel() for column in gaussian_head(head.value))
 
 with open("fit_curve.csv", "w", encoding="utf-8") as fh:

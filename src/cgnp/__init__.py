@@ -31,7 +31,6 @@ from .graph import bipartite_conv, radius_neighborhood
 from .models import (
     ModelConfig,
     ParameterStore,
-    cnp_weights_from_cgnp,
     forward_tensors,
     init_params,
 )

@@ -30,7 +30,8 @@ intermediate tensors are allocated on the first accumulation, so a forward
 pass that is never differentiated (evaluation) allocates none; parameters
 keep an eager zero buffer for the optimizer. Inside ``no_grad``
 (evaluation) an op's output keeps neither its parents nor its backward
-closure, so each intermediate is freed once the next op has used it.
+closure, so each intermediate is freed once the next op has used it, and
+``block``'s batch norm uses the running statistics, not the batch's.
 Gradients are exact analytic rules per op. The test suite holds every op,
 and random compositions of them, to a central finite-difference oracle.
 """
@@ -208,7 +209,7 @@ class BatchNormState:
     store's flat buffers).
 
     ``gamma``/``beta`` are trainable (1, d) parameters. The running
-    statistics are (1, d) arrays, updated in place in train mode as
+    statistics are (1, d) arrays, updated in place by a taped `block` as
     ``running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch``; the
     batch variance is biased (divide by n).
     """
@@ -249,10 +250,10 @@ def affine(x, w, b) -> Tensor:
     return Tensor(value, (x, w, b), vjp)
 
 
-def block(x, w, b, state: BatchNormState, train: bool, relu: bool = True) -> Tensor:
+def block(x, w, b, state: BatchNormState, relu: bool = True) -> Tensor:
     """One hidden layer, relu(batch_norm(x @ w + b)), as one op; no ReLU
-    when ``relu`` is False. Batch norm uses the rows' statistics in train
-    mode (and updates the running ones), and in eval mode the running ones
+    when ``relu`` is False. Batch norm uses the rows' statistics while taping
+    (and updates the running ones), and inside `no_grad` the running ones
     folded into one scale ``s = gamma * inv_std`` and one shift
     ``beta - running_mean * s``. The ReLU's subgradient at 0 is 0."""
     z, affine_vjp = _affine(x, w, b)
@@ -261,42 +262,36 @@ def block(x, w, b, state: BatchNormState, train: bool, relu: bool = True) -> Ten
         raise ValueError(f"batch norm width mismatch: input {d}, state {state.width}")
     gamma, beta = state.gamma, state.beta
 
-    if train:
-        if n < 2:
-            raise ValueError(f"batch norm needs at least 2 rows in train mode, got {n}")
-        mean = _block_sums(z) / n
-        centred = z - mean
-        var = _block_sums(centred * centred) / n  # biased
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = centred * inv_std
-        value = gamma.value * xhat + beta.value
-        m = BN_MOMENTUM
-        state.running_mean[...] = m * state.running_mean + (1.0 - m) * mean
-        state.running_var[...] = m * state.running_var + (1.0 - m) * var
-    else:
+    if not _taping.get():
         inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
-        mean = state.running_mean.copy()  # a later train-mode call updates the state in place
         scale = gamma.value * inv_std
         value = z * scale
-        value += beta.value - mean * scale
+        value += beta.value - state.running_mean * scale
+        return Tensor(np.maximum(value, 0.0, out=value) if relu else value)
+
+    if n < 2:
+        raise ValueError(f"batch norm needs at least 2 rows for batch statistics, got {n}")
+    mean = _block_sums(z) / n
+    centred = z - mean
+    var = _block_sums(centred * centred) / n  # biased
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = centred * inv_std
+    value = gamma.value * xhat + beta.value
+    m = BN_MOMENTUM
+    state.running_mean[...] = m * state.running_mean + (1.0 - m) * mean
+    state.running_var[...] = m * state.running_var + (1.0 - m) * var
     if relu:
         np.maximum(value, 0.0, out=value)  # in place on the fresh batch-norm output
 
     def vjp(g):
         if relu:
             g = g * (value > 0.0)  # > 0 after the ReLU iff > 0 before it
-        if train:
-            # gamma is constant per column, so the sums of g and g * xhat
-            # serve beta, gamma and the affine map alike
-            gsum, gxhat = _block_sums(g), _block_sums(g * xhat)
-            _accumulate(beta, gsum)
-            _accumulate(gamma, gxhat)
-            g = (gamma.value * inv_std / n) * (n * g - gsum - xhat * gxhat)
-        else:
-            _accumulate(beta, _block_sums(g))
-            _accumulate(gamma, _block_sums(g * ((z - mean) * inv_std)))
-            g = g * scale
-        affine_vjp(g)
+        # gamma is constant per column, so the sums of g and g * xhat
+        # serve beta, gamma and the affine map alike
+        gsum, gxhat = _block_sums(g), _block_sums(g * xhat)
+        _accumulate(beta, gsum)
+        _accumulate(gamma, gxhat)
+        affine_vjp((gamma.value * inv_std / n) * (n * g - gsum - xhat * gxhat))
 
     return Tensor(value, (x, w, b, gamma, beta), vjp)
 

@@ -275,7 +275,7 @@ def cmd_plot(args) -> int:
     xs, ys, is_ctx = xs[order], ys[order], is_ctx[order]
     curve = EpisodeBatch(episode.x_c, episode.y_c, xs[None], ys[None])
     with no_grad():
-        mu, sigma = gaussian_head(forward_tensors(curve, store, train=False).value)
+        mu, sigma = gaussian_head(forward_tensors(curve, store).value)
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
         raise ValueError(f"{args.data}: episode {args.index}: the model's prediction is not finite")
     lines = ["x,y_true,mu,sigma,is_context"]

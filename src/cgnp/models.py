@@ -15,8 +15,8 @@ The CGNP decoder's first block always carries a self term on
 concat(target x, latent): targets have no y value to message with, and the
 self term is what a target falls back to when its radius ball contains no
 context. At radius 0 with distinct coordinates the convolutions collapse to
-pointwise affine maps, and `cnp_weights_from_cgnp` maps a CGNP store onto
-the CNP that computes the identical function.
+pointwise affine maps, so a CGNP store maps onto a CNP that computes the
+identical function (the tests hold that identity).
 
 Every block has one weight, `enc{k}.w`, `dec1.w` or `dec2.w` for both
 kinds, whose rows follow the columns of the block's input. Every
@@ -32,10 +32,11 @@ whole; `flat_sizes` counts the same table without allocating.
 
 Every forward runs over one `EpisodeBatch`: B episodes that share
 (N_c, N_t), as stacked (B, N_c) and (B, N_t) arrays. All points share one
-matrix (so train-mode batch norm pools statistics across the whole batch)
-while per-episode blocks keep neighborhoods and pooling episode-local, and
-neighborhoods are built once per coordinate pair: one `Neighborhood` over
-(x_c, x_c) serves all three encoder blocks, one over (x_c, x_t) the decoder.
+matrix (so batch norm, while taping, pools its statistics across the
+whole batch) while per-episode blocks keep neighborhoods and pooling
+episode-local, and neighborhoods are built once per coordinate pair: one
+`Neighborhood` over (x_c, x_c) serves all three encoder blocks, one over
+(x_c, x_t) the decoder.
 A single episode is a batch of one. The forward is two halves, `encode`
 (encoder blocks and pool) and `decode`; `forward_tensors` runs one after
 the other, and evaluation runs the encoder once per batch and the decoder
@@ -44,7 +45,7 @@ over chunks of its episodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,11 +62,9 @@ __all__ = [
     "encode",
     "decode",
     "forward_tensors",
-    "cnp_weights_from_cgnp",
 ]
 
 ENCODER_DEPTH = 3
-DECODER_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ def flat_sizes(cfg: ModelConfig) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def encode(x_c, y_c, store: ParameterStore, train: bool):
+def encode(x_c, y_c, store: ParameterStore):
     """The encoder half of the forward: context features, one row per
     context point, episode by episode, and their per-episode mean, one
     latent row per episode. x_c and y_c are (B, N_c) arrays."""
@@ -184,11 +183,11 @@ def encode(x_c, y_c, store: ParameterStore, train: bool):
         nbhd = radius_neighborhood(x_c, x_c, cfg.radius)  # shared by all encoder blocks
     for k in range(1, ENCODER_DEPTH + 1):
         z = h if cfg.kind == "cnp" else bipartite_conv(nbhd, h)
-        h = block(z, store[f"enc{k}.w"], store[f"enc{k}.b"], store.bn[f"enc{k}.bn"], train, relu=k < ENCODER_DEPTH)
+        h = block(z, store[f"enc{k}.w"], store[f"enc{k}.b"], store.bn[f"enc{k}.bn"], relu=k < ENCODER_DEPTH)
     return h, block_mean(h, x_c.shape[0])
 
 
-def decode(x_c, h, r, x_t, store: ParameterStore, train: bool):
+def decode(x_c, h, r, x_t, store: ParameterStore):
     """The decoder half of the forward: the (B * N_t, 2) head tensor, a mean
     and a pre-link scale per target, for x_t of shape (B, N_t), given
     `encode`'s context features h and latent rows r for the contexts at x_c
@@ -198,13 +197,13 @@ def decode(x_c, h, r, x_t, store: ParameterStore, train: bool):
         z = concat_cols(*own)
     else:
         z = bipartite_conv(radius_neighborhood(x_c, x_t, store.cfg.radius), h, own)
-    h = block(z, store["dec1.w"], store["dec1.b"], store.bn["dec1.bn"], train)
+    h = block(z, store["dec1.w"], store["dec1.b"], store.bn["dec1.bn"])
     return affine(h, store["dec2.w"], store["dec2.b"])
 
 
-def forward_tensors(batch: EpisodeBatch, store: ParameterStore, train: bool):
+def forward_tensors(batch: EpisodeBatch, store: ParameterStore):
     """Differentiable forward over one batch of episodes: `encode`, then
-    `decode`.
+    `decode`, with batch norm's mode following the tape (`autodiff.block`).
 
     Returns the (B * N_t, 2) head tensor (see `decode`), rows in episode
     order: rows k * N_t .. (k + 1) * N_t - 1 belong to episode k. Episodes
@@ -212,32 +211,6 @@ def forward_tensors(batch: EpisodeBatch, store: ParameterStore, train: bool):
     """
     if not isinstance(batch, EpisodeBatch):
         raise TypeError(f"forward_tensors takes an EpisodeBatch, got {type(batch).__name__}")
-    h, r = encode(batch.x_c, batch.y_c, store, train)
-    return decode(batch.x_c, h, r, batch.x_t, store, train)
+    h, r = encode(batch.x_c, batch.y_c, store)
+    return decode(batch.x_c, h, r, batch.x_t, store)
 
-
-# ---------------------------------------------------------------------------
-# radius-0 collapse
-# ---------------------------------------------------------------------------
-
-
-def cnp_weights_from_cgnp(store: ParameterStore) -> ParameterStore:
-    """The weight correspondence under which CGNP(radius=0) equals a CNP:
-    the CNP store, under the CGNP store's config with kind "cnp".
-
-    Encoder blocks drop their weight's relative-position row (that column
-    of the input is identically zero at radius 0); dec1 keeps the last
-    1 + d rows of its weight, those of the self term (at radius 0 no target
-    coincides with a context, so neighborhoods are empty and the mean
-    reduces to the self message alone). Biases and batch-norm state carry
-    over unchanged.
-    """
-    if store.cfg.kind != "cgnp":
-        raise ValueError("expected a cgnp store")
-    out = init_params(replace(store.cfg, kind="cnp"))
-    for name, p in out.params.items():
-        rows = store[name].value
-        p.value[...] = rows[-p.value.shape[0]:] if name == "dec1.w" else rows[: p.value.shape[0]]
-    out.running_mean[:] = store.running_mean
-    out.running_var[:] = store.running_var
-    return out

@@ -11,10 +11,12 @@ Evaluation reports the NLL under two normalizations (per target point and
 per episode) plus the MSE of the predictive mean, all over target points
 only; it takes an episode set as shape buckets (`gp.bucket_episodes`),
 runs the tapeless (`autodiff.no_grad`) encoder and pool once per bucket and
-the decoder once per chunk of a bucket. The buckets are independent, so a
-set of enough chunks is scored on a thread per usable core, and the chunks'
-NLL and squared-error sums are added up afterwards in bucket order, then
-chunk order: the metrics do not depend on the thread count.
+the decoder once per chunk of a bucket. Batch norm uses batch statistics
+while taping (training), running statistics inside `no_grad` (evaluation).
+The buckets are independent, so a set of enough chunks is scored on a
+thread per usable core, and the chunks' NLL and squared-error sums are
+added up afterwards in bucket order, then chunk order: the metrics do not
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def batch_loss(batch: EpisodeBatch, store: ParameterStore) -> Tensor:
     Episodes in a batch share N_t, so the flat mean over all stacked target
     points equals the mean over episodes of each episode's per-target mean.
     """
-    return gaussian_nll(batch.y_t.reshape(-1, 1), forward_tensors(batch, store, train=True))
+    return gaussian_nll(batch.y_t.reshape(-1, 1), forward_tensors(batch, store))
 
 
 @dataclass
@@ -163,7 +165,8 @@ def _train_group(cfgs: list[TrainConfig], names: list[str] | None = None, log=No
     and each batch are made once, and the runs step on them in order, so
     each run ends as it would trained alone. ``log(batch_index, loss,
     metrics_or_none)`` is called every ``eval_every`` batches and on the
-    final batch, and never if ``eval_every`` is 0. A run's `wall_seconds`
+    final batch, and never if ``eval_every`` is 0. A run's `final_metrics`
+    is its held-out evaluation at the last batch. A run's `wall_seconds`
     is the time of its own work plus an equal share of the rest of the
     call; a divergence is prefixed with the run's entry in `names`.
     """
@@ -192,23 +195,19 @@ def _train_group(cfgs: list[TrainConfig], names: list[str] | None = None, log=No
                 adam_step(run.adam)
                 run.store.grad.fill(0.0)
                 run.next_batch = b + 1
-                eval_every = run.cfg.eval_every
-                if eval_every > 0 and (b % eval_every == 0 or run.next_batch == n_batches):
+                eval_every, final = run.cfg.eval_every, run.next_batch == n_batches
+                if final or eval_every > 0 and b % eval_every == 0:
                     metrics = _checked_metrics(run, heldout_set, "held-out", b) if heldout_set else None
-                    if metrics is not None:
-                        run.report.heldout.append((b, metrics))
-                    if log is not None:
-                        log(b, loss_value, metrics)
+                    if final:
+                        run.report.final_metrics = metrics
+                    if eval_every > 0:
+                        if metrics is not None:
+                            run.report.heldout.append((b, metrics))
+                        if log is not None:
+                            log(b, loss_value, metrics)
                 now = time.perf_counter()
                 own[k] += now - last
                 last = now
-        for k, run in enumerate(runs):  # final metrics: the last periodic evaluation if any
-            last = time.perf_counter()
-            if run.report.heldout:
-                run.report.final_metrics = run.report.heldout[-1][1]
-            elif heldout_set:
-                run.report.final_metrics = _checked_metrics(run, heldout_set, "held-out", n_batches - 1)
-            own[k] += time.perf_counter() - last
     shared = (time.perf_counter() - start - sum(own)) / len(runs)
     for run, seconds in zip(runs, own):
         run.report.wall_seconds = seconds + shared
@@ -233,13 +232,13 @@ def _bucket_sums(store: ParameterStore, batch: EpisodeBatch) -> list[tuple[float
     """(NLL sum, squared-error sum, target count) of each decoder chunk of
     one shape bucket, in chunk order: the encoder and the pool run once,
     the decoder once per chunk."""
-    h, r = encode(batch.x_c, batch.y_c, store, train=False)
+    h, r = encode(batch.x_c, batch.y_c, store)
     n_c, step = batch.n_context, _chunk_episodes(batch)
     sums = []
     for start in range(0, len(batch), step):
         rows = slice(start, start + step)
         h_rows = h.value[start * n_c:(start + step) * n_c]
-        out = decode(batch.x_c[rows], h_rows, r.value[rows], batch.x_t[rows], store, train=False)
+        out = decode(batch.x_c[rows], h_rows, r.value[rows], batch.x_t[rows], store)
         mu, sigma = gaussian_head(out.value)
         y = batch.y_t[rows].reshape(-1, 1)
         sums.append((float(nll_terms(y, mu, sigma).sum()), float(((y - mu) ** 2).sum()), y.size))
@@ -292,12 +291,13 @@ def evaluate(store: ParameterStore, batches) -> Metrics:
     given as shape buckets.
 
     Each bucket is one `_bucket_sums`, run by `_each_bucket` on the
-    caller's thread or a pool's. Eval-mode batch norm is row-wise, so
-    predictions equal per-episode forwards up to rounding. The forwards
-    build no tape, so each op's intermediates are freed as soon as the
-    next op has used them. The chunk sums go into the totals in bucket
-    order, then chunk order, so the metrics have the same bits at any
-    thread count and equal per-episode scoring up to summation order.
+    caller's thread or a pool's. Inside `no_grad` batch norm uses the
+    running statistics, row by row, so predictions equal per-episode
+    forwards up to rounding. The forwards build no tape, so each op's
+    intermediates are freed as soon as the next op has used them. The
+    chunk sums go into the totals in bucket order, then chunk order, so
+    the metrics have the same bits at any thread count and equal
+    per-episode scoring up to summation order.
     """
     batches = list(batches)
     episodes = sum(len(batch) for batch in batches)

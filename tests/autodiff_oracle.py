@@ -14,9 +14,11 @@ count its nodes, and `backward` must give the same gradients.
 
 `relu` and `batch_norm` are the layer's nonlinearity and normalization as
 the two taped ops they were before a hidden layer became one
-`autodiff.block`: ``relu(batch_norm(affine(x, w, b), state, train))``, or
-the same without the `relu`, must give the same value, running statistics
-and gradients as `block`, bit for bit.
+`autodiff.block`: ``relu(batch_norm(affine(x, w, b), state, train=True))``,
+or the same without the `relu`, must give the same value, running
+statistics and gradients as a taped `block`, bit for bit, and with
+``train=False`` the same value as `block` inside `no_grad`, whose running
+statistics it leaves as they were.
 
 `reference_batch_norm` is the train/eval batch norm written with
 `np.mean`/`np.var`, centring the input twice, and a four-sum train-mode

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from cgnp.autodiff import BatchNormState, Parameter, gaussian_head
+from cgnp.autodiff import BatchNormState, Parameter, gaussian_head, no_grad
 from cgnp.gp import EpisodeBatch
 from cgnp.models import forward_tensors
 
@@ -93,7 +93,10 @@ def episode_line(x_c, y_c, x_t, y_t) -> str:
     return json.dumps(episode_record(x_c, y_c, x_t, y_t), separators=(",", ":"))
 
 
-def predict(batch, store, train=False) -> tuple[np.ndarray, np.ndarray]:
-    """A forward's (mu, sigma) as flat arrays, targets in episode order."""
-    mu, sigma = gaussian_head(forward_tensors(batch, store, train).value)
+def predict(batch, store) -> tuple[np.ndarray, np.ndarray]:
+    """An evaluation forward's (mu, sigma) as flat arrays, targets in
+    episode order: inside `no_grad`, so batch norm uses the running
+    statistics."""
+    with no_grad():
+        mu, sigma = gaussian_head(forward_tensors(batch, store).value)
     return mu.ravel(), sigma.ravel()

@@ -51,12 +51,12 @@ def sequential_evaluate(store, batches) -> Metrics:
     total_nll = total_sq = 0.0
     total_points = 0
     for batch in batches:
-        h, r = encode(batch.x_c, batch.y_c, store, train=False)
+        h, r = encode(batch.x_c, batch.y_c, store)
         n_c, step = batch.n_context, max(1, training.EVAL_CHUNK_ROWS // batch.n_target)
         for start in range(0, len(batch), step):
             rows = slice(start, start + step)
             h_rows = h.value[start * n_c:(start + step) * n_c]
-            out = decode(batch.x_c[rows], h_rows, r.value[rows], batch.x_t[rows], store, train=False)
+            out = decode(batch.x_c[rows], h_rows, r.value[rows], batch.x_t[rows], store)
             mu, sigma = gaussian_head(out.value)
             y = batch.y_t[rows].reshape(-1, 1)
             total_nll += float(nll_terms(y, mu, sigma).sum())

@@ -20,7 +20,6 @@ from cgnp import (
     ProtocolConfig,
     TrainConfig,
     backward,
-    cnp_weights_from_cgnp,
     init_params,
     kernel_matrix,
     make_test_set,
@@ -30,6 +29,7 @@ from cgnp.graph import radius_neighborhood
 from cgnp.training import batch_loss, compare_models
 
 from helpers import episode, predict, zero_grads
+from models_oracle import cnp_weights_from_cgnp
 
 DESK_PROTOCOL = ProtocolConfig(train_batches=20_000, test_episodes=1_000, master_seed=0)
 KERNEL = EqKernelSpec()

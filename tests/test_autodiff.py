@@ -1,8 +1,9 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cgnp.autodiff import (
@@ -18,6 +19,7 @@ from cgnp.autodiff import (
     gaussian_head,
     gaussian_nll,
     neighbor_mean,
+    no_grad,
     repeat_rows,
     _block_sums,
 )
@@ -306,24 +308,33 @@ def layer_leaves(values):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 9), st.integers(1, 9), st.booleans(),
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 9), st.integers(1, 9), st.booleans(),
        st.booleans(), st.booleans())
-@example(seed=0, n=2, d_in=1, d_out=1, train=True, with_relu=True, taped_x=True)
-@example(seed=1, n=64, d_in=3, d_out=8, train=False, with_relu=False, taped_x=False)
-def test_block_equals_relu_of_batch_norm_of_affine_bit_for_bit(seed, n, d_in, d_out, train, with_relu, taped_x):
+@example(seed=0, n=2, d_in=1, d_out=1, taped=True, with_relu=True, taped_x=True)
+@example(seed=1, n=64, d_in=3, d_out=8, taped=False, with_relu=False, taped_x=False)
+@example(seed=2, n=1, d_in=4, d_out=5, taped=False, with_relu=True, taped_x=True)
+def test_block_equals_relu_of_batch_norm_of_affine_bit_for_bit(seed, n, d_in, d_out, taped, with_relu, taped_x):
+    # batch norm's mode follows the tape: the oracle's train mode while
+    # taping, its eval mode inside no_grad, where a single row is normalized too
+    assume(n >= 2 or not taped)
     rng = np.random.default_rng(seed)
     values = layer_inputs(rng, n, d_in, d_out)
     g = rng.standard_normal((n, d_out))
     x, w, b, state = layer_leaves(values)
     ref_x, ref_w, ref_b, ref_state = layer_leaves(values)
-    out = block(x if taped_x else x.value, w, b, state, train, relu=with_relu)
-    ref = batch_norm(affine(ref_x, ref_w, ref_b), ref_state, train)
+    with contextlib.nullcontext() if taped else no_grad():
+        out = block(x if taped_x else x.value, w, b, state, relu=with_relu)
+    ref = batch_norm(affine(ref_x, ref_w, ref_b), ref_state, train=taped)
     ref = relu(ref) if with_relu else ref
-    # one taped node; a raw-array x is a constant, no node of the tape
-    assert out._parents == ((x,) if taped_x else ()) + (w, b, state.gamma, state.beta)
     assert np.array_equal(out.value, ref.value)
     assert np.array_equal(state.running_mean, ref_state.running_mean)
     assert np.array_equal(state.running_var, ref_state.running_var)
+    if not taped:  # a value alone, and the running statistics as they were
+        assert out._parents == () and out._vjp is None
+        assert np.array_equal(state.running_mean, values[5]) and np.array_equal(state.running_var, values[6])
+        return
+    # one taped node; a raw-array x is a constant, no node of the tape
+    assert out._parents == ((x,) if taped_x else ()) + (w, b, state.gamma, state.beta)
     reference_backward(out, g)
     reference_backward(ref, g)
     pairs = [(w, ref_w), (b, ref_b), (state.gamma, ref_state.gamma), (state.beta, ref_state.beta)]
@@ -336,13 +347,11 @@ def test_block_equals_relu_of_batch_norm_of_affine_bit_for_bit(seed, n, d_in, d_
 def test_fd_block():
     rng = np.random.default_rng(22)
     x, w, b, state = layer_leaves(layer_inputs(rng, 7, 3, 4))
-    for train in (True, False):
-        pre = block(x, w, b, state, train, relu=False).value
-        # away from the kink, so the stencil never crosses it, and on both sides of it
-        assert np.abs(pre).min() > 0.05 and (pre < 0.0).any() and (pre > 0.0).any()
-        for with_relu in (True, False):
-            fd_case(lambda: block(x, w, b, state, train, relu=with_relu), [x, w, b, state.gamma, state.beta],
-                    seed=23)
+    pre = block(x, w, b, state, relu=False).value
+    # away from the kink, so the stencil never crosses it, and on both sides of it
+    assert np.abs(pre).min() > 0.05 and (pre < 0.0).any() and (pre > 0.0).any()
+    for with_relu in (True, False):
+        fd_case(lambda: block(x, w, b, state, relu=with_relu), [x, w, b, state.gamma, state.beta], seed=23)
 
 
 @pytest.mark.parametrize(
@@ -351,16 +360,17 @@ def test_fd_block():
         ((3, 2), (3, 4), (1, 4), 4, r"matmul dimension mismatch: \(3, 2\) @ \(3, 4\)"),
         ((3, 2), (2, 4), (1, 3), 4, r"row vector shape \(1, 3\) does not match \(3, 4\)"),
         ((3, 2), (2, 4), (1, 4), 5, "batch norm width mismatch: input 4, state 5"),
-        ((1, 2), (2, 4), (1, 4), 4, "batch norm needs at least 2 rows in train mode, got 1"),
+        ((1, 2), (2, 4), (1, 4), 4, "batch norm needs at least 2 rows for batch statistics, got 1"),
     ],
     ids=["matmul", "bias-row", "bn-width", "one-row"],
 )
 def test_block_rejects_mismatched_shapes(x_shape, w_shape, b_shape, width, match):
     args = Tensor(np.ones(x_shape)), Parameter("w", np.ones(w_shape)), Parameter("b", np.zeros(b_shape))
     with pytest.raises(ValueError, match=match):
-        block(*args, bn_state("bn", width), train=True)
-    if x_shape[0] == 1:  # eval mode normalizes a single row
-        assert block(*args, bn_state("bn", width), train=False).shape == (1, 4)
+        block(*args, bn_state("bn", width))
+    if x_shape[0] == 1:  # inside no_grad the running statistics normalize a single row
+        with no_grad():
+            assert block(*args, bn_state("bn", width)).shape == (1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +502,8 @@ def test_ops_are_deterministic():
     rng = np.random.default_rng(0)
     x, w, bias = rng.standard_normal((6, 4)), Tensor(rng.standard_normal((4, 3))), Tensor(np.zeros((1, 3)))
     state1, state2 = bn_state("a", 3), bn_state("b", 3)
-    a = block(x, w, bias, state1, train=True).value
-    b = block(x, w, bias, state2, train=True).value
+    a = block(x, w, bias, state1).value
+    b = block(x, w, bias, state2).value
     assert np.array_equal(a, b)
 
 
@@ -753,7 +763,7 @@ def test_fd_random_composed_networks(seed):
         h = Tensor(x0)
         for w, b, kind, state in layers:
             if kind == "bn":
-                h = block(h, w, b, state, train=True, relu=False)
+                h = block(h, w, b, state, relu=False)
             elif kind == "relu":
                 h = relu(affine(h, w, b))
             else:

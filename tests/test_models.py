@@ -1,21 +1,24 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from cgnp.autodiff import Parameter, Tensor, backward, block_mean, gaussian_head
+from cgnp.autodiff import Parameter, Tensor, backward, block_mean, gaussian_head, no_grad
 from cgnp.formats import load_checkpoint, save_checkpoint
 from cgnp.gp import EpisodeBatch, ProtocolConfig, bucket_episodes
 from cgnp.models import (
     ModelConfig,
     ParameterStore,
     _layout,
-    cnp_weights_from_cgnp,
     flat_sizes,
     forward_tensors,
     init_params,
 )
-from cgnp.training import TrainConfig, batch_loss, train
+from cgnp.graph import bipartite_conv, radius_neighborhood
+from cgnp.training import TrainConfig, batch_loss, evaluate, train
 
 from helpers import assert_grads_match, episode, predict
+from models_oracle import cnp_weights_from_cgnp
 
 CNP = ModelConfig(kind="cnp", latent_dim=8, init_seed=0)
 CGNP = ModelConfig(kind="cgnp", latent_dim=8, radius=0.7, init_seed=0)
@@ -187,8 +190,8 @@ def test_store_add_rejects_a_duplicate_name():
 
 
 def test_stacked_forward_is_invariant_to_context_permutation():
-    # each episode's context shuffled on its own, in train mode (batch norm
-    # pools statistics over every context row) and in eval mode
+    # each episode's context shuffled on its own, taped (batch norm pools
+    # statistics over every context row) and inside no_grad
     rng = np.random.default_rng(1)
     (batch,) = bucket_episodes(random_episode(rng, n_c=7, n_t=5) for _ in range(4))
     perms = np.stack([rng.permutation(7) for _ in range(4)])
@@ -197,9 +200,10 @@ def test_stacked_forward_is_invariant_to_context_permutation():
     for cfg in (CNP, CGNP):
         store = init_params(cfg)
         randomize_store(store, rng)
-        for train in (True, False):
-            mu, sigma = gaussian_head(forward_tensors(batch, store, train).value)
-            mu_p, sigma_p = gaussian_head(forward_tensors(shuffled, store, train).value)
+        for mode in (contextlib.nullcontext, no_grad):
+            with mode():
+                mu, sigma = gaussian_head(forward_tensors(batch, store).value)
+                mu_p, sigma_p = gaussian_head(forward_tensors(shuffled, store).value)
             np.testing.assert_allclose(mu_p, mu, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(sigma_p, sigma, rtol=1e-9, atol=1e-12)
 
@@ -287,13 +291,47 @@ def test_stacked_forward_matches_per_episode_in_eval_mode():
             store = init_params(cfg)
             randomize_store(store, rng)
             (batch,) = bucket_episodes(episodes)
-            mu, sigma = gaussian_head(forward_tensors(batch, store, train=False).value)
+            with no_grad():
+                mu, sigma = gaussian_head(forward_tensors(batch, store).value)
             assert mu.shape == sigma.shape == (5 * n_t, 1)
             for i, ep in enumerate(episodes):
                 single_mu, single_sigma = predict(ep, store)
                 rows = slice(i * n_t, (i + 1) * n_t)
                 np.testing.assert_allclose(mu[rows, 0], single_mu, rtol=1e-12)
                 np.testing.assert_allclose(sigma[rows, 0], single_sigma, rtol=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [CNP, CGNP], ids=["cnp", "cgnp"])
+def test_batch_norm_mode_follows_the_tape(cfg):
+    # inside no_grad, and so in evaluate, batch norm reads the running
+    # statistics and leaves both buffers as they were; a taped forward uses
+    # the batch's statistics and moves the running ones towards them
+    rng = np.random.default_rng(13)
+    store = init_params(cfg)
+    randomize_store(store, rng)
+    (batch,) = bucket_episodes(random_episode(rng, n_c=6, n_t=5) for _ in range(3))
+    mean, var = store.running_mean.copy(), store.running_var.copy()
+    with no_grad():
+        head = forward_tensors(batch, store)
+    evaluate(store, [batch])
+    assert np.array_equal(store.running_mean, mean) and np.array_equal(store.running_var, var)
+    assert head._parents == () and head._vjp is None
+
+    taped = forward_tensors(batch, store)
+    assert taped._vjp is not None and not np.array_equal(taped.value, head.value)
+    assert (store.running_mean != mean).all() and (store.running_var != var).all()
+    # enc1's input is the data's, so its batch statistics can be read off here
+    h = np.column_stack([batch.x_c.ravel(), batch.y_c.ravel()])
+    if cfg.kind == "cgnp":
+        h = bipartite_conv(radius_neighborhood(batch.x_c, batch.x_c, cfg.radius), h)
+    z = h @ store["enc1.w"].value + store["enc1.b"].value
+    enc1, d = store.bn["enc1.bn"], cfg.latent_dim
+    for got, before, batch_stat in ((enc1.running_mean, mean, z.mean(axis=0)), (enc1.running_var, var, z.var(axis=0))):
+        np.testing.assert_allclose(got, 0.9 * before[None, :d] + 0.1 * batch_stat, rtol=1e-12, atol=1e-15)
+
+    mean, var = store.running_mean.copy(), store.running_var.copy()
+    backward(batch_loss(batch, store))
+    assert (store.running_mean != mean).all() and (store.running_var != var).all()
 
 
 def test_stacked_forward_rejects_mixed_shapes():
@@ -305,7 +343,7 @@ def test_stacked_forward_rejects_mixed_shapes():
         EpisodeBatch(x_c, y_c, x_t, y_t)
     assert [(b.n_target, b.index.tolist()) for b in bucket_episodes(episodes)] == [(4, [0]), (5, [1])]
     with pytest.raises(TypeError, match="EpisodeBatch"):
-        forward_tensors(x_c, init_params(CGNP), train=False)
+        forward_tensors(x_c, init_params(CGNP))
 
 
 def test_radius_zero_equals_cnp_on_100_random_episodes():
@@ -328,8 +366,8 @@ def test_radius_zero_equivalence_holds_in_train_mode():
     store = init_params(cgnp)
     cnp_store = cnp_weights_from_cgnp(store)
     ep = random_episode(rng, n_c=6, n_t=5)
-    mu_a, sigma_a = predict(ep, store, train=True)
-    mu_b, sigma_b = predict(ep, cnp_store, train=True)
+    mu_a, sigma_a = gaussian_head(forward_tensors(ep, store).value)  # taped: batch statistics
+    mu_b, sigma_b = gaussian_head(forward_tensors(ep, cnp_store).value)
     np.testing.assert_allclose(mu_a, mu_b, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(sigma_a, sigma_b, rtol=1e-9, atol=1e-12)
 
